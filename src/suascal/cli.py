@@ -253,7 +253,7 @@ def cmd_simulate(args) -> int:
         config = json.loads(Path(args.grid_config).read_text(
             encoding="utf-8"))
     grid = SimulationGrid.from_config(config)
-    rows = run_maarr_grid(grid, threads=args.threads)
+    rows = run_maarr_grid(grid)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -414,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_threads(p):
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for per-image or per-cell work")
+                       help="worker threads for per-image work")
 
     p = sub.add_parser("convert", help="raw digital counts to radiance")
     p.add_argument("--manifest", required=True)
@@ -440,9 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--grid-config", default=None,
                    help="JSON overriding the default grid")
-    p.add_argument("--seed", type=int, default=None,
-                   help="reserved; the simulator is deterministic")
-    add_threads(p)
     p.set_defaults(handler=cmd_simulate)
 
     p = sub.add_parser("evaluate", help="error statistics over samples CSV")

@@ -79,9 +79,6 @@ class SpectralCurve:
         return np.interp(np.asarray(wavelengths_nm, dtype=np.float64),
                          self.wavelengths_nm, self.values)
 
-    def scaled(self, factor: float) -> "SpectralCurve":
-        return SpectralCurve(self.wavelengths_nm, self.values * factor)
-
 
 @dataclass(frozen=True)
 class MonochromatorRun:
@@ -168,6 +165,45 @@ def is_degenerate(curve: SpectralCurve) -> bool:
     return not np.any(curve.values > 0)
 
 
+def band_weights(wavelengths_nm, rsr: SpectralCurve) -> np.ndarray:
+    """Weights ``w`` with ``band_effective(c, rsr) == w @ c.values``.
+
+    ``wavelengths_nm`` is a strictly increasing grid, as a curve's.  The RSR
+    is sampled on the union of its grid and the grid points strictly inside
+    its support, and its trapezoid weights are pulled back onto the grid
+    through the hat functions of linear interpolation.  The RSR is zero
+    outside its tabulated range (compact support); the grid must cover it.
+
+    Raises
+    ------
+    CurveError
+        If the grid does not cover the RSR support, or the RSR integrates
+        to zero.
+    """
+    x = np.asarray(wavelengths_nm, dtype=np.float64)
+    lo, hi = rsr.support
+    s_lo, s_hi = float(x[0]), float(x[-1])
+    if s_lo > hi or s_hi < lo:
+        raise CurveError(
+            f"empty overlap: spectrum [{s_lo}, {s_hi}] nm vs RSR support "
+            f"[{lo}, {hi}] nm")
+    if s_lo > lo or s_hi < hi:
+        raise CurveError(
+            f"spectrum [{s_lo}, {s_hi}] nm does not cover the RSR support "
+            f"[{lo}, {hi}] nm")
+    grid = np.union1d(rsr.wavelengths_nm, x[(x > lo) & (x < hi)])
+    r = rsr.interpolate(grid)
+    denom = np.trapezoid(r, grid)
+    if not denom > 0:
+        raise CurveError("RSR integrates to zero; cannot band-average")
+    step = np.diff(grid)
+    tr = r * (np.append(step, 0.0) + np.insert(step, 0, 0.0)) / (2 * denom)
+    j = np.clip(np.searchsorted(x, grid, side="right") - 1, 0, x.size - 2)
+    f = (grid - x[j]) / (x[j + 1] - x[j])
+    return (np.bincount(j, tr * (1.0 - f), minlength=x.size)
+            + np.bincount(j + 1, tr * f, minlength=x.size))
+
+
 def band_effective(spectrum: SpectralCurve, rsr: SpectralCurve) -> float:
     """RSR-weighted band-effective value of ``spectrum``.
 
@@ -177,35 +213,10 @@ def band_effective(spectrum: SpectralCurve, rsr: SpectralCurve) -> float:
 
     ``value = ∫ L(λ) RSR(λ) dλ / ∫ RSR(λ) dλ``
 
-    The RSR is treated as zero outside its tabulated range (compact
-    support), so integration is confined to that range.  The spectrum must
-    cover the entire RSR support.
-
-    Raises
-    ------
-    CurveError
-        If the spectrum does not cover the RSR support, or the RSR
-        integrates to zero.
+    The integral is evaluated as ``band_weights(...) @ spectrum.values``;
+    see :func:`band_weights` for the support rules and errors.
     """
-    lo, hi = rsr.support
-    s_lo, s_hi = spectrum.support
-    if s_lo > hi or s_hi < lo:
-        raise CurveError(
-            f"empty overlap: spectrum [{s_lo}, {s_hi}] nm vs RSR support "
-            f"[{lo}, {hi}] nm")
-    if s_lo > lo or s_hi < hi:
-        raise CurveError(
-            f"spectrum [{s_lo}, {s_hi}] nm does not cover the RSR support "
-            f"[{lo}, {hi}] nm")
-    inner = spectrum.wavelengths_nm
-    inner = inner[(inner > lo) & (inner < hi)]
-    grid = np.union1d(rsr.wavelengths_nm, inner)
-    r = rsr.interpolate(grid)
-    s = spectrum.interpolate(grid)
-    denom = np.trapezoid(r, grid)
-    if not denom > 0:
-        raise CurveError("RSR integrates to zero; cannot band-average")
-    return float(np.trapezoid(r * s, grid) / denom)
+    return float(band_weights(spectrum.wavelengths_nm, rsr) @ spectrum.values)
 
 
 def read_spectral_curve(path) -> SpectralCurve:

@@ -24,8 +24,8 @@ better with visibility) rather than any particular reference atmosphere.
 
 from __future__ import annotations
 
+import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -34,7 +34,7 @@ import numpy as np
 
 from . import datasets
 from .errors import CurveError, ManifestError, NoIlluminationError
-from .rsr import SpectralCurve, band_effective
+from .rsr import SpectralCurve, band_weights, read_spectral_curve
 from .solar import solar_zenith_deg
 
 #: Reference wavelength of the Koschmieder visibility relation, nm.
@@ -338,52 +338,53 @@ class SimulationGrid:
 
     @classmethod
     def from_config(cls, config: dict) -> "SimulationGrid":
-        """Build a grid from a JSON-style configuration dict."""
-        from .rsr import read_spectral_curve
-        known = {
-            "atmospheres", "days", "times_utc", "visibilities_km",
-            "sensor_altitudes_km", "ground_altitude_km", "latitude_deg",
-            "longitude_west_deg", "targets", "summary_exclude_altitudes_km",
-            "solar_spectrum", "angstrom_exponent", "diffuse_fraction",
-            "extinction_layer_km", "path_radiance_factor",
-        }
-        unknown = set(config) - known
+        """Build a grid from a JSON-style configuration dict.
+
+        Raises :class:`ManifestError`, naming the key, for a value of the
+        wrong type; the configuration itself must be an object.
+        """
+        if not isinstance(config, dict):
+            raise ManifestError("grid configuration must be a JSON object, "
+                                f"got {type(config).__name__}")
+        axes = {"atmospheres": str, "days": int, "times_utc": float,
+                "visibilities_km": float, "sensor_altitudes_km": float,
+                "summary_exclude_altitudes_km": float}
+        scalars = {"ground_altitude_km", "latitude_deg", "longitude_west_deg",
+                   "angstrom_exponent", "diffuse_fraction",
+                   "extinction_layer_km", "path_radiance_factor"}
+        unknown = set(config) - set(axes) - scalars - {"solar_spectrum",
+                                                       "targets"}
         if unknown:
             raise ManifestError(
                 f"unknown grid configuration keys: {sorted(unknown)}")
         kwargs = {}
-        for key in ("atmospheres",):
-            if key in config:
-                kwargs[key] = tuple(str(v) for v in config[key])
-        for key in ("days",):
-            if key in config:
-                kwargs[key] = tuple(int(v) for v in config[key])
-        for key in ("times_utc", "visibilities_km", "sensor_altitudes_km",
-                    "summary_exclude_altitudes_km"):
-            if key in config:
-                kwargs[key] = tuple(float(v) for v in config[key])
-        for key in ("ground_altitude_km", "latitude_deg",
-                    "longitude_west_deg", "angstrom_exponent",
-                    "diffuse_fraction", "extinction_layer_km",
-                    "path_radiance_factor"):
-            if key in config:
-                kwargs[key] = float(config[key])
-        if config.get("solar_spectrum"):
-            kwargs["exo_irradiance"] = read_spectral_curve(
-                config["solar_spectrum"])
-        if "targets" in config:
-            targets = []
-            for name, source in config["targets"].items():
-                if source is None or source == "bundled":
-                    targets.append((str(name), datasets.bundled_target(name)))
+        for key, value in config.items():
+            try:
+                if key in scalars:
+                    kwargs[key] = float(value)
+                elif key == "solar_spectrum":
+                    if value:
+                        kwargs["exo_irradiance"] = read_spectral_curve(value)
+                elif key == "targets":
+                    _require(value, dict)
+                    kwargs[key] = tuple(
+                        (str(name), datasets.bundled_target(name)
+                         if source is None or source == "bundled"
+                         else read_spectral_curve(Path(source)))
+                        for name, source in value.items())
                 else:
-                    targets.append((str(name),
-                                    read_spectral_curve(Path(source))))
-            kwargs["targets"] = tuple(targets)
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ManifestError(f"bad grid configuration: {exc}") from exc
+                    _require(value, list)
+                    kwargs[key] = tuple(axes[key](v) for v in value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ManifestError(
+                    f"grid configuration {key!r}: {exc}") from None
+        return cls(**kwargs)
+
+
+def _require(value, kind: type) -> None:
+    if not isinstance(value, kind):
+        raise TypeError(
+            f"expected {kind.__name__}, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -402,75 +403,61 @@ class SimulationRow:
     signed_error: float
 
 
-def _simulate_cell(grid: SimulationGrid, rsr_set: dict[int, SpectralCurve],
-                   cell: tuple[str, int, float, float, float]
-                   ) -> list[SimulationRow]:
-    model, day, hour, visibility, altitude = cell
-    atm, zenith = parametric_atmosphere(
-        model, day, hour, visibility, altitude, grid.ground_altitude_km,
-        grid.latitude_deg, grid.longitude_west_deg,
-        exo_irradiance=grid.exo_irradiance,
-        angstrom_exponent=grid.angstrom_exponent,
-        diffuse_fraction=grid.diffuse_fraction,
-        extinction_layer_km=grid.extinction_layer_km,
-        path_radiance_factor=grid.path_radiance_factor)
-    bands = sorted(rsr_set)
-    reference_scene = Scene(
-        target_reflectance=grid.targets[0][1], solar_zenith_deg=zenith,
-        sensor_altitude_km=altitude,
-        ground_altitude_km=grid.ground_altitude_km,
-        visibility_km=visibility)
-    downwelling = dls_downwelling(reference_scene, atm)
-    down_bands = {b: band_effective(downwelling, rsr_set[b]) for b in bands}
-    for band, value in down_bands.items():
-        if not value > 0:
-            raise NoIlluminationError(
-                f"cell {cell}: downwelling radiance is not positive in band "
-                f"{band} (sun below horizon?)")
-    rows = []
-    for target_name, curve in grid.targets:
-        scene = Scene(target_reflectance=curve, solar_zenith_deg=zenith,
-                      sensor_altitude_km=altitude,
-                      ground_altitude_km=grid.ground_altitude_km,
-                      visibility_km=visibility)
-        at_sensor = sensor_radiance(scene, atm)
-        for band in bands:
-            recovered = band_effective(at_sensor, rsr_set[band]) / \
-                down_bands[band]
-            true_value = band_effective(curve, rsr_set[band])
-            rows.append(SimulationRow(
-                atmosphere=model, day=day, time_utc=hour,
-                visibility_km=visibility, sensor_altitude_km=altitude,
-                target=target_name, band_index=band,
-                true_reflectance=true_value,
-                recovered_reflectance=recovered,
-                signed_error=recovered - true_value))
-    return rows
-
-
 def run_maarr_grid(grid: SimulationGrid,
-                   rsr_set: Optional[dict[int, SpectralCurve]] = None,
-                   threads: int = 1) -> list[SimulationRow]:
+                   rsr_set: Optional[dict[int, SpectralCurve]] = None
+                   ) -> list[SimulationRow]:
     """Run the full sweep; rows come back in deterministic grid order.
 
-    Cells are independent, so the sweep parallelizes freely; results are
-    identical bit-for-bit for any thread count.
+    Band integration is linear in the spectrum, so each distinct wavelength
+    grid gets one ``(bands, wavelengths)`` matrix of
+    :func:`~suascal.rsr.band_weights` rows, and every spectrum is reduced to
+    band values by one product with it.
     """
     if rsr_set is None:
         rsr_set = datasets.bundled_rsr_set()
-    cells = [(model, day, hour, vis, alt)
-             for model in grid.atmospheres
-             for day in grid.days
-             for hour in grid.times_utc
-             for vis in grid.visibilities_km
-             for alt in grid.sensor_altitudes_km]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_cell = list(pool.map(
-                lambda cell: _simulate_cell(grid, rsr_set, cell), cells))
-    else:
-        per_cell = [_simulate_cell(grid, rsr_set, cell) for cell in cells]
-    return [row for rows in per_cell for row in rows]
+    bands = sorted(rsr_set)
+    matrices: dict[bytes, np.ndarray] = {}
+
+    def to_bands(curve: SpectralCurve) -> np.ndarray:
+        key = curve.wavelengths_nm.tobytes()
+        if key not in matrices:
+            matrices[key] = np.stack([
+                band_weights(curve.wavelengths_nm, rsr_set[b]) for b in bands])
+        return matrices[key] @ curve.values
+
+    truths = [to_bands(curve).tolist() for _, curve in grid.targets]
+    rows = []
+    for cell in itertools.product(grid.atmospheres, grid.days, grid.times_utc,
+                                  grid.visibilities_km,
+                                  grid.sensor_altitudes_km):
+        model, day, hour, visibility, altitude = cell
+        atm, zenith = parametric_atmosphere(
+            model, day, hour, visibility, altitude, grid.ground_altitude_km,
+            grid.latitude_deg, grid.longitude_west_deg,
+            exo_irradiance=grid.exo_irradiance,
+            angstrom_exponent=grid.angstrom_exponent,
+            diffuse_fraction=grid.diffuse_fraction,
+            extinction_layer_km=grid.extinction_layer_km,
+            path_radiance_factor=grid.path_radiance_factor)
+        scenes = [Scene(target_reflectance=curve, solar_zenith_deg=zenith,
+                        sensor_altitude_km=altitude,
+                        ground_altitude_km=grid.ground_altitude_km,
+                        visibility_km=visibility)
+                  for _, curve in grid.targets]
+        down = to_bands(dls_downwelling(scenes[0], atm))
+        for band, value in zip(bands, down):
+            if not value > 0:
+                raise NoIlluminationError(
+                    f"cell {cell}: downwelling radiance is not positive in "
+                    f"band {band} (sun below horizon?)")
+        for (target_name, _), scene, truth in zip(grid.targets, scenes,
+                                                  truths):
+            recovered = (to_bands(sensor_radiance(scene, atm)) / down).tolist()
+            rows.extend(SimulationRow(*cell, target_name, band, true_value,
+                                      value, value - true_value)
+                        for band, true_value, value in zip(bands, truth,
+                                                           recovered))
+    return rows
 
 
 def summary_rows(rows: Sequence[SimulationRow],

@@ -263,7 +263,7 @@ def test_criterion_06_ndvi_reference_value():
 def test_criterion_07_maarr_desk_scale_study():
     grid = SimulationGrid()
     started = time.perf_counter()
-    rows = run_maarr_grid(grid, threads=4)
+    rows = run_maarr_grid(grid)
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
 

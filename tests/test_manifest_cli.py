@@ -347,6 +347,19 @@ class TestSimulateCommand:
         code, _ = self._run(tmp_path, dict(self.GRID, wind=3))
         assert code == 1
 
+    @pytest.mark.parametrize("config, named", [
+        ({"days": ["x"]}, "'days'"),
+        ({"days": 171}, "'days'"),
+        ({"latitude_deg": "north"}, "'latitude_deg'"),
+        ({"targets": ["grass"]}, "'targets'"),
+        (["days", 171], "JSON object"),
+    ])
+    def test_mistyped_config_is_usage_error(self, tmp_path, capsys, config,
+                                            named):
+        code, _ = self._run(tmp_path, config)
+        assert code == 1
+        assert named in capsys.readouterr().err
+
 
 class TestRsrCommand:
     def _write_run(self, run_dir, band_index, flat_ratio=False):

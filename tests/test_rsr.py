@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from suascal import datasets
 from suascal.errors import CurveError
 from suascal.rsr import (MonochromatorRun, SpectralCurve, band_effective,
-                         is_degenerate, normalize_counts, peak_normalize,
-                         read_spectral_curve, relative_response,
-                         write_spectral_curve)
+                         band_weights, is_degenerate, normalize_counts,
+                         peak_normalize, read_spectral_curve,
+                         relative_response, write_spectral_curve)
 
 
 def make_run(wavelengths, counts, power=None, gain=1.0, exposure=1.0):
@@ -131,6 +133,86 @@ def riemann_band_effective(spectrum, rsr, step=0.01):
     weights = rsr.interpolate(grid)
     values = spectrum.interpolate(grid)
     return float((values * weights).sum() / weights.sum())
+
+
+def union_grid_trapezoid(spectrum, rsr):
+    """band_effective as a direct integration: both curves interpolated onto
+    the union grid inside the RSR support, then the trapezoid rule."""
+    lo, hi = rsr.support
+    inner = spectrum.wavelengths_nm
+    inner = inner[(inner > lo) & (inner < hi)]
+    grid = np.union1d(rsr.wavelengths_nm, inner)
+    r = rsr.interpolate(grid)
+    s = spectrum.interpolate(grid)
+    return float(np.trapezoid(r * s, grid) / np.trapezoid(r, grid))
+
+
+@st.composite
+def rsr_curves(draw):
+    """A response on an irregular grid with at least one positive sample."""
+    steps = draw(st.lists(st.floats(0.01, 40.0), min_size=1, max_size=30))
+    start = draw(st.floats(400.0, 800.0))
+    wl = start + np.concatenate([[0.0], np.cumsum(steps)])
+    values = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+                           min_size=wl.size, max_size=wl.size))
+    assume(max(values) > 0)
+    return SpectralCurve(wl, values)
+
+
+@st.composite
+def spectral_grids(draw, lo, hi):
+    """A strictly increasing grid from ``lo`` to ``hi`` with random
+    interior samples."""
+    inner = draw(st.lists(st.floats(lo, hi), max_size=60))
+    return np.unique(np.concatenate([[lo, hi], inner]))
+
+
+def positive_values(size):
+    return st.lists(st.floats(0.01, 100.0), min_size=size, max_size=size)
+
+
+class TestBandWeightsProperties:
+    @settings(deadline=None)
+    @given(st.data())
+    def test_matches_union_grid_trapezoid(self, data):
+        rsr = data.draw(rsr_curves())
+        lo, hi = rsr.support
+        margin = st.one_of(st.just(0.0), st.floats(0.0, 50.0))
+        wl = data.draw(spectral_grids(lo - data.draw(margin),
+                                      hi + data.draw(margin)))
+        spectrum = SpectralCurve(wl, data.draw(positive_values(wl.size)))
+        got = band_effective(spectrum, rsr)
+        assert got == band_weights(wl, rsr) @ spectrum.values
+        assert got == pytest.approx(union_grid_trapezoid(spectrum, rsr),
+                                    rel=1e-12)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_linear_in_spectrum(self, data):
+        rsr = data.draw(rsr_curves())
+        lo, hi = rsr.support
+        wl = data.draw(spectral_grids(lo - 5.0, hi + 5.0))
+        v1 = np.array(data.draw(positive_values(wl.size)))
+        v2 = np.array(data.draw(positive_values(wl.size)))
+        a = data.draw(st.floats(0.01, 10.0))
+        b = data.draw(st.floats(0.01, 10.0))
+        combo = band_effective(SpectralCurve(wl, a * v1 + b * v2), rsr)
+        parts = a * band_effective(SpectralCurve(wl, v1), rsr) + \
+            b * band_effective(SpectralCurve(wl, v2), rsr)
+        assert combo == pytest.approx(parts, rel=1e-12)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_grid_short_of_rsr_support_rejected(self, data):
+        rsr = data.draw(rsr_curves())
+        lo, hi = rsr.support
+        short = data.draw(st.floats(1e-3, 100.0))
+        if data.draw(st.booleans()):
+            wl = data.draw(spectral_grids(lo + short, hi + short))
+        else:
+            wl = data.draw(spectral_grids(lo - short, hi - short))
+        with pytest.raises(CurveError, match="cover|overlap"):
+            band_weights(wl, rsr)
 
 
 class TestBandEffective:

@@ -311,11 +311,45 @@ class TestGridRun:
             assert row.signed_error == pytest.approx(
                 row.recovered_reflectance - row.true_reflectance, abs=1e-15)
 
-    def test_thread_count_does_not_change_results(self):
-        grid = tiny_grid()
-        serial = run_maarr_grid(grid, threads=1)
-        threaded = run_maarr_grid(grid, threads=4)
-        assert serial == threaded
+    def test_matches_per_cell_recomputation_on_foreign_grids(self):
+        # Target and solar spectrum on 2 nm grids offset from the bundled
+        # 1 nm one and from each other: same length, different wavelengths,
+        # so band matrices must be told apart by the wavelengths themselves.
+        wl = np.arange(330.5, 1200.0, 2.0)
+        wavy = SpectralCurve(wl, 0.2 + 0.3 * np.sin(wl / 90.0) ** 2)
+        exo_wl = np.arange(331.25, 1200.0, 2.0)
+        exo = SpectralCurve(exo_wl, 1.2 + 0.6 * np.cos(exo_wl / 150.0))
+        grid = tiny_grid(targets=(("wavy", wavy),
+                                  ("grass", datasets.bundled_target("grass"))),
+                         exo_irradiance=exo)
+        rsr_set = datasets.bundled_rsr_set()
+        rows = iter(run_maarr_grid(grid))
+        for visibility in grid.visibilities_km:
+            for altitude in grid.sensor_altitudes_km:
+                atm, zenith = parametric_atmosphere(
+                    "us-standard", 171, 16.0, visibility, altitude,
+                    grid.ground_altitude_km, grid.latitude_deg,
+                    grid.longitude_west_deg, exo_irradiance=exo)
+                scenes = {name: make_scene(curve, zenith, altitude,
+                                           grid.ground_altitude_km,
+                                           visibility)
+                          for name, curve in grid.targets}
+                down = dls_downwelling(scenes["wavy"], atm)
+                for name, curve in grid.targets:
+                    at_sensor = sensor_radiance(scenes[name], atm)
+                    for band, rsr in sorted(rsr_set.items()):
+                        row = next(rows)
+                        truth = band_effective(curve, rsr)
+                        recovered = band_effective(at_sensor, rsr) / \
+                            band_effective(down, rsr)
+                        assert (row.visibility_km, row.sensor_altitude_km,
+                                row.target, row.band_index) == \
+                            (visibility, altitude, name, band)
+                        assert row.true_reflectance == \
+                            pytest.approx(truth, rel=0, abs=1e-12)
+                        assert row.recovered_reflectance == \
+                            pytest.approx(recovered, rel=0, abs=1e-12)
+        assert next(rows, None) is None
 
     def test_night_cell_raises(self):
         with pytest.raises(NoIlluminationError):
