@@ -12,13 +12,13 @@ from .errors import (CurveError, DegeneratePanelsError, ImageFormatError,
                      OrientationError, SuascalError)
 from .radiance import (RadianceImage, RadiometricMetadata, RawImage,
                        VignetteModel, dc_to_radiance, radiance_to_counts,
-                       row_correction, vignette_factor)
+                       row_factors, vignette_map)
 from .reflectance import (CalibrationImage, DLSRecord, ElmModel,
                           PanelObservation, ReflectanceImage, aarr,
                           apply_elm, dls_correct, dls_distance,
                           extract_panel, fit_elm_1pt, fit_elm_2pt,
                           irradiance_to_radiance, panel_band_reflectance,
-                          select_calibration)
+                          select_calibration, selection_metric)
 from .rsr import (MonochromatorRun, SpectralCurve, band_effective,
                   normalize_counts, peak_normalize, read_spectral_curve,
                   relative_response, write_spectral_curve)
@@ -48,7 +48,7 @@ __all__ = [
     "irradiance_to_radiance", "load_manifest", "ndvi", "normalize_counts",
     "panel_band_reflectance", "parametric_atmosphere", "peak_normalize",
     "radiance_to_counts", "read_spectral_curve", "regularized_incomplete_beta",
-    "relative_response", "row_correction", "run_maarr_grid",
-    "select_calibration", "sensor_radiance", "signed_error",
-    "vignette_factor", "write_spectral_curve",
+    "relative_response", "row_factors", "run_maarr_grid",
+    "select_calibration", "selection_metric", "sensor_radiance",
+    "signed_error", "vignette_map", "write_spectral_curve",
 ]

@@ -25,11 +25,10 @@ from .imageio import read_pgm16, read_plane, write_pgm16, write_plane
 from .manifest import FlightManifest, ImageEntry, load_manifest
 from .radiance import RadianceImage, RawImage, dc_to_radiance
 from .reflectance import (SELECTION_MODES, CalibrationImage, PanelObservation,
-                          apply_elm, dls_correct, dls_distance, extract_panel,
-                          fit_elm_1pt, fit_elm_2pt, aarr,
-                          out_of_range_fraction, panel_band_reflectance,
+                          apply_elm, extract_panel, fit_elm_1pt, fit_elm_2pt,
+                          aarr, panel_band_reflectance,
                           reflectance_to_pgm_counts, select_calibration,
-                          ReflectanceImage)
+                          selection_metric, ReflectanceImage)
 from .rsr import (DEFAULT_SHIFT_SCALE, MonochromatorRun, SpectralCurve,
                   is_degenerate, normalize_counts, peak_normalize,
                   relative_response, write_spectral_curve)
@@ -68,8 +67,7 @@ def _load_radiance(entry: ImageEntry) -> dict[int, RadianceImage]:
     planes = {}
     for band in entry.bands:
         pixels = read_pgm16(band.path)
-        raw = RawImage(width=pixels.shape[1], height=pixels.shape[0],
-                       band_index=band.band_index, pixels=pixels,
+        raw = RawImage(band_index=band.band_index, pixels=pixels,
                        bits_per_pixel=band.metadata.bits_per_pixel)
         planes[band.band_index] = dc_to_radiance(raw, band.metadata)
     return planes
@@ -119,26 +117,23 @@ def cmd_convert(args) -> int:
         _write_json(out / "conversion_log.json", {"images": {}, "failures": {}})
         return EXIT_OK
 
-    results, failures = _map_images(manifest.images, _load_radiance,
-                                    args.threads)
-    log: dict[str, dict] = {}
-    for entry in manifest.images:
-        if entry.image_id not in results:
-            continue
+    def convert(entry: ImageEntry) -> dict:
         bands = {}
-        for band_index, plane in sorted(results[entry.image_id].items()):
+        for band_index, plane in sorted(_load_radiance(entry).items()):
             name = _plane_name(entry.image_id, band_index)
             write_plane(out / name, plane.pixels, band_index, RADIANCE_UNITS)
             bands[str(band_index)] = {
                 "path": name,
                 "clamped_pixels": plane.clamped_pixel_count,
             }
-        log[entry.image_id] = {"bands": bands}
+        return {"bands": bands}
+
+    log, failures = _map_images(manifest.images, convert, args.threads)
     _write_json(out / "conversion_log.json",
                 {"images": log, "failures": failures})
     for image_id, message in sorted(failures.items()):
         print(f"error: image {image_id}: {message}", file=sys.stderr)
-    return _batch_exit(len(results), len(failures))
+    return _batch_exit(len(log), len(failures))
 
 
 def _calibration_candidates(manifest: FlightManifest,
@@ -212,12 +207,9 @@ def cmd_reflect(args) -> int:
                            for b, plane in planes.items()}
             record["calibration_image"] = selected.image_id
             record["selection"] = args.selection
-            if args.selection == "dls" and entry.dls is not None:
-                record["selection_metric"] = dls_distance(
-                    dls_correct(entry.dls), dls_correct(selected.dls))
-            elif args.selection == "time":
-                record["selection_metric"] = abs(
-                    selected.timestamp - entry.timestamp)
+            if args.selection != "single":
+                record["selection_metric"] = selection_metric(
+                    args.selection, entry.dls, entry.timestamp)(selected)
         bands = {}
         for band_index, image in sorted(reflectance.items()):
             name = _plane_name(entry.image_id, band_index)
@@ -387,17 +379,8 @@ def cmd_ndvi(args) -> int:
             print(f"error: {name} plane is band {meta['band_index']}, "
                   f"expected band {expected}", file=sys.stderr)
             return EXIT_USAGE
-    red = ReflectanceImage(width=red_meta["width"],
-                           height=red_meta["height"], band_index=3,
-                           pixels=red_pixels,
-                           out_of_range_fraction=out_of_range_fraction(
-                               red_pixels))
-    nir = ReflectanceImage(width=nir_meta["width"],
-                           height=nir_meta["height"], band_index=5,
-                           pixels=nir_pixels,
-                           out_of_range_fraction=out_of_range_fraction(
-                               nir_pixels))
-    result = ndvi(red, nir)
+    result = ndvi(ReflectanceImage(band_index=3, pixels=red_pixels),
+                  ReflectanceImage(band_index=5, pixels=nir_pixels))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_plane(out, result.values, band_index=0, units="ndvi")

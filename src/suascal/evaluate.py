@@ -144,10 +144,10 @@ def ndvi(red: ReflectanceImage, nir: ReflectanceImage) -> NdviResult:
     Pixels where the denominator is exactly zero produce 0 and are
     counted rather than raising, so one bad pixel cannot fail a mosaic.
     """
-    if (red.width, red.height) != (nir.width, nir.height):
+    if red.pixels.shape != nir.pixels.shape:
         raise MetadataError(
-            f"dimension mismatch: red {red.width}x{red.height} vs "
-            f"nir {nir.width}x{nir.height}")
+            f"dimension mismatch: red {red.pixels.shape} vs "
+            f"nir {nir.pixels.shape}")
     total = nir.pixels + red.pixels
     difference = nir.pixels - red.pixels
     zero = total == 0.0

@@ -31,10 +31,15 @@ def read_pgm16(path) -> np.ndarray:
     Raises
     ------
     ImageFormatError
-        On a bad magic number, an 8-bit maxval, or truncated pixel data.
+        On an unreadable file, a bad magic number, an 8-bit maxval, or
+        truncated pixel data.
     """
     path = Path(path)
-    buffer = path.read_bytes()
+    try:
+        buffer = path.read_bytes()
+    except OSError as exc:
+        raise ImageFormatError(
+            f"{path}: cannot read: {exc.strerror or exc}") from exc
     match = _PGM_HEADER.match(buffer)
     if not match:
         magic = buffer[:2]

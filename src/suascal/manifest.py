@@ -10,6 +10,7 @@ move wholesale.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -97,13 +98,25 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+def _number(mapping: dict, key: str, context: str, kind=float):
+    """A required value converted by ``kind``; a mistyped value is a
+    ``ManifestError`` naming the key instead of a bare ``ValueError``."""
+    value = _require(mapping, key, context)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        expected = "an integer" if kind is int else "a number"
+        raise ManifestError(
+            f"{context}: {key!r} must be {expected}, got {value!r}") from exc
+
+
 def _parse_vignette(raw: dict, context: str) -> VignetteModel:
     coeffs = _require(raw, "coefficients", context)
     if len(coeffs) != 6:
         raise ManifestError(
             f"{context}: vignette needs 6 coefficients, got {len(coeffs)}")
-    return VignetteModel(center_x=float(_require(raw, "center_x", context)),
-                         center_y=float(_require(raw, "center_y", context)),
+    return VignetteModel(center_x=_number(raw, "center_x", context),
+                         center_y=_number(raw, "center_y", context),
                          coefficients=tuple(float(c) for c in coeffs))
 
 
@@ -112,12 +125,12 @@ def _parse_metadata(raw: dict, band_index: int,
     vignette = _parse_vignette(_require(raw, "vignette", context), context)
     try:
         return RadiometricMetadata(
-            a1=float(_require(raw, "a1", context)),
-            a2=float(_require(raw, "a2", context)),
-            a3=float(_require(raw, "a3", context)),
-            gain=float(_require(raw, "gain", context)),
-            exposure_us=float(_require(raw, "exposure_us", context)),
-            dark_level=float(_require(raw, "dark_level", context)),
+            a1=_number(raw, "a1", context),
+            a2=_number(raw, "a2", context),
+            a3=_number(raw, "a3", context),
+            gain=_number(raw, "gain", context),
+            exposure_us=_number(raw, "exposure_us", context),
+            dark_level=_number(raw, "dark_level", context),
             vignette=vignette,
             bits_per_pixel=int(raw.get("bits_per_pixel", 16)),
             band_index=band_index)
@@ -159,7 +172,10 @@ def _parse_image(raw: dict, panels: dict[str, Path], base: Path,
     context = f"image[{index}]"
     image_id = str(_require(raw, "image_id", context))
     context = f"image {image_id!r}"
-    timestamp = float(_require(raw, "timestamp", context))
+    timestamp = _number(raw, "timestamp", context)
+    if not math.isfinite(timestamp):
+        raise ManifestError(
+            f"{context}: 'timestamp' must be finite, got {timestamp!r}")
     bands_raw = _require(raw, "bands", context)
     if len(bands_raw) != N_BANDS:
         raise ManifestError(
@@ -167,7 +183,7 @@ def _parse_image(raw: dict, panels: dict[str, Path], base: Path,
             f"got {len(bands_raw)}")
     bands = []
     for band_raw in bands_raw:
-        band_index = int(_require(band_raw, "band_index", context))
+        band_index = _number(band_raw, "band_index", context, int)
         band_context = f"{context} band {band_index}"
         path = base / str(_require(band_raw, "path", band_context))
         metadata = _parse_metadata(_require(band_raw, "metadata",

@@ -104,10 +104,8 @@ class RadiometricMetadata:
 
 @dataclass(frozen=True)
 class RawImage:
-    """A single-band raw frame of unsigned integer counts."""
+    """A single-band raw frame of unsigned integer counts, shape (h, w)."""
 
-    width: int
-    height: int
     band_index: int
     pixels: np.ndarray
     bits_per_pixel: int = 16
@@ -116,10 +114,7 @@ class RawImage:
         px = np.asarray(self.pixels)
         if not np.issubdtype(px.dtype, np.integer):
             raise MetadataError("raw pixels must be an integer array")
-        if px.shape != (self.height, self.width):
-            raise MetadataError(
-                f"pixel array shape {px.shape} does not match declared "
-                f"{self.height}x{self.width}")
+        _require_2d(px)
         if px.size == 0:
             raise MetadataError("raw image is empty")
         if not 1 <= self.band_index <= 5:
@@ -135,20 +130,15 @@ class RawImage:
 
 @dataclass(frozen=True)
 class RadianceImage:
-    """A single-band spectral radiance plane in W/m^2/sr/nm."""
+    """A single-band spectral radiance plane in W/m^2/sr/nm, shape (h, w)."""
 
-    width: int
-    height: int
     band_index: int
     pixels: np.ndarray
     clamped_pixel_count: int = 0
 
     def __post_init__(self):
         px = np.asarray(self.pixels, dtype=np.float64)
-        if px.shape != (self.height, self.width):
-            raise MetadataError(
-                f"pixel array shape {px.shape} does not match declared "
-                f"{self.height}x{self.width}")
+        _require_2d(px)
         if not 1 <= self.band_index <= 5:
             raise MetadataError(f"band_index out of range: {self.band_index}")
         if not np.all(np.isfinite(px)):
@@ -158,35 +148,22 @@ class RadianceImage:
         object.__setattr__(self, "pixels", px)
 
 
-def vignette_factor(model: VignetteModel, x: float, y: float) -> float:
-    """Vignette correction ``V = 1/k(r)`` at one pixel.
+def _require_2d(pixels: np.ndarray) -> None:
+    if pixels.ndim != 2:
+        raise MetadataError(
+            f"pixel array must be 2-D (height, width), got shape "
+            f"{pixels.shape}")
+
+
+def vignette_map(model: VignetteModel, width: int, height: int) -> np.ndarray:
+    """Vignette correction ``V = 1/k(r)`` over a full frame, shape (h, w).
 
     Raises
     ------
     MetadataError
-        If the polynomial is non-positive at the pixel.
+        If the polynomial is non-positive anywhere; the message names the
+        pixel with the smallest ``k``.
     """
-    r = float(np.hypot(x - model.center_x, y - model.center_y))
-    k = float(model.polynomial(r))
-    if not k > 0:
-        raise MetadataError(
-            f"vignette polynomial k={k:.6g} is not positive at pixel "
-            f"({x}, {y})")
-    return 1.0 / k
-
-
-def row_correction(meta: RadiometricMetadata, y: int) -> float:
-    """Rolling-shutter row factor ``R = 1 / (1 + a2*y/t + a3*y)``."""
-    denom = 1.0 + meta.a2 * y / meta.exposure_us + meta.a3 * y
-    if not denom > 0:
-        raise MetadataError(
-            f"row correction denominator {denom:.6g} is not positive at "
-            f"row {y}")
-    return 1.0 / denom
-
-
-def _vignette_map(model: VignetteModel, width: int, height: int) -> np.ndarray:
-    """Vectorized ``V`` over a full frame; validates ``k > 0`` everywhere."""
     x = np.arange(width, dtype=np.float64) - model.center_x
     y = np.arange(height, dtype=np.float64) - model.center_y
     r = np.hypot(x[np.newaxis, :], y[:, np.newaxis])
@@ -199,7 +176,14 @@ def _vignette_map(model: VignetteModel, width: int, height: int) -> np.ndarray:
     return 1.0 / k
 
 
-def _row_factors(meta: RadiometricMetadata, height: int) -> np.ndarray:
+def row_factors(meta: RadiometricMetadata, height: int) -> np.ndarray:
+    """Rolling-shutter row factors ``R(y) = 1 / (1 + a2*y/t + a3*y)``.
+
+    Raises
+    ------
+    MetadataError
+        If the denominator is non-positive at any row.
+    """
     y = np.arange(height, dtype=np.float64)
     denom = 1.0 + meta.a2 * y / meta.exposure_us + meta.a3 * y
     if np.any(denom <= 0):
@@ -208,6 +192,17 @@ def _row_factors(meta: RadiometricMetadata, height: int) -> np.ndarray:
             f"row correction denominator {denom[bad]:.6g} is not positive at "
             f"row {bad}")
     return 1.0 / denom
+
+
+def _flat_field(meta: RadiometricMetadata,
+                shape: tuple[int, int]) -> tuple[np.ndarray, float]:
+    """``V * R`` over a frame of ``shape``, as a new array the caller may
+    overwrite, and the count scale ``a1 / (g * t * 2**N)``."""
+    height, width = shape
+    flat = vignette_map(meta.vignette, width, height) * \
+        row_factors(meta, height)[:, np.newaxis]
+    scale = meta.a1 / (meta.gain * meta.exposure_us * 2.0 ** meta.bits_per_pixel)
+    return flat, scale
 
 
 def dc_to_radiance(raw: RawImage, meta: RadiometricMetadata) -> RadianceImage:
@@ -230,16 +225,14 @@ def dc_to_radiance(raw: RawImage, meta: RadiometricMetadata) -> RadianceImage:
         raise MetadataError(
             f"metadata bit depth {meta.bits_per_pixel} does not match image "
             f"bit depth {raw.bits_per_pixel}")
-    v = _vignette_map(meta.vignette, raw.width, raw.height)
-    r = _row_factors(meta, raw.height)
-    scale = meta.a1 / (meta.gain * meta.exposure_us * 2.0 ** meta.bits_per_pixel)
-    radiance = v * r[:, np.newaxis] * (
-        raw.pixels.astype(np.float64) - meta.dark_level) * scale
+    # In place: a third full-frame temporary would raise peak memory.
+    radiance, scale = _flat_field(meta, raw.pixels.shape)
+    radiance *= raw.pixels.astype(np.float64) - meta.dark_level
+    radiance *= scale
     clamped = int(np.count_nonzero(radiance < 0))
     if clamped:
         np.maximum(radiance, 0.0, out=radiance)
-    return RadianceImage(width=raw.width, height=raw.height,
-                         band_index=raw.band_index, pixels=radiance,
+    return RadianceImage(band_index=raw.band_index, pixels=radiance,
                          clamped_pixel_count=clamped)
 
 
@@ -250,7 +243,5 @@ def radiance_to_counts(img: RadianceImage,
     Clamped pixels cannot be recovered; everything else inverts exactly up
     to floating-point rounding.  Useful for synthesizing raw test frames.
     """
-    v = _vignette_map(meta.vignette, img.width, img.height)
-    r = _row_factors(meta, img.height)
-    scale = meta.a1 / (meta.gain * meta.exposure_us * 2.0 ** meta.bits_per_pixel)
-    return img.pixels / (v * r[:, np.newaxis] * scale) + meta.dark_level
+    flat, scale = _flat_field(meta, img.pixels.shape)
+    return img.pixels / (flat * scale) + meta.dark_level

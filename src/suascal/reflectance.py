@@ -23,14 +23,14 @@ identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import (DegeneratePanelsError, MetadataError,
                      NoIlluminationError, OrientationError)
-from .radiance import RadianceImage
+from .radiance import RadianceImage, _require_2d
 from .rsr import SpectralCurve, band_effective
 
 N_BANDS = 5
@@ -180,31 +180,25 @@ class ElmModel:
 
 @dataclass(frozen=True)
 class ReflectanceImage:
-    """A single-band reflectance-factor plane."""
+    """A single-band reflectance-factor plane, shape (h, w).
 
-    width: int
-    height: int
+    ``out_of_range_fraction`` is derived from the pixels on construction.
+    """
+
     band_index: int
     pixels: np.ndarray
-    out_of_range_fraction: float
+    out_of_range_fraction: float = field(init=False)
 
     def __post_init__(self):
         px = np.asarray(self.pixels, dtype=np.float64)
-        if px.shape != (self.height, self.width):
-            raise MetadataError(
-                f"pixel array shape {px.shape} does not match declared "
-                f"{self.height}x{self.width}")
+        _require_2d(px)
         if not 1 <= self.band_index <= N_BANDS:
             raise MetadataError(f"band_index out of range: {self.band_index}")
         if not np.all(np.isfinite(px)):
             raise MetadataError("reflectance contains non-finite pixels")
-        recount = out_of_range_fraction(px)
-        if not math.isclose(recount, self.out_of_range_fraction,
-                            rel_tol=0.0, abs_tol=1e-12):
-            raise MetadataError(
-                f"out_of_range_fraction {self.out_of_range_fraction!r} does "
-                f"not match recount {recount!r}")
         object.__setattr__(self, "pixels", px)
+        object.__setattr__(self, "out_of_range_fraction",
+                           out_of_range_fraction(px))
 
 
 def out_of_range_fraction(pixels: np.ndarray) -> float:
@@ -224,10 +218,10 @@ def extract_panel(img: RadianceImage, roi: Sequence[int],
     x, y, w, h = (int(v) for v in roi)
     if w <= 0 or h <= 0:
         raise MetadataError(f"empty ROI {tuple(roi)}")
-    if x < 0 or y < 0 or x + w > img.width or y + h > img.height:
+    height, width = img.pixels.shape
+    if x < 0 or y < 0 or x + w > width or y + h > height:
         raise MetadataError(
-            f"ROI {tuple(roi)} outside image bounds "
-            f"{img.width}x{img.height}")
+            f"ROI {tuple(roi)} outside image bounds {width}x{height}")
     patch = img.pixels[y:y + h, x:x + w]
     if statistic == "mean":
         return float(patch.mean())
@@ -272,23 +266,30 @@ def select_calibration(candidates: Sequence[CalibrationImage], mode: str,
                     "among the candidates")
             return matches[0]
         return min(candidates, key=lambda c: (c.timestamp, c.image_id))
+    metric = selection_metric(mode, image_dls, image_timestamp)
+    return min(candidates, key=lambda c: (metric(c), c.timestamp, c.image_id))
+
+
+def selection_metric(mode: str, image_dls: Optional[DLSRecord] = None,
+                     image_timestamp: Optional[float] = None
+                     ) -> Callable[[CalibrationImage], float]:
+    """The distance from an image that :func:`select_calibration` minimizes.
+
+    Returns a function of one candidate: the Euclidean distance between
+    orientation-corrected DLS vectors for ``mode='dls'``, the absolute
+    timestamp difference for ``mode='time'``.  ``mode='single'`` has no
+    metric.
+    """
     if mode == "dls":
         if image_dls is None:
             raise MetadataError("mode 'dls' requires the image's DLS record")
         reference = dls_correct(image_dls)
-
-        def key(c: CalibrationImage):
-            return (dls_distance(reference, dls_correct(c.dls)),
-                    c.timestamp, c.image_id)
-    else:  # time
+        return lambda c: dls_distance(reference, dls_correct(c.dls))
+    if mode == "time":
         if image_timestamp is None:
             raise MetadataError("mode 'time' requires the image timestamp")
-
-        def key(c: CalibrationImage):
-            return (abs(c.timestamp - image_timestamp),
-                    c.timestamp, c.image_id)
-
-    return min(candidates, key=key)
+        return lambda c: abs(c.timestamp - image_timestamp)
+    raise MetadataError(f"selection mode {mode!r} has no metric")
 
 
 def fit_elm_1pt(cal: CalibrationImage) -> ElmModel:
@@ -335,9 +336,7 @@ def apply_elm(model: ElmModel, img: RadianceImage) -> ReflectanceImage:
     m = model.slope[img.band_index - 1]
     b = model.bias[img.band_index - 1]
     pixels = m * img.pixels + b
-    return ReflectanceImage(width=img.width, height=img.height,
-                            band_index=img.band_index, pixels=pixels,
-                            out_of_range_fraction=out_of_range_fraction(pixels))
+    return ReflectanceImage(band_index=img.band_index, pixels=pixels)
 
 
 def aarr(img: RadianceImage, dls: DLSRecord) -> ReflectanceImage:
@@ -355,9 +354,7 @@ def aarr(img: RadianceImage, dls: DLSRecord) -> ReflectanceImage:
             f"band {img.band_index}: corrected downwelling radiance is not "
             "positive; AARR is undefined")
     pixels = img.pixels / reference
-    return ReflectanceImage(width=img.width, height=img.height,
-                            band_index=img.band_index, pixels=pixels,
-                            out_of_range_fraction=out_of_range_fraction(pixels))
+    return ReflectanceImage(band_index=img.band_index, pixels=pixels)
 
 
 def reflectance_to_pgm_counts(img: ReflectanceImage,

@@ -28,8 +28,7 @@ from suascal.radiance import (RadianceImage, RadiometricMetadata, RawImage,
 from suascal.reflectance import (CalibrationImage, DLSRecord,
                                  PanelObservation, ReflectanceImage, aarr,
                                  apply_elm, dls_correct, fit_elm_1pt,
-                                 fit_elm_2pt, out_of_range_fraction,
-                                 select_calibration)
+                                 fit_elm_2pt, select_calibration)
 from suascal.rsr import SpectralCurve, band_effective
 from suascal.simulate import (AtmosphereState, Scene, SimulationGrid,
                               band_statistics, dls_downwelling,
@@ -147,12 +146,10 @@ def test_criterion_03_aarr_illumination_invariance():
     for band in range(1, 6):
         pixels = rng.uniform(0.0, 0.45, size=(32, 32))
         raw = rng.uniform(0.5, 1.5, size=5).tolist()
-        image = RadianceImage(width=32, height=32, band_index=band,
-                              pixels=pixels)
+        image = RadianceImage(band_index=band, pixels=pixels)
         baseline = aarr(image, upright_dls(raw))
         for factor in (0.1, 1.0, 10.0):
-            scaled_image = RadianceImage(width=32, height=32,
-                                         band_index=band,
+            scaled_image = RadianceImage(band_index=band,
                                          pixels=pixels * factor)
             scaled_dls = upright_dls([r * factor for r in raw])
             scaled = aarr(scaled_image, scaled_dls)
@@ -227,8 +224,8 @@ def test_criterion_05_dc_radiance_round_trip():
         counts = rng.integers(4096, 65536, size=(height, width),
                               dtype=np.uint16)
         metas.append(meta)
-        raws.append(RawImage(width=width, height=height, band_index=band,
-                             pixels=counts, bits_per_pixel=16))
+        raws.append(RawImage(band_index=band, pixels=counts,
+                             bits_per_pixel=16))
 
     started = time.perf_counter()
     planes = [dc_to_radiance(raw, meta) for raw, meta in zip(raws, metas)]
@@ -249,9 +246,7 @@ def test_criterion_05_dc_radiance_round_trip():
 def test_criterion_06_ndvi_reference_value():
     def plane(value, band):
         pixels = np.full((32, 32), value)
-        return ReflectanceImage(
-            width=32, height=32, band_index=band, pixels=pixels,
-            out_of_range_fraction=out_of_range_fraction(pixels))
+        return ReflectanceImage(band_index=band, pixels=pixels)
 
     result = ndvi(plane(0.0264, 3), plane(0.4912, 5))
     value = float(result.values[0, 0])

@@ -12,7 +12,7 @@ from suascal.evaluate import (ErrorReport, TargetSample, aggregate,
                               anova_oneway, cosine_falloff_check, f_survival,
                               ndvi, read_samples, regularized_incomplete_beta,
                               signed_error, write_reports, write_samples)
-from suascal.reflectance import ReflectanceImage, out_of_range_fraction
+from suascal.reflectance import ReflectanceImage
 
 
 def make_sample(err, target_id="t1", band_index=1, weather="sunny",
@@ -25,9 +25,7 @@ def make_sample(err, target_id="t1", band_index=1, weather="sunny",
 
 def reflectance_plane(pixels, band_index=1):
     pixels = np.asarray(pixels, dtype=np.float64)
-    return ReflectanceImage(
-        width=pixels.shape[1], height=pixels.shape[0], band_index=band_index,
-        pixels=pixels, out_of_range_fraction=out_of_range_fraction(pixels))
+    return ReflectanceImage(band_index=band_index, pixels=pixels)
 
 
 class TestSignedError:

@@ -94,6 +94,24 @@ class TestManifest:
         with pytest.raises(ManifestError, match="ROI"):
             load_manifest(self._mutate(flight, edit))
 
+    @pytest.mark.parametrize("keys, value", [
+        (("timestamp",), "noon"),
+        (("timestamp",), float("nan")),
+        (("bands", 0, "band_index"), "one"),
+        (("bands", 0, "metadata", "a1"), [1.0]),
+    ], ids=["timestamp-text", "timestamp-nan", "band_index-text", "a1-list"])
+    def test_mistyped_value_is_usage_error(self, flight, tmp_path, capsys,
+                                           keys, value):
+        def edit(raw):
+            target = raw["images"][0]
+            for key in keys[:-1]:
+                target = target[key]
+            target[keys[-1]] = value
+        self._mutate(flight, edit)
+        assert main(["convert", "--manifest", str(flight),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert repr(keys[-1]) in capsys.readouterr().err
+
     def test_not_json_rejected(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text("{")
@@ -125,14 +143,19 @@ class TestConvertCommand:
         assert first == second
 
     def test_corrupt_band_fails_that_image_only(self, flight, tmp_path):
-        (flight.parent / "field_2_b4.pgm").write_bytes(b"P5\n2 2\n")
-        out = tmp_path / "radiance"
-        code = main(["convert", "--manifest", str(flight),
-                     "--out", str(out)])
-        assert code == 2
-        log = json.loads((out / "conversion_log.json").read_text())
-        assert "field_2" in log["failures"]
-        assert "field_1" in log["images"]
+        band = flight.parent / "field_2_b4.pgm"
+        for case, corrupt in (
+                ("truncated", lambda: band.write_bytes(b"P5\n2 2\n")),
+                ("missing", band.unlink)):
+            corrupt()
+            out = tmp_path / case
+            code = main(["convert", "--manifest", str(flight),
+                         "--out", str(out)])
+            assert code == 2
+            log = json.loads((out / "conversion_log.json").read_text())
+            assert "field_2" in log["failures"]
+            assert "field_1" in log["images"]
+            assert not list(out.glob("field_2_b*.f32"))
 
     def test_empty_manifest_warns_and_succeeds(self, tmp_path, capsys):
         path = tmp_path / "manifest.json"
@@ -411,6 +434,19 @@ class TestParserContract:
         with pytest.raises(SystemExit) as excinfo:
             main(["reflect", "--method", "sorcery"])
         assert excinfo.value.code == 1
+
+    @pytest.mark.parametrize("command", [["convert"],
+                                         ["reflect", "--method", "elm2"]])
+    def test_thread_count_does_not_change_outputs(self, flight, tmp_path,
+                                                  command):
+        trees = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            assert main(command + ["--manifest", str(flight),
+                                   "--out", str(out),
+                                   "--threads", threads]) == 0
+            trees.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert trees[0] == trees[1]
 
     def test_bad_thread_count(self, flight, tmp_path):
         assert main(["convert", "--manifest", str(flight),

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from suascal.errors import MetadataError
 from suascal.radiance import (RadiometricMetadata, RawImage, VignetteModel,
                               dc_to_radiance, radiance_to_counts,
-                              row_correction, vignette_factor)
+                              row_factors, vignette_map)
 
 FLAT_VIGNETTE = VignetteModel(center_x=0.0, center_y=0.0,
                               coefficients=(0.0,) * 6)
@@ -21,36 +23,36 @@ def make_meta(**overrides):
 
 def make_raw(pixels, band_index=1, bits=16):
     pixels = np.asarray(pixels, dtype=np.uint16)
-    return RawImage(width=pixels.shape[1], height=pixels.shape[0],
-                    band_index=band_index, pixels=pixels, bits_per_pixel=bits)
+    return RawImage(band_index=band_index, pixels=pixels, bits_per_pixel=bits)
 
 
 class TestVignetteFactor:
     def test_center_pixel_is_unity(self):
         model = VignetteModel(640.0, 480.0, (0.2, 0.1, 0.0, 0.0, 0.0, 0.0))
-        assert vignette_factor(model, 640.0, 480.0) == 1.0
+        assert vignette_map(model, 641, 481)[480, 640] == 1.0
 
     def test_zero_coefficients_are_unity_everywhere(self):
-        assert vignette_factor(FLAT_VIGNETTE, 1234.0, 87.0) == 1.0
+        assert np.all(vignette_map(FLAT_VIGNETTE, 1235, 88) == 1.0)
 
     def test_hand_evaluated_polynomial(self):
         model = VignetteModel(640.0, 480.0, (0.1, 0.0, 0.0, 0.0, 0.0, 0.0))
         # pixel (643, 484): r = sqrt(9 + 16) = 5, k = 1 + 0.5, V = 1/1.5
-        assert vignette_factor(model, 643.0, 484.0) == \
+        assert vignette_map(model, 644, 485)[484, 643] == \
             pytest.approx(0.666667, abs=1e-6)
 
     def test_radial_symmetry(self):
         model = VignetteModel(100.0, 100.0,
                               (1e-3, -2e-5, 3e-7, 0.0, 0.0, 0.0))
-        reference = vignette_factor(model, 103.0, 104.0)
-        for dx, dy in ((-3.0, 4.0), (3.0, -4.0), (-3.0, -4.0), (4.0, 3.0)):
-            assert vignette_factor(model, 100.0 + dx, 100.0 + dy) == \
-                pytest.approx(reference, rel=1e-15)
+        v = vignette_map(model, 105, 105)
+        reference = v[104, 103]
+        for dx, dy in ((-3, 4), (3, -4), (-3, -4), (4, 3)):
+            assert v[100 + dy, 100 + dx] == pytest.approx(reference,
+                                                          rel=1e-15)
 
     def test_nonpositive_k_is_a_metadata_error(self):
         model = VignetteModel(0.0, 0.0, (-0.5, 0.0, 0.0, 0.0, 0.0, 0.0))
-        with pytest.raises(MetadataError):
-            vignette_factor(model, 3.0, 4.0)  # k = 1 - 2.5
+        with pytest.raises(MetadataError, match=r"pixel \(4, 4\)"):
+            vignette_map(model, 5, 5)  # k = 1 - 0.5 * sqrt(32) at (4, 4)
 
     def test_coefficient_count_enforced(self):
         with pytest.raises(MetadataError):
@@ -59,20 +61,21 @@ class TestVignetteFactor:
 
 class TestRowCorrection:
     def test_vanishing_coefficients(self):
-        assert row_correction(make_meta(), 123) == 1.0
+        assert np.all(row_factors(make_meta(), 124) == 1.0)
 
     def test_exposure_independent_term(self):
         meta = make_meta(a3=0.001, exposure_us=1000.0)
-        assert row_correction(meta, 100) == pytest.approx(1 / 1.1)
+        assert row_factors(meta, 101)[100] == pytest.approx(1 / 1.1)
 
     def test_exposure_scaled_term(self):
         meta = make_meta(a2=100.0, exposure_us=100000.0)
-        assert row_correction(meta, 100) == pytest.approx(1 / 1.1)
+        assert row_factors(meta, 101)[100] == pytest.approx(1 / 1.1)
 
     def test_nonpositive_denominator_rejected(self):
         meta = make_meta(a3=-0.5)
-        with pytest.raises(MetadataError):
-            row_correction(meta, 100)
+        # 1 - 0.5 * y is non-positive from row 2 and smallest at row 100
+        with pytest.raises(MetadataError, match="row 100"):
+            row_factors(meta, 101)
 
 
 class TestMetadataValidation:
@@ -104,17 +107,15 @@ class TestRawImage:
         with pytest.raises(MetadataError):
             make_raw([[4096, 0]], bits=12)
 
-    def test_shape_must_match_declared_dimensions(self):
-        with pytest.raises(MetadataError):
-            RawImage(width=3, height=2, band_index=1,
-                     pixels=np.zeros((2, 2), dtype=np.uint16),
-                     bits_per_pixel=16)
-
     def test_float_pixels_rejected(self):
         with pytest.raises(MetadataError):
-            RawImage(width=2, height=1, band_index=1,
-                     pixels=np.zeros((1, 2), dtype=np.float64),
+            RawImage(band_index=1, pixels=np.zeros((1, 2), dtype=np.float64),
                      bits_per_pixel=16)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 1)])
+    def test_pixels_must_be_2d(self, shape):
+        with pytest.raises(MetadataError, match="2-D"):
+            RawImage(band_index=1, pixels=np.ones(shape, dtype=np.uint16))
 
 
 class TestDcToRadiance:
@@ -184,3 +185,40 @@ class TestRoundTrip:
         recovered = radiance_to_counts(radiance, meta)
         clamped = counts.astype(np.float64) < meta.dark_level
         assert np.max(np.abs(recovered[~clamped] - counts[~clamped])) < 0.5
+
+
+@st.composite
+def frames_and_metadata(draw):
+    """A small raw frame and valid metadata whose maps stay positive."""
+    bits = draw(st.integers(8, 16))
+    height, width = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    counts = np.random.default_rng(seed).integers(
+        0, 2 ** bits, size=(height, width), dtype=np.uint16)
+    meta = make_meta(
+        a1=draw(st.floats(1e-3, 1e3)),
+        a2=draw(st.floats(0.0, 10.0)),
+        a3=draw(st.floats(0.0, 1e-3)),
+        gain=draw(st.sampled_from([1, 2, 4, 8])),
+        exposure_us=draw(st.floats(1.0, 1e5)),
+        dark_level=draw(st.floats(0.0, float(2 ** bits))),
+        bits_per_pixel=bits,
+        vignette=VignetteModel(
+            draw(st.floats(-5.0, width + 5.0)),
+            draw(st.floats(-5.0, height + 5.0)),
+            draw(st.lists(st.floats(0.0, 1e-2), min_size=6, max_size=6))))
+    return make_raw(counts, bits=bits), meta
+
+
+class TestRoundTripProperty:
+    @settings(deadline=None)
+    @given(frames_and_metadata())
+    def test_inverse_recovers_unclamped_counts(self, case):
+        raw, meta = case
+        radiance = dc_to_radiance(raw, meta)
+        recovered = radiance_to_counts(radiance, meta)
+        counts = raw.pixels.astype(np.float64)
+        kept = counts >= meta.dark_level
+        assert radiance.clamped_pixel_count == np.count_nonzero(~kept)
+        np.testing.assert_allclose(recovered[kept], counts[kept],
+                                   rtol=1e-12, atol=1e-9)

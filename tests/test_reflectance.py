@@ -25,8 +25,7 @@ def upright_dls(raw, timestamp=0.0):
 
 def radiance_image(pixels, band_index=1):
     pixels = np.asarray(pixels, dtype=np.float64)
-    return RadianceImage(width=pixels.shape[1], height=pixels.shape[0],
-                         band_index=band_index, pixels=pixels)
+    return RadianceImage(band_index=band_index, pixels=pixels)
 
 
 def make_cal(image_id="cal", timestamp=0.0, bright_rho=0.5, bright_l=60.0,
@@ -300,19 +299,13 @@ class TestPanels:
 
 
 class TestReflectanceImage:
-    def test_out_of_range_recount_enforced(self):
-        with pytest.raises(MetadataError):
-            ReflectanceImage(width=2, height=1, band_index=1,
-                             pixels=np.array([[0.5, 1.5]]),
-                             out_of_range_fraction=0.0)
-
     def test_out_of_range_fraction_counts_both_sides(self):
         assert out_of_range_fraction(np.array([-0.1, 0.5, 1.1, 0.9])) == 0.5
 
     def test_pgm_counts_scale_and_saturate(self):
-        img = ReflectanceImage(width=3, height=1, band_index=1,
-                               pixels=np.array([[0.5, -0.2, 8.0]]),
-                               out_of_range_fraction=2 / 3)
+        img = ReflectanceImage(band_index=1,
+                               pixels=np.array([[0.5, -0.2, 8.0]]))
+        assert img.out_of_range_fraction == 2 / 3
         counts = reflectance_to_pgm_counts(img, scale=10000.0)
         assert counts.dtype == np.uint16
         assert counts.tolist() == [[5000, 0, 65535]]
