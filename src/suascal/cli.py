@@ -18,11 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SuascalError
-from .evaluate import (METHOD_LEVELS, aggregate, ndvi, read_samples,
-                       write_reports)
+from .errors import ManifestError, SuascalError
+from .evaluate import (ERROR_STATISTICS, METHOD_LEVELS, aggregate, ndvi,
+                       read_samples, write_reports)
 from .imageio import read_pgm16, read_plane, write_pgm16, write_plane
-from .manifest import FlightManifest, ImageEntry, load_manifest
+from .manifest import (FlightManifest, ImageEntry, json_field, load_manifest,
+                       read_json)
 from .radiance import RadianceImage, RawImage, dc_to_radiance
 from .reflectance import (SELECTION_MODES, CalibrationImage, PanelObservation,
                           apply_elm, extract_panel, fit_elm_1pt, fit_elm_2pt,
@@ -242,8 +243,7 @@ _ROW_FIELDS = ("atmosphere", "day", "time_utc", "visibility_km",
 def cmd_simulate(args) -> int:
     config = {}
     if args.grid_config:
-        config = json.loads(Path(args.grid_config).read_text(
-            encoding="utf-8"))
+        config = read_json(args.grid_config)
     grid = SimulationGrid.from_config(config)
     rows = run_maarr_grid(grid)
     out = Path(args.out)
@@ -264,13 +264,10 @@ def cmd_simulate(args) -> int:
     with (out / "summary_band.csv").open("w", newline="",
                                          encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["band_index", "mean_signed", "std_signed",
-                         "mean_absolute", "std_absolute", "n"])
+        writer.writerow(["band_index", *ERROR_STATISTICS])
         for band, stats in band_statistics(kept).items():
-            writer.writerow([band, repr(stats["mean_signed"]),
-                             repr(stats["std_signed"]),
-                             repr(stats["mean_absolute"]),
-                             repr(stats["std_absolute"]), stats["n"]])
+            writer.writerow([band] + [repr(stats[name])
+                                      for name in ERROR_STATISTICS])
 
     for attribute in ("atmosphere", "day", "time_utc", "visibility_km",
                       "sensor_altitude_km", "target"):
@@ -301,13 +298,9 @@ def cmd_evaluate(args) -> int:
                 "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["statistic"] + methods)
-            for stat in ("mean_signed", "std_signed", "mean_absolute",
-                         "std_absolute", "n"):
-                row = [stat]
-                for method in methods:
-                    value = getattr(by_method[method], stat)
-                    row.append(value if stat == "n" else repr(value))
-                writer.writerow(row)
+            for stat in ERROR_STATISTICS:
+                writer.writerow([stat] + [repr(getattr(by_method[m], stat))
+                                          for m in methods])
     elif set(group_by) == {"band_index", "method"}:
         # Per-band layout: band rows, method mean/std column pairs.
         cells = {(dict(r.group)["band_index"], dict(r.group)["method"]): r
@@ -346,15 +339,21 @@ def cmd_rsr(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     log: dict[str, dict] = {}
     for band_file in band_files:
-        payload = json.loads(band_file.read_text(encoding="utf-8"))
-        samples = payload["samples"]
+        where = str(band_file)
+        payload = read_json(band_file)
+        samples = json_field(payload, "samples", [[float]], where)
+        for i, sample in enumerate(samples):
+            if len(sample) != 3:
+                raise ManifestError(
+                    f"{where}: 'samples'[{i}] must be [wavelength_nm, "
+                    f"mean_counts, power_w], got {len(sample)} values")
         run = MonochromatorRun(
             wavelengths_nm=[s[0] for s in samples],
             mean_counts=[s[1] for s in samples],
             power_w=[s[2] for s in samples],
-            gain=float(payload["gain"]),
-            exposure_us=float(payload["exposure_us"]),
-            band_index=int(payload["band_index"]))
+            gain=json_field(payload, "gain", float, where),
+            exposure_us=json_field(payload, "exposure_us", float, where),
+            band_index=json_field(payload, "band_index", int, where))
         power = SpectralCurve(run.wavelengths_nm, run.power_w)
         response = relative_response(normalize_counts(run), power,
                                      shift_scale=args.shift_scale)
@@ -375,8 +374,9 @@ def cmd_ndvi(args) -> int:
     red_pixels, red_meta = read_plane(args.red)
     nir_pixels, nir_meta = read_plane(args.nir)
     for name, meta, expected in (("red", red_meta, 3), ("nir", nir_meta, 5)):
-        if meta["band_index"] != expected:
-            print(f"error: {name} plane is band {meta['band_index']}, "
+        band = json_field(meta, "band_index", int, f"{name} plane sidecar")
+        if band != expected:
+            print(f"error: {name} plane is band {band}, "
                   f"expected band {expected}", file=sys.stderr)
             return EXIT_USAGE
     result = ndvi(ReflectanceImage(band_index=3, pixels=red_pixels),
@@ -456,10 +456,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.handler(args)
-    except SuascalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, json.JSONDecodeError) as exc:
+    except (SuascalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -13,7 +13,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import CurveError
-from .rsr import SpectralCurve
+from .rsr import SpectralCurve, read_spectral_curve
 
 #: Band index to band name, in spectral order.
 BAND_NAMES = {1: "blue", 2: "green", 3: "red", 4: "rededge", 5: "nir"}
@@ -24,14 +24,8 @@ TARGET_NAMES = ("grass", "concrete", "asphalt", "constant_100")
 
 def _read_bundled_curve(filename: str) -> SpectralCurve:
     ref = resources.files("suascal.data").joinpath(filename)
-    with ref.open("r", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if [h.strip().lower() for h in header[:2]] != ["wavelength_nm", "value"]:
-            raise CurveError(f"{filename}: unexpected fixture header {header!r}")
-        rows = [(float(r[0]), float(r[1])) for r in reader if r]
-    arr = np.array(rows)
-    return SpectralCurve(arr[:, 0], arr[:, 1])
+    with resources.as_file(ref) as path:
+        return read_spectral_curve(path)
 
 
 @lru_cache(maxsize=None)

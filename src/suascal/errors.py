@@ -35,4 +35,4 @@ class NoIlluminationError(SuascalError):
 
 
 class ManifestError(SuascalError):
-    """A flight manifest or grid configuration fails validation."""
+    """A JSON input (manifest, grid configuration, sweep) fails validation."""

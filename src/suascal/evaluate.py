@@ -23,6 +23,10 @@ WEATHER_LEVELS = ("cloudy", "partly-cloudy", "sunny")
 ALTITUDE_LEVELS_FT = (150, 225, 300, 375)
 METHOD_LEVELS = ("elm1", "elm2", "aarr")
 
+#: Error statistics of one group, in report column order.
+ERROR_STATISTICS = ("mean_signed", "std_signed", "mean_absolute",
+                    "std_absolute", "n")
+
 #: Fields of TargetSample a report may group by.
 GROUPABLE_FIELDS = ("target_id", "band_index", "weather", "altitude_ft",
                     "method")
@@ -92,6 +96,19 @@ def signed_error(estimated: float, truth: float) -> float:
     return estimated - truth
 
 
+def error_statistics(errors, ddof: int = 0) -> dict:
+    """Mean and standard deviation of signed and absolute errors, and n.
+
+    Keys are :data:`ERROR_STATISTICS`, the :class:`ErrorReport` fields.
+    """
+    errors = np.asarray(errors, dtype=np.float64)
+    return {"mean_signed": float(errors.mean()),
+            "std_signed": float(errors.std(ddof=ddof)),
+            "mean_absolute": float(np.abs(errors).mean()),
+            "std_absolute": float(np.abs(errors).std(ddof=ddof)),
+            "n": int(errors.size)}
+
+
 def aggregate(samples: Sequence[TargetSample],
               group_by: Sequence[str] = (),
               sample_std: bool = False) -> list[ErrorReport]:
@@ -120,13 +137,8 @@ def aggregate(samples: Sequence[TargetSample],
             raise MetadataError(
                 "sample standard deviation needs at least two samples "
                 f"in every group; group {key!r} has {errors.size}")
-        reports.append(ErrorReport(
-            group=tuple(zip(group_by, key)),
-            mean_signed=float(errors.mean()),
-            std_signed=float(errors.std(ddof=ddof)),
-            mean_absolute=float(np.abs(errors).mean()),
-            std_absolute=float(np.abs(errors).std(ddof=ddof)),
-            n=int(errors.size)))
+        reports.append(ErrorReport(group=tuple(zip(group_by, key)),
+                                   **error_statistics(errors, ddof)))
     return reports
 
 
@@ -306,6 +318,9 @@ def read_samples(path) -> list[TargetSample]:
                 f"{path}: sample CSV must have columns {_SAMPLE_FIELDS}")
         samples = []
         for lineno, row in enumerate(reader, start=2):
+            if None in row.values():
+                raise MetadataError(
+                    f"{path}:{lineno}: row has fewer fields than the header")
             try:
                 samples.append(TargetSample(
                     target_id=row["target_id"],
@@ -341,11 +356,8 @@ def write_reports(path, reports: Sequence[ErrorReport]) -> None:
     group_fields = list(reports[0].group_dict) if reports else []
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(group_fields + ["mean_signed", "std_signed",
-                                        "mean_absolute", "std_absolute", "n"])
+        writer.writerow(group_fields + list(ERROR_STATISTICS))
         for report in reports:
             row = [report.group_dict[g] for g in group_fields]
-            writer.writerow(row + [repr(report.mean_signed),
-                                   repr(report.std_signed),
-                                   repr(report.mean_absolute),
-                                   repr(report.std_absolute), report.n])
+            writer.writerow(row + [repr(getattr(report, name))
+                                   for name in ERROR_STATISTICS])

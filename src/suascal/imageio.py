@@ -37,14 +37,15 @@ def read_pgm16(path) -> np.ndarray:
     path = Path(path)
     try:
         buffer = path.read_bytes()
-    except OSError as exc:
-        raise ImageFormatError(
-            f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        reason = getattr(exc, "strerror", None) or exc
+        raise ImageFormatError(f"{path}: cannot read: {reason}") from exc
     match = _PGM_HEADER.match(buffer)
     if not match:
-        magic = buffer[:2]
+        if buffer.startswith(b"P5"):
+            raise ImageFormatError(f"{path}: incomplete PGM header")
         raise ImageFormatError(
-            f"{path}: not a binary PGM (magic {magic!r}, expected b'P5')")
+            f"{path}: not a binary PGM (magic {buffer[:2]!r}, expected b'P5')")
     width = int(match.group(2))
     height = int(match.group(3))
     maxval = int(match.group(4))

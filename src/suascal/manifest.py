@@ -5,12 +5,17 @@ records and calibration panel layout for every image of a flight, plus a
 panel spectrum library and (optionally) per-band RSR files.  All paths are
 resolved relative to the manifest's own directory, so a flight folder can
 move wholesale.
+
+The module also owns the typed JSON reader (:func:`read_json`,
+:func:`json_field`, :func:`json_value`) that every JSON input of the
+package -- manifest, grid configuration, RSR sweeps -- is checked through.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -92,47 +97,84 @@ class FlightManifest:
         return tuple(img for img in self.images if img.is_calibration)
 
 
-def _require(mapping: dict, key: str, context: str):
+_REQUIRED = object()
+
+#: Python types accepted for each JSON kind, and the kind's name in messages.
+_JSON_KINDS = {dict: (dict, "a JSON object"), list: (list, "a list"),
+               str: (str, "a string"), int: ((int, float), "an integer"),
+               float: ((int, float), "a number")}
+
+
+def json_value(value, kind, where: str):
+    """``value`` checked against a JSON ``kind``; ``where`` names it.
+
+    ``kind`` is ``dict``, ``list``, ``str``, ``int`` or ``float``, or a
+    one-element list such as ``[float]`` for a list of that kind.  A bool
+    is neither an integer nor a number, and an integer must be integral
+    (``2.0`` passes as 2, ``2.5`` fails).  Numbers come back as ``float``
+    and integers as ``int``; anything else is a :class:`ManifestError`
+    reading ``"<where> must be <kind>, got <value>"``.
+    """
+    if isinstance(kind, list):
+        return [json_value(item, kind[0], f"{where}[{i}]")
+                for i, item in enumerate(json_value(value, list, where))]
+    accepted, name = _JSON_KINDS[kind]
+    if isinstance(value, accepted) and not isinstance(value, bool) and (
+            kind is not int or isinstance(value, int) or value.is_integer()):
+        try:
+            return kind(value) if kind in (int, float) else value
+        except OverflowError:  # an integer literal beyond float range
+            pass
+    raise ManifestError(f"{where} must be {name}, got {reprlib.repr(value)}")
+
+
+def json_field(mapping: dict, key: str, kind, context: str, default=_REQUIRED):
+    """``mapping[key]`` checked by :func:`json_value` as ``context: 'key'``.
+
+    With a ``default`` the key is optional: absent or null, it reads as the
+    default.  Without one, a missing key is a :class:`ManifestError`.
+    """
+    value = mapping.get(key)
+    if value is None and default is not _REQUIRED:
+        return default
     if key not in mapping:
         raise ManifestError(f"{context}: missing required key {key!r}")
-    return mapping[key]
+    return json_value(value, kind, f"{context}: {key!r}")
 
 
-def _number(mapping: dict, key: str, context: str, kind=float):
-    """A required value converted by ``kind``; a mistyped value is a
-    ``ManifestError`` naming the key instead of a bare ``ValueError``."""
-    value = _require(mapping, key, context)
+def read_json(path) -> dict:
+    """The JSON object in the file at ``path``.
+
+    A file that cannot be read, is not UTF-8 JSON, or holds anything but
+    an object at its root is a :class:`ManifestError` naming the file.
+    """
+    path = Path(path)
     try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        expected = "an integer" if kind is int else "a number"
-        raise ManifestError(
-            f"{context}: {key!r} must be {expected}, got {value!r}") from exc
-
-
-def _parse_vignette(raw: dict, context: str) -> VignetteModel:
-    coeffs = _require(raw, "coefficients", context)
-    if len(coeffs) != 6:
-        raise ManifestError(
-            f"{context}: vignette needs 6 coefficients, got {len(coeffs)}")
-    return VignetteModel(center_x=_number(raw, "center_x", context),
-                         center_y=_number(raw, "center_y", context),
-                         coefficients=tuple(float(c) for c in coeffs))
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ManifestError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:  # also bad UTF-8 and over-long integers
+        raise ManifestError(f"{path}: not valid JSON: {exc}") from exc
+    return json_value(raw, dict, str(path))
 
 
 def _parse_metadata(raw: dict, band_index: int,
                     context: str) -> RadiometricMetadata:
-    vignette = _parse_vignette(_require(raw, "vignette", context), context)
+    vignette = json_field(raw, "vignette", dict, context)
     try:
         return RadiometricMetadata(
-            a1=_number(raw, "a1", context),
-            a2=_number(raw, "a2", context),
-            a3=_number(raw, "a3", context),
-            gain=_number(raw, "gain", context),
-            exposure_us=_number(raw, "exposure_us", context),
-            dark_level=_number(raw, "dark_level", context),
-            vignette=vignette,
-            bits_per_pixel=int(raw.get("bits_per_pixel", 16)),
+            a1=json_field(raw, "a1", float, context),
+            a2=json_field(raw, "a2", float, context),
+            a3=json_field(raw, "a3", float, context),
+            gain=json_field(raw, "gain", float, context),
+            exposure_us=json_field(raw, "exposure_us", float, context),
+            dark_level=json_field(raw, "dark_level", float, context),
+            vignette=VignetteModel(
+                center_x=json_field(vignette, "center_x", float, context),
+                center_y=json_field(vignette, "center_y", float, context),
+                coefficients=json_field(vignette, "coefficients", [float],
+                                        context)),
+            bits_per_pixel=json_field(raw, "bits_per_pixel", int, context, 16),
             band_index=band_index)
     except MetadataError as exc:
         raise ManifestError(f"{context}: {exc}") from exc
@@ -141,54 +183,48 @@ def _parse_metadata(raw: dict, band_index: int,
 def _parse_dls(raw: dict, context: str) -> DLSRecord:
     try:
         return DLSRecord(
-            raw_irradiance=[float(v) for v in
-                            _require(raw, "raw_irradiance", context)],
-            solar_elevation_deg=float(
-                _require(raw, "solar_elevation_deg", context)),
-            sun_sensor_angle_deg=float(
-                _require(raw, "sun_sensor_angle_deg", context)),
-            timestamp=float(_require(raw, "timestamp", context)),
-            fresnel_factor=float(raw.get("fresnel_factor", 1.0)),
-            diffuse_ratio=float(raw.get("diffuse_ratio", 0.166)))
-    except (MetadataError, ValueError, TypeError) as exc:
-        raise ManifestError(f"{context}: bad DLS record: {exc}") from exc
+            raw_irradiance=json_field(raw, "raw_irradiance", [float], context),
+            solar_elevation_deg=json_field(raw, "solar_elevation_deg", float,
+                                           context),
+            sun_sensor_angle_deg=json_field(raw, "sun_sensor_angle_deg",
+                                            float, context),
+            timestamp=json_field(raw, "timestamp", float, context),
+            fresnel_factor=json_field(raw, "fresnel_factor", float, context,
+                                      1.0),
+            diffuse_ratio=json_field(raw, "diffuse_ratio", float, context,
+                                     0.166))
+    except MetadataError as exc:
+        raise ManifestError(f"{context}: {exc}") from exc
 
 
 def _parse_placement(raw: dict, panels: dict[str, Path],
                      context: str) -> PanelPlacement:
-    panel_id = str(_require(raw, "panel_id", context))
+    panel_id = json_field(raw, "panel_id", str, context)
     if panel_id not in panels:
         raise ManifestError(
             f"{context}: panel {panel_id!r} is not in the panel library")
-    roi = _require(raw, "roi", context)
+    roi = json_field(raw, "roi", [int], context)
     if len(roi) != 4:
         raise ManifestError(f"{context}: ROI must be [x, y, width, height]")
-    return PanelPlacement(panel_id=panel_id,
-                          roi=tuple(int(v) for v in roi))
+    return PanelPlacement(panel_id=panel_id, roi=tuple(roi))
 
 
 def _parse_image(raw: dict, panels: dict[str, Path], base: Path,
                  index: int) -> ImageEntry:
-    context = f"image[{index}]"
-    image_id = str(_require(raw, "image_id", context))
+    image_id = json_field(raw, "image_id", str, f"image[{index}]")
     context = f"image {image_id!r}"
-    timestamp = _number(raw, "timestamp", context)
+    timestamp = json_field(raw, "timestamp", float, context)
     if not math.isfinite(timestamp):
         raise ManifestError(
             f"{context}: 'timestamp' must be finite, got {timestamp!r}")
-    bands_raw = _require(raw, "bands", context)
-    if len(bands_raw) != N_BANDS:
-        raise ManifestError(
-            f"{context}: expected exactly {N_BANDS} band entries, "
-            f"got {len(bands_raw)}")
     bands = []
-    for band_raw in bands_raw:
-        band_index = _number(band_raw, "band_index", context, int)
+    for band_raw in json_field(raw, "bands", [dict], context):
+        band_index = json_field(band_raw, "band_index", int, context)
         band_context = f"{context} band {band_index}"
-        path = base / str(_require(band_raw, "path", band_context))
-        metadata = _parse_metadata(_require(band_raw, "metadata",
-                                            band_context),
-                                   band_index, band_context)
+        path = base / json_field(band_raw, "path", str, band_context)
+        metadata = _parse_metadata(
+            json_field(band_raw, "metadata", dict, band_context),
+            band_index, band_context)
         bands.append(BandEntry(band_index=band_index, path=path,
                                metadata=metadata))
     indices = sorted(b.band_index for b in bands)
@@ -198,16 +234,17 @@ def _parse_image(raw: dict, panels: dict[str, Path], base: Path,
     bands.sort(key=lambda b: b.band_index)
 
     dls = None
-    if raw.get("dls") is not None:
-        dls = _parse_dls(raw["dls"], context)
+    dls_raw = json_field(raw, "dls", dict, context, None)
+    if dls_raw is not None:
+        dls = _parse_dls(dls_raw, f"{context} dls")
     bright = dark = None
-    if raw.get("calibration") is not None:
-        cal = raw["calibration"]
-        bright = _parse_placement(_require(cal, "bright", context), panels,
-                                  f"{context} bright panel")
-        if cal.get("dark") is not None:
-            dark = _parse_placement(cal["dark"], panels,
-                                    f"{context} dark panel")
+    cal = json_field(raw, "calibration", dict, context, None)
+    if cal is not None:
+        bright = _parse_placement(json_field(cal, "bright", dict, context),
+                                  panels, f"{context} bright panel")
+        dark_raw = json_field(cal, "dark", dict, context, None)
+        if dark_raw is not None:
+            dark = _parse_placement(dark_raw, panels, f"{context} dark panel")
         if dls is None:
             raise ManifestError(
                 f"{context}: calibration images must carry a dls record")
@@ -219,28 +256,27 @@ def _parse_image(raw: dict, panels: dict[str, Path], base: Path,
 def load_manifest(path) -> FlightManifest:
     """Load and validate a flight manifest JSON file."""
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ManifestError(f"{path}: manifest root must be an object")
+    raw = read_json(path)
+    where = str(path)
     base = path.parent
 
-    flight = _require(raw, "flight", str(path))
-    panels = {str(pid): base / str(spec["spectrum"] if isinstance(spec, dict)
-                                   else spec)
-              for pid, spec in raw.get("panels", {}).items()}
+    flight = json_field(raw, "flight", dict, where)
+    panels = {}
+    for panel_id, spec in json_field(raw, "panels", dict, where, {}).items():
+        spec_where = f"{where}: 'panels'[{panel_id!r}]"
+        if isinstance(spec, dict):
+            spec = json_field(spec, "spectrum", str, spec_where)
+        panels[panel_id] = base / json_value(spec, str, spec_where)
     rsr_files = {}
-    for key, value in raw.get("rsr", {}).items():
-        band = int(key)
-        if not 1 <= band <= N_BANDS:
-            raise ManifestError(f"{path}: RSR band index {band} out of range")
-        rsr_files[band] = base / str(value)
+    for key, value in json_field(raw, "rsr", dict, where, {}).items():
+        if key not in [str(band) for band in range(1, N_BANDS + 1)]:
+            raise ManifestError(
+                f"{where}: 'rsr' key {key!r} is not a band index "
+                f"1..{N_BANDS}")
+        rsr_files[int(key)] = base / json_value(value, str,
+                                                f"{where}: 'rsr'[{key!r}]")
 
-    images_raw = raw.get("images", [])
+    images_raw = json_field(raw, "images", [dict], where, [])
     images = tuple(_parse_image(img, panels, base, i)
                    for i, img in enumerate(images_raw))
     seen: set[str] = set()
@@ -250,10 +286,10 @@ def load_manifest(path) -> FlightManifest:
         seen.add(img.image_id)
 
     return FlightManifest(
-        flight_id=str(_require(flight, "id", "flight")),
-        date=str(_require(flight, "date", "flight")),
-        weather=str(_require(flight, "weather", "flight")),
-        altitude_ft=int(_require(flight, "altitude_ft", "flight")),
+        flight_id=json_field(flight, "id", str, "flight"),
+        date=json_field(flight, "date", str, "flight"),
+        weather=json_field(flight, "weather", str, "flight"),
+        altitude_ft=json_field(flight, "altitude_ft", int, "flight"),
         images=images,
         panels=panels,
         rsr_files=rsr_files,

@@ -17,6 +17,7 @@ reflectance, irradiance) to a single band value by RSR-weighted averaging.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -222,7 +223,12 @@ def band_effective(spectrum: SpectralCurve, rsr: SpectralCurve) -> float:
 def read_spectral_curve(path) -> SpectralCurve:
     """Read a two-column ``wavelength_nm,value`` CSV (header required)."""
     path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    try:
+        fh = io.StringIO(path.read_bytes().decode("utf-8"), newline="")
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, NUL in path
+        reason = getattr(exc, "strerror", None) or exc
+        raise CurveError(f"{path}: cannot read: {reason}") from exc
+    with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -34,6 +34,8 @@ import numpy as np
 
 from . import datasets
 from .errors import CurveError, ManifestError, NoIlluminationError
+from .evaluate import error_statistics
+from .manifest import json_field, json_value
 from .rsr import SpectralCurve, band_weights, read_spectral_curve
 from .solar import solar_zenith_deg
 
@@ -341,11 +343,10 @@ class SimulationGrid:
         """Build a grid from a JSON-style configuration dict.
 
         Raises :class:`ManifestError`, naming the key, for a value of the
-        wrong type; the configuration itself must be an object.
+        wrong JSON type; the configuration itself must be an object.
         """
-        if not isinstance(config, dict):
-            raise ManifestError("grid configuration must be a JSON object, "
-                                f"got {type(config).__name__}")
+        context = "grid configuration"
+        json_value(config, dict, context)
         axes = {"atmospheres": str, "days": int, "times_utc": float,
                 "visibilities_km": float, "sensor_altitudes_km": float,
                 "summary_exclude_altitudes_km": float}
@@ -358,33 +359,27 @@ class SimulationGrid:
             raise ManifestError(
                 f"unknown grid configuration keys: {sorted(unknown)}")
         kwargs = {}
-        for key, value in config.items():
-            try:
-                if key in scalars:
-                    kwargs[key] = float(value)
-                elif key == "solar_spectrum":
-                    if value:
-                        kwargs["exo_irradiance"] = read_spectral_curve(value)
-                elif key == "targets":
-                    _require(value, dict)
-                    kwargs[key] = tuple(
-                        (str(name), datasets.bundled_target(name)
-                         if source is None or source == "bundled"
-                         else read_spectral_curve(Path(source)))
-                        for name, source in value.items())
-                else:
-                    _require(value, list)
-                    kwargs[key] = tuple(axes[key](v) for v in value)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ManifestError(
-                    f"grid configuration {key!r}: {exc}") from None
+        for key in config:
+            if key in scalars:
+                kwargs[key] = json_field(config, key, float, context)
+            elif key == "solar_spectrum":
+                path = json_field(config, key, str, context, None)
+                if path:
+                    kwargs["exo_irradiance"] = read_spectral_curve(path)
+            elif key == "targets":
+                targets = json_field(config, key, dict, context)
+                curves = []
+                for name in targets:
+                    source = json_field(targets, name, str,
+                                        f"{context} 'targets'", "bundled")
+                    curves.append((name, datasets.bundled_target(name)
+                                   if source == "bundled"
+                                   else read_spectral_curve(source)))
+                kwargs[key] = tuple(curves)
+            else:
+                kwargs[key] = tuple(json_field(config, key, [axes[key]],
+                                               context))
         return cls(**kwargs)
-
-
-def _require(value, kind: type) -> None:
-    if not isinstance(value, kind):
-        raise TypeError(
-            f"expected {kind.__name__}, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -469,19 +464,10 @@ def summary_rows(rows: Sequence[SimulationRow],
 
 
 def band_statistics(rows: Sequence[SimulationRow]) -> dict[int, dict]:
-    """Per-band mean/std of signed and absolute error."""
-    stats: dict[int, dict] = {}
-    for band in sorted({r.band_index for r in rows}):
-        errors = np.array([r.signed_error for r in rows
-                           if r.band_index == band])
-        stats[band] = {
-            "mean_signed": float(errors.mean()),
-            "std_signed": float(errors.std()),
-            "mean_absolute": float(np.abs(errors).mean()),
-            "std_absolute": float(np.abs(errors).std()),
-            "n": int(errors.size),
-        }
-    return stats
+    """Per-band :func:`~suascal.evaluate.error_statistics` of signed error."""
+    return {band: error_statistics([r.signed_error for r in rows
+                                    if r.band_index == band])
+            for band in sorted({r.band_index for r in rows})}
 
 
 def grouped_absolute_error(rows: Sequence[SimulationRow],

@@ -7,11 +7,16 @@ exact: the radiance scale is ``a1 / (gain * exposure * 2**16) = 2.5e-6``
 per count, panel counts are integers on that scale, both panels sit on a
 line through the origin (so 1-point and 2-point fits agree), and the DLS
 irradiance is ``pi`` times the radiance a perfect diffuser would see.
+
+It also holds the JSON strategies the input-validation properties mutate
+documents with.
 """
 
+import copy
 import json
 
 import numpy as np
+from hypothesis import strategies as st
 
 from suascal.imageio import write_pgm16
 from suascal.rsr import SpectralCurve, write_spectral_curve
@@ -111,3 +116,38 @@ def build_flight(root, field_images=2, with_decoy=False, weather="sunny",
     path = root / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2), encoding="utf-8")
     return path
+
+
+#: Any JSON value: null, bools, integers, floats (NaN and infinities too,
+#: which Python's json reads and writes), strings, lists and objects.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6)
+
+
+def json_paths(node, prefix=()):
+    """Every path of keys and indices into a JSON document, root first."""
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from json_paths(child, prefix + (key,))
+
+
+def replace_node(doc, path, value):
+    """A copy of ``doc`` with the node at ``path`` replaced by ``value``."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc

@@ -333,11 +333,11 @@ class TestSampleCsv:
 
     def test_bad_row_names_the_line(self, tmp_path):
         path = tmp_path / "samples.csv"
-        write_samples(path, self._samples()[:1])
-        path.write_text(path.read_text() +
-                        "t2,9,sunny,225,aarr,0.1,0.2\n")
-        with pytest.raises(MetadataError, match=r"samples\.csv:3"):
-            read_samples(path)
+        for row in ("t2,9,sunny,225,aarr,0.1,0.2", "g,1,sunny"):
+            write_samples(path, self._samples()[:1])
+            path.write_text(path.read_text() + row + "\n")
+            with pytest.raises(MetadataError, match=r"samples\.csv:3"):
+                read_samples(path)
 
     def test_empty_body_rejected(self, tmp_path):
         path = tmp_path / "samples.csv"

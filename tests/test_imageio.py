@@ -40,8 +40,18 @@ class TestPgm:
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "img.pgm"
         path.write_bytes(b"P6\n1 1\n65535\n\x00\x00\x00")
-        with pytest.raises(ImageFormatError):
+        with pytest.raises(ImageFormatError, match="magic b'P6'"):
             read_pgm16(path)
+
+    def test_header_cut_short_is_not_a_bad_magic(self, tmp_path):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(b"P5\n2 2\n")
+        with pytest.raises(ImageFormatError, match="incomplete PGM header"):
+            read_pgm16(path)
+
+    def test_nul_in_path_is_unreadable(self, tmp_path):
+        with pytest.raises(ImageFormatError, match="cannot read"):
+            read_pgm16(tmp_path / "nul\x00.pgm")
 
     def test_truncated_data_rejected(self, tmp_path):
         path = tmp_path / "img.pgm"

@@ -4,18 +4,28 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import helpers
 from suascal.cli import main
-from suascal.errors import ManifestError
+from suascal.errors import ManifestError, SuascalError
 from suascal.imageio import read_plane, read_pgm16
-from suascal.manifest import load_manifest
+from suascal.manifest import FlightManifest, load_manifest
 
 
 @pytest.fixture
 def flight(tmp_path):
     return helpers.build_flight(tmp_path / "flight", field_images=2,
                                 with_decoy=True)
+
+
+@pytest.fixture(scope="module")
+def pristine(tmp_path_factory):
+    """A flight shared by a property's examples, which write mutated
+    copies of its manifest beside it and leave the original as built."""
+    return helpers.build_flight(tmp_path_factory.mktemp("pristine"),
+                                field_images=2, with_decoy=True)
 
 
 class TestManifest:
@@ -95,15 +105,34 @@ class TestManifest:
             load_manifest(self._mutate(flight, edit))
 
     @pytest.mark.parametrize("keys, value", [
-        (("timestamp",), "noon"),
-        (("timestamp",), float("nan")),
-        (("bands", 0, "band_index"), "one"),
-        (("bands", 0, "metadata", "a1"), [1.0]),
-    ], ids=["timestamp-text", "timestamp-nan", "band_index-text", "a1-list"])
+        (("images", 0, "timestamp"), "noon"),
+        (("images", 0, "timestamp"), float("nan")),
+        (("images", 0, "bands", 0, "band_index"), "one"),
+        (("images", 0, "bands", 0, "metadata", "a1"), [1.0]),
+        (("images", 0, "bands"), 5),
+        (("images",), [1]),
+        (("images",), {"a": 1}),
+        (("panels",), ["x"]),
+        (("images", 0, "calibration", "bright", "roi"), "abcd"),
+        (("images", 0, "bands", 0, "metadata", "bits_per_pixel"), "x"),
+        (("flight", "altitude_ft"), "x"),
+        (("flight",), []),
+        (("images", 0, "bands", 0, "metadata", "vignette", "coefficients"),
+         5),
+        (("rsr",), {"x": "rsr_band_1.csv"}),
+        (("images", 0, "dls"), [1]),
+        (("images", 0, "bands", 0, "path"), None),
+        (("images", 0, "bands", 0, "band_index"), 2.5),
+        (("images", 0, "bands", 0, "metadata", "gain"), True),
+    ], ids=["timestamp-text", "timestamp-nan", "band_index-text", "a1-list",
+            "bands-int", "images-int-list", "images-object", "panels-list",
+            "roi-text", "bits_per_pixel-text", "altitude_ft-text",
+            "flight-list", "coefficients-int", "rsr-key-text", "dls-list",
+            "path-null", "band_index-fraction", "gain-bool"])
     def test_mistyped_value_is_usage_error(self, flight, tmp_path, capsys,
                                            keys, value):
         def edit(raw):
-            target = raw["images"][0]
+            target = raw
             for key in keys[:-1]:
                 target = target[key]
             target[keys[-1]] = value
@@ -112,11 +141,27 @@ class TestManifest:
                      "--out", str(tmp_path / "out")]) == 1
         assert repr(keys[-1]) in capsys.readouterr().err
 
+    @given(data=st.data())
+    def test_any_mutated_node_loads_or_is_a_suascal_error(self, pristine,
+                                                          data):
+        path = pristine.parent / "mutated.json"
+        doc = json.loads(pristine.read_text())
+        node = data.draw(st.sampled_from(list(helpers.json_paths(doc))))
+        value = data.draw(helpers.json_values)
+        path.write_text(json.dumps(helpers.replace_node(doc, node, value)))
+        try:
+            manifest = load_manifest(path)
+        except SuascalError:
+            return
+        assert isinstance(manifest, FlightManifest)
+
     def test_not_json_rejected(self, tmp_path):
         path = tmp_path / "manifest.json"
-        path.write_text("{")
-        with pytest.raises(ManifestError, match="JSON"):
-            load_manifest(path)
+        for payload in (b"{", b"\xff\xfe{}", b"[" + b"1" * 5000 + b"]",
+                        b"[]"):
+            path.write_bytes(payload)
+            with pytest.raises(ManifestError, match="JSON"):
+                load_manifest(path)
 
 
 class TestConvertCommand:
@@ -272,6 +317,14 @@ class TestNdviCommand:
                      "--nir", str(reflect_out / "field_1_b5.f32"),
                      "--out", str(tmp_path / "x.f32")]) == 1
         assert "band" in capsys.readouterr().err
+        sidecar = reflect_out / "field_1_b3.f32.json"
+        meta = json.loads(sidecar.read_text())
+        del meta["band_index"]
+        sidecar.write_text(json.dumps(meta))
+        assert main(["ndvi", "--red", str(reflect_out / "field_1_b3.f32"),
+                     "--nir", str(reflect_out / "field_1_b5.f32"),
+                     "--out", str(tmp_path / "x.f32")]) == 1
+        assert "'band_index'" in capsys.readouterr().err
 
 
 class TestEvaluateCommand:
@@ -376,6 +429,10 @@ class TestSimulateCommand:
         ({"latitude_deg": "north"}, "'latitude_deg'"),
         ({"targets": ["grass"]}, "'targets'"),
         (["days", 171], "JSON object"),
+        ({"days": [True]}, "'days'"),
+        ({"days": [171.9]}, "'days'"),
+        ({"targets": {"grass": 5}}, "'targets'"),
+        ({"solar_spectrum": 5}, "'solar_spectrum'"),
     ])
     def test_mistyped_config_is_usage_error(self, tmp_path, capsys, config,
                                             named):
@@ -427,6 +484,40 @@ class TestRsrCommand:
         (tmp_path / "run").mkdir()
         assert main(["rsr", "--run-dir", str(tmp_path / "run"),
                      "--out", str(tmp_path / "rsr")]) == 1
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda p: p.pop("exposure_us"), "'exposure_us'"),
+        (lambda p: p["samples"][3].pop(), "'samples'[3]"),
+        (lambda p: p.update(gain="1"), "'gain'"),
+        (lambda p: p.update(band_index=True), "'band_index'"),
+        (lambda p: p["samples"][0].__setitem__(1, None), "'samples'[0][1]"),
+    ], ids=["exposure-missing", "sample-pair", "gain-text", "band_index-bool",
+            "count-null"])
+    def test_malformed_sweep_is_usage_error(self, tmp_path, capsys, edit,
+                                            named):
+        run_dir = tmp_path / "run"
+        self._write_run(run_dir, 1)
+        band_file = run_dir / "band_1.json"
+        payload = json.loads(band_file.read_text())
+        edit(payload)
+        band_file.write_text(json.dumps(payload))
+        assert main(["rsr", "--run-dir", str(run_dir),
+                     "--out", str(tmp_path / "rsr")]) == 1
+        assert named in capsys.readouterr().err
+
+    @given(data=st.data())
+    def test_any_mutated_node_exits_zero_or_one(self, tmp_path_factory,
+                                                data):
+        run_dir = tmp_path_factory.getbasetemp() / "mutated_sweep"
+        self._write_run(run_dir, 1)
+        band_file = run_dir / "band_1.json"
+        doc = json.loads(band_file.read_text())
+        node = data.draw(st.sampled_from(list(helpers.json_paths(doc))))
+        value = data.draw(helpers.json_values)
+        band_file.write_text(json.dumps(helpers.replace_node(doc, node,
+                                                             value)))
+        assert main(["rsr", "--run-dir", str(run_dir),
+                     "--out", str(run_dir / "out")]) in (0, 1)
 
 
 class TestParserContract:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from suascal.errors import MetadataError
@@ -211,7 +211,6 @@ def frames_and_metadata(draw):
 
 
 class TestRoundTripProperty:
-    @settings(deadline=None)
     @given(frames_and_metadata())
     def test_inverse_recovers_unclamped_counts(self, case):
         raw, meta = case

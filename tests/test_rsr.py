@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from suascal import datasets
@@ -172,7 +172,6 @@ def positive_values(size):
 
 
 class TestBandWeightsProperties:
-    @settings(deadline=None)
     @given(st.data())
     def test_matches_union_grid_trapezoid(self, data):
         rsr = data.draw(rsr_curves())
@@ -186,7 +185,6 @@ class TestBandWeightsProperties:
         assert got == pytest.approx(union_grid_trapezoid(spectrum, rsr),
                                     rel=1e-12)
 
-    @settings(deadline=None)
     @given(st.data())
     def test_linear_in_spectrum(self, data):
         rsr = data.draw(rsr_curves())
@@ -201,7 +199,6 @@ class TestBandWeightsProperties:
             b * band_effective(SpectralCurve(wl, v2), rsr)
         assert combo == pytest.approx(parts, rel=1e-12)
 
-    @settings(deadline=None)
     @given(st.data())
     def test_grid_short_of_rsr_support_rejected(self, data):
         rsr = data.draw(rsr_curves())
@@ -314,6 +311,19 @@ class TestCurveCsv:
         path = tmp_path / "bad.csv"
         path.write_text("wavelength_nm,value\n500,1.0\n510,oops\n")
         with pytest.raises(CurveError):
+            read_spectral_curve(path)
+
+    @pytest.mark.parametrize("name, content", [
+        ("missing.csv", None),
+        ("nul\x00.csv", None),
+        ("latin1.csv", "wavelength_nm,value\n500,1.0\n# \xb5m\n".encode(
+            "latin-1")),
+    ], ids=["missing", "nul-in-path", "not-utf8"])
+    def test_unreadable_file_is_a_curve_error(self, tmp_path, name, content):
+        path = tmp_path / name
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(CurveError, match="cannot read"):
             read_spectral_curve(path)
 
 

@@ -5,9 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import helpers
 from suascal import datasets
-from suascal.errors import CurveError, ManifestError, NoIlluminationError
+from suascal.errors import (CurveError, ManifestError, NoIlluminationError,
+                            SuascalError)
 from suascal.rsr import SpectralCurve, band_effective
 from suascal.simulate import (ATMOSPHERE_PRESETS, AtmosphereState, Scene,
                               SimulationGrid, SimulationRow, Tape7Record,
@@ -286,6 +290,24 @@ class TestSimulationGrid:
     def test_from_config_rejects_unknown_keys(self):
         with pytest.raises(ManifestError, match="wind_speed"):
             SimulationGrid.from_config({"wind_speed": 3.0})
+
+    CONFIG = {"atmospheres": ["tropical"], "days": [171],
+              "times_utc": [16.0], "visibilities_km": [23.0],
+              "sensor_altitudes_km": [0.282], "ground_altitude_km": 0.168,
+              "latitude_deg": 43.0, "targets": {"grass": "bundled"},
+              "solar_spectrum": None}
+
+    @given(data=st.data())
+    def test_any_mutated_node_builds_or_is_a_suascal_error(self, data):
+        node = data.draw(st.sampled_from(list(helpers.json_paths(
+            self.CONFIG))))
+        value = data.draw(helpers.json_values)
+        try:
+            grid = SimulationGrid.from_config(
+                helpers.replace_node(self.CONFIG, node, value))
+        except SuascalError:
+            return
+        assert isinstance(grid, SimulationGrid)
 
 
 def tiny_grid(**kw):
