@@ -14,6 +14,7 @@ import csv
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +23,8 @@ from .errors import ManifestError, SuascalError
 from .evaluate import (ERROR_STATISTICS, METHOD_LEVELS, aggregate, ndvi,
                        read_samples, write_reports)
 from .imageio import read_pgm16, read_plane, write_pgm16, write_plane
-from .manifest import (FlightManifest, ImageEntry, json_field, load_manifest,
-                       read_json)
+from .manifest import (BandEntry, FlightManifest, ImageEntry, json_field,
+                       load_manifest, read_json)
 from .radiance import RadianceImage, RawImage, dc_to_radiance
 from .reflectance import (SELECTION_MODES, CalibrationImage, PanelObservation,
                           apply_elm, extract_panel, fit_elm_1pt, fit_elm_2pt,
@@ -63,15 +64,37 @@ def _plane_name(image_id: str, band_index: int) -> str:
     return f"{image_id}_b{band_index}.f32"
 
 
-def _load_radiance(entry: ImageEntry) -> dict[int, RadianceImage]:
-    """Read and convert all five bands of one manifest image."""
-    planes = {}
-    for band in entry.bands:
-        pixels = read_pgm16(band.path)
-        raw = RawImage(band_index=band.band_index, pixels=pixels,
-                       bits_per_pixel=band.metadata.bits_per_pixel)
-        planes[band.band_index] = dc_to_radiance(raw, band.metadata)
-    return planes
+def _band_radiance(band: BandEntry) -> RadianceImage:
+    """Read and convert one band of one manifest image."""
+    raw = RawImage(band_index=band.band_index, pixels=read_pgm16(band.path),
+                   bits_per_pixel=band.metadata.bits_per_pixel)
+    return dc_to_radiance(raw, band.metadata)
+
+
+def _write_bands(entry: ImageEntry, write_band) -> dict:
+    """Call ``write_band(band, written)`` for each band of an image in
+    manifest order, keyed by band index.
+
+    Each call decodes, converts, writes and drops its own band-frame, so
+    one frame is in flight at a time.  ``write_band`` appends each path to
+    ``written`` before writing it; when any band fails, every file the
+    image wrote is removed before the error propagates, so a failed image
+    leaves no planes behind.
+    """
+    written: list[Path] = []
+    try:
+        return {str(band.band_index): write_band(band, written)
+                for band in entry.bands}
+    except Exception:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
+
+
+def _write_plane(path: Path, written: list[Path], pixels: np.ndarray,
+                 band_index: int, units: str) -> None:
+    written += [path, Path(str(path) + ".json")]
+    write_plane(path, pixels, band_index, units)
 
 
 def _batch_exit(ok: int, failed: int) -> int:
@@ -119,15 +142,15 @@ def cmd_convert(args) -> int:
         return EXIT_OK
 
     def convert(entry: ImageEntry) -> dict:
-        bands = {}
-        for band_index, plane in sorted(_load_radiance(entry).items()):
-            name = _plane_name(entry.image_id, band_index)
-            write_plane(out / name, plane.pixels, band_index, RADIANCE_UNITS)
-            bands[str(band_index)] = {
-                "path": name,
-                "clamped_pixels": plane.clamped_pixel_count,
-            }
-        return {"bands": bands}
+        def write_band(band: BandEntry, written: list[Path]) -> dict:
+            plane = _band_radiance(band)
+            name = _plane_name(entry.image_id, band.band_index)
+            _write_plane(out / name, written, plane.pixels, band.band_index,
+                         RADIANCE_UNITS)
+            return {"path": name,
+                    "clamped_pixels": plane.clamped_pixel_count}
+
+        return {"bands": _write_bands(entry, write_band)}
 
     log, failures = _map_images(manifest.images, convert, args.threads)
     _write_json(out / "conversion_log.json",
@@ -145,25 +168,31 @@ def _calibration_candidates(manifest: FlightManifest,
     for entry in manifest.calibration_images:
         if need_dark and entry.calibration_dark is None:
             continue
-        planes = _load_radiance(entry)
-
-        def observe(placement) -> PanelObservation:
-            spectrum = manifest.panel_spectrum(placement.panel_id)
-            truth = panel_band_reflectance(spectrum, rsr_set)
-            radiance = np.array([extract_panel(planes[b], placement.roi)
-                                 for b in bands])
-            return PanelObservation(panel_id=placement.panel_id,
-                                    ground_reflectance=truth,
-                                    mean_radiance=radiance,
-                                    roi=placement.roi)
-
-        dark = entry.calibration_dark
+        placements = [entry.calibration_bright]
+        if entry.calibration_dark is not None:
+            placements.append(entry.calibration_dark)
+        # Only the per-band ROI means outlive each band-frame.
+        means = {band.band_index: _roi_means(band, placements)
+                 for band in entry.bands}
+        observations = [
+            PanelObservation(
+                panel_id=placement.panel_id,
+                ground_reflectance=panel_band_reflectance(
+                    manifest.panel_spectrum(placement.panel_id), rsr_set),
+                mean_radiance=np.array([means[b][i] for b in bands]),
+                roi=placement.roi)
+            for i, placement in enumerate(placements)]
         candidates.append(CalibrationImage(
             image_id=entry.image_id, timestamp=entry.timestamp,
-            bright=observe(entry.calibration_bright),
-            dls=entry.dls,
-            dark=observe(dark) if dark is not None else None))
+            bright=observations[0], dls=entry.dls,
+            dark=observations[1] if len(observations) > 1 else None))
     return candidates
+
+
+def _roi_means(band: BandEntry, placements) -> list[float]:
+    """Mean radiance of one band over each panel placement's ROI."""
+    plane = _band_radiance(band)
+    return [extract_panel(plane, placement.roi) for placement in placements]
 
 
 def cmd_reflect(args) -> int:
@@ -190,40 +219,38 @@ def cmd_reflect(args) -> int:
             return EXIT_USAGE
 
     def process(entry: ImageEntry) -> dict:
-        planes = _load_radiance(entry)
         record: dict[str, object] = {"method": args.method}
         if args.method == "aarr":
             if entry.dls is None:
                 raise SuascalError("aarr requires a dls record")
-            reflectance = {b: aarr(plane, entry.dls)
-                           for b, plane in planes.items()}
+            to_reflectance = partial(aarr, dls=entry.dls)
         else:
             selected = select_calibration(
                 candidates, args.selection, image_dls=entry.dls,
                 image_timestamp=entry.timestamp,
                 designated_id=args.designated_id)
             fit = fit_elm_1pt if args.method == "elm1" else fit_elm_2pt
-            model = fit(selected)
-            reflectance = {b: apply_elm(model, plane)
-                           for b, plane in planes.items()}
+            to_reflectance = partial(apply_elm, fit(selected))
             record["calibration_image"] = selected.image_id
             record["selection"] = args.selection
             if args.selection != "single":
                 record["selection_metric"] = selection_metric(
                     args.selection, entry.dls, entry.timestamp)(selected)
-        bands = {}
-        for band_index, image in sorted(reflectance.items()):
-            name = _plane_name(entry.image_id, band_index)
-            write_plane(out / name, image.pixels, band_index, "reflectance")
+
+        def write_band(band: BandEntry, written: list[Path]) -> dict:
+            image = to_reflectance(_band_radiance(band))
+            name = _plane_name(entry.image_id, band.band_index)
+            _write_plane(out / name, written, image.pixels, band.band_index,
+                         "reflectance")
             if args.write_pgm:
                 counts = reflectance_to_pgm_counts(image, args.pgm_scale)
-                write_pgm16(out / f"{entry.image_id}_b{band_index}.pgm",
-                            counts)
-            bands[str(band_index)] = {
-                "path": name,
-                "out_of_range_fraction": image.out_of_range_fraction,
-            }
-        record["bands"] = bands
+                path = out / f"{entry.image_id}_b{band.band_index}.pgm"
+                written.append(path)
+                write_pgm16(path, counts)
+            return {"path": name,
+                    "out_of_range_fraction": image.out_of_range_fraction}
+
+        record["bands"] = _write_bands(entry, write_band)
         return record
 
     results, failures = _map_images(manifest.images, process, args.threads)
@@ -338,6 +365,7 @@ def cmd_rsr(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     log: dict[str, dict] = {}
+    sources: dict[int, Path] = {}
     for band_file in band_files:
         where = str(band_file)
         payload = read_json(band_file)
@@ -354,6 +382,11 @@ def cmd_rsr(args) -> int:
             gain=json_field(payload, "gain", float, where),
             exposure_us=json_field(payload, "exposure_us", float, where),
             band_index=json_field(payload, "band_index", int, where))
+        if run.band_index in sources:
+            raise ManifestError(
+                f"'band_index' {run.band_index} is declared by both "
+                f"{sources[run.band_index]} and {where}")
+        sources[run.band_index] = band_file
         power = SpectralCurve(run.wavelengths_nm, run.power_w)
         response = relative_response(normalize_counts(run), power,
                                      shift_scale=args.shift_scale)

@@ -317,7 +317,9 @@ def read_samples(path) -> list[TargetSample]:
             raise MetadataError(
                 f"{path}: sample CSV must have columns {_SAMPLE_FIELDS}")
         samples = []
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            # The reader's own count: DictReader skips blank lines.
+            lineno = reader.line_num
             if None in row.values():
                 raise MetadataError(
                     f"{path}:{lineno}: row has fewer fields than the header")

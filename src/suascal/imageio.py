@@ -46,9 +46,10 @@ def read_pgm16(path) -> np.ndarray:
             raise ImageFormatError(f"{path}: incomplete PGM header")
         raise ImageFormatError(
             f"{path}: not a binary PGM (magic {buffer[:2]!r}, expected b'P5')")
-    width = int(match.group(2))
-    height = int(match.group(3))
-    maxval = int(match.group(4))
+    try:
+        width, height, maxval = (int(match.group(i)) for i in (2, 3, 4))
+    except ValueError:  # more digits than int() converts
+        raise ImageFormatError(f"{path}: header number too long") from None
     if width <= 0 or height <= 0:
         raise ImageFormatError(f"{path}: bad dimensions {width}x{height}")
     if not 256 <= maxval <= 65535:
@@ -86,7 +87,9 @@ def write_plane(path, pixels: np.ndarray, band_index: int, units: str) -> None:
     if pixels.ndim != 2:
         raise ImageFormatError("plane output requires a 2-D array")
     path = Path(path)
-    path.write_bytes(np.ascontiguousarray(pixels, dtype="<f4").tobytes())
+    with path.open("wb") as handle:
+        # The array's own buffer, not a ``tobytes()`` copy of it.
+        handle.write(np.ascontiguousarray(pixels, dtype="<f4"))
     height, width = pixels.shape
     sidecar = {
         "width": int(width),

@@ -16,7 +16,8 @@ the result metadata.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -194,15 +195,40 @@ def row_factors(meta: RadiometricMetadata, height: int) -> np.ndarray:
     return 1.0 / denom
 
 
-def _flat_field(meta: RadiometricMetadata,
-                shape: tuple[int, int]) -> tuple[np.ndarray, float]:
-    """``V * R`` over a frame of ``shape``, as a new array the caller may
-    overwrite, and the count scale ``a1 / (g * t * 2**N)``."""
+#: Vignette maps kept: one per camera band of a flight.
+_VIGNETTE_CACHE_SIZE = 5
+#: Rows multiplied per step in :func:`dc_to_radiance`, which bounds the
+#: ``V * R`` temporary to a strip instead of a second full frame.
+_ROW_BLOCK = 64
+
+
+@functools.lru_cache(maxsize=_VIGNETTE_CACHE_SIZE)
+def _cached_vignette(center_x: float, center_y: float, coefficients: bytes,
+                     width: int, height: int) -> np.ndarray:
+    """:func:`vignette_map` keyed on hashable values, returned read-only
+    because every caller shares it."""
+    model = VignetteModel(center_x, center_y,
+                          np.frombuffer(coefficients, dtype=np.float64))
+    vignette = vignette_map(model, width, height)
+    vignette.flags.writeable = False
+    return vignette
+
+
+def _flat_field(meta: RadiometricMetadata, shape: tuple[int, int]
+                ) -> tuple[np.ndarray, np.ndarray, float]:
+    """The shared read-only ``V`` over a frame of ``shape``, the row factors
+    ``R`` and the count scale ``a1 / (g * t * 2**N)``.
+
+    ``V`` depends only on the lens model and frame size, so a flight that
+    reuses a band's calibration computes it once; ``R`` and the scale
+    depend on exposure and stay per call.
+    """
     height, width = shape
-    flat = vignette_map(meta.vignette, width, height) * \
-        row_factors(meta, height)[:, np.newaxis]
+    model = meta.vignette
+    vignette = _cached_vignette(model.center_x, model.center_y,
+                                model.coefficients.tobytes(), width, height)
     scale = meta.a1 / (meta.gain * meta.exposure_us * 2.0 ** meta.bits_per_pixel)
-    return flat, scale
+    return vignette, row_factors(meta, height), scale
 
 
 def dc_to_radiance(raw: RawImage, meta: RadiometricMetadata) -> RadianceImage:
@@ -225,9 +251,14 @@ def dc_to_radiance(raw: RawImage, meta: RadiometricMetadata) -> RadianceImage:
         raise MetadataError(
             f"metadata bit depth {meta.bits_per_pixel} does not match image "
             f"bit depth {raw.bits_per_pixel}")
-    # In place: a third full-frame temporary would raise peak memory.
-    radiance, scale = _flat_field(meta, raw.pixels.shape)
-    radiance *= raw.pixels.astype(np.float64) - meta.dark_level
+    vignette, rows, scale = _flat_field(meta, raw.pixels.shape)
+    # Built in place in the one float64 copy of the counts; each pixel is
+    # the same product (V * R) * (I - dL) * scale as a whole-frame map.
+    radiance = raw.pixels.astype(np.float64)
+    radiance -= meta.dark_level
+    for top in range(0, radiance.shape[0], _ROW_BLOCK):
+        block = slice(top, top + _ROW_BLOCK)
+        radiance[block] *= vignette[block] * rows[block, np.newaxis]
     radiance *= scale
     clamped = int(np.count_nonzero(radiance < 0))
     if clamped:
@@ -243,5 +274,6 @@ def radiance_to_counts(img: RadianceImage,
     Clamped pixels cannot be recovered; everything else inverts exactly up
     to floating-point rounding.  Useful for synthesizing raw test frames.
     """
-    flat, scale = _flat_field(meta, img.pixels.shape)
-    return img.pixels / (flat * scale) + meta.dark_level
+    vignette, rows, scale = _flat_field(meta, img.pixels.shape)
+    return img.pixels / (vignette * rows[:, np.newaxis] * scale) + \
+        meta.dark_level

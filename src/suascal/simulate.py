@@ -526,7 +526,11 @@ def ingest_tape7(path) -> Tape7Record:
     ``WAVLEN_UM``) triggers conversion to nm.  Unknown columns are ignored.
     """
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, NUL in path
+        reason = getattr(exc, "strerror", None) or exc
+        raise ManifestError(f"{path}: cannot read: {reason}") from exc
     header_tokens: list[str] = []
     header_line = 0
     for lineno, line in enumerate(lines, start=1):

@@ -338,6 +338,11 @@ class TestSampleCsv:
             path.write_text(path.read_text() + row + "\n")
             with pytest.raises(MetadataError, match=r"samples\.csv:3"):
                 read_samples(path)
+            # csv.DictReader skips blank lines; the line number must not.
+            header, first, *rest = path.read_text().splitlines(True)
+            path.write_text("".join([header, "\n", "\n", first, *rest]))
+            with pytest.raises(MetadataError, match=r"samples\.csv:5:"):
+                read_samples(path)
 
     def test_empty_body_rejected(self, tmp_path):
         path = tmp_path / "samples.csv"

@@ -4,8 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from suascal.errors import ImageFormatError
+from suascal.errors import ImageFormatError, SuascalError
 from suascal.imageio import read_pgm16, read_plane, write_pgm16, write_plane
 
 
@@ -52,6 +54,27 @@ class TestPgm:
     def test_nul_in_path_is_unreadable(self, tmp_path):
         with pytest.raises(ImageFormatError, match="cannot read"):
             read_pgm16(tmp_path / "nul\x00.pgm")
+
+    def test_over_long_header_number_rejected(self, tmp_path):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(b"P5\n" + b"9" * 5000 + b" 1\n65535\n\x00\x01")
+        with pytest.raises(ImageFormatError, match="too long"):
+            read_pgm16(path)
+
+    @given(data=st.tuples(
+        st.sampled_from([b"", b"P5", b"P5\n", b"P5\n2 2\n",
+                         b"P5\n2 2\n65535\n", b"P5 1 1 300 ", b"P6\n"]),
+        st.binary(max_size=24)))
+    def test_any_bytes_decode_or_raise_a_suascal_error(self,
+                                                       tmp_path_factory,
+                                                       data):
+        path = tmp_path_factory.getbasetemp() / "arbitrary.pgm"
+        path.write_bytes(b"".join(data))
+        try:
+            pixels = read_pgm16(path)
+        except SuascalError:
+            return
+        assert pixels.dtype == np.uint16 and pixels.ndim == 2
 
     def test_truncated_data_rejected(self, tmp_path):
         path = tmp_path / "img.pgm"

@@ -280,6 +280,17 @@ class TestReflectCommand:
         counts = read_pgm16(out / "field_1_b1.pgm")
         assert roi_mean(counts, helpers.BRIGHT_ROI) == pytest.approx(5000.0)
 
+    def test_corrupt_band_fails_that_image_only(self, flight, tmp_path):
+        band = flight.parent / "field_2_b4.pgm"
+        band.write_bytes(b"P5\n2 2\n")
+        out = tmp_path / "truncated"
+        assert main(["reflect", "--manifest", str(flight), "--out", str(out),
+                     "--method", "elm2"]) == 2
+        report = json.loads((out / "reflectance_report.json").read_text())
+        assert "field_2_b4.pgm" in report["failures"]["field_2"]
+        assert "field_1" in report["images"]
+        assert not list(out.glob("field_2_b*"))
+
     def test_elm_without_calibration_image_is_usage_error(self, tmp_path,
                                                           capsys):
         path = helpers.build_flight(tmp_path / "nocal", field_images=1)
@@ -291,6 +302,34 @@ class TestReflectCommand:
                      "--out", str(tmp_path / "out"),
                      "--method", "elm2"]) == 1
         assert "calibration" in capsys.readouterr().err
+
+
+class TestFailedImageWritesNothing:
+    """Bands stream one at a time, so a band that fails after earlier bands
+    were written must take those planes and sidecars with it."""
+
+    @pytest.mark.parametrize("command, report_name", [
+        (["convert"], "conversion_log.json"),
+        (["reflect", "--method", "elm2"], "reflectance_report.json"),
+        (["reflect", "--method", "aarr", "--write-pgm"],
+         "reflectance_report.json"),
+    ], ids=["convert", "reflect-elm2", "reflect-aarr-pgm"])
+    def test_bad_vignette_in_band_4(self, flight, tmp_path, command,
+                                    report_name):
+        raw = json.loads(flight.read_text())
+        image = next(i for i in raw["images"] if i["image_id"] == "field_2")
+        band = next(b for b in image["bands"] if b["band_index"] == 4)
+        # k(r) = 1 - r is not positive one pixel from the centre.
+        band["metadata"]["vignette"]["coefficients"][0] = -1.0
+        flight.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(command + ["--manifest", str(flight),
+                               "--out", str(out)]) == 2
+        report = json.loads((out / report_name).read_text())
+        assert "vignette" in report["failures"]["field_2"]
+        assert "field_1" in report["images"]
+        assert list(out.glob("field_1_b*.f32"))
+        assert not list(out.glob("field_2_b*"))
 
 
 class TestNdviCommand:
@@ -491,12 +530,15 @@ class TestRsrCommand:
         (lambda p: p.update(gain="1"), "'gain'"),
         (lambda p: p.update(band_index=True), "'band_index'"),
         (lambda p: p["samples"][0].__setitem__(1, None), "'samples'[0][1]"),
+        (lambda p: p.update(band_index=2),
+         "'band_index' 2 is declared by both"),
     ], ids=["exposure-missing", "sample-pair", "gain-text", "band_index-bool",
-            "count-null"])
+            "count-null", "band_index-duplicate"])
     def test_malformed_sweep_is_usage_error(self, tmp_path, capsys, edit,
                                             named):
         run_dir = tmp_path / "run"
         self._write_run(run_dir, 1)
+        self._write_run(run_dir, 2)
         band_file = run_dir / "band_1.json"
         payload = json.loads(band_file.read_text())
         edit(payload)

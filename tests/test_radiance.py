@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from suascal import radiance as radiance_module
 from suascal.errors import MetadataError
 from suascal.radiance import (RadiometricMetadata, RawImage, VignetteModel,
                               dc_to_radiance, radiance_to_counts,
@@ -185,6 +186,64 @@ class TestRoundTrip:
         recovered = radiance_to_counts(radiance, meta)
         clamped = counts.astype(np.float64) < meta.dark_level
         assert np.max(np.abs(recovered[~clamped] - counts[~clamped])) < 0.5
+
+
+LENS = VignetteModel(61.5, 70.25, (1e-4, -1e-6, 1e-8, 0.0, 0.0, 0.0))
+
+
+def reference_radiance(raw, meta):
+    """The camera model as whole-frame maps, with nothing cached."""
+    height, width = raw.pixels.shape
+    flat = vignette_map(meta.vignette, width, height) * \
+        row_factors(meta, height)[:, np.newaxis]
+    scale = meta.a1 / (meta.gain * meta.exposure_us
+                       * 2.0 ** meta.bits_per_pixel)
+    radiance = flat * (raw.pixels.astype(np.float64) - meta.dark_level) * scale
+    return np.maximum(radiance, 0.0)
+
+
+class TestVignetteCache:
+    """One vignette map per (lens model, frame size), shared read-only."""
+
+    # Taller than one row block, so the last block is a partial one.
+    COUNTS = np.random.default_rng(11).integers(
+        0, 65536, size=(150, 123)).astype(np.uint16)
+
+    def test_matches_uncached_reference_exactly(self):
+        for exposure, gain, a2 in ((1000.0, 1, 0.0), (250.0, 4, 0.3),
+                                   (1000.0, 8, 2.0), (77.5, 2, 0.0),
+                                   (1000.0, 1, 0.0)):
+            meta = make_meta(a1=163.84, a2=a2, a3=1e-5, gain=gain,
+                             exposure_us=exposure, dark_level=4096.5,
+                             vignette=LENS)
+            raw = make_raw(self.COUNTS)
+            np.testing.assert_array_equal(dc_to_radiance(raw, meta).pixels,
+                                          reference_radiance(raw, meta))
+
+    def test_mutating_a_result_leaves_later_conversions_alone(self):
+        meta = make_meta(vignette=LENS, dark_level=10.0)
+        raw = make_raw(self.COUNTS)
+        first = dc_to_radiance(raw, meta)
+        expected = first.pixels.copy()
+        first.pixels[...] = -1.0
+        np.testing.assert_array_equal(dc_to_radiance(raw, meta).pixels,
+                                      expected)
+
+    def test_cached_map_is_read_only(self):
+        vignette, _, _ = radiance_module._flat_field(make_meta(vignette=LENS),
+                                                     (40, 30))
+        assert not vignette.flags.writeable
+        with pytest.raises(ValueError):
+            vignette[0, 0] = 2.0
+
+    def test_cache_holds_at_most_five_maps(self):
+        cache = radiance_module._cached_vignette
+        raw = make_raw(self.COUNTS[:20, :20])
+        for i in range(8):
+            lens = VignetteModel(5.0 + i, 7.0, (1e-4 * i,) + (0.0,) * 5)
+            dc_to_radiance(raw, make_meta(vignette=lens))
+            assert cache.cache_info().currsize <= 5
+        assert cache.cache_info().currsize == 5
 
 
 @st.composite

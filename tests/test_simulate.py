@@ -468,6 +468,32 @@ class TestTape7Ingestion:
         with pytest.raises(ManifestError, match="columns"):
             ingest_tape7(path)
 
+    def test_non_utf8_file_names_the_path(self, tmp_path):
+        path = tmp_path / "tape7.scn"
+        path.write_bytes(b"WAVELEN TOTAL_RAD GRND_RFLT\n500 0.01 \xff\n")
+        with pytest.raises(ManifestError, match=r"tape7\.scn"):
+            ingest_tape7(path)
+        with pytest.raises(ManifestError, match="cannot read"):
+            ingest_tape7(tmp_path / "missing.scn")
+
+    @given(data=st.tuples(
+        st.sampled_from([b"", b"WAVELEN TOTAL_RAD GRND_RFLT\n",
+                         b"WAVLEN_UM TOTAL_RAD GRND_RFLT X\n0.5 1 2 3\n"]),
+        st.lists(st.sampled_from([b"1", b"-2.5", b"nan", b"inf", b"1e999",
+                                  b"x", b" ", b"\n", b"\xff", b"\x00"]),
+                 max_size=16).map(b"".join),
+        st.binary(max_size=16)))
+    def test_any_bytes_ingest_or_raise_a_suascal_error(self,
+                                                       tmp_path_factory,
+                                                       data):
+        path = tmp_path_factory.getbasetemp() / "arbitrary.scn"
+        path.write_bytes(b"".join(data))
+        try:
+            record = ingest_tape7(path)
+        except SuascalError:
+            return
+        assert record.wavelength_nm.shape == record.total_rad.shape
+
     def test_header_without_data_rejected(self, tmp_path):
         path = tmp_path / "tape7.scn"
         path.write_text("WAVELEN TOTAL_RAD GRND_RFLT\n")
