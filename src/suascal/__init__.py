@@ -22,9 +22,9 @@ from .reflectance import (CalibrationImage, DLSRecord, ElmModel,
 from .rsr import (MonochromatorRun, SpectralCurve, band_effective,
                   normalize_counts, peak_normalize, read_spectral_curve,
                   relative_response, write_spectral_curve)
-from .simulate import (AtmosphereState, Scene, SimulationGrid, SimulationRow,
-                       Tape7Record, dls_downwelling, ingest_tape7,
-                       parametric_atmosphere, run_maarr_grid,
+from .simulate import (AtmosphereState, Scene, SimulationGrid,
+                       SimulationTable, Tape7Record, dls_downwelling,
+                       ingest_tape7, parametric_atmosphere, run_maarr_grid,
                        sensor_radiance)
 from .evaluate import (ErrorReport, TargetSample, aggregate, anova_oneway,
                        cosine_falloff_check, f_survival, ndvi,
@@ -39,7 +39,7 @@ __all__ = [
     "ImageFormatError", "ManifestError", "MetadataError",
     "MonochromatorRun", "NoIlluminationError", "OrientationError",
     "PanelObservation", "RadianceImage", "RadiometricMetadata", "RawImage",
-    "ReflectanceImage", "Scene", "SimulationGrid", "SimulationRow",
+    "ReflectanceImage", "Scene", "SimulationGrid", "SimulationTable",
     "SpectralCurve", "SuascalError", "Tape7Record", "TargetSample",
     "VignetteModel", "aarr", "aggregate", "anova_oneway", "apply_elm",
     "band_effective", "cosine_falloff_check", "dc_to_radiance",

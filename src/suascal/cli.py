@@ -1,16 +1,17 @@
 """Command-line entry point: convert, reflect, simulate, evaluate, rsr, ndvi.
 
 Exit status contract: 0 success, 1 usage or configuration error, 2 partial
-data failure (some images processed, some failed), 3 total failure (every
-image failed).  Batch commands continue past per-image errors and name the
-failures in their log file; all outputs are byte-identical across reruns of
-identical inputs.
+data failure (some images or grid cells processed, some failed), 3 total
+failure (every image or cell failed).  Batch commands continue past
+per-image errors and skipped cells and name them in their log file; all
+outputs are byte-identical across reruns of identical inputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -34,8 +35,9 @@ from .reflectance import (SELECTION_MODES, CalibrationImage, PanelObservation,
 from .rsr import (DEFAULT_SHIFT_SCALE, MonochromatorRun, SpectralCurve,
                   is_degenerate, normalize_counts, peak_normalize,
                   relative_response, write_spectral_curve)
-from .simulate import (SimulationGrid, band_statistics,
-                       grouped_absolute_error, run_maarr_grid, summary_rows)
+from .simulate import (CELL_FIELDS, SimulationGrid, SimulationTable,
+                       band_statistics, grouped_absolute_error,
+                       run_maarr_grid, summary_rows)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -262,50 +264,55 @@ def cmd_reflect(args) -> int:
     return _batch_exit(len(results), len(failures))
 
 
-_ROW_FIELDS = ("atmosphere", "day", "time_utc", "visibility_km",
-               "sensor_altitude_km", "target", "band_index",
-               "true_reflectance", "recovered_reflectance", "signed_error")
+_ROW_FIELDS = (*CELL_FIELDS, "target", "band_index", "true_reflectance",
+               "recovered_reflectance", "signed_error")
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _error_rows(table: SimulationTable):
+    """``errors.csv`` rows; each cell's leading fields are formatted once."""
+    cells = list(itertools.product(*table.axes))
+    truth = [list(map(repr, row)) for row in table.truth.tolist()]
+    for index, recovered, signed in zip(table.cells.tolist(),
+                                        table.recovered.tolist(),
+                                        table.signed_error.tolist()):
+        model, day, hour, visibility, altitude = cells[index]
+        lead = (model, day, repr(hour), repr(visibility), repr(altitude))
+        for target, *row in zip(table.targets, truth, recovered, signed):
+            for band, true, value, error in zip(table.bands, *row):
+                yield (*lead, target, band, true, repr(value), repr(error))
 
 
 def cmd_simulate(args) -> int:
-    config = {}
-    if args.grid_config:
-        config = read_json(args.grid_config)
+    config = read_json(args.grid_config) if args.grid_config else {}
     grid = SimulationGrid.from_config(config)
-    rows = run_maarr_grid(grid)
+    table = run_maarr_grid(grid)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    with (out / "errors.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_ROW_FIELDS)
-        for row in rows:
-            writer.writerow([row.atmosphere, row.day, repr(row.time_utc),
-                             repr(row.visibility_km),
-                             repr(row.sensor_altitude_km), row.target,
-                             row.band_index, repr(row.true_reflectance),
-                             repr(row.recovered_reflectance),
-                             repr(row.signed_error)])
-
-    kept = summary_rows(rows, grid.summary_exclude_altitudes_km)
-    with (out / "summary_band.csv").open("w", newline="",
-                                         encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["band_index", *ERROR_STATISTICS])
-        for band, stats in band_statistics(kept).items():
-            writer.writerow([band] + [repr(stats[name])
-                                      for name in ERROR_STATISTICS])
-
-    for attribute in ("atmosphere", "day", "time_utc", "visibility_km",
-                      "sensor_altitude_km", "target"):
-        grouped = grouped_absolute_error(rows, attribute)
-        with (out / f"summary_{attribute}.csv").open(
-                "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([attribute, "mean_absolute_error"])
-            for key, value in grouped.items():
-                writer.writerow([key, repr(value)])
-    return EXIT_OK
+    _write_csv(out / "errors.csv", _ROW_FIELDS, _error_rows(table))
+    kept = summary_rows(table, grid.summary_exclude_altitudes_km)
+    _write_csv(out / "summary_band.csv", ["band_index", *ERROR_STATISTICS],
+               ([band] + [repr(stats[name]) for name in ERROR_STATISTICS]
+                for band, stats in band_statistics(kept).items()))
+    for attribute in (*CELL_FIELDS, "target"):
+        _write_csv(out / f"summary_{attribute}.csv",
+                   [attribute, "mean_absolute_error"],
+                   ([key, repr(value)] for key, value in
+                    grouped_absolute_error(table, attribute).items()))
+    _write_json(out / "simulate_log.json", {
+        "cells": grid.cell_count, "ran": len(table.cells),
+        "skipped": [dict(zip(CELL_FIELDS, cell), reason=reason)
+                    for cell, reason in table.skipped]})
+    if table.skipped:
+        print(f"warning: skipped {len(table.skipped)} of {grid.cell_count} "
+              "cells; see simulate_log.json", file=sys.stderr)
+    return _batch_exit(len(table.cells), len(table.skipped))
 
 
 def cmd_evaluate(args) -> int:
@@ -321,13 +328,9 @@ def cmd_evaluate(args) -> int:
         # Overall-errors layout: one column per method, one row per statistic.
         by_method = {dict(r.group)["method"]: r for r in reports}
         methods = [m for m in METHOD_LEVELS if m in by_method]
-        with (out / "overall_by_method.csv").open(
-                "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["statistic"] + methods)
-            for stat in ERROR_STATISTICS:
-                writer.writerow([stat] + [repr(getattr(by_method[m], stat))
-                                          for m in methods])
+        _write_csv(out / "overall_by_method.csv", ["statistic"] + methods,
+                   ([stat] + [repr(getattr(by_method[m], stat))
+                              for m in methods] for stat in ERROR_STATISTICS))
     elif set(group_by) == {"band_index", "method"}:
         # Per-band layout: band rows, method mean/std column pairs.
         cells = {(dict(r.group)["band_index"], dict(r.group)["method"]): r
@@ -338,20 +341,17 @@ def cmd_evaluate(args) -> int:
         header = ["band_index"]
         for method in methods:
             header += [f"{method}_mean_signed", f"{method}_std_signed"]
-        with (out / "per_band_by_method.csv").open(
-                "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for band in bands:
-                row = [band]
-                for method in methods:
-                    report = cells.get((band, method))
-                    if report is None:
-                        row += ["", ""]
-                    else:
-                        row += [repr(report.mean_signed),
-                                repr(report.std_signed)]
-                writer.writerow(row)
+        rows = []
+        for band in bands:
+            row = [band]
+            for method in methods:
+                report = cells.get((band, method))
+                if report is None:
+                    row += ["", ""]
+                else:
+                    row += [repr(report.mean_signed), repr(report.std_signed)]
+            rows.append(row)
+        _write_csv(out / "per_band_by_method.csv", header, rows)
     return EXIT_OK
 
 

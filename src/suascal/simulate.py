@@ -26,14 +26,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import datasets
-from .errors import CurveError, ManifestError, NoIlluminationError
+from .errors import CurveError, ManifestError
 from .evaluate import error_statistics
 from .manifest import json_field, json_value
 from .rsr import SpectralCurve, band_weights, read_spectral_curve
@@ -328,10 +328,26 @@ class SimulationGrid:
                 raise ManifestError(
                     f"sensor altitude {alt!r} km is below the ground "
                     f"at {self.ground_altitude_km!r} km")
+        if not (math.isfinite(self.latitude_deg)
+                and math.isfinite(self.longitude_west_deg)):
+            raise ManifestError("site latitude and longitude must be finite")
+        if self.diffuse_fraction is not None and \
+                not 0.0 <= self.diffuse_fraction <= 1.0:
+            raise ManifestError("diffuse fraction must lie within [0, 1]")
+        if not self.extinction_layer_km > 0:
+            raise ManifestError("extinction layer thickness must be positive")
+        if not self.path_radiance_factor >= 0:
+            raise ManifestError("path radiance factor must be non-negative")
+        if self.exo_irradiance is not None and \
+                self.exo_irradiance.values.min() < 0:
+            raise CurveError("exo_irradiance must be non-negative")
         if not self.targets:
             object.__setattr__(self, "targets", tuple(
                 (name, datasets.bundled_target(name))
                 for name in datasets.TARGET_NAMES))
+        for _, curve in self.targets:
+            if curve.values.min() < 0:
+                raise CurveError("target reflectance must be non-negative")
 
     @property
     def cell_count(self) -> int:
@@ -382,103 +398,184 @@ class SimulationGrid:
         return cls(**kwargs)
 
 
+
+
+#: Grid axes that locate a cell, in sweep order.
+CELL_FIELDS = ("atmosphere", "day", "time_utc", "visibility_km",
+               "sensor_altitude_km")
+
+
 @dataclass(frozen=True)
-class SimulationRow:
-    """One (cell, target, band) entry of the simulated error table."""
+class SimulationTable:
+    """Columnar result of :func:`run_maarr_grid`.
 
-    atmosphere: str
-    day: int
-    time_utc: float
-    visibility_km: float
-    sensor_altitude_km: float
-    target: str
-    band_index: int
-    true_reflectance: float
-    recovered_reflectance: float
-    signed_error: float
-
-
-def run_maarr_grid(grid: SimulationGrid,
-                   rsr_set: Optional[dict[int, SpectralCurve]] = None
-                   ) -> list[SimulationRow]:
-    """Run the full sweep; rows come back in deterministic grid order.
-
-    Band integration is linear in the spectrum, so each distinct wavelength
-    grid gets one ``(bands, wavelengths)`` matrix of
-    :func:`~suascal.rsr.band_weights` rows, and every spectrum is reduced to
-    band values by one product with it.
+    ``axes`` are the grid axes in :data:`CELL_FIELDS` order; sweep cell
+    ``i`` is entry ``i`` of ``itertools.product(*axes)``.  ``cells`` holds
+    the sweep index of each cell that ran, ``recovered`` their ``(cells,
+    targets, bands)`` recovered band reflectance.  ``skipped`` pairs each
+    cell that did not run with the reason.
     """
-    if rsr_set is None:
-        rsr_set = datasets.bundled_rsr_set()
+
+    axes: tuple[tuple, ...]
+    targets: tuple[str, ...]
+    bands: tuple[int, ...]
+    truth: np.ndarray  # (targets, bands) true band reflectance
+    cells: np.ndarray
+    recovered: np.ndarray
+    skipped: tuple[tuple[tuple, str], ...] = ()
+
+    @property
+    def signed_error(self) -> np.ndarray:
+        return self.recovered - self.truth
+
+    def cell_values(self, field: str) -> np.ndarray:
+        """One :data:`CELL_FIELDS` axis's value for each cell that ran."""
+        axis = CELL_FIELDS.index(field)
+        index = np.unravel_index(self.cells, [len(a) for a in self.axes])
+        return np.asarray(self.axes[axis])[index[axis]]
+
+
+def _resampler(x: np.ndarray, grid: np.ndarray):
+    """Linear interpolation from ``x`` onto ``grid`` (within ``x``) along
+    the last axis, in :func:`numpy.interp`'s arithmetic."""
+    if np.array_equal(x, grid):
+        return lambda values: values
+    j = np.clip(np.searchsorted(x, grid, side="right") - 1, 0, x.size - 2)
+    dx, step = grid - x[j], x[j + 1] - x[j]
+    return lambda values: \
+        (values[..., j + 1] - values[..., j]) / step * dx + values[..., j]
+
+
+def run_maarr_grid(grid: SimulationGrid) -> SimulationTable:
+    """Run the sweep one (atmosphere, day, hour) block at a time.
+
+    A block is every visibility x altitude x target of one solar geometry,
+    evaluated by the formulas of :func:`parametric_atmosphere`,
+    :func:`dls_downwelling` and :func:`sensor_radiance` in their operation
+    order and on the grids they use, then reduced to the bundled bands by
+    one product with the :func:`~suascal.rsr.band_weights` matrix of each
+    grid.  A cell whose downwelling band radiance is not positive in some
+    band (the sun below the horizon) is skipped.
+    """
+    rsr_set = datasets.bundled_rsr_set()
     bands = sorted(rsr_set)
-    matrices: dict[bytes, np.ndarray] = {}
 
-    def to_bands(curve: SpectralCurve) -> np.ndarray:
-        key = curve.wavelengths_nm.tobytes()
-        if key not in matrices:
-            matrices[key] = np.stack([
-                band_weights(curve.wavelengths_nm, rsr_set[b]) for b in bands])
-        return matrices[key] @ curve.values
+    def band_matrix(wavelengths: np.ndarray) -> np.ndarray:
+        return np.stack([band_weights(wavelengths, rsr_set[b])
+                         for b in bands])
 
-    truths = [to_bands(curve).tolist() for _, curve in grid.targets]
-    rows = []
-    for cell in itertools.product(grid.atmospheres, grid.days, grid.times_utc,
-                                  grid.visibilities_km,
-                                  grid.sensor_altitudes_km):
-        model, day, hour, visibility, altitude = cell
-        atm, zenith = parametric_atmosphere(
-            model, day, hour, visibility, altitude, grid.ground_altitude_km,
-            grid.latitude_deg, grid.longitude_west_deg,
-            exo_irradiance=grid.exo_irradiance,
-            angstrom_exponent=grid.angstrom_exponent,
-            diffuse_fraction=grid.diffuse_fraction,
-            extinction_layer_km=grid.extinction_layer_km,
-            path_radiance_factor=grid.path_radiance_factor)
-        scenes = [Scene(target_reflectance=curve, solar_zenith_deg=zenith,
-                        sensor_altitude_km=altitude,
-                        ground_altitude_km=grid.ground_altitude_km,
-                        visibility_km=visibility)
-                  for _, curve in grid.targets]
-        down = to_bands(dls_downwelling(scenes[0], atm))
-        for band, value in zip(bands, down):
-            if not value > 0:
-                raise NoIlluminationError(
-                    f"cell {cell}: downwelling radiance is not positive in "
-                    f"band {band} (sun below horizon?)")
-        for (target_name, _), scene, truth in zip(grid.targets, scenes,
-                                                  truths):
-            recovered = (to_bands(sensor_radiance(scene, atm)) / down).tolist()
-            rows.extend(SimulationRow(*cell, target_name, band, true_value,
-                                      value, value - true_value)
-                        for band, true_value, value in zip(bands, truth,
-                                                           recovered))
-    return rows
+    exo = grid.exo_irradiance or datasets.bundled_solar_spectrum()
+    wl = exo.wavelengths_nm
+    truth = np.array([band_matrix(curve.wavelengths_nm) @ curve.values
+                      for _, curve in grid.targets])
+    # Targets grouped by the grid sensor_radiance evaluates them on.
+    by_grid: dict[bytes, tuple[np.ndarray, list[int]]] = {}
+    for index, (_, curve) in enumerate(grid.targets):
+        union = _common_grid([exo, curve])
+        by_grid.setdefault(union.tobytes(), (union, []))[1].append(index)
+    groups = [(index, exo.interpolate(union),
+               np.array([grid.targets[i][1].interpolate(union)
+                         for i in index]),
+               _resampler(wl, union), band_matrix(union).T)
+              for union, index in by_grid.values()]
+    down_matrix = band_matrix(wl).T
+
+    axes = (grid.atmospheres, grid.days, grid.times_utc,
+            grid.visibilities_km, grid.sensor_altitudes_km)
+    sweep = list(itertools.product(*axes))
+    view_path_km = np.minimum(np.array(grid.sensor_altitudes_km)
+                              - grid.ground_altitude_km,
+                              grid.extinction_layer_km)
+    hours = list(itertools.product(grid.days, grid.times_utc))
+    zeniths = [solar_zenith_deg(day, hour, grid.latitude_deg,
+                                grid.longitude_west_deg)
+               for day, hour in hours]
+    shape = (len(grid.visibilities_km), view_path_km.size, len(grid.targets),
+             len(bands))
+    size = shape[0] * shape[1]
+    recovered = np.full((grid.cell_count,) + shape[2:], np.nan)
+    ran = np.zeros(grid.cell_count, dtype=bool)
+    skipped = []
+    start = 0
+    for model in grid.atmospheres:
+        alpha, f_diffuse = ATMOSPHERE_PRESETS[model]
+        if grid.angstrom_exponent is not None:
+            alpha = grid.angstrom_exponent
+        if grid.diffuse_fraction is not None:
+            f_diffuse = grid.diffuse_fraction
+        beta = (KOSCHMIEDER / np.array(grid.visibilities_km))[:, None] * \
+            (wl / REFERENCE_WAVELENGTH_NM) ** (-alpha)
+        tau2 = np.exp(-beta[:, None, :] * view_path_km[:, None])
+        for (day, hour), zenith in zip(hours, zeniths):
+            cos_s = _cos_solar(zenith)
+            down = np.zeros(shape[:2] + shape[3:])
+            if cos_s > 0.0:
+                tau1 = np.exp(-beta * grid.extinction_layer_km / cos_s)
+                sky = f_diffuse * exo.values * cos_s * (1.0 - tau1) / math.pi
+                path = grid.path_radiance_factor * (1.0 - tau2) * \
+                    (exo.values / math.pi * cos_s * tau1 + sky)[:, None, :]
+                down = (exo.values / math.pi * cos_s
+                        * _tau_to_sensor(tau1[:, None, :], tau2, cos_s)
+                        + sky[:, None, :]) @ down_matrix
+                radiance = np.empty(shape)
+                for index, exo_g, rho, resample, matrix in groups:
+                    ground = (exo_g / math.pi * cos_s * resample(tau1)
+                              )[:, None, :] * rho + \
+                        resample(sky)[:, None, :] * rho
+                    radiance[:, :, index] = (
+                        ground[:, None] * resample(tau2)[:, :, None]
+                        + resample(path)[:, :, None]) @ matrix
+                if not (np.isfinite(radiance).all()
+                        and np.isfinite(down).all()):
+                    raise CurveError(f"{model} atmosphere, day {day}, {hour} "
+                                     "h UTC: radiance is not finite")
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    recovered[start:start + size] = (
+                        radiance / down[:, :, None, :]).reshape(
+                            (size,) + shape[2:])
+            lit = (down > 0).reshape(size, -1)
+            ran[start:start + size] = lit.all(axis=1)
+            skipped += [(sweep[start + i], "downwelling radiance is not "
+                         f"positive in band {bands[np.argmin(lit[i])]} "
+                         f"(solar zenith {zenith:.2f} deg)")
+                        for i in np.flatnonzero(~lit.all(axis=1))]
+            start += size
+    cells = np.flatnonzero(ran)
+    return SimulationTable(axes, tuple(name for name, _ in grid.targets),
+                           tuple(bands), truth, cells, recovered[cells],
+                           tuple(skipped))
 
 
-def summary_rows(rows: Sequence[SimulationRow],
+def summary_rows(table: SimulationTable,
                  exclude_altitudes_km: Sequence[float] = ()
-                 ) -> list[SimulationRow]:
+                 ) -> SimulationTable:
     """Drop the out-of-envelope altitude analogues from a result table."""
-    excluded = set(float(a) for a in exclude_altitudes_km)
-    return [r for r in rows if r.sensor_altitude_km not in excluded]
+    keep = ~np.isin(table.cell_values("sensor_altitude_km"),
+                    [float(a) for a in exclude_altitudes_km])
+    return replace(table, cells=table.cells[keep],
+                   recovered=table.recovered[keep])
 
 
-def band_statistics(rows: Sequence[SimulationRow]) -> dict[int, dict]:
-    """Per-band :func:`~suascal.evaluate.error_statistics` of signed error."""
-    return {band: error_statistics([r.signed_error for r in rows
-                                    if r.band_index == band])
-            for band in sorted({r.band_index for r in rows})}
+def band_statistics(table: SimulationTable) -> dict[int, dict]:
+    """Per-band :func:`~suascal.evaluate.error_statistics` of signed error,
+    taken over (cell, target) in row order."""
+    signed = table.signed_error
+    return {band: error_statistics(signed[:, :, k].ravel())
+            for k, band in enumerate(table.bands) if signed.size}
 
 
-def grouped_absolute_error(rows: Sequence[SimulationRow],
-                           attribute: str) -> dict:
-    """Mean absolute signed error grouped by one row attribute."""
-    groups: dict = {}
-    for row in rows:
-        groups.setdefault(getattr(row, attribute), []).append(
-            abs(row.signed_error))
-    return {key: float(np.mean(vals))
-            for key, vals in sorted(groups.items())}
+def grouped_absolute_error(table: SimulationTable, attribute: str) -> dict:
+    """Mean absolute signed error grouped by a :data:`CELL_FIELDS` name or
+    ``"target"``, keyed by value in sorted order; each mean is taken over
+    the group's values in row order."""
+    magnitude = np.abs(table.signed_error)
+    if attribute == "target":
+        axis, values = 1, np.asarray(table.targets)
+    else:
+        axis, values = 0, table.cell_values(attribute)
+    return {key: float(np.mean(magnitude.compress(values == key,
+                                                  axis=axis).ravel()))
+            for key in np.unique(values).tolist() if magnitude.size}
 
 
 @dataclass(frozen=True)
@@ -502,6 +599,8 @@ class Tape7Record:
                 raise ManifestError(
                     f"{name} has {column.size} values for {wave.size} "
                     "wavelengths")
+            if not np.isfinite(column).all():
+                raise ManifestError(f"{name} contains non-finite radiance")
             if column.min() < 0:
                 raise ManifestError(f"{name} contains negative radiance")
             object.__setattr__(self, name, column)

@@ -258,31 +258,32 @@ def test_criterion_06_ndvi_reference_value():
 def test_criterion_07_maarr_desk_scale_study():
     grid = SimulationGrid()
     started = time.perf_counter()
-    rows = run_maarr_grid(grid)
+    table = run_maarr_grid(grid)
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
 
-    kept = summary_rows(rows, grid.summary_exclude_altitudes_km)
+    kept = summary_rows(table, grid.summary_exclude_altitudes_km)
     stats = band_statistics(kept)
     worst_band = max(abs(s["mean_signed"]) for s in stats.values())
     assert worst_band < 0.01, stats
 
-    def mean_abs(rows_subset):
-        return float(np.mean([abs(r.signed_error) for r in rows_subset]))
+    magnitude = np.abs(table.signed_error)
+    visibilities = table.cell_values("visibility_km")
+    altitudes = table.cell_values("sensor_altitude_km")
+
+    def mean_abs(visibility, altitude):
+        return float(np.mean(magnitude[(visibilities == visibility)
+                                       & (altitudes == altitude)]))
 
     altitude_rhos, visibility_rhos = [], []
     for visibility in grid.visibilities_km:
-        profile = [mean_abs([r for r in rows
-                             if r.visibility_km == visibility
-                             and r.sensor_altitude_km == alt])
+        profile = [mean_abs(visibility, alt)
                    for alt in grid.sensor_altitudes_km]
         rho = scipy.stats.spearmanr(grid.sensor_altitudes_km,
                                     profile).statistic
         altitude_rhos.append(rho)
     for altitude in grid.sensor_altitudes_km:
-        profile = [mean_abs([r for r in rows
-                             if r.sensor_altitude_km == altitude
-                             and r.visibility_km == vis])
+        profile = [mean_abs(vis, altitude)
                    for vis in grid.visibilities_km]
         rho = scipy.stats.spearmanr(grid.visibilities_km,
                                     profile).statistic

@@ -447,10 +447,54 @@ class TestSimulateCommand:
             assert (out / f"summary_{attribute}.csv").is_file()
 
     def test_rerun_is_byte_identical(self, tmp_path):
-        _, out = self._run(tmp_path, self.GRID)
-        first = (out / "errors.csv").read_bytes()
-        self._run(tmp_path, self.GRID)
-        assert (out / "errors.csv").read_bytes() == first
+        _, out = self._run(tmp_path, dict(self.GRID, times_utc=[6.0, 16.0]))
+        first = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert "simulate_log.json" in first and len(first) == 9
+        self._run(tmp_path, dict(self.GRID, times_utc=[6.0, 16.0]))
+        assert {path.name: path.read_bytes()
+                for path in out.iterdir()} == first
+
+    def test_night_hour_is_partial(self, tmp_path):
+        code, out = self._run(tmp_path, dict(self.GRID, times_utc=[6.0, 16.0]))
+        assert code == 2
+        log = json.loads((out / "simulate_log.json").read_text())
+        assert (log["cells"], log["ran"]) == (8, 4)
+        assert [(c["time_utc"], c["visibility_km"], c["sensor_altitude_km"])
+                for c in log["skipped"]] == [
+            (6.0, vis, alt) for vis in (5.0, 23.0) for alt in (0.214, 0.282)]
+        assert all("not positive" in c["reason"] for c in log["skipped"])
+        rows = (out / "errors.csv").read_text().splitlines()[1:]
+        assert len(rows) == 4 * 4 * 5
+        assert {row.split(",")[2] for row in rows} == {"16.0"}
+
+    def test_all_night_grid_is_total_failure(self, tmp_path):
+        code, out = self._run(tmp_path, dict(self.GRID, times_utc=[6.0]))
+        assert code == 3
+        log = json.loads((out / "simulate_log.json").read_text())
+        assert (log["cells"], log["ran"], len(log["skipped"])) == (4, 0, 4)
+        assert len((out / "errors.csv").read_text().splitlines()) == 1
+
+    @staticmethod
+    def _spectrum(tmp_path, value):
+        path = tmp_path / "spectrum.csv"
+        path.write_text(f"wavelength_nm,value\n330,{value}\n1200,{value}\n")
+        return str(path)
+
+    @pytest.mark.parametrize("override, named", [
+        (lambda tmp: {"diffuse_fraction": 1.5}, "diffuse fraction"),
+        (lambda tmp: {"extinction_layer_km": 0.0}, "extinction layer"),
+        (lambda tmp: {"path_radiance_factor": -0.5}, "path radiance factor"),
+        (lambda tmp: {"solar_spectrum": TestSimulateCommand._spectrum(
+            tmp, -1.0)}, "exo_irradiance must be non-negative"),
+        (lambda tmp: {"targets": {"dark": TestSimulateCommand._spectrum(
+            tmp, -0.1)}}, "target reflectance must be non-negative"),
+    ])
+    def test_bad_model_parameter_exits_before_any_cell(self, tmp_path, capsys,
+                                                      override, named):
+        code, out = self._run(tmp_path, dict(self.GRID, **override(tmp_path)))
+        assert code == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_visibility_is_usage_error(self, tmp_path, capsys):
         config = dict(self.GRID, visibilities_km=[0.0])

@@ -1,20 +1,20 @@
 """Radiative-transfer simulator: governing equation, parametric atmosphere,
-parameter sweep, and columnar radiance-file ingestion."""
+the blocked parameter sweep against its per-cell oracle, and columnar
+radiance-file ingestion."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
 from suascal import datasets
-from suascal.errors import (CurveError, ManifestError, NoIlluminationError,
-                            SuascalError)
+from suascal.errors import CurveError, ManifestError, SuascalError
 from suascal.rsr import SpectralCurve, band_effective
 from suascal.simulate import (ATMOSPHERE_PRESETS, AtmosphereState, Scene,
-                              SimulationGrid, SimulationRow, Tape7Record,
+                              SimulationGrid, SimulationTable, Tape7Record,
                               band_statistics, dls_downwelling,
                               grouped_absolute_error, ingest_tape7,
                               parametric_atmosphere, run_maarr_grid,
@@ -319,97 +319,234 @@ def tiny_grid(**kw):
     return SimulationGrid(**args)
 
 
+class TestGridValidation:
+    """Model parameters the per-cell constructors check are rejected when
+    the grid is built, before any cell runs."""
+
+    @pytest.mark.parametrize("kwargs, error, message", [
+        ({"diffuse_fraction": 1.5}, ManifestError, "diffuse fraction"),
+        ({"diffuse_fraction": -0.1}, ManifestError, "diffuse fraction"),
+        ({"extinction_layer_km": 0.0}, ManifestError, "extinction layer"),
+        ({"path_radiance_factor": -0.1}, ManifestError,
+         "path radiance factor"),
+        ({"exo_irradiance": flat(-1.0, [330.0, 1200.0])}, CurveError,
+         "exo_irradiance must be non-negative"),
+        ({"targets": (("dark", flat(-0.1, [330.0, 1200.0])),)}, CurveError,
+         "target reflectance must be non-negative"),
+        ({"latitude_deg": math.nan}, ManifestError, "latitude"),
+    ])
+    def test_bad_parameter_rejected(self, kwargs, error, message):
+        with pytest.raises(error, match=message):
+            SimulationGrid(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        # A subnormal visibility overflows the extinction coefficient; the
+        # zero-length view path then has no finite transmission.
+        {"visibilities_km": (5e-324,), "sensor_altitudes_km": (0.168,)},
+        {"angstrom_exponent": math.nan},
+        {"path_radiance_factor": math.inf},
+    ])
+    def test_non_finite_radiance_is_an_error(self, kwargs):
+        with pytest.raises(CurveError, match="not finite"):
+            run_maarr_grid(tiny_grid(**kwargs))
+
+
+def tiny_grid(**kw):
+    args = dict(atmospheres=("us-standard",), days=(171,), times_utc=(16.0,),
+                visibilities_km=(5.0, 23.0),
+                sensor_altitudes_km=(0.214, 0.282),
+                summary_exclude_altitudes_km=())
+    args.update(kw)
+    return SimulationGrid(**args)
+
+
+def oracle_cell(grid, cell, rsr_set):
+    """Per-cell chain: ``parametric_atmosphere`` -> ``sensor_radiance`` /
+    ``dls_downwelling`` -> ``band_effective``.
+
+    Returns the downwelling band values and ``{target: recovered bands}``,
+    which is empty unless every downwelling band value is positive.
+    """
+    model, day, hour, visibility, altitude = cell
+    atm, zenith = parametric_atmosphere(
+        model, day, hour, visibility, altitude, grid.ground_altitude_km,
+        grid.latitude_deg, grid.longitude_west_deg,
+        exo_irradiance=grid.exo_irradiance,
+        angstrom_exponent=grid.angstrom_exponent,
+        diffuse_fraction=grid.diffuse_fraction,
+        extinction_layer_km=grid.extinction_layer_km,
+        path_radiance_factor=grid.path_radiance_factor)
+    scenes = {name: make_scene(curve, zenith, altitude,
+                               grid.ground_altitude_km, visibility)
+              for name, curve in grid.targets}
+    down = dls_downwelling(scenes[grid.targets[0][0]], atm)
+    down_bands = [band_effective(down, rsr)
+                  for _, rsr in sorted(rsr_set.items())]
+    recovered = {}
+    if min(down_bands) <= 0:
+        return down_bands, recovered
+    for name, _ in grid.targets:
+        at_sensor = sensor_radiance(scenes[name], atm)
+        recovered[name] = [band_effective(at_sensor, rsr) / value
+                           for (_, rsr), value in zip(sorted(rsr_set.items()),
+                                                      down_bands)]
+    return down_bands, recovered
+
+
+def sweep_cells(grid):
+    return [(model, day, hour, vis, alt)
+            for model in grid.atmospheres for day in grid.days
+            for hour in grid.times_utc for vis in grid.visibilities_km
+            for alt in grid.sensor_altitudes_km]
+
+
+OFFSET_WL = np.arange(330.5, 1200.0, 2.0)
+WAVY = SpectralCurve(OFFSET_WL, 0.2 + 0.3 * np.sin(OFFSET_WL / 90.0) ** 2)
+
+
 class TestGridRun:
     def test_row_count_and_order(self):
         grid = tiny_grid()
-        rows = run_maarr_grid(grid)
-        assert len(rows) == grid.cell_count * len(grid.targets) * 5
-        first = rows[0]
-        assert (first.visibility_km, first.sensor_altitude_km,
-                first.target, first.band_index) == (5.0, 0.214, "grass", 1)
+        table = run_maarr_grid(grid)
+        assert table.recovered.size == grid.cell_count * len(grid.targets) * 5
+        assert table.recovered.shape == (grid.cell_count,
+                                         len(grid.targets), 5)
+        np.testing.assert_array_equal(table.cells,
+                                      np.arange(grid.cell_count))
+        assert (table.cell_values("visibility_km")[0],
+                table.cell_values("sensor_altitude_km")[0],
+                table.targets[0], table.bands[0]) == (5.0, 0.214, "grass", 1)
 
     def test_signed_error_is_consistent(self):
-        for row in run_maarr_grid(tiny_grid()):
-            assert row.signed_error == pytest.approx(
-                row.recovered_reflectance - row.true_reflectance, abs=1e-15)
+        table = run_maarr_grid(tiny_grid())
+        for recovered, signed in zip(table.recovered, table.signed_error):
+            for target in range(len(table.targets)):
+                for band in range(len(table.bands)):
+                    assert signed[target, band] == pytest.approx(
+                        recovered[target, band] - table.truth[target, band],
+                        abs=1e-15)
 
     def test_matches_per_cell_recomputation_on_foreign_grids(self):
         # Target and solar spectrum on 2 nm grids offset from the bundled
         # 1 nm one and from each other: same length, different wavelengths,
         # so band matrices must be told apart by the wavelengths themselves.
-        wl = np.arange(330.5, 1200.0, 2.0)
-        wavy = SpectralCurve(wl, 0.2 + 0.3 * np.sin(wl / 90.0) ** 2)
         exo_wl = np.arange(331.25, 1200.0, 2.0)
         exo = SpectralCurve(exo_wl, 1.2 + 0.6 * np.cos(exo_wl / 150.0))
-        grid = tiny_grid(targets=(("wavy", wavy),
+        grid = tiny_grid(targets=(("wavy", WAVY),
                                   ("grass", datasets.bundled_target("grass"))),
                          exo_irradiance=exo)
         rsr_set = datasets.bundled_rsr_set()
-        rows = iter(run_maarr_grid(grid))
+        table = run_maarr_grid(grid)
+        assert table.targets == ("wavy", "grass")
+        assert table.bands == tuple(sorted(rsr_set))
+        cells = iter(zip(table.cells, table.recovered))
         for visibility in grid.visibilities_km:
             for altitude in grid.sensor_altitudes_km:
-                atm, zenith = parametric_atmosphere(
-                    "us-standard", 171, 16.0, visibility, altitude,
-                    grid.ground_altitude_km, grid.latitude_deg,
-                    grid.longitude_west_deg, exo_irradiance=exo)
-                scenes = {name: make_scene(curve, zenith, altitude,
-                                           grid.ground_altitude_km,
-                                           visibility)
-                          for name, curve in grid.targets}
-                down = dls_downwelling(scenes["wavy"], atm)
-                for name, curve in grid.targets:
-                    at_sensor = sensor_radiance(scenes[name], atm)
-                    for band, rsr in sorted(rsr_set.items()):
-                        row = next(rows)
+                index, recovered = next(cells)
+                assert (table.cell_values("visibility_km")[index],
+                        table.cell_values("sensor_altitude_km")[index]) == \
+                    (visibility, altitude)
+                _, expected = oracle_cell(
+                    grid, ("us-standard", 171, 16.0, visibility, altitude),
+                    rsr_set)
+                for t, (name, curve) in enumerate(grid.targets):
+                    for b, (band, rsr) in enumerate(sorted(rsr_set.items())):
                         truth = band_effective(curve, rsr)
-                        recovered = band_effective(at_sensor, rsr) / \
-                            band_effective(down, rsr)
-                        assert (row.visibility_km, row.sensor_altitude_km,
-                                row.target, row.band_index) == \
-                            (visibility, altitude, name, band)
-                        assert row.true_reflectance == \
+                        assert table.truth[t, b] == \
                             pytest.approx(truth, rel=0, abs=1e-12)
-                        assert row.recovered_reflectance == \
-                            pytest.approx(recovered, rel=0, abs=1e-12)
-        assert next(rows, None) is None
+                        assert recovered[t, b] == pytest.approx(
+                            expected[name][b], rel=0, abs=1e-12)
+        assert next(cells, None) is None
 
     def test_night_cell_raises(self):
-        with pytest.raises(NoIlluminationError):
-            run_maarr_grid(tiny_grid(times_utc=(6.0,)))
+        # A cell with the sun below the horizon has no downwelling radiance
+        # to divide by: it is skipped with the reason, and the cells of
+        # other hours still run.
+        grid = tiny_grid(times_utc=(6.0, 16.0))
+        table = run_maarr_grid(grid)
+        assert table.cell_values("time_utc").tolist() == [16.0] * 4
+        assert [cell for cell, _ in table.skipped] == [
+            ("us-standard", 171, 6.0, vis, alt)
+            for vis in (5.0, 23.0) for alt in (0.214, 0.282)]
+        for _, reason in table.skipped:
+            assert "not positive in band 1" in reason
+        night = run_maarr_grid(tiny_grid(times_utc=(6.0,)))
+        assert night.cells.size == 0 and len(night.skipped) == 4
+        assert band_statistics(night) == {}
+        assert grouped_absolute_error(night, "target") == {}
 
     def test_error_grows_with_altitude_and_haze(self):
-        rows = run_maarr_grid(tiny_grid())
-        by_alt = grouped_absolute_error(rows, "sensor_altitude_km")
-        by_vis = grouped_absolute_error(rows, "visibility_km")
+        table = run_maarr_grid(tiny_grid())
+        by_alt = grouped_absolute_error(table, "sensor_altitude_km")
+        by_vis = grouped_absolute_error(table, "visibility_km")
         assert by_alt[0.214] < by_alt[0.282]
         assert by_vis[23.0] < by_vis[5.0]
 
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def test_blocks_match_the_per_cell_oracle(self, data):
+        def subset(values):
+            return tuple(data.draw(st.lists(st.sampled_from(values),
+                                            min_size=1, max_size=2,
+                                            unique=True)))
+
+        targets = [("grass", datasets.bundled_target("grass"))]
+        if data.draw(st.booleans()):
+            targets.append(("wavy", WAVY))
+        grid = SimulationGrid(
+            atmospheres=subset(tuple(ATMOSPHERE_PRESETS)),
+            days=subset((79, 171, 355)),
+            # 6 h UTC is before sunrise all year at this site; 12 h UTC is
+            # before it in winter only.
+            times_utc=subset((6.0, 12.0, 14.0, 17.0)),
+            visibilities_km=subset((5.0, 23.0)),
+            sensor_altitudes_km=subset((0.168, 0.214, 1.692)),
+            diffuse_fraction=data.draw(st.sampled_from((None, 0.0))),
+            targets=tuple(targets))
+        rsr_set = datasets.bundled_rsr_set()
+        table = run_maarr_grid(grid)
+        cells = sweep_cells(grid)
+        rows = dict(zip(table.cells.tolist(), table.recovered))
+        skipped = set()
+        for index, cell in enumerate(cells):
+            down, expected = oracle_cell(grid, cell, rsr_set)
+            if min(down) <= 0:
+                skipped.add(cell)
+                continue
+            for t, name in enumerate(table.targets):
+                np.testing.assert_allclose(rows[index][t], expected[name],
+                                           rtol=0, atol=1e-12)
+        assert {cell for cell, _ in table.skipped} == skipped
+        assert len(rows) + len(skipped) == len(cells)
+
+
+def hand_table():
+    """Four rows of band 1: (altitude, signed error) = (0.169, 0.05),
+    (0.214, 0.01), (0.214, 0.03) and (1.692, -0.08), the two 0.214 rows
+    at different visibilities."""
+    return SimulationTable(
+        axes=(("us-standard",), (171,), (16.0,), (5.0, 23.0),
+              (0.169, 0.214, 1.692)),
+        targets=("grass",), bands=(1,), truth=np.array([[0.2]]),
+        cells=np.array([1, 3, 4, 5]),
+        recovered=np.array([0.21, 0.25, 0.23, 0.12]).reshape(4, 1, 1))
+
 
 class TestResultTables:
-    def _rows(self):
-        def row(alt, band, err):
-            return SimulationRow(atmosphere="us-standard", day=171,
-                                 time_utc=16.0, visibility_km=23.0,
-                                 sensor_altitude_km=alt, target="grass",
-                                 band_index=band, true_reflectance=0.2,
-                                 recovered_reflectance=0.2 + err,
-                                 signed_error=err)
-        return [row(0.169, 1, 0.05), row(0.214, 1, 0.01),
-                row(0.214, 1, 0.03), row(1.692, 1, -0.08)]
-
     def test_summary_rows_drop_excluded_altitudes(self):
-        kept = summary_rows(self._rows(), exclude_altitudes_km=(0.169, 1.692))
-        assert [r.sensor_altitude_km for r in kept] == [0.214, 0.214]
+        kept = summary_rows(hand_table(), exclude_altitudes_km=(0.169, 1.692))
+        assert kept.cell_values("sensor_altitude_km").tolist() == \
+            [0.214, 0.214]
 
     def test_band_statistics_values(self):
-        stats = band_statistics(summary_rows(self._rows(), (0.169, 1.692)))
+        stats = band_statistics(summary_rows(hand_table(), (0.169, 1.692)))
         assert stats[1]["mean_signed"] == pytest.approx(0.02)
         assert stats[1]["std_signed"] == pytest.approx(0.01)
         assert stats[1]["mean_absolute"] == pytest.approx(0.02)
         assert stats[1]["n"] == 2
 
     def test_grouped_absolute_error_uses_magnitudes(self):
-        grouped = grouped_absolute_error(self._rows(), "sensor_altitude_km")
+        grouped = grouped_absolute_error(hand_table(), "sensor_altitude_km")
         assert grouped[1.692] == pytest.approx(0.08)
 
 
@@ -509,6 +646,13 @@ class TestTape7Ingestion:
             Tape7Record(wavelength_nm=np.array([500.0]),
                         total_rad=np.array([-0.01]),
                         grnd_rflt=np.array([0.01]))
+
+    def test_non_finite_radiance_rejected(self, tmp_path):
+        path = tmp_path / "tape7.scn"
+        path.write_text("WAVELEN TOTAL_RAD GRND_RFLT\n"
+                        "500 nan 0.1\n600 inf -0\n")
+        with pytest.raises(ManifestError, match="total_rad.*non-finite"):
+            ingest_tape7(path)
 
     def test_curve_accessors(self, tmp_path):
         path = tmp_path / "tape7.scn"
