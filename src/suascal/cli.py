@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from functools import partial
 from pathlib import Path
 
@@ -23,15 +25,17 @@ import numpy as np
 from .errors import ManifestError, SuascalError
 from .evaluate import (ERROR_STATISTICS, METHOD_LEVELS, aggregate, ndvi,
                        read_samples, write_reports)
-from .imageio import read_pgm16, read_plane, write_pgm16, write_plane
-from .manifest import (BandEntry, FlightManifest, ImageEntry, json_field,
-                       load_manifest, read_json)
-from .radiance import RadianceImage, RawImage, dc_to_radiance
+from .imageio import (pgm16_header, read_pgm16, read_plane, rows_writer,
+                      sidecar_path, write_plane, write_sidecar)
+from .jsonread import json_field, read_json
+from .manifest import BandEntry, FlightManifest, ImageEntry, load_manifest
+from .radiance import (ROW_BLOCK, BandCounts, RawImage, convert_band,
+                       dc_to_radiance)
 from .reflectance import (SELECTION_MODES, CalibrationImage, PanelObservation,
-                          apply_elm, extract_panel, fit_elm_1pt, fit_elm_2pt,
-                          aarr, panel_band_reflectance,
-                          reflectance_to_pgm_counts, select_calibration,
-                          selection_metric, ReflectanceImage)
+                          ReflectanceImage, aarr_map, check_pgm_scale,
+                          elm_map, fit_elm_1pt, fit_elm_2pt, panel_means,
+                          panel_band_reflectance, pgm_counts,
+                          select_calibration, selection_metric)
 from .rsr import (DEFAULT_SHIFT_SCALE, MonochromatorRun, SpectralCurve,
                   is_degenerate, normalize_counts, peak_normalize,
                   relative_response, write_spectral_curve)
@@ -66,11 +70,10 @@ def _plane_name(image_id: str, band_index: int) -> str:
     return f"{image_id}_b{band_index}.f32"
 
 
-def _band_radiance(band: BandEntry) -> RadianceImage:
-    """Read and convert one band of one manifest image."""
-    raw = RawImage(band_index=band.band_index, pixels=read_pgm16(band.path),
-                   bits_per_pixel=band.metadata.bits_per_pixel)
-    return dc_to_radiance(raw, band.metadata)
+def _read_raw(band: BandEntry) -> RawImage:
+    """Decode one band of one manifest image."""
+    return RawImage(band_index=band.band_index, pixels=read_pgm16(band.path),
+                    bits_per_pixel=band.metadata.bits_per_pixel)
 
 
 def _write_bands(entry: ImageEntry, write_band) -> dict:
@@ -93,10 +96,41 @@ def _write_bands(entry: ImageEntry, write_band) -> dict:
         raise
 
 
-def _write_plane(path: Path, written: list[Path], pixels: np.ndarray,
-                 band_index: int, units: str) -> None:
-    written += [path, Path(str(path) + ".json")]
-    write_plane(path, pixels, band_index, units)
+def _stream_band(raw: RawImage, meta, path: Path, written: list[Path],
+                 units: str, post_map=None,
+                 pgm_scale: float | None = None) -> BandCounts:
+    """Convert one band-frame block by block into the float32 plane at
+    ``path`` and, with ``pgm_scale``, into a 16-bit PGM of the scaled
+    plane beside it; the sidecar follows the last block.
+
+    Each path goes on ``written`` before it is opened.
+    """
+    height, width = raw.pixels.shape
+    written += [path, sidecar_path(path)]
+    with ExitStack() as files:
+        plane = rows_writer(files.enter_context(path.open("wb")), "<f4")
+        sink = plane
+        if pgm_scale is not None:
+            pgm_path = path.with_suffix(".pgm")
+            written.append(pgm_path)
+            handle = files.enter_context(pgm_path.open("wb"))
+            handle.write(pgm16_header(width, height))
+            pgm = rows_writer(handle, ">u2")
+            scratch = np.empty((min(ROW_BLOCK, height), width))
+
+            def sink(block: np.ndarray) -> None:
+                plane(block)
+                # A bad scale writes no rows; it is rejected after the
+                # pass, once the band's own faults have had their turn.
+                if pgm_scale > 0:
+                    pgm(pgm_counts(block, pgm_scale,
+                                   out=scratch[:len(block)]))
+
+        counts = convert_band(raw, meta, sink, post_map)
+    if pgm_scale is not None:
+        check_pgm_scale(pgm_scale)
+    write_sidecar(path, (height, width), raw.band_index, units)
+    return counts
 
 
 def _batch_exit(ok: int, failed: int) -> int:
@@ -145,12 +179,11 @@ def cmd_convert(args) -> int:
 
     def convert(entry: ImageEntry) -> dict:
         def write_band(band: BandEntry, written: list[Path]) -> dict:
-            plane = _band_radiance(band)
             name = _plane_name(entry.image_id, band.band_index)
-            _write_plane(out / name, written, plane.pixels, band.band_index,
-                         RADIANCE_UNITS)
-            return {"path": name,
-                    "clamped_pixels": plane.clamped_pixel_count}
+            counts = _stream_band(_read_raw(band), band.metadata, out / name,
+                                  written, RADIANCE_UNITS)
+            return {"path": name, "clamped_pixels": counts.clamped,
+                    "saturated_pixels": counts.saturated}
 
         return {"bands": _write_bands(entry, write_band)}
 
@@ -193,8 +226,8 @@ def _calibration_candidates(manifest: FlightManifest,
 
 def _roi_means(band: BandEntry, placements) -> list[float]:
     """Mean radiance of one band over each panel placement's ROI."""
-    plane = _band_radiance(band)
-    return [extract_panel(plane, placement.roi) for placement in placements]
+    return panel_means(_read_raw(band), band.metadata,
+                       [placement.roi for placement in placements])
 
 
 def cmd_reflect(args) -> int:
@@ -225,14 +258,14 @@ def cmd_reflect(args) -> int:
         if args.method == "aarr":
             if entry.dls is None:
                 raise SuascalError("aarr requires a dls record")
-            to_reflectance = partial(aarr, dls=entry.dls)
+            band_map = partial(aarr_map, entry.dls)
         else:
             selected = select_calibration(
                 candidates, args.selection, image_dls=entry.dls,
                 image_timestamp=entry.timestamp,
                 designated_id=args.designated_id)
             fit = fit_elm_1pt if args.method == "elm1" else fit_elm_2pt
-            to_reflectance = partial(apply_elm, fit(selected))
+            band_map = partial(elm_map, fit(selected))
             record["calibration_image"] = selected.image_id
             record["selection"] = args.selection
             if args.selection != "single":
@@ -240,17 +273,20 @@ def cmd_reflect(args) -> int:
                     args.selection, entry.dls, entry.timestamp)(selected)
 
         def write_band(band: BandEntry, written: list[Path]) -> dict:
-            image = to_reflectance(_band_radiance(band))
+            raw = _read_raw(band)
+            try:
+                post_map = band_map(band.band_index)
+            except SuascalError:
+                # A band's radiance faults are reported ahead of its map's.
+                dc_to_radiance(raw, band.metadata)
+                raise
             name = _plane_name(entry.image_id, band.band_index)
-            _write_plane(out / name, written, image.pixels, band.band_index,
-                         "reflectance")
-            if args.write_pgm:
-                counts = reflectance_to_pgm_counts(image, args.pgm_scale)
-                path = out / f"{entry.image_id}_b{band.band_index}.pgm"
-                written.append(path)
-                write_pgm16(path, counts)
+            counts = _stream_band(
+                raw, band.metadata, out / name, written, "reflectance",
+                post_map, args.pgm_scale if args.write_pgm else None)
             return {"path": name,
-                    "out_of_range_fraction": image.out_of_range_fraction}
+                    "out_of_range_fraction": counts.out_of_range_fraction,
+                    "saturated_pixels": counts.saturated}
 
         record["bands"] = _write_bands(entry, write_band)
         return record
@@ -275,18 +311,34 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _error_rows(table: SimulationTable):
-    """``errors.csv`` rows; each cell's leading fields are formatted once."""
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it inside a row: quoted and
+    escaped only where the stdlib's minimal quoting says so."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow([text, ""])
+    return buffer.getvalue()[:-len(",\r\n")]
+
+
+def _error_lines(table: SimulationTable):
+    """``errors.csv`` data lines, joined here rather than by ``csv.writer``.
+
+    Each distinct text field (atmosphere, target) is formatted once by
+    :func:`_csv_field`; the numbers never need quoting.  Each cell's
+    leading fields are formatted once too.
+    """
     cells = list(itertools.product(*table.axes))
+    models = {model: _csv_field(model) for model in table.axes[0]}
+    targets = [_csv_field(target) for target in table.targets]
     truth = [list(map(repr, row)) for row in table.truth.tolist()]
+    bands = list(map(str, table.bands))
     for index, recovered, signed in zip(table.cells.tolist(),
                                         table.recovered.tolist(),
                                         table.signed_error.tolist()):
         model, day, hour, visibility, altitude = cells[index]
-        lead = (model, day, repr(hour), repr(visibility), repr(altitude))
-        for target, *row in zip(table.targets, truth, recovered, signed):
-            for band, true, value, error in zip(table.bands, *row):
-                yield (*lead, target, band, true, repr(value), repr(error))
+        lead = f"{models[model]},{day},{hour!r},{visibility!r},{altitude!r}"
+        for target, *row in zip(targets, truth, recovered, signed):
+            for band, true, value, error in zip(bands, *row):
+                yield f"{lead},{target},{band},{true},{value!r},{error!r}\r\n"
 
 
 def cmd_simulate(args) -> int:
@@ -295,7 +347,9 @@ def cmd_simulate(args) -> int:
     table = run_maarr_grid(grid)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "errors.csv", _ROW_FIELDS, _error_rows(table))
+    with (out / "errors.csv").open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(_ROW_FIELDS)
+        fh.writelines(_error_lines(table))
     kept = summary_rows(table, grid.summary_exclude_altitudes_km)
     _write_csv(out / "summary_band.csv", ["band_index", *ERROR_STATISTICS],
                ([band] + [repr(stats[name]) for name in ERROR_STATISTICS]

@@ -35,4 +35,5 @@ class NoIlluminationError(SuascalError):
 
 
 class ManifestError(SuascalError):
-    """A JSON input (manifest, grid configuration, sweep) fails validation."""
+    """A JSON input (manifest, grid configuration, sweep, plane sidecar)
+    fails validation."""

@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ImageFormatError
+from .errors import ImageFormatError, ManifestError
+from .jsonread import json_field, read_json
 
 # magic, width, height, maxval -- comments (# ...) allowed between tokens.
 _PGM_HEADER = re.compile(
@@ -66,6 +67,11 @@ def read_pgm16(path) -> np.ndarray:
     return pixels.reshape((height, width)).astype(np.uint16)
 
 
+def pgm16_header(width: int, height: int, maxval: int = 65535) -> bytes:
+    """The header of a binary 16-bit PGM of ``width`` x ``height``."""
+    return f"P5\n{width} {height}\n{maxval}\n".encode("ascii")
+
+
 def write_pgm16(path, pixels: np.ndarray, maxval: int = 65535) -> None:
     """Write a 2-D unsigned integer array as binary 16-bit PGM."""
     pixels = np.asarray(pixels)
@@ -77,20 +83,40 @@ def write_pgm16(path, pixels: np.ndarray, maxval: int = 65535) -> None:
         raise ImageFormatError(
             f"pixel values outside [0, {maxval}] cannot be PGM-encoded")
     height, width = pixels.shape
-    header = f"P5\n{width} {height}\n{maxval}\n".encode("ascii")
-    Path(path).write_bytes(header + pixels.astype(">u2").tobytes())
+    with Path(path).open("wb") as handle:
+        handle.write(pgm16_header(width, height, maxval))
+        rows_writer(handle, ">u2")(pixels)
 
 
-def write_plane(path, pixels: np.ndarray, band_index: int, units: str) -> None:
-    """Write a float32 little-endian plane plus its JSON sidecar."""
-    pixels = np.asarray(pixels)
-    if pixels.ndim != 2:
-        raise ImageFormatError("plane output requires a 2-D array")
-    path = Path(path)
-    with path.open("wb") as handle:
-        # The array's own buffer, not a ``tobytes()`` copy of it.
-        handle.write(np.ascontiguousarray(pixels, dtype="<f4"))
-    height, width = pixels.shape
+def rows_writer(handle, dtype):
+    """A sink that appends each 2-D block of rows it is called with to
+    ``handle``, cast to ``dtype``.
+
+    The cast goes through one buffer, sized by the first block, so every
+    later block must be no taller and as wide.
+    """
+    buffer = None
+
+    def write(rows: np.ndarray) -> None:
+        nonlocal buffer
+        if buffer is None:
+            buffer = np.empty(rows.shape, dtype=dtype)
+        view = buffer[:len(rows)]
+        view[...] = rows
+        handle.write(view)
+
+    return write
+
+
+def sidecar_path(path) -> Path:
+    """Where the JSON sidecar of the plane at ``path`` lives."""
+    return Path(str(path) + ".json")
+
+
+def write_sidecar(path, shape: tuple[int, int], band_index: int,
+                  units: str) -> None:
+    """Write the JSON sidecar describing a float32 plane of ``shape``."""
+    height, width = shape
     sidecar = {
         "width": int(width),
         "height": int(height),
@@ -100,23 +126,46 @@ def write_plane(path, pixels: np.ndarray, band_index: int, units: str) -> None:
         "byte_order": "little-endian",
         "layout": "row-major",
     }
-    Path(str(path) + ".json").write_text(
+    sidecar_path(path).write_text(
         json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def write_plane(path, pixels: np.ndarray, band_index: int, units: str) -> None:
+    """Write a float32 little-endian plane plus its JSON sidecar."""
+    pixels = np.asarray(pixels)
+    if pixels.ndim != 2:
+        raise ImageFormatError("plane output requires a 2-D array")
+    with Path(path).open("wb") as handle:
+        rows_writer(handle, "<f4")(pixels)
+    write_sidecar(path, pixels.shape, band_index, units)
+
+
 def read_plane(path) -> tuple[np.ndarray, dict]:
-    """Read a float32 plane; returns ``(float64 array, sidecar dict)``."""
+    """Read a float32 plane; returns ``(float64 array, sidecar dict)``.
+
+    Raises
+    ------
+    ImageFormatError
+        If the sidecar is missing or the plane's size disagrees with it.
+    ManifestError
+        If the sidecar is not a JSON object whose ``width`` and ``height``
+        are positive integers.
+    """
     path = Path(path)
-    sidecar_path = Path(str(path) + ".json")
-    if not sidecar_path.exists():
-        raise ImageFormatError(f"{path}: missing sidecar {sidecar_path.name}")
-    try:
-        sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
-        width, height = int(sidecar["width"]), int(sidecar["height"])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise ImageFormatError(f"{sidecar_path}: bad sidecar: {exc}") from exc
-    data = np.frombuffer(path.read_bytes(), dtype="<f4")
-    if data.size != width * height:
+    sidecar_file = sidecar_path(path)
+    if not sidecar_file.exists():
+        raise ImageFormatError(f"{path}: missing sidecar {sidecar_file.name}")
+    sidecar = read_json(sidecar_file)
+    width, height = (json_field(sidecar, key, int, str(sidecar_file))
+                     for key in ("width", "height"))
+    if width <= 0 or height <= 0:
+        raise ManifestError(
+            f"{sidecar_file}: 'width' and 'height' must be positive, got "
+            f"{width}x{height}")
+    buffer = path.read_bytes()
+    if len(buffer) != width * height * 4:
         raise ImageFormatError(
-            f"{path}: {data.size} samples, sidecar declares {width}x{height}")
+            f"{path}: {len(buffer)} bytes, sidecar declares {width}x{height} "
+            "float32 samples")
+    data = np.frombuffer(buffer, dtype="<f4")
     return data.reshape((height, width)).astype(np.float64), sidecar

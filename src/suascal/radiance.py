@@ -17,7 +17,9 @@ the result metadata.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,7 +122,7 @@ class RawImage:
             raise MetadataError("raw image is empty")
         if not 1 <= self.band_index <= 5:
             raise MetadataError(f"band_index out of range: {self.band_index}")
-        if px.min() < 0:
+        if np.issubdtype(px.dtype, np.signedinteger) and px.min() < 0:
             raise MetadataError("raw counts cannot be negative")
         if int(px.max()) >= 2 ** self.bits_per_pixel:
             raise MetadataError(
@@ -197,9 +199,10 @@ def row_factors(meta: RadiometricMetadata, height: int) -> np.ndarray:
 
 #: Vignette maps kept: one per camera band of a flight.
 _VIGNETTE_CACHE_SIZE = 5
-#: Rows multiplied per step in :func:`dc_to_radiance`, which bounds the
-#: ``V * R`` temporary to a strip instead of a second full frame.
-_ROW_BLOCK = 64
+#: Rows per block of :func:`convert_band`.  A float64 block of a
+#: 1280-wide frame is 320 KB, so each pass over it stays in cache; 16 and
+#: 64 rows measured slower on 1280x960 frames.
+ROW_BLOCK = 32
 
 
 @functools.lru_cache(maxsize=_VIGNETTE_CACHE_SIZE)
@@ -214,6 +217,19 @@ def _cached_vignette(center_x: float, center_y: float, coefficients: bytes,
     return vignette
 
 
+@functools.lru_cache(maxsize=_VIGNETTE_CACHE_SIZE)
+def _vignette_peak(*key) -> float:
+    """The largest value of the cached vignette map under ``key``."""
+    return float(_cached_vignette(*key).max())
+
+
+def _vignette_key(meta: RadiometricMetadata, shape: tuple[int, int]):
+    height, width = shape
+    model = meta.vignette
+    return (model.center_x, model.center_y, model.coefficients.tobytes(),
+            width, height)
+
+
 def _flat_field(meta: RadiometricMetadata, shape: tuple[int, int]
                 ) -> tuple[np.ndarray, np.ndarray, float]:
     """The shared read-only ``V`` over a frame of ``shape``, the row factors
@@ -223,26 +239,15 @@ def _flat_field(meta: RadiometricMetadata, shape: tuple[int, int]
     reuses a band's calibration computes it once; ``R`` and the scale
     depend on exposure and stay per call.
     """
-    height, width = shape
-    model = meta.vignette
-    vignette = _cached_vignette(model.center_x, model.center_y,
-                                model.coefficients.tobytes(), width, height)
+    vignette = _cached_vignette(*_vignette_key(meta, shape))
     scale = meta.a1 / (meta.gain * meta.exposure_us * 2.0 ** meta.bits_per_pixel)
-    return vignette, row_factors(meta, height), scale
+    return vignette, row_factors(meta, shape[0]), scale
 
 
-def dc_to_radiance(raw: RawImage, meta: RadiometricMetadata) -> RadianceImage:
-    """Convert a raw frame to spectral radiance.
-
-    Negative values after dark-level subtraction are clamped to zero; the
-    number of clamped pixels is reported on the result.
-
-    Raises
-    ------
-    MetadataError
-        On band mismatch, or if the vignette/row models are non-positive
-        anywhere over the image extent.
-    """
+def _camera_model(raw: RawImage, meta: RadiometricMetadata
+                  ) -> tuple[np.ndarray, np.ndarray, float]:
+    """:func:`_flat_field` for ``raw``, once ``meta`` is checked to
+    describe it."""
     if meta.band_index is not None and meta.band_index != raw.band_index:
         raise MetadataError(
             f"metadata band {meta.band_index} does not match image band "
@@ -251,20 +256,136 @@ def dc_to_radiance(raw: RawImage, meta: RadiometricMetadata) -> RadianceImage:
         raise MetadataError(
             f"metadata bit depth {meta.bits_per_pixel} does not match image "
             f"bit depth {raw.bits_per_pixel}")
-    vignette, rows, scale = _flat_field(meta, raw.pixels.shape)
-    # Built in place in the one float64 copy of the counts; each pixel is
-    # the same product (V * R) * (I - dL) * scale as a whole-frame map.
-    radiance = raw.pixels.astype(np.float64)
-    radiance -= meta.dark_level
-    for top in range(0, radiance.shape[0], _ROW_BLOCK):
-        block = slice(top, top + _ROW_BLOCK)
-        radiance[block] *= vignette[block] * rows[block, np.newaxis]
-    radiance *= scale
-    clamped = int(np.count_nonzero(radiance < 0))
-    if clamped:
-        np.maximum(radiance, 0.0, out=radiance)
-    return RadianceImage(band_index=raw.band_index, pixels=radiance,
-                         clamped_pixel_count=clamped)
+    return _flat_field(meta, raw.pixels.shape)
+
+
+class BandCounts(NamedTuple):
+    """What one pass of :func:`convert_band` counted."""
+
+    #: Pixels whose radiance was negative and clamped to zero.
+    clamped: int
+    #: Raw counts at the top of the bit depth, ``2**N - 1``.
+    saturated: int
+    #: Share of mapped pixels outside [0, 1]; 0 without a ``post_map``.
+    out_of_range_fraction: float
+
+
+def convert_band(raw: RawImage, meta: RadiometricMetadata, sink=None,
+                 post_map=None, rows: range | None = None,
+                 out: np.ndarray | None = None) -> BandCounts:
+    """Convert a raw frame to radiance, and optionally on to reflectance,
+    one block of :data:`ROW_BLOCK` rows at a time.
+
+    Each pixel is ``(I - dL) * (V * R) * scale`` computed in that order in
+    double precision, then clamped at zero.  ``post_map``, if given, then
+    maps the block in place (the reflectance maps of
+    :mod:`suascal.reflectance`); it must keep a non-finite pixel
+    non-finite.  Each finished float64 block goes to ``sink``.
+
+    ``rows`` limits the pass to those frame rows (default: all).  With
+    ``out``, of shape ``(len(rows), width)``, the blocks are built in it;
+    otherwise in one reused scratch block.
+
+    Raises
+    ------
+    MetadataError
+        On band or bit-depth mismatch, a non-positive vignette or row model
+        anywhere over the frame, or a non-finite pixel in ``rows``.  With a
+        ``post_map``, a non-finite mapped pixel is reported as non-finite
+        reflectance unless a radiance pixel from its block on is
+        non-finite too.
+    """
+    vignette, factors, scale = _camera_model(raw, meta)
+    height, width = raw.pixels.shape
+    rows = range(height) if rows is None else rows
+    block_rows = min(ROW_BLOCK, len(rows))
+    flat = np.empty((block_rows, width))
+    scratch = np.empty((block_rows, width)) if out is None else None
+    rail = 2 ** raw.bits_per_pixel - 1
+    clamped = saturated = out_of_range = 0
+    negative_after = None  # negative pixels past the first -0.0 block
+    for top in range(rows.start, rows.stop, ROW_BLOCK):
+        bottom = min(top + ROW_BLOCK, rows.stop)
+        counts = raw.pixels[top:bottom]
+        if out is None:
+            block = scratch[:bottom - top]
+        else:
+            block = out[top - rows.start:bottom - rows.start]
+        product = flat[:bottom - top]
+        np.subtract(counts, meta.dark_level, out=block)
+        np.multiply(vignette[top:bottom], factors[top:bottom, np.newaxis],
+                    out=product)
+        block *= product
+        block *= scale
+        peak = counts.max()
+        if peak == rail:
+            saturated += int(np.count_nonzero(counts == peak))
+        # min/max propagate NaN, so one reduction each checks the block.
+        low = block.min()
+        if low < 0:
+            clamped += int(np.count_nonzero(block < 0))
+            np.maximum(block, 0.0, out=block)
+        elif low == 0 and (sink or out is not None) and \
+                np.signbit(block).any():
+            # A -0.0 is a negative that underflowed.  A whole-frame clamp
+            # runs when any pixel of the rows is negative, and makes it 0.0.
+            if not clamped and negative_after is None:
+                negative_after = bottom < rows.stop and convert_band(
+                    raw, meta, rows=range(bottom, rows.stop)).clamped
+            if clamped or negative_after:
+                np.maximum(block, 0.0, out=block)
+        if post_map is None:
+            if not block.max() < np.inf:
+                raise MetadataError("radiance contains non-finite pixels")
+        else:
+            post_map(block)
+            low, high = block.min(), block.max()
+            if not (low > -np.inf and high < np.inf):
+                # A whole-frame check reports non-finite radiance first.
+                convert_band(raw, meta, rows=range(top, rows.stop))
+                raise MetadataError("reflectance contains non-finite pixels")
+            if low < 0 or high > 1:
+                out_of_range += int(np.count_nonzero((block < 0)
+                                                     | (block > 1)))
+        if sink is not None:
+            sink(block)
+    return BandCounts(clamped, saturated, out_of_range / (len(rows) * width))
+
+
+def radiance_is_bounded(raw: RawImage, meta: RadiometricMetadata) -> bool:
+    """Whether every radiance pixel of ``raw`` is known to be finite without
+    converting it.
+
+    Rounding is monotone and ``V``, ``R`` and the scale are positive, so
+    every pixel lies between ``(min(I) - dL) * (max V * max R) * scale`` and
+    the same with ``max(I)``, each rounded in :func:`convert_band`'s
+    order.  When both are finite, so is every pixel; when not, only a
+    whole conversion can tell.
+    """
+    _, factors, scale = _camera_model(raw, meta)
+    peak = _vignette_peak(*_vignette_key(meta, raw.pixels.shape)) * \
+        float(factors.max())
+    return all(math.isfinite((float(count) - meta.dark_level) * peak * scale)
+               for count in (raw.pixels.min(), raw.pixels.max()))
+
+
+def dc_to_radiance(raw: RawImage, meta: RadiometricMetadata) -> RadianceImage:
+    """Convert a raw frame to spectral radiance: :func:`convert_band` into
+    one float64 plane.
+
+    Negative values after dark-level subtraction are clamped to zero; the
+    number of clamped pixels is reported on the result.
+
+    Raises
+    ------
+    MetadataError
+        On band mismatch, if the vignette/row models are non-positive
+        anywhere over the image extent, or on a non-finite pixel.
+    """
+    pixels = np.empty(raw.pixels.shape)
+    counts = convert_band(raw, meta, out=pixels)
+    return RadianceImage(band_index=raw.band_index, pixels=pixels,
+                         clamped_pixel_count=counts.clamped)
 
 
 def radiance_to_counts(img: RadianceImage,

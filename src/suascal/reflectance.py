@@ -30,7 +30,9 @@ import numpy as np
 
 from .errors import (DegeneratePanelsError, MetadataError,
                      NoIlluminationError, OrientationError)
-from .radiance import RadianceImage, _require_2d
+from .radiance import (RadianceImage, RadiometricMetadata, RawImage,
+                       _require_2d, convert_band, dc_to_radiance,
+                       radiance_is_bounded)
 from .rsr import SpectralCurve, band_effective
 
 N_BANDS = 5
@@ -208,6 +210,20 @@ def out_of_range_fraction(pixels: np.ndarray) -> float:
     return bad / pixels.size
 
 
+def _roi_window(roi: Sequence[int], shape: tuple[int, int]
+                ) -> tuple[slice, slice]:
+    """Row and column slices of a rectangular ROI ``(x, y, width, height)``
+    inside a frame of ``shape``."""
+    x, y, w, h = (int(v) for v in roi)
+    if w <= 0 or h <= 0:
+        raise MetadataError(f"empty ROI {tuple(roi)}")
+    height, width = shape
+    if x < 0 or y < 0 or x + w > width or y + h > height:
+        raise MetadataError(
+            f"ROI {tuple(roi)} outside image bounds {width}x{height}")
+    return slice(y, y + h), slice(x, x + w)
+
+
 def extract_panel(img: RadianceImage, roi: Sequence[int],
                   statistic: str = "mean") -> float:
     """Panel radiance over a rectangular ROI ``(x, y, width, height)``.
@@ -215,19 +231,35 @@ def extract_panel(img: RadianceImage, roi: Sequence[int],
     The arithmetic mean is the contract default; ``statistic='median'`` is
     available when a panel edge or specular glint contaminates the ROI.
     """
-    x, y, w, h = (int(v) for v in roi)
-    if w <= 0 or h <= 0:
-        raise MetadataError(f"empty ROI {tuple(roi)}")
-    height, width = img.pixels.shape
-    if x < 0 or y < 0 or x + w > width or y + h > height:
-        raise MetadataError(
-            f"ROI {tuple(roi)} outside image bounds {width}x{height}")
-    patch = img.pixels[y:y + h, x:x + w]
+    patch = img.pixels[_roi_window(roi, img.pixels.shape)]
     if statistic == "mean":
         return float(patch.mean())
     if statistic == "median":
         return float(np.median(patch))
     raise MetadataError(f"unknown ROI statistic {statistic!r}")
+
+
+def panel_means(raw: RawImage, meta: RadiometricMetadata,
+                rois: Sequence[Sequence[int]]) -> list[float]:
+    """``extract_panel(dc_to_radiance(raw, meta), roi)`` for each ROI,
+    converting only the rows each ROI spans.
+
+    Each ROI's rows are converted at full width, so its patch has the
+    strides it has in a whole plane and its mean the same bits.  When
+    :func:`radiance_is_bounded` cannot rule out a non-finite pixel
+    elsewhere in the frame, the whole frame is converted, so such a pixel
+    fails the frame as it does there.
+    """
+    if not radiance_is_bounded(raw, meta):
+        plane = dc_to_radiance(raw, meta)
+        return [extract_panel(plane, roi) for roi in rois]
+    means = []
+    for roi in rois:
+        rows, cols = _roi_window(roi, raw.pixels.shape)
+        strip = np.empty((rows.stop - rows.start, raw.pixels.shape[1]))
+        convert_band(raw, meta, rows=range(rows.start, rows.stop), out=strip)
+        means.append(float(strip[:, cols].mean()))
+    return means
 
 
 def panel_band_reflectance(spectrum: SpectralCurve,
@@ -331,12 +363,46 @@ def fit_elm_2pt(cal: CalibrationImage) -> ElmModel:
     return ElmModel(slope=slope, bias=bias, source_image=cal.image_id)
 
 
+def elm_map(model: ElmModel, band_index: int):
+    """One band's empirical line as an in-place map of a float64 array:
+    ``L * m + b``."""
+    m = model.slope[band_index - 1]
+    b = model.bias[band_index - 1]
+
+    def apply(pixels: np.ndarray) -> None:
+        pixels *= m
+        pixels += b
+
+    return apply
+
+
 def apply_elm(model: ElmModel, img: RadianceImage) -> ReflectanceImage:
     """Apply a fitted empirical line to a radiance plane."""
-    m = model.slope[img.band_index - 1]
-    b = model.bias[img.band_index - 1]
-    pixels = m * img.pixels + b
+    pixels = img.pixels.copy()
+    elm_map(model, img.band_index)(pixels)
     return ReflectanceImage(band_index=img.band_index, pixels=pixels)
+
+
+def aarr_map(dls: DLSRecord, band_index: int):
+    """One band's AARR as an in-place map of a float64 array:
+    ``L / reference``, the reference being the corrected downwelling
+    radiance.
+
+    Raises
+    ------
+    NoIlluminationError
+        If the corrected downwelling radiance is zero in the band.
+    """
+    reference = irradiance_to_radiance(dls_correct(dls))[band_index - 1]
+    if not reference > 0:
+        raise NoIlluminationError(
+            f"band {band_index}: corrected downwelling radiance is not "
+            "positive; AARR is undefined")
+
+    def apply(pixels: np.ndarray) -> None:
+        pixels /= reference
+
+    return apply
 
 
 def aarr(img: RadianceImage, dls: DLSRecord) -> ReflectanceImage:
@@ -347,20 +413,28 @@ def aarr(img: RadianceImage, dls: DLSRecord) -> ReflectanceImage:
     NoIlluminationError
         If the corrected downwelling radiance is zero in the image's band.
     """
-    downwelling = irradiance_to_radiance(dls_correct(dls))
-    reference = downwelling[img.band_index - 1]
-    if not reference > 0:
-        raise NoIlluminationError(
-            f"band {img.band_index}: corrected downwelling radiance is not "
-            "positive; AARR is undefined")
-    pixels = img.pixels / reference
+    pixels = img.pixels.copy()
+    aarr_map(dls, img.band_index)(pixels)
     return ReflectanceImage(band_index=img.band_index, pixels=pixels)
+
+
+def check_pgm_scale(scale: float) -> None:
+    """Reject a PGM export scale that is not a positive number."""
+    if not scale > 0:
+        raise MetadataError(f"PGM scale must be positive, got {scale!r}")
+
+
+def pgm_counts(pixels: np.ndarray, scale: float,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``rint(pixels * scale)`` saturated at the 16-bit rails, still in
+    float64, built in ``out`` when given."""
+    out = np.multiply(pixels, scale, out=out)
+    np.rint(out, out=out)
+    return np.clip(out, 0, 65535, out=out)
 
 
 def reflectance_to_pgm_counts(img: ReflectanceImage,
                               scale: float = 10000.0) -> np.ndarray:
     """Scale reflectance for 16-bit PGM export, saturating at the rails."""
-    if not scale > 0:
-        raise MetadataError(f"PGM scale must be positive, got {scale!r}")
-    counts = np.rint(img.pixels * scale)
-    return np.clip(counts, 0, 65535).astype(np.uint16)
+    check_pgm_scale(scale)
+    return pgm_counts(img.pixels, scale).astype(np.uint16)

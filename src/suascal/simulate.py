@@ -35,7 +35,7 @@ import numpy as np
 from . import datasets
 from .errors import CurveError, ManifestError
 from .evaluate import error_statistics
-from .manifest import json_field, json_value
+from .jsonread import json_field, json_value
 from .rsr import SpectralCurve, band_weights, read_spectral_curve
 from .solar import solar_zenith_deg
 

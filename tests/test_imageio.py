@@ -1,12 +1,14 @@
 """16-bit PGM codec and float32 plane I/O."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from suascal.errors import ImageFormatError, SuascalError
 from suascal.imageio import read_pgm16, read_plane, write_pgm16, write_plane
 
@@ -126,3 +128,36 @@ class TestPlane:
         write_plane(path, np.array([[1.0 / 3.0]]), band_index=1, units="x")
         back, _ = read_plane(path)
         assert back[0, 0] == np.float32(1.0 / 3.0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(sidecar=helpers.json_values
+           | st.fixed_dictionaries({"width": helpers.json_values,
+                                    "height": helpers.json_values}),
+           plane=st.binary(max_size=40))
+    def test_any_sidecar_and_bytes_read_or_raise(self, tmp_path_factory,
+                                                 sidecar, plane):
+        """Whatever the sidecar JSON and plane bytes, ``read_plane``
+        returns the plane or raises a :class:`SuascalError`."""
+        path = tmp_path_factory.mktemp("plane") / "p.f32"
+        path.write_bytes(plane)
+        Path(str(path) + ".json").write_text(json.dumps(sidecar))
+        try:
+            pixels, meta = read_plane(path)
+        except SuascalError:
+            return
+        assert pixels.size * 4 == len(plane)
+        assert pixels.shape == (meta["height"], meta["width"])
+
+    @settings(max_examples=30, deadline=None)
+    @given(width=st.integers(1, 4), height=st.integers(1, 4),
+           extra=st.integers(-3, 3))
+    def test_consistent_sidecar_reads_back(self, tmp_path_factory, width,
+                                           height, extra):
+        path = tmp_path_factory.mktemp("plane") / "p.f32"
+        write_plane(path, np.zeros((height, width)), band_index=1, units="x")
+        path.write_bytes(b"\0" * (4 * width * height + extra))
+        if extra:
+            with pytest.raises(ImageFormatError):
+                read_plane(path)
+        else:
+            assert read_plane(path)[0].shape == (height, width)

@@ -1,17 +1,21 @@
 """Manifest loading and the command-line workflows built on top of it."""
 
+import csv
+import io
+import itertools
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from suascal.cli import main
+from suascal.cli import _error_lines, main
 from suascal.errors import ManifestError, SuascalError
 from suascal.imageio import read_plane, read_pgm16
 from suascal.manifest import FlightManifest, load_manifest
+from suascal.simulate import SimulationTable
 
 
 @pytest.fixture
@@ -366,6 +370,35 @@ class TestNdviCommand:
         assert "'band_index'" in capsys.readouterr().err
 
 
+    def _ndvi_with_sidecar(self, flight, tmp_path, **changes):
+        reflect_out = tmp_path / "reflect"
+        main(["reflect", "--manifest", str(flight), "--out",
+              str(reflect_out), "--method", "aarr"])
+        sidecar = reflect_out / "field_1_b3.f32.json"
+        sidecar.write_text(json.dumps(
+            dict(json.loads(sidecar.read_text()), **changes)))
+        return main(["ndvi", "--red", str(reflect_out / "field_1_b3.f32"),
+                     "--nir", str(reflect_out / "field_1_b5.f32"),
+                     "--out", str(tmp_path / "x.f32")])
+
+    @pytest.mark.parametrize("key", ["width", "height"])
+    @pytest.mark.parametrize("value", [-1, 0, 2.7, True, "64", None, [64]])
+    def test_bad_sidecar_dimension_is_usage_error(self, flight, tmp_path,
+                                                  capsys, key, value):
+        assert self._ndvi_with_sidecar(flight, tmp_path,
+                                       **{key: value}) == 1
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err and "Traceback" not in err
+
+    def test_negative_pair_matching_the_size_is_usage_error(
+            self, flight, tmp_path, capsys):
+        # -1 x -4 has a positive product; it once reached reshape.
+        pixels = helpers.WIDTH * helpers.HEIGHT
+        assert self._ndvi_with_sidecar(flight, tmp_path, width=-1,
+                                       height=-pixels) == 1
+        assert "'width'" in capsys.readouterr().err
+
+
 class TestEvaluateCommand:
     def _write_samples(self, path):
         rows = ["target_id,band_index,weather,altitude_ft,method,"
@@ -505,6 +538,44 @@ class TestSimulateCommand:
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         code, _ = self._run(tmp_path, dict(self.GRID, wind=3))
         assert code == 1
+
+    def test_quoted_target_name_round_trips(self, tmp_path):
+        name = 'grass, "wet"\r\nlawn'
+        code, out = self._run(tmp_path, dict(
+            self.GRID, targets={name: self._spectrum(tmp_path, 0.3)}))
+        assert code == 0
+        with (out / "errors.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 1 + 4 * 5
+        assert {row[5] for row in rows[1:]} == {name}
+
+    @settings(max_examples=50, deadline=None)
+    @given(names=st.lists(st.text(alphabet=' ,"\r\nab\'\t;', max_size=6),
+                          min_size=1, max_size=3, unique=True),
+           model=st.text(alphabet=' ,"\r\nx', min_size=1, max_size=4))
+    def test_error_lines_equal_csv_writer(self, names, model):
+        """The hand-joined ``errors.csv`` lines are ``csv.writer``'s, byte
+        for byte, whatever the text fields hold."""
+        rng = np.random.default_rng(len(names))
+        table = SimulationTable(
+            axes=((model,), (171,), (16.0, 17.5), (5.0,), (0.214, 1.0)),
+            targets=tuple(names), bands=(1, 3),
+            truth=rng.random((len(names), 2)), cells=np.array([0, 2, 3]),
+            recovered=rng.normal(size=(3, len(names), 2)))
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        cells = list(itertools.product(*table.axes))
+        for i, index in enumerate(table.cells):
+            model_name, day, hour, visibility, altitude = cells[index]
+            for t, target in enumerate(table.targets):
+                for b, band in enumerate(table.bands):
+                    writer.writerow([
+                        model_name, day, repr(hour), repr(visibility),
+                        repr(altitude), target, band,
+                        repr(float(table.truth[t, b])),
+                        repr(float(table.recovered[i, t, b])),
+                        repr(float(table.signed_error[i, t, b]))])
+        assert "".join(_error_lines(table)) == expected.getvalue()
 
     @pytest.mark.parametrize("config, named", [
         ({"days": ["x"]}, "'days'"),
