@@ -23,9 +23,8 @@ from .rsr import (MonochromatorRun, SpectralCurve, band_effective,
                   normalize_counts, peak_normalize, read_spectral_curve,
                   relative_response, write_spectral_curve)
 from .simulate import (AtmosphereState, Scene, SimulationGrid,
-                       SimulationTable, Tape7Record, dls_downwelling,
-                       ingest_tape7, parametric_atmosphere, run_maarr_grid,
-                       sensor_radiance)
+                       SimulationTable, dls_downwelling, parametric_atmosphere,
+                       run_maarr_grid, sensor_radiance)
 from .evaluate import (ErrorReport, TargetSample, aggregate, anova_oneway,
                        cosine_falloff_check, f_survival, ndvi,
                        regularized_incomplete_beta, signed_error)
@@ -40,11 +39,11 @@ __all__ = [
     "MonochromatorRun", "NoIlluminationError", "OrientationError",
     "PanelObservation", "RadianceImage", "RadiometricMetadata", "RawImage",
     "ReflectanceImage", "Scene", "SimulationGrid", "SimulationTable",
-    "SpectralCurve", "SuascalError", "Tape7Record", "TargetSample",
+    "SpectralCurve", "SuascalError", "TargetSample",
     "VignetteModel", "aarr", "aggregate", "anova_oneway", "apply_elm",
     "band_effective", "cosine_falloff_check", "dc_to_radiance",
     "dls_correct", "dls_distance", "dls_downwelling", "extract_panel",
-    "f_survival", "fit_elm_1pt", "fit_elm_2pt", "ingest_tape7",
+    "f_survival", "fit_elm_1pt", "fit_elm_2pt",
     "irradiance_to_radiance", "load_manifest", "ndvi", "normalize_counts",
     "panel_band_reflectance", "parametric_atmosphere", "peak_normalize",
     "radiance_to_counts", "read_spectral_curve", "regularized_incomplete_beta",

@@ -29,13 +29,13 @@ from .imageio import (pgm16_header, read_pgm16, read_plane, rows_writer,
                       sidecar_path, write_plane, write_sidecar)
 from .jsonread import json_field, read_json
 from .manifest import BandEntry, FlightManifest, ImageEntry, load_manifest
-from .radiance import (ROW_BLOCK, BandCounts, RawImage, convert_band,
-                       dc_to_radiance)
+from .radiance import ROW_BLOCK, BandCounts, RawImage, convert_band
 from .reflectance import (SELECTION_MODES, CalibrationImage, PanelObservation,
                           ReflectanceImage, aarr_map, check_pgm_scale,
                           elm_map, fit_elm_1pt, fit_elm_2pt, panel_means,
                           panel_band_reflectance, pgm_counts,
-                          select_calibration, selection_metric)
+                          pgm_scale_is_valid, select_calibration,
+                          selection_metric)
 from .rsr import (DEFAULT_SHIFT_SCALE, MonochromatorRun, SpectralCurve,
                   is_degenerate, normalize_counts, peak_normalize,
                   relative_response, write_spectral_curve)
@@ -122,7 +122,7 @@ def _stream_band(raw: RawImage, meta, path: Path, written: list[Path],
                 plane(block)
                 # A bad scale writes no rows; it is rejected after the
                 # pass, once the band's own faults have had their turn.
-                if pgm_scale > 0:
+                if pgm_scale_is_valid(pgm_scale):
                     pgm(pgm_counts(block, pgm_scale,
                                    out=scratch[:len(block)]))
 
@@ -206,8 +206,10 @@ def _calibration_candidates(manifest: FlightManifest,
         placements = [entry.calibration_bright]
         if entry.calibration_dark is not None:
             placements.append(entry.calibration_dark)
+        rois = [placement.roi for placement in placements]
         # Only the per-band ROI means outlive each band-frame.
-        means = {band.band_index: _roi_means(band, placements)
+        means = {band.band_index: panel_means(_read_raw(band), band.metadata,
+                                              rois)
                  for band in entry.bands}
         observations = [
             PanelObservation(
@@ -222,12 +224,6 @@ def _calibration_candidates(manifest: FlightManifest,
             bright=observations[0], dls=entry.dls,
             dark=observations[1] if len(observations) > 1 else None))
     return candidates
-
-
-def _roi_means(band: BandEntry, placements) -> list[float]:
-    """Mean radiance of one band over each panel placement's ROI."""
-    return panel_means(_read_raw(band), band.metadata,
-                       [placement.roi for placement in placements])
 
 
 def cmd_reflect(args) -> int:
@@ -278,7 +274,7 @@ def cmd_reflect(args) -> int:
                 post_map = band_map(band.band_index)
             except SuascalError:
                 # A band's radiance faults are reported ahead of its map's.
-                dc_to_radiance(raw, band.metadata)
+                convert_band(raw, band.metadata)
                 raise
             name = _plane_name(entry.image_id, band.band_index)
             counts = _stream_band(

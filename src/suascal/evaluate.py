@@ -308,33 +308,42 @@ _SAMPLE_FIELDS = [f.name for f in fields(TargetSample)]
 
 
 def read_samples(path) -> list[TargetSample]:
-    """Load TargetSample rows from CSV (columns as the dataclass fields)."""
+    """Load TargetSample rows from CSV (columns as the dataclass fields).
+
+    A file that is not UTF-8 CSV, or a row that is not a sample, raises a
+    :class:`MetadataError` naming the file (and the line, where known).
+    """
     path = Path(path)
+    samples = []
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
-        if reader.fieldnames is None or \
-                set(_SAMPLE_FIELDS) - set(reader.fieldnames):
-            raise MetadataError(
-                f"{path}: sample CSV must have columns {_SAMPLE_FIELDS}")
-        samples = []
-        for row in reader:
-            # The reader's own count: DictReader skips blank lines.
-            lineno = reader.line_num
-            if None in row.values():
+        try:
+            if reader.fieldnames is None or \
+                    set(_SAMPLE_FIELDS) - set(reader.fieldnames):
                 raise MetadataError(
-                    f"{path}:{lineno}: row has fewer fields than the header")
-            try:
-                samples.append(TargetSample(
-                    target_id=row["target_id"],
-                    band_index=int(row["band_index"]),
-                    weather=row["weather"],
-                    altitude_ft=int(row["altitude_ft"]),
-                    method=row["method"],
-                    true_reflectance=float(row["true_reflectance"]),
-                    estimated_reflectance=float(
-                        row["estimated_reflectance"])))
-            except (ValueError, MetadataError) as exc:
-                raise MetadataError(f"{path}:{lineno}: {exc}") from exc
+                    f"{path}: sample CSV must have columns {_SAMPLE_FIELDS}")
+            for row in reader:
+                # The reader's own count: DictReader skips blank lines.
+                lineno = reader.line_num
+                if None in row.values():
+                    raise MetadataError(f"{path}:{lineno}: row has fewer "
+                                        "fields than the header")
+                try:
+                    samples.append(TargetSample(
+                        target_id=row["target_id"],
+                        band_index=int(row["band_index"]),
+                        weather=row["weather"],
+                        altitude_ft=int(row["altitude_ft"]),
+                        method=row["method"],
+                        true_reflectance=float(row["true_reflectance"]),
+                        estimated_reflectance=float(
+                            row["estimated_reflectance"])))
+                except (ValueError, MetadataError) as exc:
+                    raise MetadataError(f"{path}:{lineno}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise MetadataError(f"{path}: cannot read: {exc}") from None
+        except csv.Error as exc:
+            raise MetadataError(f"{path}:{reader.line_num}: {exc}") from None
     if not samples:
         raise MetadataError(f"{path}: no sample rows")
     return samples

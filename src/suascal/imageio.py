@@ -67,24 +67,22 @@ def read_pgm16(path) -> np.ndarray:
     return pixels.reshape((height, width)).astype(np.uint16)
 
 
-def pgm16_header(width: int, height: int, maxval: int = 65535) -> bytes:
+def pgm16_header(width: int, height: int) -> bytes:
     """The header of a binary 16-bit PGM of ``width`` x ``height``."""
-    return f"P5\n{width} {height}\n{maxval}\n".encode("ascii")
+    return f"P5\n{width} {height}\n65535\n".encode("ascii")
 
 
-def write_pgm16(path, pixels: np.ndarray, maxval: int = 65535) -> None:
+def write_pgm16(path, pixels: np.ndarray) -> None:
     """Write a 2-D unsigned integer array as binary 16-bit PGM."""
     pixels = np.asarray(pixels)
     if pixels.ndim != 2:
         raise ImageFormatError("PGM output requires a 2-D array")
-    if not 256 <= maxval <= 65535:
-        raise ImageFormatError(f"maxval {maxval} is not 16-bit")
-    if pixels.min() < 0 or pixels.max() > maxval:
+    if pixels.min() < 0 or pixels.max() > 65535:
         raise ImageFormatError(
-            f"pixel values outside [0, {maxval}] cannot be PGM-encoded")
+            "pixel values outside [0, 65535] cannot be PGM-encoded")
     height, width = pixels.shape
     with Path(path).open("wb") as handle:
-        handle.write(pgm16_header(width, height, maxval))
+        handle.write(pgm16_header(width, height))
         rows_writer(handle, ">u2")(pixels)
 
 

@@ -76,7 +76,6 @@ class FlightManifest:
     images: tuple[ImageEntry, ...]
     panels: dict[str, Path]
     rsr_files: dict[int, Path]
-    base_dir: Path
 
     def rsr_set(self) -> dict[int, SpectralCurve]:
         """Per-band RSR curves; bundled defaults when none are listed."""
@@ -229,5 +228,4 @@ def load_manifest(path) -> FlightManifest:
         altitude_ft=json_field(flight, "altitude_ft", int, "flight"),
         images=images,
         panels=panels,
-        rsr_files=rsr_files,
-        base_dir=base)
+        rsr_files=rsr_files)

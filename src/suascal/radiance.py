@@ -203,6 +203,8 @@ _VIGNETTE_CACHE_SIZE = 5
 #: 1280-wide frame is 320 KB, so each pass over it stays in cache; 16 and
 #: 64 rows measured slower on 1280x960 frames.
 ROW_BLOCK = 32
+#: The largest finite float32: a float32 plane holds no pixel beyond it.
+FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 @functools.lru_cache(maxsize=_VIGNETTE_CACHE_SIZE)
@@ -280,7 +282,8 @@ def convert_band(raw: RawImage, meta: RadiometricMetadata, sink=None,
     double precision, then clamped at zero.  ``post_map``, if given, then
     maps the block in place (the reflectance maps of
     :mod:`suascal.reflectance`); it must keep a non-finite pixel
-    non-finite.  Each finished float64 block goes to ``sink``.
+    non-finite.  Each finished float64 block goes to ``sink``, which
+    writes it as float32.
 
     ``rows`` limits the pass to those frame rows (default: all).  With
     ``out``, of shape ``(len(rows), width)``, the blocks are built in it;
@@ -293,7 +296,9 @@ def convert_band(raw: RawImage, meta: RadiometricMetadata, sink=None,
         anywhere over the frame, or a non-finite pixel in ``rows``.  With a
         ``post_map``, a non-finite mapped pixel is reported as non-finite
         reflectance unless a radiance pixel from its block on is
-        non-finite too.
+        non-finite too.  With a ``sink``, a pixel it was given beyond
+        :data:`FLOAT32_MAX` in magnitude is reported after the pass, so
+        every non-finite pixel is reported ahead of it.
     """
     vignette, factors, scale = _camera_model(raw, meta)
     height, width = raw.pixels.shape
@@ -304,51 +309,62 @@ def convert_band(raw: RawImage, meta: RadiometricMetadata, sink=None,
     rail = 2 ** raw.bits_per_pixel - 1
     clamped = saturated = out_of_range = 0
     negative_after = None  # negative pixels past the first -0.0 block
-    for top in range(rows.start, rows.stop, ROW_BLOCK):
-        bottom = min(top + ROW_BLOCK, rows.stop)
-        counts = raw.pixels[top:bottom]
-        if out is None:
-            block = scratch[:bottom - top]
-        else:
-            block = out[top - rows.start:bottom - rows.start]
-        product = flat[:bottom - top]
-        np.subtract(counts, meta.dark_level, out=block)
-        np.multiply(vignette[top:bottom], factors[top:bottom, np.newaxis],
-                    out=product)
-        block *= product
-        block *= scale
-        peak = counts.max()
-        if peak == rail:
-            saturated += int(np.count_nonzero(counts == peak))
-        # min/max propagate NaN, so one reduction each checks the block.
-        low = block.min()
-        if low < 0:
-            clamped += int(np.count_nonzero(block < 0))
-            np.maximum(block, 0.0, out=block)
-        elif low == 0 and (sink or out is not None) and \
-                np.signbit(block).any():
-            # A -0.0 is a negative that underflowed.  A whole-frame clamp
-            # runs when any pixel of the rows is negative, and makes it 0.0.
-            if not clamped and negative_after is None:
-                negative_after = bottom < rows.stop and convert_band(
-                    raw, meta, rows=range(bottom, rows.stop)).clamped
-            if clamped or negative_after:
+    too_wide = False  # a pixel given to the sink beyond float32 range
+    # The checks below find overflow and NaN; numpy need not warn of them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for top in range(rows.start, rows.stop, ROW_BLOCK):
+            bottom = min(top + ROW_BLOCK, rows.stop)
+            counts = raw.pixels[top:bottom]
+            if out is None:
+                block = scratch[:bottom - top]
+            else:
+                block = out[top - rows.start:bottom - rows.start]
+            product = flat[:bottom - top]
+            np.subtract(counts, meta.dark_level, out=block)
+            np.multiply(vignette[top:bottom], factors[top:bottom, np.newaxis],
+                        out=product)
+            block *= product
+            block *= scale
+            peak = counts.max()
+            if peak == rail:
+                saturated += int(np.count_nonzero(counts == peak))
+            # min/max propagate NaN, so one reduction each checks the block.
+            low = block.min()
+            if low < 0:
+                clamped += int(np.count_nonzero(block < 0))
                 np.maximum(block, 0.0, out=block)
-        if post_map is None:
-            if not block.max() < np.inf:
-                raise MetadataError("radiance contains non-finite pixels")
-        else:
-            post_map(block)
-            low, high = block.min(), block.max()
-            if not (low > -np.inf and high < np.inf):
-                # A whole-frame check reports non-finite radiance first.
-                convert_band(raw, meta, rows=range(top, rows.stop))
-                raise MetadataError("reflectance contains non-finite pixels")
-            if low < 0 or high > 1:
-                out_of_range += int(np.count_nonzero((block < 0)
-                                                     | (block > 1)))
-        if sink is not None:
-            sink(block)
+            elif low == 0 and (sink or out is not None) and \
+                    np.signbit(block).any():
+                # A -0.0 is a negative that underflowed.  A whole-frame
+                # clamp runs when any pixel of the rows is negative, and
+                # makes it 0.0.
+                if not clamped and negative_after is None:
+                    negative_after = bottom < rows.stop and convert_band(
+                        raw, meta, rows=range(bottom, rows.stop)).clamped
+                if clamped or negative_after:
+                    np.maximum(block, 0.0, out=block)
+            if post_map is None:
+                low, high = 0.0, block.max()  # the clamp left none below 0
+                if not high < np.inf:
+                    raise MetadataError("radiance contains non-finite pixels")
+            else:
+                post_map(block)
+                low, high = block.min(), block.max()
+                if not (low > -np.inf and high < np.inf):
+                    # A whole-frame check reports non-finite radiance first.
+                    convert_band(raw, meta, rows=range(top, rows.stop))
+                    raise MetadataError(
+                        "reflectance contains non-finite pixels")
+                if low < 0 or high > 1:
+                    out_of_range += int(np.count_nonzero((block < 0)
+                                                         | (block > 1)))
+            if sink is not None:
+                too_wide |= max(-low, high) > FLOAT32_MAX
+                sink(block)
+    if too_wide:
+        quantity = "radiance" if post_map is None else "reflectance"
+        raise MetadataError(f"{quantity} exceeds the float32 range of its "
+                            f"plane (|value| > {FLOAT32_MAX:.8g})")
     return BandCounts(clamped, saturated, out_of_range / (len(rows) * width))
 
 

@@ -31,8 +31,7 @@ import numpy as np
 from .errors import (DegeneratePanelsError, MetadataError,
                      NoIlluminationError, OrientationError)
 from .radiance import (RadianceImage, RadiometricMetadata, RawImage,
-                       _require_2d, convert_band, dc_to_radiance,
-                       radiance_is_bounded)
+                       _require_2d, convert_band, radiance_is_bounded)
 from .rsr import SpectralCurve, band_effective
 
 N_BANDS = 5
@@ -224,19 +223,9 @@ def _roi_window(roi: Sequence[int], shape: tuple[int, int]
     return slice(y, y + h), slice(x, x + w)
 
 
-def extract_panel(img: RadianceImage, roi: Sequence[int],
-                  statistic: str = "mean") -> float:
-    """Panel radiance over a rectangular ROI ``(x, y, width, height)``.
-
-    The arithmetic mean is the contract default; ``statistic='median'`` is
-    available when a panel edge or specular glint contaminates the ROI.
-    """
-    patch = img.pixels[_roi_window(roi, img.pixels.shape)]
-    if statistic == "mean":
-        return float(patch.mean())
-    if statistic == "median":
-        return float(np.median(patch))
-    raise MetadataError(f"unknown ROI statistic {statistic!r}")
+def extract_panel(img: RadianceImage, roi: Sequence[int]) -> float:
+    """Mean panel radiance over a rectangular ROI ``(x, y, width, height)``."""
+    return float(img.pixels[_roi_window(roi, img.pixels.shape)].mean())
 
 
 def panel_means(raw: RawImage, meta: RadiometricMetadata,
@@ -247,12 +236,11 @@ def panel_means(raw: RawImage, meta: RadiometricMetadata,
     Each ROI's rows are converted at full width, so its patch has the
     strides it has in a whole plane and its mean the same bits.  When
     :func:`radiance_is_bounded` cannot rule out a non-finite pixel
-    elsewhere in the frame, the whole frame is converted, so such a pixel
-    fails the frame as it does there.
+    elsewhere in the frame, the whole frame is checked first, so such a
+    pixel fails the frame as it does there.
     """
     if not radiance_is_bounded(raw, meta):
-        plane = dc_to_radiance(raw, meta)
-        return [extract_panel(plane, roi) for roi in rois]
+        convert_band(raw, meta)
     means = []
     for roi in rois:
         rows, cols = _roi_window(roi, raw.pixels.shape)
@@ -418,9 +406,15 @@ def aarr(img: RadianceImage, dls: DLSRecord) -> ReflectanceImage:
     return ReflectanceImage(band_index=img.band_index, pixels=pixels)
 
 
+def pgm_scale_is_valid(scale: float) -> bool:
+    """Whether ``scale`` is a finite positive PGM export scale; an infinite
+    one maps zero reflectance to ``0 * inf``, which is NaN."""
+    return 0 < scale < math.inf
+
+
 def check_pgm_scale(scale: float) -> None:
-    """Reject a PGM export scale that is not a positive number."""
-    if not scale > 0:
+    """Reject a PGM export scale that is not a finite positive number."""
+    if not pgm_scale_is_valid(scale):
         raise MetadataError(f"PGM scale must be positive, got {scale!r}")
 
 

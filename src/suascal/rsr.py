@@ -221,25 +221,28 @@ def band_effective(spectrum: SpectralCurve, rsr: SpectralCurve) -> float:
 
 
 def read_spectral_curve(path) -> SpectralCurve:
-    """Read a two-column ``wavelength_nm,value`` CSV (header required)."""
+    """Read a two-column ``wavelength_nm,value`` CSV (header required).
+
+    A file that is not UTF-8 CSV, or rows that are not a curve, raise a
+    :class:`CurveError` naming the file (and the line, where known).
+    """
     path = Path(path)
     try:
         fh = io.StringIO(path.read_bytes().decode("utf-8"), newline="")
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, NUL in path
         reason = getattr(exc, "strerror", None) or exc
         raise CurveError(f"{path}: cannot read: {reason}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CurveError(f"{path}: empty spectral curve file") from None
+    reader = csv.reader(fh)
+    wavelengths, values = [], []
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise CurveError(f"{path}: empty spectral curve file")
         header = [h.strip().lower() for h in header]
         if tuple(header[:2]) != _CSV_HEADER:
             raise CurveError(
                 f"{path}: expected header 'wavelength_nm,value', got "
                 f"{','.join(header)!r}")
-        wavelengths, values = [], []
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -249,7 +252,12 @@ def read_spectral_curve(path) -> SpectralCurve:
             except (ValueError, IndexError):
                 raise CurveError(
                     f"{path}:{lineno}: malformed row {row!r}") from None
-    return SpectralCurve(np.array(wavelengths), np.array(values))
+    except csv.Error as exc:
+        raise CurveError(f"{path}:{reader.line_num}: {exc}") from None
+    try:
+        return SpectralCurve(np.array(wavelengths), np.array(values))
+    except CurveError as exc:
+        raise CurveError(f"{path}: {exc}") from None
 
 
 def write_spectral_curve(path, curve: SpectralCurve) -> None:

@@ -27,7 +27,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -446,6 +445,9 @@ def _resampler(x: np.ndarray, grid: np.ndarray):
         (values[..., j + 1] - values[..., j]) / step * dx + values[..., j]
 
 
+# A block's finiteness check finds overflow and NaN, and a cell whose
+# downwelling radiance is zero is skipped, so numpy need not warn of them.
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def run_maarr_grid(grid: SimulationGrid) -> SimulationTable:
     """Run the sweep one (atmosphere, day, hour) block at a time.
 
@@ -529,10 +531,9 @@ def run_maarr_grid(grid: SimulationGrid) -> SimulationTable:
                         and np.isfinite(down).all()):
                     raise CurveError(f"{model} atmosphere, day {day}, {hour} "
                                      "h UTC: radiance is not finite")
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    recovered[start:start + size] = (
-                        radiance / down[:, :, None, :]).reshape(
-                            (size,) + shape[2:])
+                recovered[start:start + size] = (
+                    radiance / down[:, :, None, :]).reshape(
+                        (size,) + shape[2:])
             lit = (down > 0).reshape(size, -1)
             ran[start:start + size] = lit.all(axis=1)
             skipped += [(sweep[start + i], "downwelling radiance is not "
@@ -576,103 +577,3 @@ def grouped_absolute_error(table: SimulationTable, attribute: str) -> dict:
     return {key: float(np.mean(magnitude.compress(values == key,
                                                   axis=axis).ravel()))
             for key in np.unique(values).tolist() if magnitude.size}
-
-
-@dataclass(frozen=True)
-class Tape7Record:
-    """Columnar radiative-transfer output: wavelength and two radiances.
-
-    ``total_rad`` is the at-sensor total radiance column and ``grnd_rflt``
-    the ground-reflected component; both keep the file's native radiance
-    units.  Wavelengths are converted to nm and sorted ascending.
-    """
-
-    wavelength_nm: np.ndarray
-    total_rad: np.ndarray
-    grnd_rflt: np.ndarray
-
-    def __post_init__(self):
-        wave = np.asarray(self.wavelength_nm, dtype=np.float64)
-        for name in ("total_rad", "grnd_rflt"):
-            column = np.asarray(getattr(self, name), dtype=np.float64)
-            if column.shape != wave.shape:
-                raise ManifestError(
-                    f"{name} has {column.size} values for {wave.size} "
-                    "wavelengths")
-            if not np.isfinite(column).all():
-                raise ManifestError(f"{name} contains non-finite radiance")
-            if column.min() < 0:
-                raise ManifestError(f"{name} contains negative radiance")
-            object.__setattr__(self, name, column)
-        object.__setattr__(self, "wavelength_nm", wave)
-
-    def total_radiance_curve(self) -> SpectralCurve:
-        return SpectralCurve(self.wavelength_nm, self.total_rad)
-
-    def ground_reflected_curve(self) -> SpectralCurve:
-        return SpectralCurve(self.wavelength_nm, self.grnd_rflt)
-
-
-_MICRON_TOKENS = ("MICRN", "MCRN", "UM", "MICRON")
-
-
-def ingest_tape7(path) -> Tape7Record:
-    """Parse a whitespace-columnar radiance table (tape7-style).
-
-    The first line whose tokens include ``TOTAL_RAD`` and ``GRND_RFLT`` is
-    the header; a token starting with ``WAVELEN``/``WAVLEN`` names the
-    wavelength column.  A micron marker in that token (for example
-    ``WAVLEN_UM``) triggers conversion to nm.  Unknown columns are ignored.
-    """
-    path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, NUL in path
-        reason = getattr(exc, "strerror", None) or exc
-        raise ManifestError(f"{path}: cannot read: {reason}") from exc
-    header_tokens: list[str] = []
-    header_line = 0
-    for lineno, line in enumerate(lines, start=1):
-        tokens = line.split()
-        upper = [t.upper() for t in tokens]
-        if "TOTAL_RAD" in upper and "GRND_RFLT" in upper:
-            header_tokens = upper
-            header_line = lineno
-            break
-    if not header_tokens:
-        raise ManifestError(
-            f"{path}: no header line naming TOTAL_RAD and GRND_RFLT")
-    wave_col = next((i for i, t in enumerate(header_tokens)
-                     if t.startswith(("WAVELEN", "WAVLEN"))), None)
-    if wave_col is None:
-        raise ManifestError(f"{path}: header has no wavelength column")
-    wave_token = header_tokens[wave_col]
-    in_microns = any(marker in wave_token for marker in _MICRON_TOKENS)
-    total_col = header_tokens.index("TOTAL_RAD")
-    grnd_col = header_tokens.index("GRND_RFLT")
-
-    wavelengths, totals, grounds = [], [], []
-    for lineno, line in enumerate(lines[header_line:], start=header_line + 1):
-        tokens = line.split()
-        if not tokens:
-            continue
-        if len(tokens) < len(header_tokens):
-            raise ManifestError(
-                f"{path}:{lineno}: row has {len(tokens)} columns, header "
-                f"names {len(header_tokens)}")
-        try:
-            wavelengths.append(float(tokens[wave_col]))
-            totals.append(float(tokens[total_col]))
-            grounds.append(float(tokens[grnd_col]))
-        except ValueError:
-            raise ManifestError(
-                f"{path}:{lineno}: non-numeric value in data row") from None
-    if not wavelengths:
-        raise ManifestError(f"{path}: no data rows after the header")
-    wave = np.array(wavelengths)
-    if in_microns:
-        wave = wave * 1000.0
-    order = np.argsort(wave)
-    return Tape7Record(wavelength_nm=wave[order],
-                       total_rad=np.array(totals)[order],
-                       grnd_rflt=np.array(grounds)[order])

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from suascal.cli import main
 from suascal.errors import MetadataError
 from suascal.radiance import (ROW_BLOCK, RadiometricMetadata, RawImage,
@@ -411,7 +412,7 @@ class TestFailures:
         expected = 5 * (3 if command[0] == "reflect" else 2)
         assert len(list(out.glob("field_1_*"))) == expected
 
-    @pytest.mark.parametrize("scale", ["0", "-5", "nan"])
+    @pytest.mark.parametrize("scale", ["0", "-5", "nan", "inf"])
     def test_bad_pgm_scale_fails_every_image(self, tmp_path, capsys, scale):
         manifest, _ = build_flight(tmp_path / "flight")
         out = tmp_path / "out"
@@ -422,6 +423,30 @@ class TestFailures:
         assert set(report["failures"].values()) == {
             f"PGM scale must be positive, got {float(scale)!r}"}
         assert [p.name for p in out.iterdir()] == ["reflectance_report.json"]
+        assert "Warning" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, quantity, log", [
+        (["convert"], "radiance", "conversion_log.json"),
+        (["reflect", "--method", "aarr", "--write-pgm"], "reflectance",
+         "reflectance_report.json")])
+    def test_plane_beyond_float32_fails_every_image(self, tmp_path, capsys,
+                                                    command, quantity, log):
+        # Finite in double precision, but infinite once cast to float32.
+        manifest = helpers.build_flight(tmp_path / "flight")
+        raw = json.loads(manifest.read_text())
+        for image in raw["images"]:
+            for band in image["bands"]:
+                band["metadata"]["a1"] = 1e300
+        manifest.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main([command[0], "--manifest", str(manifest),
+                     "--out", str(out), *command[1:]]) == 3
+        report = json.loads((out / log).read_text())
+        assert report["failures"] == dict.fromkeys(
+            ("cal_a", "field_1", "field_2"),
+            f"{quantity} exceeds the float32 range of its plane "
+            "(|value| > 3.4028235e+38)")
+        assert [p.name for p in out.iterdir()] == [log]
         assert "Warning" not in capsys.readouterr().err
 
     def test_radiance_fault_outranks_missing_illumination(self, tmp_path):

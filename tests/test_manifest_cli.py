@@ -452,6 +452,17 @@ class TestEvaluateCommand:
                      "--group-by", "pilot"]) == 1
         assert "group" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tail", [b"t0,1,sunny,225,aarr,0.3,\xff\n",
+                                      b"t0," + b"1" * 200_000 + b"\n"],
+                             ids=["not-utf8", "over-long-field"])
+    def test_unreadable_samples_is_usage_error(self, tmp_path, capsys, tail):
+        samples = tmp_path / "samples.csv"
+        self._write_samples(samples)
+        samples.write_bytes(samples.read_bytes() + tail)
+        assert main(["evaluate", "--samples", str(samples),
+                     "--out", str(tmp_path / "eval")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {samples}")
+
 
 class TestSimulateCommand:
     GRID = {"atmospheres": ["us-standard"], "days": [171],
@@ -527,6 +538,15 @@ class TestSimulateCommand:
         code, out = self._run(tmp_path, dict(self.GRID, **override(tmp_path)))
         assert code == 1
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_over_long_spectrum_field_is_usage_error(self, tmp_path, capsys):
+        spectrum = tmp_path / "spectrum.csv"
+        spectrum.write_text("wavelength_nm,value\n330," + "1" * 200_000)
+        code, out = self._run(tmp_path, dict(self.GRID,
+                                             solar_spectrum=str(spectrum)))
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {spectrum}:2: ")
         assert not out.exists()
 
     def test_bad_visibility_is_usage_error(self, tmp_path, capsys):

@@ -283,10 +283,6 @@ class TestPanels:
         img = radiance_image(pixels)
         assert extract_panel(img, (0, 0, 4, 3)) == pixels.mean()
 
-    def test_median_option(self):
-        img = radiance_image([[1.0, 1.0, 100.0]])
-        assert extract_panel(img, (0, 0, 3, 1), statistic="median") == 1.0
-
     def test_out_of_bounds_roi_rejected(self):
         img = radiance_image(np.zeros((4, 4)))
         with pytest.raises(MetadataError):

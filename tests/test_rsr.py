@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from suascal import datasets
-from suascal.errors import CurveError
+from suascal.errors import CurveError, SuascalError
 from suascal.rsr import (MonochromatorRun, SpectralCurve, band_effective,
                          band_weights, is_degenerate, normalize_counts,
                          peak_normalize, read_spectral_curve,
@@ -324,6 +324,44 @@ class TestCurveCsv:
         if content is not None:
             path.write_bytes(content)
         with pytest.raises(CurveError, match="cannot read"):
+            read_spectral_curve(path)
+
+    @example(data=(b"wavelength_nm,value\n", b"1," + b"9" * 200_000, b""))
+    @given(data=st.tuples(
+        st.sampled_from([b"", b"wavelength_nm,value\n",
+                         b"wavelength_nm,value\n500,1\n"]),
+        st.lists(st.sampled_from([b"1", b"-2.5", b"nan", b"inf", b"1e999",
+                                  b"x", b",", b" ", b"\n", b"\r", b'"',
+                                  b"\xff", b"\x00"]),
+                 max_size=16).map(b"".join),
+        st.binary(max_size=16)))
+    def test_any_bytes_read_or_raise_a_suascal_error(self, tmp_path_factory,
+                                                     data):
+        path = tmp_path_factory.getbasetemp() / "arbitrary.csv"
+        path.write_bytes(b"".join(data))
+        try:
+            curve = read_spectral_curve(path)
+        except SuascalError as exc:
+            assert str(exc).startswith(str(path))
+            return
+        assert curve.wavelengths_nm.shape == curve.values.shape
+
+    def test_header_without_data_rejected(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_text("wavelength_nm,value\n")
+        with pytest.raises(CurveError, match=r"curve\.csv: .*two samples"):
+            read_spectral_curve(path)
+
+    def test_short_row_rejected(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_text("wavelength_nm,value\n500,0.01\n510\n")
+        with pytest.raises(CurveError, match=r"curve\.csv:3: malformed row"):
+            read_spectral_curve(path)
+
+    def test_non_finite_value_rejected(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_text("wavelength_nm,value\n500,nan\n600,inf\n")
+        with pytest.raises(CurveError, match=r"curve\.csv: .*non-finite"):
             read_spectral_curve(path)
 
 

@@ -1,6 +1,5 @@
 """Radiative-transfer simulator: governing equation, parametric atmosphere,
-the blocked parameter sweep against its per-cell oracle, and columnar
-radiance-file ingestion."""
+and the blocked parameter sweep against its per-cell oracle."""
 
 import math
 
@@ -14,9 +13,9 @@ from suascal import datasets
 from suascal.errors import CurveError, ManifestError, SuascalError
 from suascal.rsr import SpectralCurve, band_effective
 from suascal.simulate import (ATMOSPHERE_PRESETS, AtmosphereState, Scene,
-                              SimulationGrid, SimulationTable, Tape7Record,
+                              SimulationGrid, SimulationTable,
                               band_statistics, dls_downwelling,
-                              grouped_absolute_error, ingest_tape7,
+                              grouped_absolute_error,
                               parametric_atmosphere, run_maarr_grid,
                               sensor_radiance, summary_rows)
 from suascal.solar import solar_zenith_deg
@@ -548,115 +547,3 @@ class TestResultTables:
     def test_grouped_absolute_error_uses_magnitudes(self):
         grouped = grouped_absolute_error(hand_table(), "sensor_altitude_km")
         assert grouped[1.692] == pytest.approx(0.08)
-
-
-TAPE7_TEXT = """\
- MODEL run notes, arbitrary preamble
-  WAVELEN_NM   TOTAL_RAD   GRND_RFLT   SOL_SCAT
-   500.0       0.0110      0.0100      0.0004
-   550.0       0.0120      0.0109      0.0005
-   600.0       0.0130      0.0118      0.0006
-"""
-
-
-class TestTape7Ingestion:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "tape7.scn"
-        path.write_text(TAPE7_TEXT)
-        record = ingest_tape7(path)
-        np.testing.assert_array_equal(record.wavelength_nm,
-                                      [500.0, 550.0, 600.0])
-        np.testing.assert_array_equal(record.total_rad,
-                                      [0.011, 0.012, 0.013])
-        np.testing.assert_array_equal(record.grnd_rflt,
-                                      [0.010, 0.0109, 0.0118])
-
-    def test_micron_wavelengths_converted(self, tmp_path):
-        path = tmp_path / "tape7.scn"
-        path.write_text("WAVLEN_MCRN TOTAL_RAD GRND_RFLT\n"
-                        "0.55 0.012 0.011\n0.84 0.016 0.015\n")
-        record = ingest_tape7(path)
-        np.testing.assert_allclose(record.wavelength_nm, [550.0, 840.0])
-
-    def test_descending_rows_sorted(self, tmp_path):
-        path = tmp_path / "tape7.scn"
-        path.write_text("WAVELEN TOTAL_RAD GRND_RFLT\n"
-                        "600 0.03 0.02\n500 0.01 0.005\n")
-        record = ingest_tape7(path)
-        np.testing.assert_array_equal(record.wavelength_nm, [500.0, 600.0])
-        np.testing.assert_array_equal(record.total_rad, [0.01, 0.03])
-
-    def test_missing_required_column_rejected(self, tmp_path):
-        path = tmp_path / "tape7.scn"
-        path.write_text("WAVELEN TOTAL_RAD\n500 0.01\n")
-        with pytest.raises(ManifestError, match="GRND_RFLT"):
-            ingest_tape7(path)
-
-    def test_non_numeric_row_names_the_line(self, tmp_path):
-        path = tmp_path / "tape7.scn"
-        path.write_text("WAVELEN TOTAL_RAD GRND_RFLT\n"
-                        "500 0.01 0.005\n550 bogus 0.006\n")
-        with pytest.raises(ManifestError, match=r"tape7\.scn:3"):
-            ingest_tape7(path)
-
-    def test_short_row_rejected(self, tmp_path):
-        path = tmp_path / "tape7.scn"
-        path.write_text("WAVELEN TOTAL_RAD GRND_RFLT\n500 0.01\n")
-        with pytest.raises(ManifestError, match="columns"):
-            ingest_tape7(path)
-
-    def test_non_utf8_file_names_the_path(self, tmp_path):
-        path = tmp_path / "tape7.scn"
-        path.write_bytes(b"WAVELEN TOTAL_RAD GRND_RFLT\n500 0.01 \xff\n")
-        with pytest.raises(ManifestError, match=r"tape7\.scn"):
-            ingest_tape7(path)
-        with pytest.raises(ManifestError, match="cannot read"):
-            ingest_tape7(tmp_path / "missing.scn")
-
-    @given(data=st.tuples(
-        st.sampled_from([b"", b"WAVELEN TOTAL_RAD GRND_RFLT\n",
-                         b"WAVLEN_UM TOTAL_RAD GRND_RFLT X\n0.5 1 2 3\n"]),
-        st.lists(st.sampled_from([b"1", b"-2.5", b"nan", b"inf", b"1e999",
-                                  b"x", b" ", b"\n", b"\xff", b"\x00"]),
-                 max_size=16).map(b"".join),
-        st.binary(max_size=16)))
-    def test_any_bytes_ingest_or_raise_a_suascal_error(self,
-                                                       tmp_path_factory,
-                                                       data):
-        path = tmp_path_factory.getbasetemp() / "arbitrary.scn"
-        path.write_bytes(b"".join(data))
-        try:
-            record = ingest_tape7(path)
-        except SuascalError:
-            return
-        assert record.wavelength_nm.shape == record.total_rad.shape
-
-    def test_header_without_data_rejected(self, tmp_path):
-        path = tmp_path / "tape7.scn"
-        path.write_text("WAVELEN TOTAL_RAD GRND_RFLT\n")
-        with pytest.raises(ManifestError, match="data"):
-            ingest_tape7(path)
-
-    def test_record_validation(self):
-        with pytest.raises(ManifestError):
-            Tape7Record(wavelength_nm=np.array([500.0, 600.0]),
-                        total_rad=np.array([0.01]),
-                        grnd_rflt=np.array([0.01, 0.02]))
-        with pytest.raises(ManifestError):
-            Tape7Record(wavelength_nm=np.array([500.0]),
-                        total_rad=np.array([-0.01]),
-                        grnd_rflt=np.array([0.01]))
-
-    def test_non_finite_radiance_rejected(self, tmp_path):
-        path = tmp_path / "tape7.scn"
-        path.write_text("WAVELEN TOTAL_RAD GRND_RFLT\n"
-                        "500 nan 0.1\n600 inf -0\n")
-        with pytest.raises(ManifestError, match="total_rad.*non-finite"):
-            ingest_tape7(path)
-
-    def test_curve_accessors(self, tmp_path):
-        path = tmp_path / "tape7.scn"
-        path.write_text(TAPE7_TEXT)
-        record = ingest_tape7(path)
-        assert isinstance(record.total_radiance_curve(), SpectralCurve)
-        assert record.ground_reflected_curve().values[0] == 0.01
