@@ -415,7 +415,8 @@ def pgm_scale_is_valid(scale: float) -> bool:
 def check_pgm_scale(scale: float) -> None:
     """Reject a PGM export scale that is not a finite positive number."""
     if not pgm_scale_is_valid(scale):
-        raise MetadataError(f"PGM scale must be positive, got {scale!r}")
+        raise MetadataError(
+            f"PGM scale must be finite and positive, got {scale!r}")
 
 
 def pgm_counts(pixels: np.ndarray, scale: float,

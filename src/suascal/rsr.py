@@ -166,6 +166,16 @@ def is_degenerate(curve: SpectralCurve) -> bool:
     return not np.any(curve.values > 0)
 
 
+def union_grid(*grids: np.ndarray) -> np.ndarray:
+    """Sorted union of wavelength grids, each value once.
+
+    The values of :func:`numpy.union1d`, without its lazy import of
+    ``numpy.ma``.
+    """
+    merged = np.sort(np.concatenate(grids))
+    return merged[np.append(True, merged[1:] != merged[:-1])]
+
+
 def band_weights(wavelengths_nm, rsr: SpectralCurve) -> np.ndarray:
     """Weights ``w`` with ``band_effective(c, rsr) == w @ c.values``.
 
@@ -192,7 +202,7 @@ def band_weights(wavelengths_nm, rsr: SpectralCurve) -> np.ndarray:
         raise CurveError(
             f"spectrum [{s_lo}, {s_hi}] nm does not cover the RSR support "
             f"[{lo}, {hi}] nm")
-    grid = np.union1d(rsr.wavelengths_nm, x[(x > lo) & (x < hi)])
+    grid = union_grid(rsr.wavelengths_nm, x[(x > lo) & (x < hi)])
     r = rsr.interpolate(grid)
     denom = np.trapezoid(r, grid)
     if not denom > 0:
@@ -243,15 +253,16 @@ def read_spectral_curve(path) -> SpectralCurve:
             raise CurveError(
                 f"{path}: expected header 'wavelength_nm,value', got "
                 f"{','.join(header)!r}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             try:
                 wavelengths.append(float(row[0]))
                 values.append(float(row[1]))
             except (ValueError, IndexError):
-                raise CurveError(
-                    f"{path}:{lineno}: malformed row {row!r}") from None
+                # The reader's own count: a quoted field may span lines.
+                raise CurveError(f"{path}:{reader.line_num}: malformed row "
+                                 f"{row!r}") from None
     except csv.Error as exc:
         raise CurveError(f"{path}:{reader.line_num}: {exc}") from None
     try:

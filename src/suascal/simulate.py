@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -35,7 +35,8 @@ from . import datasets
 from .errors import CurveError, ManifestError
 from .evaluate import error_statistics
 from .jsonread import json_field, json_value
-from .rsr import SpectralCurve, band_weights, read_spectral_curve
+from .rsr import (SpectralCurve, band_weights, read_spectral_curve,
+                  union_grid)
 from .solar import solar_zenith_deg
 
 #: Reference wavelength of the Koschmieder visibility relation, nm.
@@ -130,9 +131,7 @@ def _common_grid(curves: Sequence[SpectralCurve]) -> np.ndarray:
     if lo >= hi:
         raise CurveError(
             f"curves share no wavelength overlap ([{lo}, {hi}] nm is empty)")
-    grid = curves[0].wavelengths_nm
-    for c in curves[1:]:
-        grid = np.union1d(grid, c.wavelengths_nm)
+    grid = union_grid(*(c.wavelengths_nm for c in curves))
     return grid[(grid >= lo) & (grid <= hi)]
 
 
@@ -160,20 +159,24 @@ def sensor_radiance(scene: Scene, atm: AtmosphereState) -> SpectralCurve:
     return SpectralCurve(grid, ground * tau2 + path + adjacency)
 
 
-def _tau_to_sensor(tau1: np.ndarray, tau2: np.ndarray,
-                   cos_s: float) -> np.ndarray:
+@np.errstate(divide="ignore", invalid="ignore")
+def _tau_to_sensor(tau1: np.ndarray, log_tau2: np.ndarray, cos_s: float,
+                   out: np.ndarray) -> np.ndarray:
     """Sun-to-sensor transmission derived from sun-to-ground and view paths.
 
     With the view path vertical and solar paths stretched by ``1/cos(s)``,
     the optical depth above the sensor is the ground column minus the
     target-to-sensor column, so ``tau' = tau1 * tau2 ** (-1 / cos(s))``.
+    ``log_tau2`` is ``np.log(tau2)``, which depends only on the view path;
+    the result is computed in place in ``out`` (``log_tau2``'s shape) and
+    returned.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_tau1 = np.log(tau1)
-        log_tau2 = np.log(tau2)
-        tau = np.exp(log_tau1 - log_tau2 / cos_s)
-    tau = np.where(tau1 <= 0.0, 0.0, tau)
-    return np.clip(np.nan_to_num(tau, nan=0.0, posinf=1.0), 0.0, 1.0)
+    np.divide(log_tau2, cos_s, out=out)
+    np.subtract(np.log(tau1), out, out=out)
+    np.exp(out, out=out)
+    np.copyto(out, 0.0, where=tau1 <= 0.0)
+    np.nan_to_num(out, copy=False, nan=0.0, posinf=1.0)
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def dls_downwelling(scene: Scene, atm: AtmosphereState) -> SpectralCurve:
@@ -188,8 +191,10 @@ def dls_downwelling(scene: Scene, atm: AtmosphereState) -> SpectralCurve:
     cos_s = _cos_solar(scene.solar_zenith_deg)
     if cos_s <= 0.0:
         return SpectralCurve(grid, sky.copy())
-    tau_prime = _tau_to_sensor(atm.tau1.interpolate(grid),
-                               atm.tau2.interpolate(grid), cos_s)
+    with np.errstate(divide="ignore"):
+        log_tau2 = np.log(atm.tau2.interpolate(grid))
+    tau_prime = _tau_to_sensor(atm.tau1.interpolate(grid), log_tau2, cos_s,
+                               np.empty_like(log_tau2))
     exo = atm.exo_irradiance.interpolate(grid)
     return SpectralCurve(grid, exo / math.pi * cos_s * tau_prime + sky)
 
@@ -436,13 +441,48 @@ class SimulationTable:
 
 def _resampler(x: np.ndarray, grid: np.ndarray):
     """Linear interpolation from ``x`` onto ``grid`` (within ``x``) along
-    the last axis, in :func:`numpy.interp`'s arithmetic."""
+    the last axis, in :func:`numpy.interp`'s arithmetic.
+
+    The returned ``resample(values, key)`` writes into an array it keeps
+    for ``key`` and returns it, so a loop that resamples the same
+    quantity again allocates nothing; on ``x`` itself it returns
+    ``values``.
+    """
     if np.array_equal(x, grid):
-        return lambda values: values
+        return lambda values, key: values
     j = np.clip(np.searchsorted(x, grid, side="right") - 1, 0, x.size - 2)
     dx, step = grid - x[j], x[j + 1] - x[j]
-    return lambda values: \
-        (values[..., j + 1] - values[..., j]) / step * dx + values[..., j]
+    kept: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+
+    def resample(values: np.ndarray, key: str) -> np.ndarray:
+        if key not in kept:
+            shape = values.shape[:-1] + grid.shape
+            kept[key] = np.empty(shape), np.empty(shape)
+        out, lower = kept[key]
+        # mode="clip" keeps take() from buffering ``out``; j is in range.
+        np.take(values, j, axis=-1, out=lower, mode="clip")
+        np.take(values, j + 1, axis=-1, out=out, mode="clip")
+        out -= lower
+        out /= step
+        out *= dx
+        out += lower
+        return out
+    return resample
+
+
+@dataclass(frozen=True)
+class _TargetGroup:
+    """Targets :func:`sensor_radiance` evaluates on one union grid, with
+    the scratch arrays their block fills."""
+
+    index: list[int]
+    exo_over_pi: np.ndarray  # exo_irradiance / pi on the union grid
+    rho: np.ndarray  # (targets, union) reflectance
+    resample: Callable[[np.ndarray, str], np.ndarray]  # see _resampler
+    matrix: np.ndarray  # (union, bands) band weights
+    direct: np.ndarray  # (vis, targets, union) ground radiance
+    diffuse: np.ndarray  # (vis, targets, union) its sky share
+    block: np.ndarray  # (vis, alt, targets, union) at-sensor radiance
 
 
 # A block's finiteness check finds overflow and NaN, and a cell whose
@@ -458,28 +498,42 @@ def run_maarr_grid(grid: SimulationGrid) -> SimulationTable:
     one product with the :func:`~suascal.rsr.band_weights` matrix of each
     grid.  A cell whose downwelling band radiance is not positive in some
     band (the sun below the horizon) is skipped.
+
+    The spectral arrays of a block are allocated once per run and filled
+    in place; terms that depend only on the atmosphere model (the view-path
+    transmission, its logarithm and its path-radiance factor) are computed
+    once per model.
     """
     rsr_set = datasets.bundled_rsr_set()
     bands = sorted(rsr_set)
+    matrices: dict[bytes, np.ndarray] = {}
 
     def band_matrix(wavelengths: np.ndarray) -> np.ndarray:
-        return np.stack([band_weights(wavelengths, rsr_set[b])
-                         for b in bands])
+        key = wavelengths.tobytes()
+        if key not in matrices:
+            matrices[key] = np.stack([band_weights(wavelengths, rsr_set[b])
+                                      for b in bands])
+        return matrices[key]
 
     exo = grid.exo_irradiance or datasets.bundled_solar_spectrum()
     wl = exo.wavelengths_nm
+    exo_over_pi = exo.values / math.pi
     truth = np.array([band_matrix(curve.wavelengths_nm) @ curve.values
                       for _, curve in grid.targets])
+    n_vis, n_alt = len(grid.visibilities_km), len(grid.sensor_altitudes_km)
     # Targets grouped by the grid sensor_radiance evaluates them on.
     by_grid: dict[bytes, tuple[np.ndarray, list[int]]] = {}
     for index, (_, curve) in enumerate(grid.targets):
         union = _common_grid([exo, curve])
         by_grid.setdefault(union.tobytes(), (union, []))[1].append(index)
-    groups = [(index, exo.interpolate(union),
-               np.array([grid.targets[i][1].interpolate(union)
-                         for i in index]),
-               _resampler(wl, union), band_matrix(union).T)
-              for union, index in by_grid.values()]
+    groups = [_TargetGroup(
+        index, exo.interpolate(union) / math.pi,
+        np.array([grid.targets[i][1].interpolate(union) for i in index]),
+        _resampler(wl, union), band_matrix(union).T,
+        np.empty((n_vis, len(index), union.size)),
+        np.empty((n_vis, len(index), union.size)),
+        np.empty((n_vis, n_alt, len(index), union.size)))
+        for union, index in by_grid.values()]
     down_matrix = band_matrix(wl).T
 
     axes = (grid.atmospheres, grid.days, grid.times_utc,
@@ -492,9 +546,13 @@ def run_maarr_grid(grid: SimulationGrid) -> SimulationTable:
     zeniths = [solar_zenith_deg(day, hour, grid.latitude_deg,
                                 grid.longitude_west_deg)
                for day, hour in hours]
-    shape = (len(grid.visibilities_km), view_path_km.size, len(grid.targets),
-             len(bands))
-    size = shape[0] * shape[1]
+    shape = (n_vis, n_alt, len(grid.targets), len(bands))
+    size = n_vis * n_alt
+    # (vis, alt, wavelength) arrays: tau2, log(tau2) and the path-radiance
+    # factor per model; path radiance and tau' per block.
+    tau2, log_tau2, path_factor, path, tau_prime = (
+        np.empty((n_vis, n_alt, wl.size)) for _ in range(5))
+    radiance = np.empty(shape)
     recovered = np.full((grid.cell_count,) + shape[2:], np.nan)
     ran = np.zeros(grid.cell_count, dtype=bool)
     skipped = []
@@ -507,26 +565,37 @@ def run_maarr_grid(grid: SimulationGrid) -> SimulationTable:
             f_diffuse = grid.diffuse_fraction
         beta = (KOSCHMIEDER / np.array(grid.visibilities_km))[:, None] * \
             (wl / REFERENCE_WAVELENGTH_NM) ** (-alpha)
-        tau2 = np.exp(-beta[:, None, :] * view_path_km[:, None])
+        np.multiply(-beta[:, None, :], view_path_km[:, None], out=tau2)
+        np.exp(tau2, out=tau2)
+        np.log(tau2, out=log_tau2)
+        np.subtract(1.0, tau2, out=path_factor)
+        path_factor *= grid.path_radiance_factor
+        group_tau2 = [g.resample(tau2, "tau2") for g in groups]
         for (day, hour), zenith in zip(hours, zeniths):
             cos_s = _cos_solar(zenith)
-            down = np.zeros(shape[:2] + shape[3:])
+            down = np.zeros((n_vis, n_alt, len(bands)))
             if cos_s > 0.0:
                 tau1 = np.exp(-beta * grid.extinction_layer_km / cos_s)
                 sky = f_diffuse * exo.values * cos_s * (1.0 - tau1) / math.pi
-                path = grid.path_radiance_factor * (1.0 - tau2) * \
-                    (exo.values / math.pi * cos_s * tau1 + sky)[:, None, :]
-                down = (exo.values / math.pi * cos_s
-                        * _tau_to_sensor(tau1[:, None, :], tau2, cos_s)
-                        + sky[:, None, :]) @ down_matrix
-                radiance = np.empty(shape)
-                for index, exo_g, rho, resample, matrix in groups:
-                    ground = (exo_g / math.pi * cos_s * resample(tau1)
-                              )[:, None, :] * rho + \
-                        resample(sky)[:, None, :] * rho
-                    radiance[:, :, index] = (
-                        ground[:, None] * resample(tau2)[:, :, None]
-                        + resample(path)[:, :, None]) @ matrix
+                sun = exo_over_pi * cos_s
+                np.multiply(path_factor, (sun * tau1 + sky)[:, None, :],
+                            out=path)
+                _tau_to_sensor(tau1[:, None, :], log_tau2, cos_s, tau_prime)
+                tau_prime *= sun
+                tau_prime += sky[:, None, :]
+                down = tau_prime @ down_matrix
+                for g, g_tau2 in zip(groups, group_tau2):
+                    np.multiply((g.exo_over_pi * cos_s
+                                 * g.resample(tau1, "tau1"))[:, None, :],
+                                g.rho, out=g.direct)
+                    np.multiply(g.resample(sky, "sky")[:, None, :], g.rho,
+                                out=g.diffuse)
+                    np.add(g.direct, g.diffuse, out=g.direct)
+                    np.multiply(g.direct[:, None], g_tau2[:, :, None],
+                                out=g.block)
+                    np.add(g.block, g.resample(path, "path")[:, :, None],
+                           out=g.block)
+                    radiance[:, :, g.index] = g.block @ g.matrix
                 if not (np.isfinite(radiance).all()
                         and np.isfinite(down).all()):
                     raise CurveError(f"{model} atmosphere, day {day}, {hour} "
@@ -576,4 +645,4 @@ def grouped_absolute_error(table: SimulationTable, attribute: str) -> dict:
         axis, values = 0, table.cell_values(attribute)
     return {key: float(np.mean(magnitude.compress(values == key,
                                                   axis=axis).ravel()))
-            for key in np.unique(values).tolist() if magnitude.size}
+            for key in sorted(set(values.tolist())) if magnitude.size}

@@ -421,7 +421,7 @@ class TestFailures:
                      "--pgm-scale", scale]) == 3
         report = json.loads((out / "reflectance_report.json").read_text())
         assert set(report["failures"].values()) == {
-            f"PGM scale must be positive, got {float(scale)!r}"}
+            f"PGM scale must be finite and positive, got {float(scale)!r}"}
         assert [p.name for p in out.iterdir()] == ["reflectance_report.json"]
         assert "Warning" not in capsys.readouterr().err
 

@@ -1,9 +1,12 @@
 """Reflectance conversion: ELM fits, AARR ratio, DLS handling, selection."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from suascal.errors import (DegeneratePanelsError, MetadataError,
                             NoIlluminationError, OrientationError)
@@ -148,6 +151,68 @@ class TestSelectCalibration:
             got = select_calibration([cals[i] for i in shuffled], "time",
                                      image_timestamp=0.0)
             assert got.image_id == baseline.image_id == "c0"
+
+
+#: A few irradiance vectors and timestamps shared by several candidates
+#: make exact metric ties common.  The open ranges reach values whose DLS
+#: distance overflows to infinity, where candidates tie too.
+_irradiance = (st.sampled_from([(1.0,) * 5, (2.0,) * 5,
+                                (1.0, 2.0, 3.0, 4.0, 5.0)])
+               | st.tuples(*[st.floats(0.0, 1e300)] * 5))
+_timestamps = st.sampled_from([0.0, 1.0, 2.0]) | st.floats(-1e300, 1e300)
+
+
+@st.composite
+def _dls_records(draw, timestamp):
+    return DLSRecord(
+        raw_irradiance=list(draw(_irradiance)),
+        solar_elevation_deg=draw(st.sampled_from([90.0])
+                                 | st.floats(0.0, 90.0)),
+        sun_sensor_angle_deg=draw(st.sampled_from([0.0])
+                                  | st.floats(0.0, 90.0)),
+        fresnel_factor=draw(st.sampled_from([1.0]) | st.floats(0.5, 2.0)),
+        timestamp=timestamp)
+
+
+@st.composite
+def _candidates(draw):
+    ids = draw(st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=6,
+                        unique=True))
+    cals = []
+    for image_id in ids:
+        timestamp = draw(_timestamps)
+        cals.append(replace(make_cal(image_id, timestamp),
+                            dls=draw(_dls_records(timestamp))))
+    return cals
+
+
+def _selection(candidates, mode, **kwargs):
+    """The selected candidate's id, or the error raised instead."""
+    try:
+        return select_calibration(candidates, mode, **kwargs).image_id
+    except MetadataError as exc:
+        return exc
+
+
+class TestSelectCalibrationOrder:
+    """The result never depends on candidate order, ties included: image
+    ids are unique in a manifest, so (metric, timestamp, image id) orders
+    the candidates totally."""
+
+    @given(data=st.data(), candidates=_candidates(),
+           mode=st.sampled_from(["dls", "time", "single"]))
+    def test_result_does_not_depend_on_candidate_order(self, data,
+                                                       candidates, mode):
+        timestamp = data.draw(_timestamps)
+        kwargs = {"image_dls": data.draw(_dls_records(timestamp)),
+                  "image_timestamp": timestamp}
+        if mode == "single":
+            kwargs = {"designated_id": data.draw(st.none() | st.sampled_from(
+                [c.image_id for c in candidates]))}
+        expected = _selection(candidates, mode, **kwargs)
+        got = _selection(data.draw(st.permutations(candidates)), mode,
+                         **kwargs)
+        assert repr(got) == repr(expected)
 
 
 class TestElmFits:

@@ -10,7 +10,8 @@ from suascal.errors import CurveError, SuascalError
 from suascal.rsr import (MonochromatorRun, SpectralCurve, band_effective,
                          band_weights, is_degenerate, normalize_counts,
                          peak_normalize, read_spectral_curve,
-                         relative_response, write_spectral_curve)
+                         relative_response, union_grid,
+                         write_spectral_curve)
 
 
 def make_run(wavelengths, counts, power=None, gain=1.0, exposure=1.0):
@@ -212,6 +213,18 @@ class TestBandWeightsProperties:
             band_weights(wl, rsr)
 
 
+class TestUnionGrid:
+    @given(st.lists(st.lists(st.sampled_from([0.5, 1.0, 2.0])
+                             | st.floats(-1e3, 1e3), min_size=1,
+                             max_size=8), min_size=1, max_size=4))
+    def test_matches_numpy_union1d(self, grids):
+        grids = [np.sort(np.array(g)) for g in grids]
+        expected = np.unique(grids[0])
+        for grid in grids[1:]:
+            expected = np.union1d(expected, grid)
+        assert union_grid(*grids).tobytes() == expected.tobytes()
+
+
 class TestBandEffective:
     def test_constant_spectrum_passes_through(self):
         spectrum = SpectralCurve([400.0, 900.0], [3.25, 3.25])
@@ -356,6 +369,14 @@ class TestCurveCsv:
         path = tmp_path / "curve.csv"
         path.write_text("wavelength_nm,value\n500,0.01\n510\n")
         with pytest.raises(CurveError, match=r"curve\.csv:3: malformed row"):
+            read_spectral_curve(path)
+
+    def test_malformed_row_names_its_line_after_a_multiline_field(
+            self, tmp_path):
+        # The quoted field spans lines 2-3, so the bad row is on line 4.
+        path = tmp_path / "ml.csv"
+        path.write_text('wavelength_nm,value\n"500\n",1\n510,x\n')
+        with pytest.raises(CurveError, match=r"ml\.csv:4: malformed row"):
             read_spectral_curve(path)
 
     def test_non_finite_value_rejected(self, tmp_path):

@@ -1,7 +1,12 @@
 """Radiative-transfer simulator: governing equation, parametric atmosphere,
 and the blocked parameter sweep against its per-cell oracle."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,12 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+import suascal
 from suascal import datasets
 from suascal.errors import CurveError, ManifestError, SuascalError
-from suascal.rsr import SpectralCurve, band_effective
+from suascal.rsr import SpectralCurve, band_effective, write_spectral_curve
 from suascal.simulate import (ATMOSPHERE_PRESETS, AtmosphereState, Scene,
                               SimulationGrid, SimulationTable,
-                              band_statistics, dls_downwelling,
+                              _tau_to_sensor, band_statistics,
+                              dls_downwelling,
                               grouped_absolute_error,
                               parametric_atmosphere, run_maarr_grid,
                               sensor_radiance, summary_rows)
@@ -517,6 +524,62 @@ class TestGridRun:
                                            rtol=0, atol=1e-12)
         assert {cell for cell, _ in table.skipped} == skipped
         assert len(rows) + len(skipped) == len(cells)
+
+
+_TAU1 = st.sampled_from([0.0, 5e-324, 1e-310, 1.0]) | st.floats(0.0, 1.0)
+_TAU2 = st.sampled_from([1.0, 5e-324, 0.0]) | st.floats(0.0, 1.0)
+_COS_S = (st.sampled_from([5e-324, 1e-300, 1e-12])
+          | st.floats(0.0, 1.0, exclude_min=True))
+
+
+class TestBlockScratch:
+    """The block loop fills arrays it allocated once; that must not change
+    a bit of the result, nor pull in modules the arithmetic does not
+    need."""
+
+    @given(tau1=st.lists(_TAU1, min_size=6, max_size=6),
+           tau2=st.lists(_TAU2, min_size=18, max_size=18), cos_s=_COS_S)
+    def test_in_place_tau_prime_matches_the_allocating_formula(
+            self, tau1, tau2, cos_s):
+        tau1 = np.reshape(tau1, (2, 1, 3))  # (vis, 1, wavelength)
+        tau2 = np.reshape(tau2, (2, 3, 3))  # (vis, alt, wavelength)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            expected = np.exp(np.log(tau1) - np.log(tau2) / cos_s)
+            out = np.empty_like(tau2)
+            got = _tau_to_sensor(tau1, np.log(tau2), cos_s, out)
+        expected = np.where(tau1 <= 0.0, 0.0, expected)
+        expected = np.clip(np.nan_to_num(expected, nan=0.0, posinf=1.0),
+                           0.0, 1.0)
+        assert got is out
+        assert got.tobytes() == expected.tobytes()
+
+    def test_simulate_and_reflect_do_not_import_numpy_ma(self, tmp_path):
+        # numpy.ma is imported lazily by np.unique and np.union1d; a
+        # fresh interpreter shows whether a command pays for it.
+        write_spectral_curve(tmp_path / "wavy.csv", WAVY)
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps({
+            "atmospheres": ["tropical"], "days": [171], "times_utc": [16.0],
+            "visibilities_km": [23.0], "sensor_altitudes_km": [0.214, 0.282],
+            "targets": {"grass": "bundled",
+                        "wavy": str(tmp_path / "wavy.csv")}}))
+        manifest = helpers.build_flight(tmp_path / "flight")
+        commands = [
+            ["simulate", "--grid-config", str(config), "--out",
+             str(tmp_path / "sim")],
+            ["reflect", "--manifest", str(manifest), "--out",
+             str(tmp_path / "reflect"), "--method", "elm2"]]
+        script = ("import json, sys\n"
+                  "from suascal.cli import main\n"
+                  "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+                  "print(json.dumps([codes, 'numpy.ma' in sys.modules]))\n")
+        src = Path(suascal.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(commands)],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+            text=True, timeout=120, check=False)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0], False]
 
 
 def hand_table():
