@@ -14,6 +14,7 @@ import csv
 import io
 import itertools
 import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ManifestError, SuascalError
+from .errors import CurveError, ManifestError, SuascalError
 from .evaluate import (ERROR_STATISTICS, METHOD_LEVELS, aggregate, ndvi,
                        read_samples, write_reports)
 from .imageio import (pgm16_header, read_pgm16, read_plane, rows_writer,
@@ -139,6 +140,27 @@ def _batch_exit(ok: int, failed: int) -> int:
     return EXIT_TOTAL if ok == 0 else EXIT_PARTIAL
 
 
+def _default_threads() -> int:
+    """The CPUs this process may run on, at most 4."""
+    if hasattr(os, "sched_getaffinity"):
+        usable = len(os.sched_getaffinity(0))
+    else:
+        usable = os.cpu_count() or 1
+    return min(usable, 4)
+
+
+def _thread_map(function, items, threads: int) -> list:
+    """``[function(item) for item in items]`` on ``threads`` threads.
+
+    An exception raised for an item propagates when that item's result is
+    reached, so the first failing item in order is the one reported.
+    """
+    if threads == 1:
+        return [function(item) for item in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(function, items))
+
+
 def _map_images(entries, worker, threads: int):
     """Apply worker to each image entry, harvesting per-image failures.
 
@@ -154,12 +176,7 @@ def _map_images(entries, worker, threads: int):
         except SuascalError as exc:
             return entry.image_id, None, str(exc)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run, entries))
-    else:
-        outcomes = [run(entry) for entry in entries]
-    for image_id, value, error in outcomes:
+    for image_id, value, error in _thread_map(run, entries, threads):
         if error is None:
             results[image_id] = value
         else:
@@ -197,12 +214,13 @@ def cmd_convert(args) -> int:
 
 def _calibration_candidates(manifest: FlightManifest,
                             rsr_set: dict[int, SpectralCurve],
-                            need_dark: bool) -> list[CalibrationImage]:
+                            need_dark: bool,
+                            threads: int) -> list[CalibrationImage]:
+    """The calibration images usable for the method, in manifest order,
+    each read and reduced to its panel means on ``threads`` threads."""
     bands = sorted(rsr_set)
-    candidates = []
-    for entry in manifest.calibration_images:
-        if need_dark and entry.calibration_dark is None:
-            continue
+
+    def candidate(entry: ImageEntry) -> CalibrationImage:
         placements = [entry.calibration_bright]
         if entry.calibration_dark is not None:
             placements.append(entry.calibration_dark)
@@ -219,11 +237,14 @@ def _calibration_candidates(manifest: FlightManifest,
                 mean_radiance=np.array([means[b][i] for b in bands]),
                 roi=placement.roi)
             for i, placement in enumerate(placements)]
-        candidates.append(CalibrationImage(
+        return CalibrationImage(
             image_id=entry.image_id, timestamp=entry.timestamp,
             bright=observations[0], dls=entry.dls,
-            dark=observations[1] if len(observations) > 1 else None))
-    return candidates
+            dark=observations[1] if len(observations) > 1 else None)
+
+    entries = [entry for entry in manifest.calibration_images
+               if entry.calibration_dark is not None or not need_dark]
+    return _thread_map(candidate, entries, threads)
 
 
 def cmd_reflect(args) -> int:
@@ -242,7 +263,8 @@ def cmd_reflect(args) -> int:
     candidates: list[CalibrationImage] = []
     if args.method in ("elm1", "elm2"):
         candidates = _calibration_candidates(manifest, rsr_set,
-                                             need_dark=args.method == "elm2")
+                                             need_dark=args.method == "elm2",
+                                             threads=args.threads)
         if not candidates:
             dark_note = " with a dark panel" if args.method == "elm2" else ""
             print(f"error: method {args.method} needs at least one "
@@ -425,21 +447,24 @@ def cmd_rsr(args) -> int:
                 raise ManifestError(
                     f"{where}: 'samples'[{i}] must be [wavelength_nm, "
                     f"mean_counts, power_w], got {len(sample)} values")
-        run = MonochromatorRun(
-            wavelengths_nm=[s[0] for s in samples],
-            mean_counts=[s[1] for s in samples],
-            power_w=[s[2] for s in samples],
-            gain=json_field(payload, "gain", float, where),
-            exposure_us=json_field(payload, "exposure_us", float, where),
-            band_index=json_field(payload, "band_index", int, where))
-        if run.band_index in sources:
-            raise ManifestError(
-                f"'band_index' {run.band_index} is declared by both "
-                f"{sources[run.band_index]} and {where}")
-        sources[run.band_index] = band_file
-        power = SpectralCurve(run.wavelengths_nm, run.power_w)
-        response = relative_response(normalize_counts(run), power,
-                                     shift_scale=args.shift_scale)
+        try:
+            run = MonochromatorRun(
+                wavelengths_nm=[s[0] for s in samples],
+                mean_counts=[s[1] for s in samples],
+                power_w=[s[2] for s in samples],
+                gain=json_field(payload, "gain", float, where),
+                exposure_us=json_field(payload, "exposure_us", float, where),
+                band_index=json_field(payload, "band_index", int, where))
+            if run.band_index in sources:
+                raise ManifestError(
+                    f"'band_index' {run.band_index} is declared by both "
+                    f"{sources[run.band_index]} and {where}")
+            sources[run.band_index] = band_file
+            power = SpectralCurve(run.wavelengths_nm, run.power_w)
+            response = relative_response(normalize_counts(run), power,
+                                         shift_scale=args.shift_scale)
+        except CurveError as exc:
+            raise CurveError(f"{where}: {exc}") from None
         degenerate = is_degenerate(response)
         if not degenerate:
             response = peak_normalize(response)
@@ -479,8 +504,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_threads(p):
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for per-image work")
+        p.add_argument("--threads", type=int, default=_default_threads(),
+                       help="worker threads for per-image work (default: "
+                            "the usable CPUs, at most 4)")
 
     p = sub.add_parser("convert", help="raw digital counts to radiance")
     p.add_argument("--manifest", required=True)

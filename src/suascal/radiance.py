@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -56,13 +57,18 @@ class VignetteModel:
             raise MetadataError("vignette center must be finite")
         object.__setattr__(self, "coefficients", coeffs)
 
-    def polynomial(self, radius) -> np.ndarray:
-        """Evaluate ``k(r)`` for a radius or array of radii."""
+    def polynomial(self, radius, out: np.ndarray | None = None
+                   ) -> np.ndarray:
+        """Evaluate ``k(r)`` for a radius or array of radii, in ``out``
+        (of ``radius``'s shape) when given."""
         r = np.asarray(radius, dtype=np.float64)
-        k = np.zeros_like(r)
+        k = np.empty_like(r) if out is None else out
+        k[...] = 0.0
         for c in self.coefficients[::-1]:
-            k = (k + c) * r
-        return 1.0 + k
+            k += c
+            k *= r
+        k += 1.0
+        return k
 
 
 @dataclass(frozen=True)
@@ -161,22 +167,37 @@ def _require_2d(pixels: np.ndarray) -> None:
 def vignette_map(model: VignetteModel, width: int, height: int) -> np.ndarray:
     """Vignette correction ``V = 1/k(r)`` over a full frame, shape (h, w).
 
+    ``k`` is built in the map itself, :data:`ROW_BLOCK` rows at a time, so
+    the only other array is one block of radii.
+
     Raises
     ------
     MetadataError
         If the polynomial is non-positive anywhere; the message names the
-        pixel with the smallest ``k``.
+        pixel :func:`numpy.argmin` picks over the whole of ``k``.
     """
     x = np.arange(width, dtype=np.float64) - model.center_x
     y = np.arange(height, dtype=np.float64) - model.center_y
-    r = np.hypot(x[np.newaxis, :], y[:, np.newaxis])
-    k = model.polynomial(r)
-    if np.any(k <= 0):
-        iy, ix = np.unravel_index(int(np.argmin(k)), k.shape)
+    k = np.empty((height, width))
+    radius = np.empty((min(ROW_BLOCK, height), width))
+    worst = None  # (k, x, y) of the first smallest non-positive k so far
+    for top in range(0, height, ROW_BLOCK):
+        block = k[top:top + ROW_BLOCK]
+        r = radius[:len(block)]
+        np.hypot(x, y[top:top + ROW_BLOCK, np.newaxis], out=r)
+        model.polynomial(r, out=block)
+        # A NaN k needs an infinite radius, and the finite center puts
+        # every pixel at that radius, so a map with a NaN is all NaN.
+        low = block.min()
+        if low <= 0 and (worst is None or low < worst[0]):
+            iy, ix = np.unravel_index(int(np.argmin(block)), block.shape)
+            worst = (block[iy, ix], ix, top + iy)
+    if worst is not None:
+        value, ix, iy = worst
         raise MetadataError(
-            f"vignette polynomial k={k[iy, ix]:.6g} is not positive at pixel "
+            f"vignette polynomial k={value:.6g} is not positive at pixel "
             f"({ix}, {iy})")
-    return 1.0 / k
+    return np.divide(1.0, k, out=k)
 
 
 def row_factors(meta: RadiometricMetadata, height: int) -> np.ndarray:
@@ -219,10 +240,22 @@ def _cached_vignette(center_x: float, center_y: float, coefficients: bytes,
     return vignette
 
 
+#: Held while a vignette map is fetched, so that threads asking for one
+#: map at once wait for a single build instead of each building it.
+_VIGNETTE_LOCK = threading.Lock()
+
+
+def _shared_vignette(key) -> np.ndarray:
+    """The cached vignette map under ``key``, built once by whichever
+    thread asks first."""
+    with _VIGNETTE_LOCK:
+        return _cached_vignette(*key)
+
+
 @functools.lru_cache(maxsize=_VIGNETTE_CACHE_SIZE)
 def _vignette_peak(*key) -> float:
     """The largest value of the cached vignette map under ``key``."""
-    return float(_cached_vignette(*key).max())
+    return float(_shared_vignette(key).max())
 
 
 def _vignette_key(meta: RadiometricMetadata, shape: tuple[int, int]):
@@ -241,7 +274,7 @@ def _flat_field(meta: RadiometricMetadata, shape: tuple[int, int]
     reuses a band's calibration computes it once; ``R`` and the scale
     depend on exposure and stay per call.
     """
-    vignette = _cached_vignette(*_vignette_key(meta, shape))
+    vignette = _shared_vignette(_vignette_key(meta, shape))
     scale = meta.a1 / (meta.gain * meta.exposure_us * 2.0 ** meta.bits_per_pixel)
     return vignette, row_factors(meta, shape[0]), scale
 

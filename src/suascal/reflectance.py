@@ -123,10 +123,18 @@ def irradiance_to_radiance(irradiance) -> np.ndarray:
 
 
 def dls_distance(a, b) -> float:
-    """Euclidean distance between two five-band irradiance vectors."""
+    """Euclidean distance between two five-band irradiance vectors.
+
+    :func:`numpy.linalg.norm` squares before it takes the root, so it
+    overflows once the squared distance passes the float range;
+    :func:`math.dist` scales as it sums and takes over there.  Below that
+    the numpy value stands, so reported metrics keep their bits.
+    """
     a = _as_band_vector(a, "irradiance vector")
     b = _as_band_vector(b, "irradiance vector")
-    return float(np.linalg.norm(a - b))
+    with np.errstate(over="ignore"):
+        distance = float(np.linalg.norm(a - b))
+    return distance if math.isfinite(distance) else math.dist(a, b)
 
 
 @dataclass(frozen=True)

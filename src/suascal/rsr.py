@@ -120,8 +120,10 @@ class MonochromatorRun:
 
 def normalize_counts(run: MonochromatorRun) -> SpectralCurve:
     """Counts per unit gain-exposure: ``DC(λ) / (g * t)``."""
-    return SpectralCurve(run.wavelengths_nm,
-                         run.mean_counts / (run.gain * run.exposure_us))
+    # A ratio that overflows is rejected by SpectralCurve as non-finite.
+    with np.errstate(over="ignore"):
+        normalized = run.mean_counts / (run.gain * run.exposure_us)
+    return SpectralCurve(run.wavelengths_nm, normalized)
 
 
 def relative_response(normalized: SpectralCurve, power: SpectralCurve,
@@ -142,7 +144,11 @@ def relative_response(normalized: SpectralCurve, power: SpectralCurve,
         raise CurveError("count and power sweeps must share a wavelength grid")
     if np.any(power.values <= 0):
         raise CurveError("monochromator power must be positive everywhere")
-    u = normalized.values / power.values
+    with np.errstate(over="ignore"):
+        u = normalized.values / power.values
+    if not np.all(np.isfinite(u)):
+        at = normalized.wavelengths_nm[np.argmin(np.isfinite(u))]
+        raise CurveError(f"count-to-power ratio overflows at {at:g} nm")
     positive = u[u > 0]
     if positive.size == 0:
         # No signal at any wavelength: return the degenerate all-zero curve.

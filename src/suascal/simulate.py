@@ -169,12 +169,12 @@ def _tau_to_sensor(tau1: np.ndarray, log_tau2: np.ndarray, cos_s: float,
     target-to-sensor column, so ``tau' = tau1 * tau2 ** (-1 / cos(s))``.
     ``log_tau2`` is ``np.log(tau2)``, which depends only on the view path;
     the result is computed in place in ``out`` (``log_tau2``'s shape) and
-    returned.
+    returned.  Where ``tau1`` is 0 its log is -inf, so the exponent is -inf
+    or NaN and the result is 0.
     """
     np.divide(log_tau2, cos_s, out=out)
     np.subtract(np.log(tau1), out, out=out)
     np.exp(out, out=out)
-    np.copyto(out, 0.0, where=tau1 <= 0.0)
     np.nan_to_num(out, copy=False, nan=0.0, posinf=1.0)
     return np.clip(out, 0.0, 1.0, out=out)
 

@@ -35,6 +35,14 @@ class TestPgm:
                          b"\x00\x01\x00\x02")
         assert read_pgm16(path).tolist() == [[1, 2]]
 
+    def test_pixels_at_an_odd_offset(self, tmp_path):
+        # A 17-byte header puts every sample at an odd byte offset.
+        path = tmp_path / "img.pgm"
+        path.write_bytes(b"P5\n# c\n2 1\n65535\n\x12\x34\xab\xcd")
+        pixels = read_pgm16(path)
+        assert pixels.dtype == np.uint16
+        assert pixels.tolist() == [[0x1234, 0xABCD]]
+
     def test_eight_bit_maxval_rejected(self, tmp_path):
         path = tmp_path / "img.pgm"
         path.write_bytes(b"P5\n1 1\n255\n\x00")

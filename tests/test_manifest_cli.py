@@ -7,7 +7,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -615,21 +615,26 @@ class TestSimulateCommand:
         assert named in capsys.readouterr().err
 
 
+def _sweep(band_index, flat_ratio=False):
+    """A monochromator sweep document for ``band_index``: 41 samples, 2 nm
+    apart, around ``500 + 50 * band_index`` nm."""
+    center = 500.0 + 50.0 * band_index
+    wavelengths = np.arange(center - 40.0, center + 40.5, 2.0)
+    power = np.full(wavelengths.size, 2e-6)
+    if flat_ratio:
+        counts = np.zeros(wavelengths.size)
+    else:
+        counts = 4000.0 * np.exp(-0.5 * ((wavelengths - center) / 12) ** 2)
+    return {"band_index": band_index, "gain": 1.0, "exposure_us": 1000.0,
+            "samples": [[float(w), float(c), float(p)]
+                        for w, c, p in zip(wavelengths, counts, power)]}
+
+
 class TestRsrCommand:
     def _write_run(self, run_dir, band_index, flat_ratio=False):
         run_dir.mkdir(parents=True, exist_ok=True)
-        center = 500.0 + 50.0 * band_index
-        wavelengths = np.arange(center - 40.0, center + 40.5, 2.0)
-        power = np.full(wavelengths.size, 2e-6)
-        if flat_ratio:
-            counts = np.zeros(wavelengths.size)
-        else:
-            counts = 4000.0 * np.exp(-0.5 * ((wavelengths - center) / 12) ** 2)
-        payload = {"band_index": band_index, "gain": 1.0,
-                   "exposure_us": 1000.0,
-                   "samples": [[float(w), float(c), float(p)]
-                               for w, c, p in zip(wavelengths, counts, power)]}
-        (run_dir / f"band_{band_index}.json").write_text(json.dumps(payload))
+        (run_dir / f"band_{band_index}.json").write_text(
+            json.dumps(_sweep(band_index, flat_ratio)))
 
     def test_reduces_sweeps_to_curves(self, tmp_path):
         run_dir = tmp_path / "run"
@@ -667,8 +672,15 @@ class TestRsrCommand:
         (lambda p: p["samples"][0].__setitem__(1, None), "'samples'[0][1]"),
         (lambda p: p.update(band_index=2),
          "'band_index' 2 is declared by both"),
+        (lambda p: p["samples"][20].__setitem__(1, 1e306),
+         "band_1.json: count-to-power ratio overflows at 550 nm"),
+        (lambda p: p.update(exposure_us=5e-324),
+         "band_1.json: spectral curve contains non-finite samples"),
+        (lambda p: p["samples"][3].__setitem__(2, -1e-6),
+         "band_1.json: monochromator power must be positive"),
     ], ids=["exposure-missing", "sample-pair", "gain-text", "band_index-bool",
-            "count-null", "band_index-duplicate"])
+            "count-null", "band_index-duplicate", "ratio-overflow",
+            "normalized-overflow", "power-negative"])
     def test_malformed_sweep_is_usage_error(self, tmp_path, capsys, edit,
                                             named):
         run_dir = tmp_path / "run"
@@ -682,17 +694,16 @@ class TestRsrCommand:
                      "--out", str(tmp_path / "rsr")]) == 1
         assert named in capsys.readouterr().err
 
-    @given(data=st.data())
+    @given(node=st.sampled_from(list(helpers.json_paths(_sweep(1)))),
+           value=helpers.json_values)
+    # A count whose ratio to the 2e-6 W power overflows float64.
+    @example(node=("samples", 0, 1), value=1e306)
     def test_any_mutated_node_exits_zero_or_one(self, tmp_path_factory,
-                                                data):
+                                                node, value):
         run_dir = tmp_path_factory.getbasetemp() / "mutated_sweep"
-        self._write_run(run_dir, 1)
-        band_file = run_dir / "band_1.json"
-        doc = json.loads(band_file.read_text())
-        node = data.draw(st.sampled_from(list(helpers.json_paths(doc))))
-        value = data.draw(helpers.json_values)
-        band_file.write_text(json.dumps(helpers.replace_node(doc, node,
-                                                             value)))
+        run_dir.mkdir(exist_ok=True)
+        (run_dir / "band_1.json").write_text(
+            json.dumps(helpers.replace_node(_sweep(1), node, value)))
         assert main(["rsr", "--run-dir", str(run_dir),
                      "--out", str(run_dir / "out")]) in (0, 1)
 
@@ -708,13 +719,13 @@ class TestParserContract:
     def test_thread_count_does_not_change_outputs(self, flight, tmp_path,
                                                   command):
         trees = []
-        for threads in ("1", "2"):
-            out = tmp_path / threads
+        for i, threads in enumerate(([], ["--threads", "1"],
+                                     ["--threads", "2"], ["--threads", "3"])):
+            out = tmp_path / str(i)
             assert main(command + ["--manifest", str(flight),
-                                   "--out", str(out),
-                                   "--threads", threads]) == 0
+                                   "--out", str(out)] + threads) == 0
             trees.append({p.name: p.read_bytes() for p in out.iterdir()})
-        assert trees[0] == trees[1]
+        assert all(tree == trees[0] for tree in trees[1:])
 
     def test_bad_thread_count(self, flight, tmp_path):
         assert main(["convert", "--manifest", str(flight),

@@ -1,8 +1,13 @@
 """Digital-count to radiance conversion and its factor models."""
 
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from suascal import radiance as radiance_module
@@ -58,6 +63,55 @@ class TestVignetteFactor:
     def test_coefficient_count_enforced(self):
         with pytest.raises(MetadataError):
             VignetteModel(0.0, 0.0, (0.1, 0.2))
+
+    @given(height=st.sampled_from([1, 31, 33, 97]), width=st.integers(1, 9),
+           center=st.tuples(*[st.integers(-20, 120).map(float)
+                              | st.floats(-20.0, 120.0)
+                              | st.sampled_from([1e308, -1e308])] * 2),
+           coefficients=st.lists(st.floats(-0.05, 0.05)
+                                 | st.sampled_from([0.0, -0.0, 1e300,
+                                                    -1e300]),
+                                 min_size=6, max_size=6))
+    # Pixels (0, 0), (4, 0), (0, 32) and (4, 32) tie for the smallest k,
+    # rows 0 and 32 in different row blocks.
+    @example(height=33, width=5, center=(2.0, 16.0),
+             coefficients=[-0.1, 0.0, 0.0, 0.0, 0.0, 0.0])
+    # The smallest k is in the second row block, with a non-positive k
+    # in the first.
+    @example(height=33, width=5, center=(2.0, 10.0),
+             coefficients=[-0.1, 0.0, 0.0, 0.0, 0.0, 0.0])
+    def test_row_blocks_match_the_whole_frame_formula(self, height, width,
+                                                      center, coefficients):
+        model = VignetteModel(*center, coefficients)
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                expected = whole_frame_vignette(model, width, height)
+            except MetadataError as exc:
+                with pytest.raises(MetadataError) as raised:
+                    vignette_map(model, width, height)
+                assert str(raised.value) == str(exc)
+                return
+            got = vignette_map(model, width, height)
+        assert got.tobytes() == expected.tobytes()
+
+
+def whole_frame_vignette(model, width, height):
+    """``V = 1/k(r)`` as one whole-frame expression: the reference that the
+    row-blocked :func:`vignette_map` must match bit for bit, error
+    included."""
+    x = np.arange(width, dtype=np.float64) - model.center_x
+    y = np.arange(height, dtype=np.float64) - model.center_y
+    r = np.hypot(x[np.newaxis, :], y[:, np.newaxis])
+    k = np.zeros_like(r)
+    for c in model.coefficients[::-1]:
+        k = (k + c) * r
+    k = 1.0 + k
+    if np.any(k <= 0):
+        iy, ix = np.unravel_index(int(np.argmin(k)), k.shape)
+        raise MetadataError(
+            f"vignette polynomial k={k[iy, ix]:.6g} is not positive at pixel "
+            f"({ix}, {iy})")
+    return 1.0 / k
 
 
 class TestRowCorrection:
@@ -235,6 +289,35 @@ class TestVignetteCache:
         assert not vignette.flags.writeable
         with pytest.raises(ValueError):
             vignette[0, 0] = 2.0
+
+    def test_threads_asking_for_one_map_build_it_once(self, monkeypatch):
+        build = radiance_module.vignette_map
+        built = []
+
+        def counted_build(*args):
+            built.append(args)
+            time.sleep(0.05)  # every other thread asks while this builds
+            return build(*args)
+
+        monkeypatch.setattr(radiance_module, "vignette_map", counted_build)
+        radiance_module._cached_vignette.cache_clear()
+        meta = make_meta(vignette=VignetteModel(3.5, 4.5,
+                                                (1e-3,) + (0.0,) * 5))
+        start = threading.Barrier(4)
+
+        def ask(_):
+            start.wait(timeout=10)
+            return radiance_module._flat_field(meta, (50, 40))[0]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                maps = list(pool.map(ask, range(4), timeout=30))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(built) == 1
+        assert all(vignette is maps[0] for vignette in maps)
 
     def test_cache_holds_at_most_five_maps(self):
         cache = radiance_module._cached_vignette

@@ -100,6 +100,11 @@ class TestDlsDistance:
     def test_half_difference(self):
         assert dls_distance([1, 2, 3, 4, 5], [1, 2, 3, 4, 5.5]) == 0.5
 
+    def test_distance_whose_square_overflows_is_finite(self):
+        # sqrt(5 * (2e300)**2); the square alone is beyond float64.
+        assert dls_distance([1e300] * 5, [-1e300] * 5) == \
+            pytest.approx(4.47213595499958e300, rel=1e-15)
+
 
 class TestSelectCalibration:
     def test_single_candidate_any_mode(self):

@@ -357,15 +357,6 @@ class TestGridValidation:
             run_maarr_grid(tiny_grid(**kwargs))
 
 
-def tiny_grid(**kw):
-    args = dict(atmospheres=("us-standard",), days=(171,), times_utc=(16.0,),
-                visibilities_km=(5.0, 23.0),
-                sensor_altitudes_km=(0.214, 0.282),
-                summary_exclude_altitudes_km=())
-    args.update(kw)
-    return SimulationGrid(**args)
-
-
 def oracle_cell(grid, cell, rsr_set):
     """Per-cell chain: ``parametric_atmosphere`` -> ``sensor_radiance`` /
     ``dls_downwelling`` -> ``band_effective``.
