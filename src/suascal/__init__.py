@@ -11,8 +11,8 @@ from .errors import (CurveError, DegeneratePanelsError, ImageFormatError,
                      ManifestError, MetadataError, NoIlluminationError,
                      OrientationError, SuascalError)
 from .radiance import (RadianceImage, RadiometricMetadata, RawImage,
-                       VignetteModel, dc_to_radiance, radiance_to_counts,
-                       row_factors, vignette_map)
+                       VignetteModel, dc_to_radiance, row_factors,
+                       vignette_map)
 from .reflectance import (CalibrationImage, DLSRecord, ElmModel,
                           PanelObservation, ReflectanceImage, aarr,
                           apply_elm, dls_correct, dls_distance,
@@ -46,7 +46,7 @@ __all__ = [
     "f_survival", "fit_elm_1pt", "fit_elm_2pt",
     "irradiance_to_radiance", "load_manifest", "ndvi", "normalize_counts",
     "panel_band_reflectance", "parametric_atmosphere", "peak_normalize",
-    "radiance_to_counts", "read_spectral_curve", "regularized_incomplete_beta",
+    "read_spectral_curve", "regularized_incomplete_beta",
     "relative_response", "row_factors", "run_maarr_grid",
     "select_calibration", "selection_metric", "sensor_radiance",
     "signed_error", "vignette_map", "write_spectral_curve",

@@ -14,10 +14,13 @@ import csv
 import io
 import itertools
 import json
+import math
 import os
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
@@ -26,11 +29,12 @@ import numpy as np
 from .errors import CurveError, ManifestError, SuascalError
 from .evaluate import (ERROR_STATISTICS, METHOD_LEVELS, aggregate, ndvi,
                        read_samples, write_reports)
-from .imageio import (pgm16_header, read_pgm16, read_plane, rows_writer,
-                      sidecar_path, write_plane, write_sidecar)
+from .imageio import (pgm16_header, pgm16_shape, read_pgm16, read_plane,
+                      rows_writer, sidecar_path, write_plane, write_sidecar)
 from .jsonread import json_field, read_json
 from .manifest import BandEntry, FlightManifest, ImageEntry, load_manifest
-from .radiance import ROW_BLOCK, BandCounts, RawImage, convert_band
+from .radiance import (ROW_BLOCK, BandCounts, RawImage, Vignette,
+                       VignetteStore, convert_band)
 from .reflectance import (SELECTION_MODES, CalibrationImage, PanelObservation,
                           ReflectanceImage, aarr_map, check_pgm_scale,
                           elm_map, fit_elm_1pt, fit_elm_2pt, panel_means,
@@ -77,28 +81,8 @@ def _read_raw(band: BandEntry) -> RawImage:
                     bits_per_pixel=band.metadata.bits_per_pixel)
 
 
-def _write_bands(entry: ImageEntry, write_band) -> dict:
-    """Call ``write_band(band, written)`` for each band of an image in
-    manifest order, keyed by band index.
-
-    Each call decodes, converts, writes and drops its own band-frame, so
-    one frame is in flight at a time.  ``write_band`` appends each path to
-    ``written`` before writing it; when any band fails, every file the
-    image wrote is removed before the error propagates, so a failed image
-    leaves no planes behind.
-    """
-    written: list[Path] = []
-    try:
-        return {str(band.band_index): write_band(band, written)
-                for band in entry.bands}
-    except Exception:
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
-
-
-def _stream_band(raw: RawImage, meta, path: Path, written: list[Path],
-                 units: str, post_map=None,
+def _stream_band(raw: RawImage, meta, vignette: Vignette, path: Path,
+                 written: list[Path], units: str, post_map=None,
                  pgm_scale: float | None = None) -> BandCounts:
     """Convert one band-frame block by block into the float32 plane at
     ``path`` and, with ``pgm_scale``, into a 16-bit PGM of the scaled
@@ -127,7 +111,7 @@ def _stream_band(raw: RawImage, meta, path: Path, written: list[Path],
                     pgm(pgm_counts(block, pgm_scale,
                                    out=scratch[:len(block)]))
 
-        counts = convert_band(raw, meta, sink, post_map)
+        counts = convert_band(raw, meta, sink, post_map, vignette=vignette)
     if pgm_scale is not None:
         check_pgm_scale(pgm_scale)
     write_sidecar(path, (height, width), raw.band_index, units)
@@ -161,27 +145,116 @@ def _thread_map(function, items, threads: int) -> list:
         return list(pool.map(function, items))
 
 
-def _map_images(entries, worker, threads: int):
-    """Apply worker to each image entry, harvesting per-image failures.
+@dataclass
+class _BandTask:
+    """One band-frame of one image, holding one use of its vignette map."""
 
-    Returns ``(results, failures)`` keyed by image id; thread fan-out does
-    not change either mapping since both are keyed, not ordered.
+    #: Position of the image in the list it was planned from.
+    image: int
+    #: Position of the band in the image's manifest order.
+    position: int
+    band: BandEntry
+    #: The :class:`VignetteStore` key of the band's map.
+    key: tuple
+    #: Files written for the band, removed if its image fails.
+    written: list[Path] = field(default_factory=list)
+
+
+def _plan_bands(store: VignetteStore, entries) -> list[_BandTask]:
+    """One task per band-frame of ``entries``, each counted in ``store``,
+    ordered band-major: the frames of one band and lens model run back to
+    back, in manifest order, so each map is needed for one stretch only."""
+    tasks, first = [], {}
+    for i, entry in enumerate(entries):
+        for j, band in enumerate(entry.bands):
+            key = store.plan(band.metadata.vignette, pgm16_shape(band.path))
+            first.setdefault((band.band_index, key), len(first))
+            tasks.append(_BandTask(i, j, band, key))
+    return sorted(tasks, key=lambda task: (
+        task.band.band_index, first[task.band.band_index, task.key]))
+
+
+def _run_bands(tasks: list[_BandTask], store: VignetteStore, work,
+               threads: int, per_image: bool = True,
+               failed: dict | None = None) -> dict:
+    """``work(task)`` for each task on ``threads`` threads, keyed by
+    ``(image, position)``: its result, or the exception it raised.
+
+    Only the failure first in manifest order is reported, so a task is
+    skipped once one before it has failed: one of its image with
+    ``per_image``, else one of any image.  ``failed`` maps images that
+    failed beforehand to -1.  Every task gives back its map use, run,
+    failed or skipped.
     """
-    results: dict[str, object] = {}
-    failures: dict[str, str] = {}
+    failed = dict(failed or {})
+    lock = threading.Lock()
 
-    def run(entry):
+    def run(task: _BandTask):
+        unit, rank = ((task.image, task.position) if per_image
+                      else (None, (task.image, task.position)))
         try:
-            return entry.image_id, worker(entry), None
-        except SuascalError as exc:
-            return entry.image_id, None, str(exc)
+            with lock:
+                skip = unit in failed and failed[unit] < rank
+            if skip:
+                return None
+            try:
+                return work(task)
+            except Exception as exc:
+                with lock:
+                    failed[unit] = min(failed.get(unit, rank), rank)
+                return exc
+        finally:
+            store.release(task.key)
 
-    for image_id, value, error in _thread_map(run, entries, threads):
-        if error is None:
-            results[image_id] = value
-        else:
-            failures[image_id] = error
-    return results, failures
+    return {(task.image, task.position): outcome for task, outcome in
+            zip(tasks, _thread_map(run, tasks, threads))}
+
+
+def _image_pass(entries, tasks: list[_BandTask], store: VignetteStore,
+                write_band, threads: int, errors: dict | None = None):
+    """Write every band of ``entries`` with ``write_band(task)``, which
+    returns the band's record; ``errors`` holds the images that failed
+    before their bands (position to exception) and run none.
+
+    Returns ``(bands, failures)`` keyed by image id: each good image's band
+    records by band index, each failed image's first error in manifest
+    order.  A failed image's files are removed, so it leaves none.  An
+    error that is not a :class:`SuascalError` is raised once every task is
+    done.
+    """
+    errors = dict(errors or {})
+    outcomes = _run_bands(tasks, store, write_band, threads,
+                          failed=dict.fromkeys(errors, -1))
+    bands: dict[str, dict] = {}
+    failures: dict[str, str] = {}
+    for i, entry in enumerate(entries):
+        if i not in errors:
+            records = [outcomes[i, j] for j in range(len(entry.bands))]
+            error = next((r for r in records if isinstance(r, Exception)),
+                         None)
+            if error is None:
+                bands[entry.image_id] = {
+                    str(band.band_index): record
+                    for band, record in zip(entry.bands, records)}
+                continue
+            errors[i] = error
+        if isinstance(errors[i], SuascalError):
+            failures[entry.image_id] = str(errors[i])
+    for task in tasks:
+        if task.image in errors:
+            for path in task.written:
+                path.unlink(missing_ok=True)
+    for i in sorted(errors):
+        if not isinstance(errors[i], SuascalError):
+            raise errors[i]
+    return bands, failures
+
+
+def _read_band(store: VignetteStore, task: _BandTask):
+    """Decode a task's band-frame and take its vignette map, in that order,
+    so a frame's decode errors come ahead of its map's."""
+    raw = _read_raw(task.band)
+    return raw, store.vignette(task.key, raw.pixels.shape)
 
 
 def cmd_convert(args) -> int:
@@ -193,18 +266,22 @@ def cmd_convert(args) -> int:
               file=sys.stderr)
         _write_json(out / "conversion_log.json", {"images": {}, "failures": {}})
         return EXIT_OK
+    store = VignetteStore()
+    tasks = _plan_bands(store, manifest.images)
 
-    def convert(entry: ImageEntry) -> dict:
-        def write_band(band: BandEntry, written: list[Path]) -> dict:
-            name = _plane_name(entry.image_id, band.band_index)
-            counts = _stream_band(_read_raw(band), band.metadata, out / name,
-                                  written, RADIANCE_UNITS)
-            return {"path": name, "clamped_pixels": counts.clamped,
-                    "saturated_pixels": counts.saturated}
+    def write_band(task: _BandTask) -> dict:
+        raw, vignette = _read_band(store, task)
+        name = _plane_name(manifest.images[task.image].image_id,
+                           task.band.band_index)
+        counts = _stream_band(raw, task.band.metadata, vignette, out / name,
+                              task.written, RADIANCE_UNITS)
+        return {"path": name, "clamped_pixels": counts.clamped,
+                "saturated_pixels": counts.saturated}
 
-        return {"bands": _write_bands(entry, write_band)}
-
-    log, failures = _map_images(manifest.images, convert, args.threads)
+    bands, failures = _image_pass(manifest.images, tasks, store, write_band,
+                                  args.threads)
+    log = {image_id: {"bands": records}
+           for image_id, records in bands.items()}
     _write_json(out / "conversion_log.json",
                 {"images": log, "failures": failures})
     for image_id, message in sorted(failures.items()):
@@ -212,39 +289,52 @@ def cmd_convert(args) -> int:
     return _batch_exit(len(log), len(failures))
 
 
-def _calibration_candidates(manifest: FlightManifest,
+def _calibration_candidates(manifest: FlightManifest, entries,
+                            store: VignetteStore,
                             rsr_set: dict[int, SpectralCurve],
-                            need_dark: bool,
                             threads: int) -> list[CalibrationImage]:
-    """The calibration images usable for the method, in manifest order,
-    each read and reduced to its panel means on ``threads`` threads."""
+    """The calibration images ``entries``, in manifest order, each band
+    reduced to its panel means on ``threads`` threads, band-major.
+
+    The first error in manifest order is raised: an image's band faults,
+    then its panel spectra, then the next image's.
+    """
     bands = sorted(rsr_set)
 
-    def candidate(entry: ImageEntry) -> CalibrationImage:
-        placements = [entry.calibration_bright]
-        if entry.calibration_dark is not None:
-            placements.append(entry.calibration_dark)
-        rois = [placement.roi for placement in placements]
+    def placements(entry: ImageEntry) -> list:
+        return [placement for placement in (entry.calibration_bright,
+                                            entry.calibration_dark)
+                if placement is not None]
+
+    def means(task: _BandTask) -> list[float]:
         # Only the per-band ROI means outlive each band-frame.
-        means = {band.band_index: panel_means(_read_raw(band), band.metadata,
-                                              rois)
-                 for band in entry.bands}
+        raw, vignette = _read_band(store, task)
+        return panel_means(raw, task.band.metadata,
+                           [p.roi for p in placements(entries[task.image])],
+                           vignette)
+
+    outcomes = _run_bands(_plan_bands(store, entries), store, means, threads,
+                          per_image=False)
+    candidates = []
+    for i, entry in enumerate(entries):
+        by_band = {}
+        for j, band in enumerate(entry.bands):
+            if isinstance(outcomes[i, j], Exception):
+                raise outcomes[i, j]
+            by_band[band.band_index] = outcomes[i, j]
         observations = [
             PanelObservation(
                 panel_id=placement.panel_id,
                 ground_reflectance=panel_band_reflectance(
                     manifest.panel_spectrum(placement.panel_id), rsr_set),
-                mean_radiance=np.array([means[b][i] for b in bands]),
+                mean_radiance=np.array([by_band[b][k] for b in bands]),
                 roi=placement.roi)
-            for i, placement in enumerate(placements)]
-        return CalibrationImage(
+            for k, placement in enumerate(placements(entry))]
+        candidates.append(CalibrationImage(
             image_id=entry.image_id, timestamp=entry.timestamp,
             bright=observations[0], dls=entry.dls,
-            dark=observations[1] if len(observations) > 1 else None)
-
-    entries = [entry for entry in manifest.calibration_images
-               if entry.calibration_dark is not None or not need_dark]
-    return _thread_map(candidate, entries, threads)
+            dark=observations[1] if len(observations) > 1 else None))
+    return candidates
 
 
 def cmd_reflect(args) -> int:
@@ -260,56 +350,75 @@ def cmd_reflect(args) -> int:
                      "images": {}, "failures": {}})
         return EXIT_OK
 
+    # One store for both passes, the image pass planned first, so the maps
+    # the calibration pass builds stay for the image pass.
+    store = VignetteStore()
+    tasks = _plan_bands(store, manifest.images)
     candidates: list[CalibrationImage] = []
     if args.method in ("elm1", "elm2"):
-        candidates = _calibration_candidates(manifest, rsr_set,
-                                             need_dark=args.method == "elm2",
-                                             threads=args.threads)
+        calibration = [entry for entry in manifest.calibration_images
+                       if entry.calibration_dark is not None
+                       or args.method != "elm2"]
+        candidates = _calibration_candidates(manifest, calibration, store,
+                                             rsr_set, args.threads)
         if not candidates:
             dark_note = " with a dark panel" if args.method == "elm2" else ""
             print(f"error: method {args.method} needs at least one "
                   f"calibration image{dark_note}", file=sys.stderr)
             return EXIT_USAGE
 
-    def process(entry: ImageEntry) -> dict:
+    def prepare(entry: ImageEntry):
+        """An image's report fields and band map factory; its selection and
+        fit errors fail it ahead of any band fault."""
         record: dict[str, object] = {"method": args.method}
         if args.method == "aarr":
             if entry.dls is None:
                 raise SuascalError("aarr requires a dls record")
-            band_map = partial(aarr_map, entry.dls)
-        else:
-            selected = select_calibration(
-                candidates, args.selection, image_dls=entry.dls,
-                image_timestamp=entry.timestamp,
-                designated_id=args.designated_id)
-            fit = fit_elm_1pt if args.method == "elm1" else fit_elm_2pt
-            band_map = partial(elm_map, fit(selected))
-            record["calibration_image"] = selected.image_id
-            record["selection"] = args.selection
-            if args.selection != "single":
-                record["selection_metric"] = selection_metric(
-                    args.selection, entry.dls, entry.timestamp)(selected)
+            return record, partial(aarr_map, entry.dls)
+        selected = select_calibration(
+            candidates, args.selection, image_dls=entry.dls,
+            image_timestamp=entry.timestamp,
+            designated_id=args.designated_id)
+        fit = fit_elm_1pt if args.method == "elm1" else fit_elm_2pt
+        band_map = partial(elm_map, fit(selected))
+        record["calibration_image"] = selected.image_id
+        record["selection"] = args.selection
+        if args.selection != "single":
+            record["selection_metric"] = selection_metric(
+                args.selection, entry.dls, entry.timestamp)(selected)
+        return record, band_map
 
-        def write_band(band: BandEntry, written: list[Path]) -> dict:
-            raw = _read_raw(band)
-            try:
-                post_map = band_map(band.band_index)
-            except SuascalError:
-                # A band's radiance faults are reported ahead of its map's.
-                convert_band(raw, band.metadata)
-                raise
-            name = _plane_name(entry.image_id, band.band_index)
-            counts = _stream_band(
-                raw, band.metadata, out / name, written, "reflectance",
-                post_map, args.pgm_scale if args.write_pgm else None)
-            return {"path": name,
-                    "out_of_range_fraction": counts.out_of_range_fraction,
-                    "saturated_pixels": counts.saturated}
+    records, band_maps, errors = {}, {}, {}
+    for i, entry in enumerate(manifest.images):
+        try:
+            records[i], band_maps[i] = prepare(entry)
+        except SuascalError as exc:
+            errors[i] = exc
 
-        record["bands"] = _write_bands(entry, write_band)
-        return record
+    def write_band(task: _BandTask) -> dict:
+        band = task.band
+        raw, vignette = _read_band(store, task)
+        try:
+            post_map = band_maps[task.image](band.band_index)
+        except SuascalError:
+            # A band's radiance faults are reported ahead of its map's.
+            convert_band(raw, band.metadata, vignette=vignette)
+            raise
+        name = _plane_name(manifest.images[task.image].image_id,
+                           band.band_index)
+        counts = _stream_band(
+            raw, band.metadata, vignette, out / name, task.written,
+            "reflectance", post_map,
+            args.pgm_scale if args.write_pgm else None)
+        return {"path": name,
+                "out_of_range_fraction": counts.out_of_range_fraction,
+                "saturated_pixels": counts.saturated}
 
-    results, failures = _map_images(manifest.images, process, args.threads)
+    bands, failures = _image_pass(manifest.images, tasks, store, write_band,
+                                  args.threads, errors)
+    results = {entry.image_id: dict(records[i], bands=bands[entry.image_id])
+               for i, entry in enumerate(manifest.images)
+               if entry.image_id in bands}
     _write_json(out / "reflectance_report.json",
                 {"method": args.method, "selection": args.selection,
                  "images": results, "failures": failures})
@@ -497,6 +606,18 @@ def cmd_ndvi(args) -> int:
     return EXIT_OK
 
 
+def _positive_number(text: str) -> float:
+    """An option value that must be a finite number above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number above zero, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="suascal",
                      description="Radiometric calibration toolkit for "
@@ -505,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_threads(p):
         p.add_argument("--threads", type=int, default=_default_threads(),
-                       help="worker threads for per-image work (default: "
+                       help="worker threads for band-frame work (default: "
                             "the usable CPUs, at most 4)")
 
     p = sub.add_parser("convert", help="raw digital counts to radiance")
@@ -546,7 +667,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rsr", help="reduce monochromator sweeps to RSR CSVs")
     p.add_argument("--run-dir", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--shift-scale", type=float, default=DEFAULT_SHIFT_SCALE)
+    p.add_argument("--shift-scale", type=_positive_number,
+                   default=DEFAULT_SHIFT_SCALE)
     p.set_defaults(handler=cmd_rsr)
 
     p = sub.add_parser("ndvi", help="NDVI from red and NIR planes")

@@ -12,7 +12,7 @@ import csv
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -347,18 +347,6 @@ def read_samples(path) -> list[TargetSample]:
     if not samples:
         raise MetadataError(f"{path}: no sample rows")
     return samples
-
-
-def write_samples(path, samples: Iterable[TargetSample]) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_SAMPLE_FIELDS)
-        for s in samples:
-            writer.writerow([s.target_id, s.band_index, s.weather,
-                             s.altitude_ft, s.method,
-                             repr(s.true_reflectance),
-                             repr(s.estimated_reflectance)])
 
 
 def write_reports(path, reports: Sequence[ErrorReport]) -> None:

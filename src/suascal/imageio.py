@@ -79,23 +79,21 @@ def read_pgm16(path) -> np.ndarray:
     return pixels.reshape((height, width))
 
 
+def pgm16_shape(path) -> tuple[int, int] | None:
+    """The ``(height, width)`` in a binary PGM's header, read without the
+    pixels; ``None`` when the first 4 KB hold no header.  Nothing else is
+    checked: that is :func:`read_pgm16`'s job."""
+    try:
+        with Path(path).open("rb") as handle:
+            match = _PGM_HEADER.match(handle.read(4096))
+    except (OSError, ValueError):  # ValueError: a NUL in the path
+        return None
+    return (int(match.group(3)), int(match.group(2))) if match else None
+
+
 def pgm16_header(width: int, height: int) -> bytes:
     """The header of a binary 16-bit PGM of ``width`` x ``height``."""
     return f"P5\n{width} {height}\n65535\n".encode("ascii")
-
-
-def write_pgm16(path, pixels: np.ndarray) -> None:
-    """Write a 2-D unsigned integer array as binary 16-bit PGM."""
-    pixels = np.asarray(pixels)
-    if pixels.ndim != 2:
-        raise ImageFormatError("PGM output requires a 2-D array")
-    if pixels.min() < 0 or pixels.max() > 65535:
-        raise ImageFormatError(
-            "pixel values outside [0, 65535] cannot be PGM-encoded")
-    height, width = pixels.shape
-    with Path(path).open("wb") as handle:
-        handle.write(pgm16_header(width, height))
-        rows_writer(handle, ">u2")(pixels)
 
 
 def rows_writer(handle, dtype):

@@ -16,7 +16,6 @@ the result metadata.
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -164,42 +163,6 @@ def _require_2d(pixels: np.ndarray) -> None:
             f"{pixels.shape}")
 
 
-def vignette_map(model: VignetteModel, width: int, height: int) -> np.ndarray:
-    """Vignette correction ``V = 1/k(r)`` over a full frame, shape (h, w).
-
-    ``k`` is built in the map itself, :data:`ROW_BLOCK` rows at a time, so
-    the only other array is one block of radii.
-
-    Raises
-    ------
-    MetadataError
-        If the polynomial is non-positive anywhere; the message names the
-        pixel :func:`numpy.argmin` picks over the whole of ``k``.
-    """
-    x = np.arange(width, dtype=np.float64) - model.center_x
-    y = np.arange(height, dtype=np.float64) - model.center_y
-    k = np.empty((height, width))
-    radius = np.empty((min(ROW_BLOCK, height), width))
-    worst = None  # (k, x, y) of the first smallest non-positive k so far
-    for top in range(0, height, ROW_BLOCK):
-        block = k[top:top + ROW_BLOCK]
-        r = radius[:len(block)]
-        np.hypot(x, y[top:top + ROW_BLOCK, np.newaxis], out=r)
-        model.polynomial(r, out=block)
-        # A NaN k needs an infinite radius, and the finite center puts
-        # every pixel at that radius, so a map with a NaN is all NaN.
-        low = block.min()
-        if low <= 0 and (worst is None or low < worst[0]):
-            iy, ix = np.unravel_index(int(np.argmin(block)), block.shape)
-            worst = (block[iy, ix], ix, top + iy)
-    if worst is not None:
-        value, ix, iy = worst
-        raise MetadataError(
-            f"vignette polynomial k={value:.6g} is not positive at pixel "
-            f"({ix}, {iy})")
-    return np.divide(1.0, k, out=k)
-
-
 def row_factors(meta: RadiometricMetadata, height: int) -> np.ndarray:
     """Rolling-shutter row factors ``R(y) = 1 / (1 + a2*y/t + a3*y)``.
 
@@ -218,71 +181,233 @@ def row_factors(meta: RadiometricMetadata, height: int) -> np.ndarray:
     return 1.0 / denom
 
 
-#: Vignette maps kept: one per camera band of a flight.
-_VIGNETTE_CACHE_SIZE = 5
-#: Rows per block of :func:`convert_band`.  A float64 block of a
-#: 1280-wide frame is 320 KB, so each pass over it stays in cache; 16 and
-#: 64 rows measured slower on 1280x960 frames.
+#: Rows per block of :func:`convert_band` and of each vignette map.  A
+#: float64 block of a 1280-wide frame is 320 KB, so each pass over it stays
+#: in cache; 16 and 64 rows measured slower on 1280x960 frames.
 ROW_BLOCK = 32
 #: The largest finite float32: a float32 plane holds no pixel beyond it.
 FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
-@functools.lru_cache(maxsize=_VIGNETTE_CACHE_SIZE)
-def _cached_vignette(center_x: float, center_y: float, coefficients: bytes,
-                     width: int, height: int) -> np.ndarray:
-    """:func:`vignette_map` keyed on hashable values, returned read-only
-    because every caller shares it."""
-    model = VignetteModel(center_x, center_y,
-                          np.frombuffer(coefficients, dtype=np.float64))
-    vignette = vignette_map(model, width, height)
-    vignette.flags.writeable = False
-    return vignette
+class Vignette(NamedTuple):
+    """A read-only vignette correction map over one frame and its largest
+    value."""
+
+    map: np.ndarray
+    peak: float
 
 
-#: Held while a vignette map is fetched, so that threads asking for one
-#: map at once wait for a single build instead of each building it.
-_VIGNETTE_LOCK = threading.Lock()
+class _VignetteBuild:
+    """One vignette map ``V = 1/k(r)``, built in place :data:`ROW_BLOCK`
+    rows at a time.
 
-
-def _shared_vignette(key) -> np.ndarray:
-    """The cached vignette map under ``key``, built once by whichever
-    thread asks first."""
-    with _VIGNETTE_LOCK:
-        return _cached_vignette(*key)
-
-
-@functools.lru_cache(maxsize=_VIGNETTE_CACHE_SIZE)
-def _vignette_peak(*key) -> float:
-    """The largest value of the cached vignette map under ``key``."""
-    return float(_shared_vignette(key).max())
-
-
-def _vignette_key(meta: RadiometricMetadata, shape: tuple[int, int]):
-    height, width = shape
-    model = meta.vignette
-    return (model.center_x, model.center_y, model.coefficients.tobytes(),
-            width, height)
-
-
-def _flat_field(meta: RadiometricMetadata, shape: tuple[int, int]
-                ) -> tuple[np.ndarray, np.ndarray, float]:
-    """The shared read-only ``V`` over a frame of ``shape``, the row factors
-    ``R`` and the count scale ``a1 / (g * t * 2**N)``.
-
-    ``V`` depends only on the lens model and frame size, so a flight that
-    reuses a band's calibration computes it once; ``R`` and the scale
-    depend on exposure and stay per call.
+    Any number of threads may call :meth:`build` at once: each claims the
+    next block nobody has started, so a thread that needs a map another
+    thread is building builds part of it instead of waiting.  The thread
+    that finishes the last block judges the whole frame, and
+    :meth:`result` waits for that.
     """
-    vignette = _shared_vignette(_vignette_key(meta, shape))
-    scale = meta.a1 / (meta.gain * meta.exposure_us * 2.0 ** meta.bits_per_pixel)
-    return vignette, row_factors(meta, shape[0]), scale
+
+    def __init__(self, model: VignetteModel, k: np.ndarray):
+        height, width = k.shape
+        self.model = model
+        self.k = k
+        self._x = np.arange(width, dtype=np.float64) - model.center_x
+        self._y = np.arange(height, dtype=np.float64) - model.center_y
+        self._tops = iter(range(0, height, ROW_BLOCK))
+        self._left = len(range(0, height, ROW_BLOCK))
+        self._worst = {}  # block top -> (k, x, y) of its first smallest k <= 0
+        self._peaks = []
+        self._failure = None  # what a block raised, raised to every caller
+        self._outcome = None  # the map, or the message of its error
+        self._finished = threading.Condition()
+
+    def build(self) -> None:
+        """Build unclaimed blocks until none is left."""
+        radius = np.empty((min(ROW_BLOCK, len(self._y)), len(self._x)))
+        while True:
+            with self._finished:
+                top = next(self._tops, None)
+            if top is None:
+                return
+            worst = peak = None
+            try:
+                block = self.k[top:top + ROW_BLOCK]
+                r = radius[:len(block)]
+                np.hypot(self._x, self._y[top:top + ROW_BLOCK, np.newaxis],
+                         out=r)
+                self.model.polynomial(r, out=block)
+                # A NaN k needs an infinite radius, and the finite center
+                # puts every pixel at that radius, so a map with a NaN is
+                # all NaN.
+                if block.min() <= 0:
+                    iy, ix = np.unravel_index(int(np.argmin(block)),
+                                              block.shape)
+                    worst = (block[iy, ix], ix, top + iy)
+                else:
+                    peak = np.divide(1.0, block, out=block).max()
+            except BaseException as exc:
+                self._failure = exc
+                raise
+            finally:
+                with self._finished:
+                    if worst is not None:
+                        self._worst[top] = worst
+                    elif peak is not None:
+                        self._peaks.append(peak)
+                    self._left -= 1
+                    if not self._left:
+                        self._outcome = self._judge()
+                        self._finished.notify_all()
+
+    def result(self) -> Vignette:
+        """The finished map, once every block is built.
+
+        Raises
+        ------
+        MetadataError
+            If the polynomial is non-positive anywhere; the message names
+            the pixel :func:`numpy.argmin` picks over the whole of ``k``.
+        """
+        with self._finished:
+            self._finished.wait_for(lambda: not self._left)
+        if self._failure is not None:
+            raise self._failure
+        if isinstance(self._outcome, str):
+            raise MetadataError(self._outcome)
+        return self._outcome
+
+    def _judge(self) -> Vignette | str:
+        # The first of the smallest in row order, as argmin over the frame.
+        worst = min((self._worst[top] for top in sorted(self._worst)),
+                    key=lambda found: found[0], default=None)
+        if worst is not None:
+            value, ix, iy = worst
+            return (f"vignette polynomial k={value:.6g} is not positive at "
+                    f"pixel ({ix}, {iy})")
+        vignette = self.k.view()
+        vignette.flags.writeable = False
+        return Vignette(vignette, float(np.max(self._peaks, initial=-np.inf)))
 
 
-def _camera_model(raw: RawImage, meta: RadiometricMetadata
-                  ) -> tuple[np.ndarray, np.ndarray, float]:
-    """:func:`_flat_field` for ``raw``, once ``meta`` is checked to
-    describe it."""
+def _build_vignette(model: VignetteModel, shape: tuple[int, int]
+                    ) -> Vignette:
+    """A map of ``model`` over ``shape`` for the caller alone."""
+    build = _VignetteBuild(model, np.empty(shape))
+    build.build()
+    return build.result()
+
+
+def vignette_map(model: VignetteModel, width: int, height: int) -> np.ndarray:
+    """Vignette correction ``V = 1/k(r)`` over a full frame, shape (h, w),
+    read-only.
+
+    ``k`` is built in the map itself, :data:`ROW_BLOCK` rows at a time, so
+    the only other array is one block of radii.
+
+    Raises
+    ------
+    MetadataError
+        If the polynomial is non-positive anywhere; the message names the
+        pixel :func:`numpy.argmin` picks over the whole of ``k``.
+    """
+    return _build_vignette(model, (height, width)).map
+
+
+def _lens_model(key: tuple) -> VignetteModel:
+    """The lens model of a :class:`VignetteStore` key."""
+    center_x, center_y, coefficients, _ = key
+    return VignetteModel(center_x, center_y,
+                         np.frombuffer(coefficients, dtype=np.float64))
+
+
+class VignetteStore:
+    """The vignette maps of one run: each built on its first use and
+    dropped after its last.
+
+    A map depends only on the lens model and the frame shape.  Before the
+    run, :meth:`plan` counts each band-frame that will use one; each of
+    those then takes its map with :meth:`vignette` and gives its use back
+    with :meth:`release`, converted or not.  The storage of a dropped map
+    goes to the next map of the same shape, so the allocator never holds
+    on to freed maps.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._uses: dict[tuple, int] = {}
+        self._builds: dict[tuple, _VignetteBuild] = {}
+        self._spare: dict[tuple[int, int], list[np.ndarray]] = {}
+
+    def plan(self, model: VignetteModel,
+             shape: tuple[int, int] | None) -> tuple:
+        """Count one more use of the map of ``model`` over frames of
+        ``shape`` (``None`` when unknown); returns the key that
+        :meth:`vignette` and :meth:`release` take."""
+        key = (model.center_x, model.center_y, model.coefficients.tobytes(),
+               shape)
+        self._uses[key] = self._uses.get(key, 0) + 1
+        return key
+
+    def vignette(self, key: tuple, shape: tuple[int, int]) -> Vignette:
+        """The map under ``key`` for a frame of ``shape``, built by the
+        threads that ask while it is unfinished.  A frame whose shape is
+        not the planned one gets a map of its own.
+
+        Raises
+        ------
+        MetadataError
+            As :func:`vignette_map` does, for every use of a bad map.
+        """
+        if shape != key[-1]:
+            return _build_vignette(_lens_model(key), shape)
+        with self._lock:
+            build = self._builds.get(key)
+            if build is None:
+                spare = self._spare.get(shape)
+                storage = spare.pop() if spare else np.empty(shape)
+                build = _VignetteBuild(_lens_model(key), storage)
+                self._builds[key] = build
+        build.build()
+        return build.result()
+
+    def release(self, key: tuple) -> None:
+        """Give back one use of the map under ``key``; after the last, the
+        map is dropped."""
+        with self._lock:
+            self._uses[key] -= 1
+            if self._uses[key]:
+                return
+            del self._uses[key]
+            build = self._builds.pop(key, None)
+            spare = self._spare.setdefault(key[-1], [])
+            if build is not None:
+                spare.append(build.k)
+            # Keep no more spares than maps of the shape are still to come.
+            del spare[self._unbuilt(key[-1]):]
+
+    def _unbuilt(self, shape) -> int:
+        """Planned maps of ``shape`` not built yet."""
+        return sum(1 for key in self._uses
+                   if key[-1] == shape and key not in self._builds)
+
+    @property
+    def maps_held(self) -> int:
+        """Maps built or kept for reuse and not yet dropped."""
+        return len(self._builds) + sum(map(len, self._spare.values()))
+
+
+def _camera_model(raw: RawImage, meta: RadiometricMetadata,
+                  vignette: Vignette | None = None
+                  ) -> tuple[Vignette, np.ndarray, float]:
+    """The vignette map, the row factors ``R`` and the count scale
+    ``a1 / (g * t * 2**N)`` of ``raw``, once ``meta`` is checked to
+    describe it.
+
+    ``vignette``, from a :class:`VignetteStore`, is the map to use; without
+    it the call builds its own.  ``R`` and the scale depend on exposure and
+    stay per call.
+    """
     if meta.band_index is not None and meta.band_index != raw.band_index:
         raise MetadataError(
             f"metadata band {meta.band_index} does not match image band "
@@ -291,7 +416,10 @@ def _camera_model(raw: RawImage, meta: RadiometricMetadata
         raise MetadataError(
             f"metadata bit depth {meta.bits_per_pixel} does not match image "
             f"bit depth {raw.bits_per_pixel}")
-    return _flat_field(meta, raw.pixels.shape)
+    if vignette is None:
+        vignette = _build_vignette(meta.vignette, raw.pixels.shape)
+    scale = meta.a1 / (meta.gain * meta.exposure_us * 2.0 ** meta.bits_per_pixel)
+    return vignette, row_factors(meta, raw.pixels.shape[0]), scale
 
 
 class BandCounts(NamedTuple):
@@ -307,7 +435,8 @@ class BandCounts(NamedTuple):
 
 def convert_band(raw: RawImage, meta: RadiometricMetadata, sink=None,
                  post_map=None, rows: range | None = None,
-                 out: np.ndarray | None = None) -> BandCounts:
+                 out: np.ndarray | None = None,
+                 vignette: Vignette | None = None) -> BandCounts:
     """Convert a raw frame to radiance, and optionally on to reflectance,
     one block of :data:`ROW_BLOCK` rows at a time.
 
@@ -320,7 +449,8 @@ def convert_band(raw: RawImage, meta: RadiometricMetadata, sink=None,
 
     ``rows`` limits the pass to those frame rows (default: all).  With
     ``out``, of shape ``(len(rows), width)``, the blocks are built in it;
-    otherwise in one reused scratch block.
+    otherwise in one reused scratch block.  ``vignette`` is the map to use
+    (default: one built for this call).
 
     Raises
     ------
@@ -333,7 +463,7 @@ def convert_band(raw: RawImage, meta: RadiometricMetadata, sink=None,
         :data:`FLOAT32_MAX` in magnitude is reported after the pass, so
         every non-finite pixel is reported ahead of it.
     """
-    vignette, factors, scale = _camera_model(raw, meta)
+    vignette, factors, scale = _camera_model(raw, meta, vignette)
     height, width = raw.pixels.shape
     rows = range(height) if rows is None else rows
     block_rows = min(ROW_BLOCK, len(rows))
@@ -354,7 +484,7 @@ def convert_band(raw: RawImage, meta: RadiometricMetadata, sink=None,
                 block = out[top - rows.start:bottom - rows.start]
             product = flat[:bottom - top]
             np.subtract(counts, meta.dark_level, out=block)
-            np.multiply(vignette[top:bottom], factors[top:bottom, np.newaxis],
+            np.multiply(vignette.map[top:bottom], factors[top:bottom, np.newaxis],
                         out=product)
             block *= product
             block *= scale
@@ -373,7 +503,8 @@ def convert_band(raw: RawImage, meta: RadiometricMetadata, sink=None,
                 # makes it 0.0.
                 if not clamped and negative_after is None:
                     negative_after = bottom < rows.stop and convert_band(
-                        raw, meta, rows=range(bottom, rows.stop)).clamped
+                        raw, meta, rows=range(bottom, rows.stop),
+                        vignette=vignette).clamped
                 if clamped or negative_after:
                     np.maximum(block, 0.0, out=block)
             if post_map is None:
@@ -385,7 +516,8 @@ def convert_band(raw: RawImage, meta: RadiometricMetadata, sink=None,
                 low, high = block.min(), block.max()
                 if not (low > -np.inf and high < np.inf):
                     # A whole-frame check reports non-finite radiance first.
-                    convert_band(raw, meta, rows=range(top, rows.stop))
+                    convert_band(raw, meta, rows=range(top, rows.stop),
+                                 vignette=vignette)
                     raise MetadataError(
                         "reflectance contains non-finite pixels")
                 if low < 0 or high > 1:
@@ -401,7 +533,8 @@ def convert_band(raw: RawImage, meta: RadiometricMetadata, sink=None,
     return BandCounts(clamped, saturated, out_of_range / (len(rows) * width))
 
 
-def radiance_is_bounded(raw: RawImage, meta: RadiometricMetadata) -> bool:
+def radiance_is_bounded(raw: RawImage, meta: RadiometricMetadata,
+                        vignette: Vignette | None = None) -> bool:
     """Whether every radiance pixel of ``raw`` is known to be finite without
     converting it.
 
@@ -409,11 +542,10 @@ def radiance_is_bounded(raw: RawImage, meta: RadiometricMetadata) -> bool:
     every pixel lies between ``(min(I) - dL) * (max V * max R) * scale`` and
     the same with ``max(I)``, each rounded in :func:`convert_band`'s
     order.  When both are finite, so is every pixel; when not, only a
-    whole conversion can tell.
+    whole conversion can tell.  ``vignette`` is as in :func:`convert_band`.
     """
-    _, factors, scale = _camera_model(raw, meta)
-    peak = _vignette_peak(*_vignette_key(meta, raw.pixels.shape)) * \
-        float(factors.max())
+    vignette, factors, scale = _camera_model(raw, meta, vignette)
+    peak = vignette.peak * float(factors.max())
     return all(math.isfinite((float(count) - meta.dark_level) * peak * scale)
                for count in (raw.pixels.min(), raw.pixels.max()))
 
@@ -435,15 +567,3 @@ def dc_to_radiance(raw: RawImage, meta: RadiometricMetadata) -> RadianceImage:
     counts = convert_band(raw, meta, out=pixels)
     return RadianceImage(band_index=raw.band_index, pixels=pixels,
                          clamped_pixel_count=counts.clamped)
-
-
-def radiance_to_counts(img: RadianceImage,
-                       meta: RadiometricMetadata) -> np.ndarray:
-    """Analytic inverse of :func:`dc_to_radiance` (un-rounded counts).
-
-    Clamped pixels cannot be recovered; everything else inverts exactly up
-    to floating-point rounding.  Useful for synthesizing raw test frames.
-    """
-    vignette, rows, scale = _flat_field(meta, img.pixels.shape)
-    return img.pixels / (vignette * rows[:, np.newaxis] * scale) + \
-        meta.dark_level

@@ -31,7 +31,8 @@ import numpy as np
 from .errors import (DegeneratePanelsError, MetadataError,
                      NoIlluminationError, OrientationError)
 from .radiance import (RadianceImage, RadiometricMetadata, RawImage,
-                       _require_2d, convert_band, radiance_is_bounded)
+                       Vignette, _camera_model, _require_2d, convert_band,
+                       radiance_is_bounded)
 from .rsr import SpectralCurve, band_effective
 
 N_BANDS = 5
@@ -237,7 +238,8 @@ def extract_panel(img: RadianceImage, roi: Sequence[int]) -> float:
 
 
 def panel_means(raw: RawImage, meta: RadiometricMetadata,
-                rois: Sequence[Sequence[int]]) -> list[float]:
+                rois: Sequence[Sequence[int]],
+                vignette: Optional[Vignette] = None) -> list[float]:
     """``extract_panel(dc_to_radiance(raw, meta), roi)`` for each ROI,
     converting only the rows each ROI spans.
 
@@ -245,15 +247,18 @@ def panel_means(raw: RawImage, meta: RadiometricMetadata,
     strides it has in a whole plane and its mean the same bits.  When
     :func:`radiance_is_bounded` cannot rule out a non-finite pixel
     elsewhere in the frame, the whole frame is checked first, so such a
-    pixel fails the frame as it does there.
+    pixel fails the frame as it does there.  ``vignette`` is the map to
+    use, as in :func:`convert_band`; without it one is built for the call.
     """
-    if not radiance_is_bounded(raw, meta):
-        convert_band(raw, meta)
+    vignette = _camera_model(raw, meta, vignette)[0]
+    if not radiance_is_bounded(raw, meta, vignette):
+        convert_band(raw, meta, vignette=vignette)
     means = []
     for roi in rois:
         rows, cols = _roi_window(roi, raw.pixels.shape)
         strip = np.empty((rows.stop - rows.start, raw.pixels.shape[1]))
-        convert_band(raw, meta, rows=range(rows.start, rows.stop), out=strip)
+        convert_band(raw, meta, rows=range(rows.start, rows.stop), out=strip,
+                     vignette=vignette)
         means.append(float(strip[:, cols].mean()))
     return means
 
@@ -434,10 +439,3 @@ def pgm_counts(pixels: np.ndarray, scale: float,
     out = np.multiply(pixels, scale, out=out)
     np.rint(out, out=out)
     return np.clip(out, 0, 65535, out=out)
-
-
-def reflectance_to_pgm_counts(img: ReflectanceImage,
-                              scale: float = 10000.0) -> np.ndarray:
-    """Scale reflectance for 16-bit PGM export, saturating at the rails."""
-    check_pgm_scale(scale)
-    return pgm_counts(img.pixels, scale).astype(np.uint16)

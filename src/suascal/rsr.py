@@ -40,7 +40,7 @@ class SpectralCurve:
     Parameters
     ----------
     wavelengths_nm : ndarray
-        Strictly increasing sample wavelengths in nanometers.
+        Strictly increasing, positive sample wavelengths in nanometers.
     values : ndarray
         Sample values, same length as ``wavelengths_nm``.  Finite.
     """
@@ -63,6 +63,9 @@ class SpectralCurve:
             raise CurveError("spectral curve contains non-finite samples")
         if np.any(np.diff(w) <= 0):
             raise CurveError("wavelengths must be strictly increasing")
+        if not w[0] > 0:
+            raise CurveError(
+                f"wavelengths must be positive, got {float(w[0])!r} nm")
         object.__setattr__(self, "wavelengths_nm", w)
         object.__setattr__(self, "values", v)
 
@@ -154,7 +157,11 @@ def relative_response(normalized: SpectralCurve, power: SpectralCurve,
         # No signal at any wavelength: return the degenerate all-zero curve.
         return SpectralCurve(normalized.wavelengths_nm, np.zeros_like(u))
     b = positive.min()
-    rsr = shift_scale * (u - b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rsr = shift_scale * (u - b)
+    if not np.all(np.isfinite(rsr)):
+        raise CurveError(f"shift scale {shift_scale!r} takes the response "
+                         "beyond the float range")
     np.maximum(rsr, 0.0, out=rsr)
     return SpectralCurve(normalized.wavelengths_nm, rsr)
 

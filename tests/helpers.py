@@ -1,4 +1,4 @@
-"""Synthetic flight builder shared by the CLI and end-to-end tests.
+"""Synthetic flight builder and writers shared by the tests.
 
 Builds a complete on-disk flight: five-band 16-bit PGM rasters with bright
 and dark panel patches, flat panel spectra, DLS records and the manifest
@@ -9,17 +9,75 @@ line through the origin (so 1-point and 2-point fits agree), and the DLS
 irradiance is ``pi`` times the radiance a perfect diffuser would see.
 
 It also holds the JSON strategies the input-validation properties mutate
-documents with.
+documents with, and the writers and inverses that only tests need: raw
+PGM frames, sample CSVs, PGM export counts and radiance back to counts.
 """
 
 import copy
+import csv
 import json
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
 
-from suascal.imageio import write_pgm16
+from suascal.errors import ImageFormatError
+from suascal.evaluate import TargetSample
+from suascal.imageio import pgm16_header, rows_writer
+from suascal.radiance import (RadianceImage, RadiometricMetadata,
+                              row_factors, vignette_map)
+from suascal.reflectance import (ReflectanceImage, check_pgm_scale,
+                                 pgm_counts)
 from suascal.rsr import SpectralCurve, write_spectral_curve
+
+
+def write_pgm16(path, pixels: np.ndarray) -> None:
+    """Write a 2-D unsigned integer array as binary 16-bit PGM."""
+    pixels = np.asarray(pixels)
+    if pixels.ndim != 2:
+        raise ImageFormatError("PGM output requires a 2-D array")
+    if pixels.min() < 0 or pixels.max() > 65535:
+        raise ImageFormatError(
+            "pixel values outside [0, 65535] cannot be PGM-encoded")
+    height, width = pixels.shape
+    with Path(path).open("wb") as handle:
+        handle.write(pgm16_header(width, height))
+        rows_writer(handle, ">u2")(pixels)
+
+
+def write_samples(path, samples) -> None:
+    """Write ``TargetSample`` rows as the CSV ``evaluate --samples`` reads."""
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow([f.name for f in fields(TargetSample)])
+        for s in samples:
+            writer.writerow([s.target_id, s.band_index, s.weather,
+                             s.altitude_ft, s.method,
+                             repr(s.true_reflectance),
+                             repr(s.estimated_reflectance)])
+
+
+def radiance_to_counts(img: RadianceImage,
+                       meta: RadiometricMetadata) -> np.ndarray:
+    """Analytic inverse of ``dc_to_radiance`` (un-rounded counts).
+
+    Clamped pixels cannot be recovered; everything else inverts exactly up
+    to floating-point rounding.
+    """
+    height, width = img.pixels.shape
+    scale = meta.a1 / (meta.gain * meta.exposure_us
+                       * 2.0 ** meta.bits_per_pixel)
+    flat = vignette_map(meta.vignette, width, height) * \
+        row_factors(meta, height)[:, np.newaxis]
+    return img.pixels / (flat * scale) + meta.dark_level
+
+
+def reflectance_to_pgm_counts(img: ReflectanceImage,
+                              scale: float = 10000.0) -> np.ndarray:
+    """Scale reflectance for 16-bit PGM export, saturating at the rails."""
+    check_pgm_scale(scale)
+    return pgm_counts(img.pixels, scale).astype(np.uint16)
 
 WIDTH, HEIGHT = 64, 48
 BRIGHT_ROI = (4, 4, 8, 8)

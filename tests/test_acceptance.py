@@ -23,8 +23,7 @@ from suascal.cli import main
 from suascal.evaluate import anova_oneway, ndvi
 from suascal.imageio import read_plane
 from suascal.radiance import (RadianceImage, RadiometricMetadata, RawImage,
-                              VignetteModel, dc_to_radiance,
-                              radiance_to_counts)
+                              VignetteModel, dc_to_radiance)
 from suascal.reflectance import (CalibrationImage, DLSRecord,
                                  PanelObservation, ReflectanceImage, aarr,
                                  apply_elm, dls_correct, fit_elm_1pt,
@@ -235,7 +234,7 @@ def test_criterion_05_dc_radiance_round_trip():
     worst = 0.0
     for raw, meta, plane in zip(raws, metas, planes):
         assert plane.clamped_pixel_count == 0
-        recovered = radiance_to_counts(plane, meta)
+        recovered = helpers.radiance_to_counts(plane, meta)
         worst = max(worst, float(
             np.abs(recovered - raw.pixels.astype(np.float64)).max()))
     assert worst < 0.5

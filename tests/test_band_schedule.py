@@ -1,0 +1,196 @@
+"""The band-major imagery schedule and its per-run vignette map store.
+
+``convert`` and ``reflect`` run one task per (image, band), ordered so
+that the frames of one band and lens model run back to back.  Each map is
+built once, on its first use, and dropped after its last; per-image
+results, errors and files must not depend on that order or on the thread
+count.
+"""
+
+import json
+
+import pytest
+
+import helpers
+from suascal import cli
+from suascal import radiance as radiance_module
+from suascal.cli import main
+
+COMMANDS = {"convert": (["convert"], "conversion_log.json"),
+            "reflect": (["reflect", "--method", "elm2"],
+                        "reflectance_report.json")}
+
+
+def edit_manifest(manifest, edit):
+    raw = json.loads(manifest.read_text())
+    edit(raw)
+    manifest.write_text(json.dumps(raw))
+
+
+def image(raw, image_id):
+    return next(i for i in raw["images"] if i["image_id"] == image_id)
+
+
+def two_lens_flight(root):
+    """Four images whose lens models alternate between two cameras, with
+    a lens model of its own for each band: ten distinct maps."""
+    manifest = helpers.build_flight(root, field_images=3)
+
+    def edit(raw):
+        for i, entry in enumerate(raw["images"]):
+            for band in entry["bands"]:
+                band["metadata"]["vignette"] = {
+                    "center_x": 20.0 + band["band_index"] + 0.5 * (i % 2),
+                    "center_y": 24.0,
+                    "coefficients": [1e-3 * band["band_index"], 0.0, 1e-6,
+                                     0.0, 0.0, 0.0]}
+
+    edit_manifest(manifest, edit)
+    return manifest
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Every vignette map built, as (lens model, shape), and every store
+    made."""
+    builds, stores = [], []
+
+    class CountedBuild(radiance_module._VignetteBuild):
+        def __init__(self, model, k):
+            builds.append((model.center_x, model.center_y,
+                           model.coefficients.tobytes(), k.shape))
+            super().__init__(model, k)
+
+    class RecordedStore(radiance_module.VignetteStore):
+        def __init__(self):
+            super().__init__()
+            stores.append(self)
+
+    monkeypatch.setattr(radiance_module, "_VignetteBuild", CountedBuild)
+    monkeypatch.setattr(cli, "VignetteStore", RecordedStore)
+    return builds, stores
+
+
+class TestTwoLensFlight:
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_each_map_is_built_once_and_dropped(self, tmp_path, counted,
+                                                command):
+        builds, stores = counted
+        argv, _ = COMMANDS[command]
+        manifest = two_lens_flight(tmp_path / "flight")
+        trees = []
+        for i, threads in enumerate(([], ["--threads", "1"],
+                                     ["--threads", "3"])):
+            builds.clear()
+            out = tmp_path / str(i)
+            assert main(argv + ["--manifest", str(manifest),
+                                "--out", str(out)] + threads) == 0
+            assert len(builds) == 10
+            assert len(set(builds)) == 10
+            assert stores[-1].maps_held == 0
+            trees.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert len(stores) == 3
+        assert all(tree == trees[0] for tree in trees[1:])
+
+
+class TestFirstFaultInManifestOrder:
+    """An image with two faulty bands reports the one first in manifest
+    order, whichever fault its thread meets first."""
+
+    UNDECODABLE = "not a binary PGM (magic b'P6', expected b'P5')"
+    BAD_VIGNETTE = ("vignette polynomial k=-77.6003 is not positive at "
+                    "pixel (63, 47)")
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("undecodable, bad_vignette", [(2, 4), (4, 2)])
+    def test_two_faulty_bands(self, tmp_path, command, undecodable,
+                              bad_vignette):
+        argv, report_name = COMMANDS[command]
+        manifest = helpers.build_flight(tmp_path / "flight", field_images=2)
+        (manifest.parent / f"field_2_b{undecodable}.pgm").write_bytes(b"P6\n")
+
+        def edit(raw):
+            band = next(b for b in image(raw, "field_2")["bands"]
+                        if b["band_index"] == bad_vignette)
+            # k(r) = 1 - r, lowest at the corner farthest from (0, 0).
+            band["metadata"]["vignette"]["coefficients"][0] = -1.0
+
+        edit_manifest(manifest, edit)
+        expected = (self.UNDECODABLE if undecodable < bad_vignette
+                    else self.BAD_VIGNETTE)
+        out = tmp_path / "out"
+        for threads in ("1", "2", "3"):
+            assert main(argv + ["--manifest", str(manifest), "--out",
+                                str(out), "--threads", threads]) == 2
+            report = json.loads((out / report_name).read_text())
+            assert report["failures"]["field_2"].endswith(expected)
+            assert sorted(report["images"]) == ["cal_a", "field_1"]
+            assert not list(out.glob("field_2_*"))
+            assert len(list(out.glob("field_1_*"))) == 10
+
+
+class TestCalibrationFitFirst:
+    def test_fit_error_outranks_band_fault(self, tmp_path):
+        manifest = helpers.build_flight(tmp_path / "flight", field_images=2,
+                                        with_decoy=True)
+        # The decoy's dark panel is as bright as its bright panel in
+        # band 2, so a 2-point fit on it fails.  field_2 is nearest to the
+        # decoy in time, and its band 3 cannot be decoded.
+        counts = helpers.panel_raster(2, scale=1.25)
+        x, y, w, h = helpers.DARK_ROI
+        counts[y:y + h, x:x + w] = counts[helpers.BRIGHT_ROI[1],
+                                          helpers.BRIGHT_ROI[0]]
+        helpers.write_pgm16(manifest.parent / "cal_b_b2.pgm", counts)
+        (manifest.parent / "field_2_b3.pgm").write_bytes(b"P5\n2 2\n")
+        edit_manifest(manifest,
+                      lambda raw: image(raw, "field_2").update(timestamp=4999))
+        out = tmp_path / "out"
+        assert main(["reflect", "--manifest", str(manifest), "--out",
+                     str(out), "--method", "elm2",
+                     "--selection", "time"]) == 2
+        report = json.loads((out / "reflectance_report.json").read_text())
+        degenerate = ("calibration image cal_b: bright panel is not brighter "
+                      "than the dark panel in every band")
+        assert report["failures"] == {"cal_b": degenerate,
+                                      "field_2": degenerate}
+        assert sorted(report["images"]) == ["cal_a", "field_1"]
+        assert not list(out.glob("cal_b_*")) + list(out.glob("field_2_*"))
+
+
+class TestStoreAfterFailures:
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_failed_and_skipped_bands_give_their_maps_back(
+            self, tmp_path, counted, command):
+        _, stores = counted
+        argv, _ = COMMANDS[command]
+        manifest = helpers.build_flight(tmp_path / "flight", field_images=2)
+        for band in (1, 3):
+            (manifest.parent / f"field_1_b{band}.pgm").unlink()
+        assert main(argv + ["--manifest", str(manifest),
+                            "--out", str(tmp_path / "out")]) == 2
+        assert stores[-1].maps_held == 0
+        assert not stores[-1]._uses
+
+
+class TestSkipRule:
+    def test_only_bands_after_a_known_failure_are_skipped(self):
+        # Run out of manifest order on one thread: band positions 3, 1, 4,
+        # 0, 2 of one image, where positions 3 and 1 fail.
+        store = radiance_module.VignetteStore()
+        lens = radiance_module.VignetteModel(0.0, 0.0, (0.0,) * 6)
+        tasks = [cli._BandTask(0, position, None, store.plan(lens, (2, 2)))
+                 for position in (3, 1, 4, 0, 2)]
+        ran = []
+
+        def work(task):
+            ran.append(task.position)
+            if task.position in (1, 3):
+                raise ValueError(task.position)
+            return task.position
+
+        outcomes = cli._run_bands(tasks, store, work, threads=1)
+        assert ran == [3, 1, 0]
+        assert [type(outcomes[0, p]).__name__ for p in range(5)] == [
+            "int", "ValueError", "NoneType", "ValueError", "NoneType"]
+        assert store.maps_held == 0
+        assert not store._uses

@@ -7,11 +7,12 @@ import pytest
 import scipy.special
 import scipy.stats
 
+from helpers import write_samples
 from suascal.errors import MetadataError
 from suascal.evaluate import (ErrorReport, TargetSample, aggregate,
                               anova_oneway, cosine_falloff_check, f_survival,
                               ndvi, read_samples, regularized_incomplete_beta,
-                              signed_error, write_reports, write_samples)
+                              signed_error, write_reports)
 from suascal.reflectance import ReflectanceImage
 
 

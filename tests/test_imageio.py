@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import helpers
 from suascal.errors import ImageFormatError, SuascalError
-from suascal.imageio import read_pgm16, read_plane, write_pgm16, write_plane
+from helpers import write_pgm16
+from suascal.imageio import read_pgm16, read_plane, write_plane
 
 
 class TestPgm:

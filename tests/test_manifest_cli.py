@@ -694,6 +694,34 @@ class TestRsrCommand:
                      "--out", str(tmp_path / "rsr")]) == 1
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scale, named", [
+        ("1e308", "band_1.json: shift scale 1e+308 takes the response "
+                  "beyond the float range"),
+        ("inf", "--shift-scale: must be a finite number above zero, "
+                "got 'inf'"),
+        ("nan", "--shift-scale: must be a finite number above zero, "
+                "got 'nan'"),
+        ("0", "--shift-scale: must be a finite number above zero, got '0'"),
+        ("-1", "--shift-scale: must be a finite number above zero, "
+               "got '-1'"),
+    ])
+    def test_bad_shift_scale_is_usage_error(self, tmp_path, capsys, scale,
+                                            named):
+        run_dir = tmp_path / "run"
+        self._write_run(run_dir, 1)
+        out = tmp_path / "rsr"
+        argv = ["rsr", "--run-dir", str(run_dir), "--out", str(out),
+                f"--shift-scale={scale}"]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 1
+        err = capsys.readouterr().err
+        assert named in err
+        assert "Warning" not in err
+        assert not (out / "rsr_band_1.csv").exists()
+
     @given(node=st.sampled_from(list(helpers.json_paths(_sweep(1)))),
            value=helpers.json_values)
     # A count whose ratio to the 2e-6 W power overflows float64.

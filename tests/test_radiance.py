@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 from suascal import radiance as radiance_module
 from suascal.errors import MetadataError
-from suascal.radiance import (RadiometricMetadata, RawImage, VignetteModel,
-                              dc_to_radiance, radiance_to_counts,
-                              row_factors, vignette_map)
+from helpers import radiance_to_counts
+from suascal.radiance import (ROW_BLOCK, RadiometricMetadata, RawImage,
+                              VignetteModel, VignetteStore, convert_band,
+                              dc_to_radiance, row_factors, vignette_map)
 
 FLAT_VIGNETTE = VignetteModel(center_x=0.0, center_y=0.0,
                               coefficients=(0.0,) * 6)
@@ -87,12 +88,39 @@ class TestVignetteFactor:
             try:
                 expected = whole_frame_vignette(model, width, height)
             except MetadataError as exc:
-                with pytest.raises(MetadataError) as raised:
-                    vignette_map(model, width, height)
-                assert str(raised.value) == str(exc)
-                return
-            got = vignette_map(model, width, height)
-        assert got.tobytes() == expected.tobytes()
+                expected = exc
+            for build in (vignette_map, shared_vignette):
+                if isinstance(expected, MetadataError):
+                    with pytest.raises(MetadataError) as raised:
+                        build(model, width, height)
+                    assert str(raised.value) == str(expected)
+                else:
+                    got = build(model, width, height)
+                    assert got.tobytes() == expected.tobytes()
+
+
+def shared_vignette(model, width, height):
+    """``model``'s map through a :class:`VignetteStore` that two threads ask
+    for at once, so both build its row blocks."""
+    store = VignetteStore()
+    shape = (height, width)
+    keys = [store.plan(model, shape) for _ in range(2)]
+    start = threading.Barrier(2)
+
+    def ask(key):
+        start.wait(timeout=10)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return store.vignette(key, shape)
+        finally:
+            store.release(key)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        futures = [pool.submit(ask, key) for key in keys]
+    assert store.maps_held == 0
+    first, second = (future.result() for future in futures)
+    assert first.map is second.map
+    return first.map
 
 
 def whole_frame_vignette(model, width, height):
@@ -257,22 +285,34 @@ def reference_radiance(raw, meta):
 
 
 class TestVignetteCache:
-    """One vignette map per (lens model, frame size), shared read-only."""
+    """The per-run map store: one vignette map per (lens model, frame
+    size), built on its first use, shared read-only and dropped after its
+    last use."""
 
     # Taller than one row block, so the last block is a partial one.
     COUNTS = np.random.default_rng(11).integers(
         0, 65536, size=(150, 123)).astype(np.uint16)
 
     def test_matches_uncached_reference_exactly(self):
-        for exposure, gain, a2 in ((1000.0, 1, 0.0), (250.0, 4, 0.3),
-                                   (1000.0, 8, 2.0), (77.5, 2, 0.0),
-                                   (1000.0, 1, 0.0)):
-            meta = make_meta(a1=163.84, a2=a2, a3=1e-5, gain=gain,
-                             exposure_us=exposure, dark_level=4096.5,
-                             vignette=LENS)
-            raw = make_raw(self.COUNTS)
+        store = VignetteStore()
+        metas = [make_meta(a1=163.84, a2=a2, a3=1e-5, gain=gain,
+                           exposure_us=exposure, dark_level=4096.5,
+                           vignette=LENS)
+                 for exposure, gain, a2 in ((1000.0, 1, 0.0), (250.0, 4, 0.3),
+                                            (1000.0, 8, 2.0), (77.5, 2, 0.0),
+                                            (1000.0, 1, 0.0))]
+        raw = make_raw(self.COUNTS)
+        keys = [store.plan(LENS, self.COUNTS.shape) for _ in metas]
+        for meta, key in zip(metas, keys):
+            expected = reference_radiance(raw, meta)
             np.testing.assert_array_equal(dc_to_radiance(raw, meta).pixels,
-                                          reference_radiance(raw, meta))
+                                          expected)
+            shared = np.empty(self.COUNTS.shape)
+            convert_band(raw, meta, out=shared,
+                         vignette=store.vignette(key, self.COUNTS.shape))
+            store.release(key)
+            np.testing.assert_array_equal(shared, expected)
+        assert store.maps_held == 0
 
     def test_mutating_a_result_leaves_later_conversions_alone(self):
         meta = make_meta(vignette=LENS, dark_level=10.0)
@@ -284,49 +324,101 @@ class TestVignetteCache:
                                       expected)
 
     def test_cached_map_is_read_only(self):
-        vignette, _, _ = radiance_module._flat_field(make_meta(vignette=LENS),
-                                                     (40, 30))
-        assert not vignette.flags.writeable
+        store = VignetteStore()
+        key = store.plan(LENS, (40, 30))
+        vignette = store.vignette(key, (40, 30))
+        assert not vignette.map.flags.writeable
         with pytest.raises(ValueError):
-            vignette[0, 0] = 2.0
+            vignette.map[0, 0] = 2.0
+        np.testing.assert_array_equal(vignette.map, vignette_map(LENS, 30, 40))
+        assert vignette.peak == vignette.map.max()
+        store.release(key)
 
     def test_threads_asking_for_one_map_build_it_once(self, monkeypatch):
-        build = radiance_module.vignette_map
-        built = []
+        built, builders = [], []
+        polynomial = VignetteModel.polynomial
 
-        def counted_build(*args):
-            built.append(args)
+        class CountedBuild(radiance_module._VignetteBuild):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        def slow_polynomial(model, radius, out=None):
+            builders.append(threading.get_ident())
             time.sleep(0.05)  # every other thread asks while this builds
-            return build(*args)
+            return polynomial(model, radius, out)
 
-        monkeypatch.setattr(radiance_module, "vignette_map", counted_build)
-        radiance_module._cached_vignette.cache_clear()
-        meta = make_meta(vignette=VignetteModel(3.5, 4.5,
-                                                (1e-3,) + (0.0,) * 5))
+        monkeypatch.setattr(radiance_module, "_VignetteBuild", CountedBuild)
+        monkeypatch.setattr(VignetteModel, "polynomial", slow_polynomial)
+        lens = VignetteModel(3.5, 4.5, (1e-3,) + (0.0,) * 5)
+        shape = (5 * ROW_BLOCK, 40)
+        store = VignetteStore()
+        keys = [store.plan(lens, shape) for _ in range(4)]
         start = threading.Barrier(4)
 
-        def ask(_):
+        def ask(key):
             start.wait(timeout=10)
-            return radiance_module._flat_field(meta, (50, 40))[0]
+            try:
+                return store.vignette(key, shape)
+            finally:
+                store.release(key)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
-                maps = list(pool.map(ask, range(4), timeout=30))
+                maps = list(pool.map(ask, keys, timeout=30))
         finally:
             sys.setswitchinterval(interval)
         assert len(built) == 1
+        assert len(builders) == 5  # one polynomial per row block
+        assert len(set(builders)) > 1  # threads built blocks side by side
         assert all(vignette is maps[0] for vignette in maps)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(maps[0].map,
+                                      vignette_map(lens, 40, 5 * ROW_BLOCK))
+        assert store.maps_held == 0
 
-    def test_cache_holds_at_most_five_maps(self):
-        cache = radiance_module._cached_vignette
-        raw = make_raw(self.COUNTS[:20, :20])
-        for i in range(8):
-            lens = VignetteModel(5.0 + i, 7.0, (1e-4 * i,) + (0.0,) * 5)
-            dc_to_radiance(raw, make_meta(vignette=lens))
-            assert cache.cache_info().currsize <= 5
-        assert cache.cache_info().currsize == 5
+    def test_map_is_dropped_after_its_last_use(self):
+        lenses = [VignetteModel(5.0 + i, 7.0, (1e-4 * i,) + (0.0,) * 5)
+                  for i in range(3)]
+        store = VignetteStore()
+        keys = [store.plan(lens, (20, 20)) for lens in lenses for _ in "ab"]
+        first = store.vignette(keys[0], (20, 20))
+        assert store.vignette(keys[1], (20, 20)) is first
+        store.release(keys[0])
+        assert store.maps_held == 1
+        store.release(keys[1])
+        # Two maps of this shape are still to come: the storage waits.
+        assert store.maps_held == 1
+        second = store.vignette(keys[2], (20, 20))
+        assert np.shares_memory(first.map, second.map)
+        np.testing.assert_array_equal(second.map,
+                                      vignette_map(lenses[1], 20, 20))
+        for key in keys[2:4]:
+            store.release(key)
+        # The last lens is never used; its uses are given back all the same.
+        for key in keys[4:]:
+            store.release(key)
+        assert store.maps_held == 0
+
+    def test_frame_of_another_shape_gets_its_own_map(self):
+        store = VignetteStore()
+        key = store.plan(LENS, (40, 30))
+        vignette = store.vignette(key, (41, 30))
+        np.testing.assert_array_equal(vignette.map, vignette_map(LENS, 30, 41))
+        assert store.maps_held == 0
+        store.release(key)
+
+    def test_bad_map_fails_every_use(self):
+        lens = VignetteModel(0.0, 0.0, (-0.5,) + (0.0,) * 5)
+        store = VignetteStore()
+        keys = [store.plan(lens, (5, 5)) for _ in range(2)]
+        for key in keys:
+            with pytest.raises(MetadataError, match=r"pixel \(4, 4\)"):
+                store.vignette(key, (5, 5))
+            store.release(key)
+        assert store.maps_held == 0
 
 
 @st.composite

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import reflectance_to_pgm_counts
 from suascal.errors import (DegeneratePanelsError, MetadataError,
                             NoIlluminationError, OrientationError)
 from suascal.radiance import RadianceImage
@@ -16,8 +17,7 @@ from suascal.reflectance import (CalibrationImage, DLSRecord,
                                  apply_elm, dls_correct, dls_distance,
                                  extract_panel, fit_elm_1pt, fit_elm_2pt,
                                  irradiance_to_radiance,
-                                 out_of_range_fraction, select_calibration,
-                                 reflectance_to_pgm_counts)
+                                 out_of_range_fraction, select_calibration)
 
 
 def upright_dls(raw, timestamp=0.0):

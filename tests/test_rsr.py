@@ -34,6 +34,24 @@ class TestSpectralCurve:
         with pytest.raises(CurveError):
             SpectralCurve([500.0, 510.0], [1.0, np.nan])
 
+    @given(st.floats(max_value=0.0, allow_infinity=False))
+    # The wavelengths of the union-grid counterexample
+    # [[0.5] * 7 + [0.0], [-0.0]]: no curve can be tabulated on them.
+    @example(0.0)
+    @example(-0.0)
+    def test_rejects_non_positive_wavelengths(self, wavelength):
+        with pytest.raises(CurveError,
+                           match=r"^wavelengths must be positive, got "):
+            SpectralCurve([wavelength, 0.5], [1.0, 1.0])
+
+    def test_non_positive_wavelength_in_a_file_names_it(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_text("wavelength_nm,value\n0.0,1.0\n0.5,1.0\n")
+        with pytest.raises(CurveError,
+                           match=r"curve\.csv: wavelengths must be positive, "
+                                 r"got 0\.0 nm"):
+            read_spectral_curve(path)
+
     def test_interpolation_clamps_at_edges(self):
         curve = SpectralCurve([500.0, 510.0], [1.0, 3.0])
         out = curve.interpolate(np.array([490.0, 505.0, 520.0]))
@@ -115,7 +133,7 @@ class TestPeakNormalize:
         for _ in range(25):
             values = rng.uniform(0.0, 7.3, size=16)
             values[rng.integers(16)] = rng.uniform(7.4, 20.0)
-            out = peak_normalize(SpectralCurve(np.arange(16.0), values))
+            out = peak_normalize(SpectralCurve(np.arange(1.0, 17.0), values))
             assert out.values.max() == 1.0
 
     def test_single_spike(self):
@@ -214,9 +232,12 @@ class TestBandWeightsProperties:
 
 
 class TestUnionGrid:
+    # Grids of positive wavelengths only, as SpectralCurve accepts: on a
+    # grid with both 0.0 and -0.0, union_grid and np.union1d keep
+    # different zeros.
     @given(st.lists(st.lists(st.sampled_from([0.5, 1.0, 2.0])
-                             | st.floats(-1e3, 1e3), min_size=1,
-                             max_size=8), min_size=1, max_size=4))
+                             | st.floats(0.0, 1e3, exclude_min=True),
+                             min_size=1, max_size=8), min_size=1, max_size=4))
     def test_matches_numpy_union1d(self, grids):
         grids = [np.sort(np.array(g)) for g in grids]
         expected = np.unique(grids[0])
