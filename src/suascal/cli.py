@@ -18,7 +18,7 @@ import math
 import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import partial
@@ -32,15 +32,15 @@ from .evaluate import (ERROR_STATISTICS, METHOD_LEVELS, aggregate, ndvi,
 from .imageio import (pgm16_header, pgm16_shape, read_pgm16, read_plane,
                       rows_writer, sidecar_path, write_plane, write_sidecar)
 from .jsonread import json_field, read_json
-from .manifest import BandEntry, FlightManifest, ImageEntry, load_manifest
+from .manifest import BandEntry, ImageEntry, load_manifest
 from .radiance import (ROW_BLOCK, BandCounts, RawImage, Vignette,
                        VignetteStore, convert_band)
-from .reflectance import (SELECTION_MODES, CalibrationImage, PanelObservation,
-                          ReflectanceImage, aarr_map, check_pgm_scale,
-                          elm_map, fit_elm_1pt, fit_elm_2pt, panel_means,
-                          panel_band_reflectance, pgm_counts,
-                          pgm_scale_is_valid, select_calibration,
-                          selection_metric)
+from .reflectance import (N_BANDS, SELECTION_MODES, CalibrationImage,
+                          PanelObservation, ReflectanceImage, aarr_map,
+                          check_pgm_scale, elm_line, fit_elm_1pt,
+                          fit_elm_2pt, line_map, panel_band_reflectance,
+                          panel_means, pgm_counts, pgm_scale_is_valid,
+                          select_calibration, selection_metric)
 from .rsr import (DEFAULT_SHIFT_SCALE, MonochromatorRun, SpectralCurve,
                   is_degenerate, normalize_counts, peak_normalize,
                   relative_response, write_spectral_curve)
@@ -158,63 +158,87 @@ class _BandTask:
     key: tuple
     #: Files written for the band, removed if its image fails.
     written: list[Path] = field(default_factory=list)
+    #: Set to what :func:`_run_bands` returns for the task once it is known.
+    outcome: Future = field(default_factory=Future)
 
 
-def _plan_bands(store: VignetteStore, entries) -> list[_BandTask]:
-    """One task per band-frame of ``entries``, each counted in ``store``,
-    ordered band-major: the frames of one band and lens model run back to
-    back, in manifest order, so each map is needed for one stretch only."""
+def _plan_bands(store: VignetteStore, entries,
+                calibration=()) -> list[_BandTask]:
+    """One task per band-frame of ``entries`` and of ``calibration``, whose
+    images are numbered on from ``len(entries)``, each counted in
+    ``store``.
+
+    The tasks run band-major: for each band the calibration frames first,
+    then the others, and within each the frames of one lens model back to
+    back, in manifest order, so each map is needed for one stretch only.
+    """
     tasks, first = [], {}
-    for i, entry in enumerate(entries):
+    for i, entry in enumerate((*entries, *calibration)):
         for j, band in enumerate(entry.bands):
             key = store.plan(band.metadata.vignette, pgm16_shape(band.path))
             first.setdefault((band.band_index, key), len(first))
             tasks.append(_BandTask(i, j, band, key))
     return sorted(tasks, key=lambda task: (
-        task.band.band_index, first[task.band.band_index, task.key]))
+        task.band.band_index, task.image < len(entries),
+        first[task.band.band_index, task.key]))
 
 
 def _run_bands(tasks: list[_BandTask], store: VignetteStore, work,
-               threads: int, per_image: bool = True,
-               failed: dict | None = None) -> dict:
+               threads: int, failed: dict | None = None) -> dict:
     """``work(task)`` for each task on ``threads`` threads, keyed by
-    ``(image, position)``: its result, or the exception it raised.
+    ``(image, position)``: its result, or the exception it raised, or
+    ``None`` for a task skipped.
 
-    Only the failure first in manifest order is reported, so a task is
-    skipped once one before it has failed: one of its image with
-    ``per_image``, else one of any image.  ``failed`` maps images that
-    failed beforehand to -1.  Every task gives back its map use, run,
-    failed or skipped.
+    Only an image's failure first in manifest order is reported, so a task
+    is skipped once one of its image before it has failed.  ``failed``
+    maps images that failed beforehand to -1.  Every task gives back its
+    map use, run, failed or skipped, and then sets its ``outcome``.
     """
     failed = dict(failed or {})
     lock = threading.Lock()
 
     def run(task: _BandTask):
-        unit, rank = ((task.image, task.position) if per_image
-                      else (None, (task.image, task.position)))
+        outcome = None
         try:
             with lock:
-                skip = unit in failed and failed[unit] < rank
-            if skip:
-                return None
-            try:
-                return work(task)
-            except Exception as exc:
-                with lock:
-                    failed[unit] = min(failed.get(unit, rank), rank)
-                return exc
+                skip = failed.get(task.image, task.position) < task.position
+            if not skip:
+                try:
+                    outcome = work(task)
+                except Exception as exc:
+                    with lock:
+                        failed[task.image] = min(
+                            failed.get(task.image, task.position),
+                            task.position)
+                    outcome = exc
+            return outcome
         finally:
             store.release(task.key)
+            task.outcome.set_result(outcome)
 
     return {(task.image, task.position): outcome for task, outcome in
             zip(tasks, _thread_map(run, tasks, threads))}
 
 
+def _remove_written(tasks: list[_BandTask], images=None) -> None:
+    """Remove the files the tasks of ``images`` (default: all) wrote."""
+    for task in tasks:
+        if images is None or task.image in images:
+            for path in task.written:
+                path.unlink(missing_ok=True)
+
+
 def _image_pass(entries, tasks: list[_BandTask], store: VignetteStore,
-                write_band, threads: int, errors: dict | None = None):
+                write_band, threads: int, errors: dict | None = None,
+                settle=None):
     """Write every band of ``entries`` with ``write_band(task)``, which
     returns the band's record; ``errors`` holds the images that failed
     before their bands (position to exception) and run none.
+
+    ``settle(outcomes)``, if given, runs once every task is done, on what
+    :func:`_run_bands` returns.  It returns more images that fail ahead of
+    their bands, as ``errors`` holds them, or raises; then every file the
+    pass wrote is removed.
 
     Returns ``(bands, failures)`` keyed by image id: each good image's band
     records by band index, each failed image's first error in manifest
@@ -225,6 +249,12 @@ def _image_pass(entries, tasks: list[_BandTask], store: VignetteStore,
     errors = dict(errors or {})
     outcomes = _run_bands(tasks, store, write_band, threads,
                           failed=dict.fromkeys(errors, -1))
+    if settle is not None:
+        try:
+            errors.update(settle(outcomes))
+        except Exception:
+            _remove_written(tasks)
+            raise
     bands: dict[str, dict] = {}
     failures: dict[str, str] = {}
     for i, entry in enumerate(entries):
@@ -240,10 +270,7 @@ def _image_pass(entries, tasks: list[_BandTask], store: VignetteStore,
             errors[i] = error
         if isinstance(errors[i], SuascalError):
             failures[entry.image_id] = str(errors[i])
-    for task in tasks:
-        if task.image in errors:
-            for path in task.written:
-                path.unlink(missing_ok=True)
+    _remove_written(tasks, errors)
     for i in sorted(errors):
         if not isinstance(errors[i], SuascalError):
             raise errors[i]
@@ -289,47 +316,41 @@ def cmd_convert(args) -> int:
     return _batch_exit(len(log), len(failures))
 
 
-def _calibration_candidates(manifest: FlightManifest, entries,
-                            store: VignetteStore,
-                            rsr_set: dict[int, SpectralCurve],
-                            threads: int) -> list[CalibrationImage]:
-    """The calibration images ``entries``, in manifest order, each band
-    reduced to its panel means on ``threads`` threads, band-major.
+def _placements(entry: ImageEntry) -> list:
+    """A calibration image's panel placements, bright first."""
+    return [placement for placement in (entry.calibration_bright,
+                                        entry.calibration_dark)
+            if placement is not None]
+
+
+def _calibration_images(calibration, outcomes: dict, first: int, grounds,
+                        bands) -> list[CalibrationImage]:
+    """The ``calibration`` images from the panel means of each of their
+    band-frames, ``outcomes[first + c, position]`` as :func:`_run_bands`
+    keys them, and the ground reflectance of each of their panels in
+    ``bands``, ``grounds[c][k]``; either may be the exception raised in
+    its stead.
 
     The first error in manifest order is raised: an image's band faults,
     then its panel spectra, then the next image's.
     """
-    bands = sorted(rsr_set)
-
-    def placements(entry: ImageEntry) -> list:
-        return [placement for placement in (entry.calibration_bright,
-                                            entry.calibration_dark)
-                if placement is not None]
-
-    def means(task: _BandTask) -> list[float]:
-        # Only the per-band ROI means outlive each band-frame.
-        raw, vignette = _read_band(store, task)
-        return panel_means(raw, task.band.metadata,
-                           [p.roi for p in placements(entries[task.image])],
-                           vignette)
-
-    outcomes = _run_bands(_plan_bands(store, entries), store, means, threads,
-                          per_image=False)
     candidates = []
-    for i, entry in enumerate(entries):
+    for c, entry in enumerate(calibration):
         by_band = {}
         for j, band in enumerate(entry.bands):
-            if isinstance(outcomes[i, j], Exception):
-                raise outcomes[i, j]
-            by_band[band.band_index] = outcomes[i, j]
-        observations = [
-            PanelObservation(
+            means = outcomes[first + c, j]
+            if isinstance(means, Exception):
+                raise means
+            by_band[band.band_index] = means
+        observations = []
+        for k, placement in enumerate(_placements(entry)):
+            if isinstance(grounds[c][k], Exception):
+                raise grounds[c][k]
+            observations.append(PanelObservation(
                 panel_id=placement.panel_id,
-                ground_reflectance=panel_band_reflectance(
-                    manifest.panel_spectrum(placement.panel_id), rsr_set),
+                ground_reflectance=grounds[c][k],
                 mean_radiance=np.array([by_band[b][k] for b in bands]),
-                roi=placement.roi)
-            for k, placement in enumerate(placements(entry))]
+                roi=placement.roi))
         candidates.append(CalibrationImage(
             image_id=entry.image_id, timestamp=entry.timestamp,
             bright=observations[0], dls=entry.dls,
@@ -350,52 +371,104 @@ def cmd_reflect(args) -> int:
                      "images": {}, "failures": {}})
         return EXIT_OK
 
-    # One store for both passes, the image pass planned first, so the maps
-    # the calibration pass builds stay for the image pass.
-    store = VignetteStore()
-    tasks = _plan_bands(store, manifest.images)
-    candidates: list[CalibrationImage] = []
+    images = manifest.images
+    calibration: tuple[ImageEntry, ...] = ()
     if args.method in ("elm1", "elm2"):
-        calibration = [entry for entry in manifest.calibration_images
-                       if entry.calibration_dark is not None
-                       or args.method != "elm2"]
-        candidates = _calibration_candidates(manifest, calibration, store,
-                                             rsr_set, args.threads)
-        if not candidates:
+        calibration = tuple(entry for entry in manifest.calibration_images
+                            if entry.calibration_dark is not None
+                            or args.method != "elm2")
+        if not calibration:
             dark_note = " with a dark panel" if args.method == "elm2" else ""
             print(f"error: method {args.method} needs at least one "
                   f"calibration image{dark_note}", file=sys.stderr)
             return EXIT_USAGE
+    # One band-major pass: each band's panel means (calibration tasks,
+    # numbered on from the images), then its planes.
+    store = VignetteStore()
+    tasks = _plan_bands(store, images, calibration)
+    means_tasks = {(task.image - len(images), task.band.band_index): task
+                   for task in tasks if task.image >= len(images)}
+    # Set once a calibration band fails: the run then fails, so image
+    # tasks not yet started are skipped.
+    halted = threading.Event()
 
-    def prepare(entry: ImageEntry):
-        """An image's report fields and band map factory; its selection and
-        fit errors fail it ahead of any band fault."""
+    def ground_reflectance(placement):
+        try:
+            return panel_band_reflectance(
+                manifest.panel_spectrum(placement.panel_id), rsr_set)
+        except Exception as exc:
+            # Raised in manifest order once the panel means are in.
+            return exc
+
+    grounds = [[ground_reflectance(placement)
+                for placement in _placements(entry)]
+               for entry in calibration]
+    selected: dict[int, int] = {}
+    position = {entry.image_id: c for c, entry in enumerate(calibration)}
+
+    def band_line(c: int, band_index: int):
+        """Band ``band_index`` of calibration image ``c``'s empirical line,
+        as the fit gives it, once that band's panel means are in.  Raises
+        when they show that the fit fails, or when the calibration image
+        fails, which fails the run once every task is done."""
+        means = means_tasks[c, band_index].outcome.result()
+        rho = grounds[c]
+        if not isinstance(means, list) or any(
+                isinstance(r, Exception) or len(r) != N_BANDS for r in rho):
+            raise SuascalError(
+                f"calibration image {calibration[c].image_id} failed")
+        band = slice(band_index - 1, band_index)
+        points = [(r[band], np.array([m])) for r, m in zip(rho, means)]
+        slope, bias = elm_line(
+            calibration[c].image_id,
+            *itertools.chain(*points[:1 if args.method == "elm1" else 2]))
+        return line_map(slope[0], bias[0])
+
+    def prepare(i: int, entry: ImageEntry):
+        """An image's report fields and band map factory; its selection
+        errors fail it ahead of any band fault.  Selection reads only the
+        candidates' ids, timestamps and DLS records, so it needs no panel
+        means."""
         record: dict[str, object] = {"method": args.method}
         if args.method == "aarr":
             if entry.dls is None:
                 raise SuascalError("aarr requires a dls record")
             return record, partial(aarr_map, entry.dls)
-        selected = select_calibration(
-            candidates, args.selection, image_dls=entry.dls,
+        chosen = select_calibration(
+            calibration, args.selection, image_dls=entry.dls,
             image_timestamp=entry.timestamp,
             designated_id=args.designated_id)
-        fit = fit_elm_1pt if args.method == "elm1" else fit_elm_2pt
-        band_map = partial(elm_map, fit(selected))
-        record["calibration_image"] = selected.image_id
+        record["calibration_image"] = chosen.image_id
         record["selection"] = args.selection
         if args.selection != "single":
             record["selection_metric"] = selection_metric(
-                args.selection, entry.dls, entry.timestamp)(selected)
-        return record, band_map
+                args.selection, entry.dls, entry.timestamp)(chosen)
+        selected[i] = position[chosen.image_id]
+        return record, partial(band_line, selected[i])
 
     records, band_maps, errors = {}, {}, {}
-    for i, entry in enumerate(manifest.images):
+    for i, entry in enumerate(images):
         try:
-            records[i], band_maps[i] = prepare(entry)
+            records[i], band_maps[i] = prepare(i, entry)
         except SuascalError as exc:
             errors[i] = exc
 
-    def write_band(task: _BandTask) -> dict:
+    def means(task: _BandTask) -> list[float]:
+        # Only the per-band ROI means outlive each band-frame.
+        entry = calibration[task.image - len(images)]
+        try:
+            raw, vignette = _read_band(store, task)
+            return panel_means(raw, task.band.metadata,
+                               [p.roi for p in _placements(entry)], vignette)
+        except Exception:
+            halted.set()
+            raise
+
+    def write_band(task: _BandTask) -> dict | None:
+        if task.image >= len(images):
+            return means(task)
+        if halted.is_set():
+            return None
         band = task.band
         raw, vignette = _read_band(store, task)
         try:
@@ -404,8 +477,7 @@ def cmd_reflect(args) -> int:
             # A band's radiance faults are reported ahead of its map's.
             convert_band(raw, band.metadata, vignette=vignette)
             raise
-        name = _plane_name(manifest.images[task.image].image_id,
-                           band.band_index)
+        name = _plane_name(images[task.image].image_id, band.band_index)
         counts = _stream_band(
             raw, band.metadata, vignette, out / name, task.written,
             "reflectance", post_map,
@@ -414,10 +486,25 @@ def cmd_reflect(args) -> int:
                 "out_of_range_fraction": counts.out_of_range_fraction,
                 "saturated_pixels": counts.saturated}
 
-    bands, failures = _image_pass(manifest.images, tasks, store, write_band,
-                                  args.threads, errors)
+    def settle(outcomes) -> dict:
+        """The calibration images, or their first error; then each image's
+        fit, whose error fails the image ahead of any band fault."""
+        candidates = _calibration_images(calibration, outcomes, len(images),
+                                         grounds, sorted(rsr_set))
+        fit = fit_elm_1pt if args.method == "elm1" else fit_elm_2pt
+        fit_errors = {}
+        for i, c in selected.items():
+            try:
+                fit(candidates[c])
+            except SuascalError as exc:
+                fit_errors[i] = exc
+        return fit_errors
+
+    bands, failures = _image_pass(images, tasks, store, write_band,
+                                  args.threads, errors,
+                                  settle if calibration else None)
     results = {entry.image_id: dict(records[i], bands=bands[entry.image_id])
-               for i, entry in enumerate(manifest.images)
+               for i, entry in enumerate(images)
                if entry.image_id in bands}
     _write_json(out / "reflectance_report.json",
                 {"method": args.method, "selection": args.selection,

@@ -93,20 +93,36 @@ def signed_error(estimated: float, truth: float) -> float:
     """Estimate minus truth; positive means over-estimation."""
     if not (math.isfinite(estimated) and math.isfinite(truth)):
         raise MetadataError("signed_error requires finite inputs")
-    return estimated - truth
+    error = estimated - truth
+    if not math.isfinite(error):
+        raise MetadataError(
+            f"signed error {estimated!r} - {truth!r} is beyond the float "
+            "range")
+    return error
 
 
 def error_statistics(errors, ddof: int = 0) -> dict:
     """Mean and standard deviation of signed and absolute errors, and n.
 
     Keys are :data:`ERROR_STATISTICS`, the :class:`ErrorReport` fields.
+
+    Raises
+    ------
+    MetadataError
+        If a statistic is beyond the float range.
     """
     errors = np.asarray(errors, dtype=np.float64)
-    return {"mean_signed": float(errors.mean()),
-            "std_signed": float(errors.std(ddof=ddof)),
-            "mean_absolute": float(np.abs(errors).mean()),
-            "std_absolute": float(np.abs(errors).std(ddof=ddof)),
-            "n": int(errors.size)}
+    # A sum that overflows is rejected below, so it is not worth a warning.
+    with np.errstate(all="ignore"):
+        statistics = {"mean_signed": float(errors.mean()),
+                      "std_signed": float(errors.std(ddof=ddof)),
+                      "mean_absolute": float(np.abs(errors).mean()),
+                      "std_absolute": float(np.abs(errors).std(ddof=ddof))}
+    for name, value in statistics.items():
+        if not math.isfinite(value):
+            raise MetadataError(f"{name} of the errors is beyond the float "
+                                "range")
+    return dict(statistics, n=int(errors.size))
 
 
 def aggregate(samples: Sequence[TargetSample],

@@ -23,7 +23,7 @@ identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -182,10 +182,19 @@ class ElmModel:
     def __post_init__(self):
         slope = _as_band_vector(self.slope, "slope")
         bias = _as_band_vector(self.bias, "bias")
-        if slope.min() <= 0:
-            raise DegeneratePanelsError("ELM slopes must be positive")
+        _check_line(slope, bias)
         object.__setattr__(self, "slope", slope)
         object.__setattr__(self, "bias", bias)
+
+
+def _check_line(slope: np.ndarray, bias: np.ndarray) -> None:
+    """Reject empirical-line coefficients that are not finite, or a slope
+    that is not positive, in any band given."""
+    for name, values in (("slope", slope), ("bias", bias)):
+        if not np.all(np.isfinite(values)):
+            raise MetadataError(f"{name} contains non-finite values")
+    if np.min(slope) <= 0:
+        raise DegeneratePanelsError("ELM slopes must be positive")
 
 
 @dataclass(frozen=True)
@@ -283,6 +292,9 @@ def select_calibration(candidates: Sequence[CalibrationImage], mode: str,
     (or, with no designation, the canonical first: earliest timestamp, then
     lexicographic image id).  Metric ties break the same canonical way, so
     the result never depends on candidate ordering.
+
+    Only a candidate's ``image_id``, ``timestamp`` and ``dls`` are read, so
+    a manifest image entry serves as well as its :class:`CalibrationImage`.
     """
     if not candidates:
         raise DegeneratePanelsError("no calibration candidates supplied")
@@ -325,12 +337,61 @@ def selection_metric(mode: str, image_dls: Optional[DLSRecord] = None,
     raise MetadataError(f"selection mode {mode!r} has no metric")
 
 
+def elm_line(source: str, bright_rho: np.ndarray,
+             bright_radiance: np.ndarray,
+             dark_rho: Optional[np.ndarray] = None,
+             dark_radiance: Optional[np.ndarray] = None
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Slope and bias of the empirical line through calibration image
+    ``source``'s panels, for each band given: through the bright panel and
+    the origin, or through the bright and dark panels.
+
+    The arithmetic and checks are elementwise, so one band's coefficients
+    have the same bits whether it is fitted alone or with the others; the
+    fits below take all five bands, ``reflect`` one at a time.
+
+    Raises
+    ------
+    DegeneratePanelsError
+        If the panels are not ordered bright > dark in both radiance and
+        reflectance, their bias estimates disagree beyond 1e-12, or a slope
+        is not positive.
+    MetadataError
+        If a coefficient is not finite.
+    """
+    # Non-finite coefficients are rejected below, so overflow is not
+    # worth a warning.
+    with np.errstate(all="ignore"):
+        if dark_rho is None:
+            slope = bright_rho / bright_radiance
+            bias = np.zeros_like(slope)
+        else:
+            if np.any(bright_radiance <= dark_radiance):
+                raise DegeneratePanelsError(
+                    f"calibration image {source}: bright panel is not "
+                    "brighter than the dark panel in every band")
+            if np.any(bright_rho <= dark_rho):
+                raise DegeneratePanelsError(
+                    f"calibration image {source}: panel reflectances are "
+                    "not ordered bright > dark in every band")
+            slope = (bright_rho - dark_rho) / (bright_radiance - dark_radiance)
+            bias = bright_rho - slope * bright_radiance
+            bias_from_dark = dark_rho - slope * dark_radiance
+            if np.max(np.abs(bias - bias_from_dark)) > 1e-12:
+                raise DegeneratePanelsError(
+                    f"calibration image {source}: bright/dark bias "
+                    "estimates disagree beyond 1e-12; panels are "
+                    "numerically degenerate")
+    _check_line(slope, bias)
+    return slope, bias
+
+
 def fit_elm_1pt(cal: CalibrationImage) -> ElmModel:
     """One-point empirical line through the origin: ``m = rho / L, b = 0``."""
     bright = cal.bright
-    slope = bright.ground_reflectance / bright.mean_radiance
-    return ElmModel(slope=slope, bias=np.zeros(N_BANDS),
-                    source_image=cal.image_id)
+    slope, bias = elm_line(cal.image_id, bright.ground_reflectance,
+                           bright.mean_radiance)
+    return ElmModel(slope=slope, bias=bias, source_image=cal.image_id)
 
 
 def fit_elm_2pt(cal: CalibrationImage) -> ElmModel:
@@ -345,36 +406,27 @@ def fit_elm_2pt(cal: CalibrationImage) -> ElmModel:
             f"calibration image {cal.image_id} has no dark panel; 2-point "
             "fit needs two panels")
     bright, dark = cal.bright, cal.dark
-    if np.any(bright.mean_radiance <= dark.mean_radiance):
-        raise DegeneratePanelsError(
-            f"calibration image {cal.image_id}: bright panel is not brighter "
-            "than the dark panel in every band")
-    if np.any(bright.ground_reflectance <= dark.ground_reflectance):
-        raise DegeneratePanelsError(
-            f"calibration image {cal.image_id}: panel reflectances are not "
-            "ordered bright > dark in every band")
-    slope = (bright.ground_reflectance - dark.ground_reflectance) / \
-        (bright.mean_radiance - dark.mean_radiance)
-    bias = bright.ground_reflectance - slope * bright.mean_radiance
-    bias_from_dark = dark.ground_reflectance - slope * dark.mean_radiance
-    if np.max(np.abs(bias - bias_from_dark)) > 1e-12:
-        raise DegeneratePanelsError(
-            f"calibration image {cal.image_id}: bright/dark bias estimates "
-            "disagree beyond 1e-12; panels are numerically degenerate")
+    slope, bias = elm_line(cal.image_id, bright.ground_reflectance,
+                           bright.mean_radiance, dark.ground_reflectance,
+                           dark.mean_radiance)
     return ElmModel(slope=slope, bias=bias, source_image=cal.image_id)
 
 
-def elm_map(model: ElmModel, band_index: int):
-    """One band's empirical line as an in-place map of a float64 array:
+def line_map(slope: float, bias: float):
+    """An empirical line as an in-place map of a float64 array:
     ``L * m + b``."""
-    m = model.slope[band_index - 1]
-    b = model.bias[band_index - 1]
 
     def apply(pixels: np.ndarray) -> None:
-        pixels *= m
-        pixels += b
+        pixels *= slope
+        pixels += bias
 
     return apply
+
+
+def elm_map(model: ElmModel, band_index: int):
+    """One band of a fitted empirical line as an in-place map of a float64
+    array."""
+    return line_map(model.slope[band_index - 1], model.bias[band_index - 1])
 
 
 def apply_elm(model: ElmModel, img: RadianceImage) -> ReflectanceImage:

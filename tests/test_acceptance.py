@@ -26,8 +26,8 @@ from suascal.radiance import (RadianceImage, RadiometricMetadata, RawImage,
                               VignetteModel, dc_to_radiance)
 from suascal.reflectance import (CalibrationImage, DLSRecord,
                                  PanelObservation, ReflectanceImage, aarr,
-                                 apply_elm, dls_correct, fit_elm_1pt,
-                                 fit_elm_2pt, select_calibration)
+                                 dls_correct, fit_elm_1pt, fit_elm_2pt,
+                                 select_calibration)
 from suascal.rsr import SpectralCurve, band_effective
 from suascal.simulate import (AtmosphereState, Scene, SimulationGrid,
                               band_statistics, dls_downwelling,

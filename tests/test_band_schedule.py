@@ -1,19 +1,23 @@
 """The band-major imagery schedule and its per-run vignette map store.
 
 ``convert`` and ``reflect`` run one task per (image, band), ordered so
-that the frames of one band and lens model run back to back.  Each map is
-built once, on its first use, and dropped after its last; per-image
-results, errors and files must not depend on that order or on the thread
-count.
+that the frames of one band and lens model run back to back; ``reflect``
+runs each band's calibration panel means ahead of that band's planes.
+Each map is built once, on its first use, and dropped after its last;
+per-image results, errors and files must not depend on that order or on
+the thread count.
 """
 
 import json
+import sys
+import threading
 
 import pytest
 
 import helpers
 from suascal import cli
 from suascal import radiance as radiance_module
+from suascal import reflectance as reflectance_module
 from suascal.cli import main
 
 COMMANDS = {"convert": (["convert"], "conversion_log.json"),
@@ -194,3 +198,162 @@ class TestSkipRule:
             "int", "ValueError", "NoneType", "ValueError", "NoneType"]
         assert store.maps_held == 0
         assert not store._uses
+
+
+def lens_per_band_flight(root):
+    """Two calibration images and three field images whose bands each
+    have a lens model of their own: five distinct maps."""
+    manifest = helpers.build_flight(root, field_images=3, with_decoy=True)
+
+    def edit(raw):
+        for entry in raw["images"]:
+            for band in entry["bands"]:
+                band["metadata"]["vignette"] = {
+                    "center_x": 20.0 + band["band_index"], "center_y": 24.0,
+                    "coefficients": [1e-3 * band["band_index"], 0.0, 1e-6,
+                                     0.0, 0.0, 0.0]}
+
+    edit_manifest(manifest, edit)
+    return manifest
+
+
+@pytest.fixture
+def peak_maps(monkeypatch):
+    """The stores made, each noting its most maps held after any call.
+
+    A map is built or dropped only inside :meth:`vignette` and
+    :meth:`release`, so on one thread the note is the exact high-water
+    mark; with more, another thread may drop a map before it is taken, so
+    the note may miss a peak but never exceeds one.
+    """
+    stores = []
+
+    class PeakStore(radiance_module.VignetteStore):
+        def __init__(self):
+            super().__init__()
+            self.peak = 0
+            stores.append(self)
+
+        def note(self):
+            with self._lock:
+                self.peak = max(self.peak, self.maps_held)
+
+        def vignette(self, key, shape):
+            vignette = super().vignette(key, shape)
+            self.note()
+            return vignette
+
+        def release(self, key):
+            super().release(key)
+            self.note()
+
+    monkeypatch.setattr(cli, "VignetteStore", PeakStore)
+    return stores
+
+
+class TestFusedCalibration:
+    """``reflect --method elm1|elm2`` runs each band's panel means, then
+    that band's planes, in one pass over one store."""
+
+    @pytest.mark.parametrize("method", ["elm1", "elm2"])
+    def test_maps_live_per_band_and_are_built_once(self, tmp_path, counted,
+                                                   peak_maps, method):
+        builds, _ = counted
+        manifest = lens_per_band_flight(tmp_path / "flight")
+        trees = []
+        for i, threads in enumerate((None, 1, 3)):
+            builds.clear()
+            out = tmp_path / str(i)
+            option = [] if threads is None else ["--threads", str(threads)]
+            assert main(["reflect", "--method", method, "--manifest",
+                         str(manifest), "--out", str(out)] + option) == 0
+            assert len(builds) == len(set(builds)) == 5
+            store = peak_maps[-1]
+            # A map is held from its band's first task to its last, and
+            # only the band after the running tasks can add one: n threads
+            # hold at most n + 1 maps, one thread at most two.
+            assert 1 <= store.peak <= (threads or cli._default_threads()) + 1
+            assert store.maps_held == 0 and not store._uses
+            trees.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert all(tree == trees[0] for tree in trees[1:])
+
+    def test_calibration_fault_in_the_last_band_leaves_no_file(
+            self, tmp_path, capsys):
+        manifest = lens_per_band_flight(tmp_path / "flight")
+        bad = manifest.parent / "cal_b_b5.pgm"
+        bad.write_bytes(b"P6\n")
+        for threads in ("1", "2", "3"):
+            out = tmp_path / threads
+            assert main(["reflect", "--method", "elm2", "--manifest",
+                         str(manifest), "--out", str(out),
+                         "--threads", threads]) == 1
+            assert capsys.readouterr().err == (
+                f"error: {bad}: not a binary PGM (magic b'P6', expected "
+                "b'P5')\n")
+            assert not list(out.iterdir())
+
+    def test_band_lines_are_the_fits_bit_for_bit(self, tmp_path,
+                                                 monkeypatch):
+        manifest = lens_per_band_flight(tmp_path / "flight")
+        lines, models = [], []
+
+        def line_map(slope, bias):
+            lines.append((slope.hex(), bias.hex()))
+            return reflectance_module.line_map(slope, bias)
+
+        def fit_elm_2pt(cal):
+            models.append(reflectance_module.fit_elm_2pt(cal))
+            return models[-1]
+
+        monkeypatch.setattr(cli, "line_map", line_map)
+        monkeypatch.setattr(cli, "fit_elm_2pt", fit_elm_2pt)
+        assert main(["reflect", "--method", "elm2", "--manifest",
+                     str(manifest), "--out", str(tmp_path / "out")]) == 0
+        # Every band of five images, each image's fit once.
+        assert len(lines) == 25 and len(models) == 5
+        assert {model.source_image for model in models} == {"cal_a", "cal_b"}
+        assert set(lines) == {
+            (model.slope[k].hex(), model.bias[k].hex())
+            for model in models for k in range(5)}
+
+
+class TestFusedPassUnderContention:
+    """Image tasks wait for other threads' panel means; with more threads
+    than cores and a thread switch every microsecond, no wait may hang and
+    no outcome may be lost."""
+
+    @staticmethod
+    def run_bounded(argv):
+        codes = []
+        worker = threading.Thread(target=lambda: codes.append(main(argv)),
+                                  daemon=True)
+        worker.start()
+        worker.join(timeout=120)
+        assert not worker.is_alive(), "reflect did not finish"
+        return codes[0]
+
+    def test_outputs_and_errors_match_one_thread(self, tmp_path):
+        manifest = lens_per_band_flight(tmp_path / "flight")
+        faulty = lens_per_band_flight(tmp_path / "faulty")
+        (faulty.parent / "cal_a_b3.pgm").write_bytes(b"P6\n")
+        argv = ["reflect", "--method", "elm2", "--manifest", str(manifest)]
+        assert self.run_bounded(argv + ["--out", str(tmp_path / "ref"),
+                                        "--threads", "1"]) == 0
+        expected = {p.name: p.read_bytes()
+                    for p in (tmp_path / "ref").iterdir()}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for i in range(3):
+                out = tmp_path / f"many{i}"
+                assert self.run_bounded(argv + ["--out", str(out),
+                                                "--threads", "8"]) == 0
+                assert {p.name: p.read_bytes()
+                        for p in out.iterdir()} == expected
+                out = tmp_path / f"faulty{i}"
+                assert self.run_bounded([
+                    "reflect", "--method", "elm2", "--manifest",
+                    str(faulty), "--out", str(out), "--threads", "8"]) == 1
+                assert not list(out.iterdir())
+        finally:
+            sys.setswitchinterval(interval)

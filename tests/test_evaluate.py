@@ -43,6 +43,10 @@ class TestSignedError:
         with pytest.raises(MetadataError):
             signed_error(math.nan, 0.3)
 
+    def test_overflowing_difference_rejected(self):
+        with pytest.raises(MetadataError, match="beyond the float range"):
+            signed_error(1e308, -1e308)
+
     def test_sample_property_matches_function(self):
         sample = make_sample(0.02)
         assert sample.signed_error == pytest.approx(0.02)
@@ -137,6 +141,15 @@ class TestAggregate:
     def test_no_samples_rejected(self):
         with pytest.raises(MetadataError):
             aggregate([])
+
+    @pytest.mark.parametrize("errors, statistic", [
+        ([1e308, 1e308], "mean_signed"),
+        ([1e308, -1e308], "std_signed"),
+    ])
+    def test_overflowing_statistic_rejected(self, errors, statistic):
+        with pytest.raises(MetadataError,
+                           match=f"{statistic} of the errors is beyond"):
+            aggregate([make_sample(err, truth=0.0) for err in errors])
 
     def test_report_validation(self):
         with pytest.raises(MetadataError):

@@ -4,6 +4,9 @@ import csv
 import io
 import itertools
 import json
+import math
+import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -462,6 +465,55 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--samples", str(samples),
                      "--out", str(tmp_path / "eval")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {samples}")
+
+    #: Three valid rows, each cell of which the property below may replace.
+    SAMPLES = [["t0", "1", "sunny", "225", "elm1", "0.5", "0.52"],
+               ["t1", "2", "cloudy", "150", "elm2", "0.5", "0.47"],
+               ["t2", "3", "partly-cloudy", "375", "aarr", "0.5", "0.5"]]
+    CELL_VALUES = ["1e308", "-1e308", "1e309", "5e-324", "nan", "inf",
+                   "-inf", "", "-0.0", "0", "6", "300", "reflectance",
+                   "elm9", "foggy"]
+
+    @given(cells=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 6),
+                                    st.sampled_from(CELL_VALUES)
+                                    | st.text(max_size=6)),
+                          min_size=1, max_size=2),
+           group_by=st.sampled_from(["", "method", "band_index,method"]))
+    # A difference that overflows: inf, nan, inf, nan in report.csv.
+    @example(cells=[(0, 5, "-1e308"), (0, 6, "1e308")], group_by="")
+    # Two errors whose sum overflows the mean.
+    @example(cells=[(0, 6, "1e308"), (1, 6, "1e308")], group_by="")
+    def test_any_mutated_cell_exits_zero_or_one(self, tmp_path_factory,
+                                                cells, group_by):
+        root = tmp_path_factory.getbasetemp() / "mutated_samples"
+        root.mkdir(exist_ok=True)
+        rows = [list(row) for row in self.SAMPLES]
+        for row, column, value in cells:
+            rows[row][column] = value
+        samples = root / "samples.csv"
+        with samples.open("w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["target_id", "band_index", "weather",
+                             "altitude_ft", "method", "true_reflectance",
+                             "estimated_reflectance"])
+            writer.writerows(rows)
+        out = root / "eval"
+        shutil.rmtree(out, ignore_errors=True)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["evaluate", "--samples", str(samples),
+                         "--out", str(out), "--group-by", group_by])
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, RuntimeWarning)] == []
+        assert code in (0, 1)
+        if code == 1:
+            assert not out.exists()
+        else:
+            with (out / "report.csv").open(newline="") as handle:
+                report = list(csv.DictReader(handle))
+            assert all(math.isfinite(float(row[name])) for row in report
+                       for name in ("mean_signed", "std_signed",
+                                    "mean_absolute", "std_absolute"))
 
 
 class TestSimulateCommand:

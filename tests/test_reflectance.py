@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 
 from helpers import reflectance_to_pgm_counts
 from suascal.errors import (DegeneratePanelsError, MetadataError,
-                            NoIlluminationError, OrientationError)
+                            NoIlluminationError, OrientationError,
+                            SuascalError)
 from suascal.radiance import RadianceImage
 from suascal.reflectance import (CalibrationImage, DLSRecord,
                                  PanelObservation, ReflectanceImage, aarr,
                                  apply_elm, dls_correct, dls_distance,
-                                 extract_panel, fit_elm_1pt, fit_elm_2pt,
+                                 elm_line, extract_panel, fit_elm_1pt,
+                                 fit_elm_2pt,
                                  irradiance_to_radiance,
                                  out_of_range_fraction, select_calibration)
 
@@ -269,6 +271,38 @@ class TestElmFits:
                 pytest.approx(rho_b, abs=1e-12)
             assert model.slope[0] * l_d + model.bias[0] == \
                 pytest.approx(rho_d, abs=1e-12)
+
+    @given(panels=st.lists(st.tuples(st.floats(0.01, 1.4),
+                                     st.floats(1e-3, 1e3),
+                                     st.floats(0.01, 1.4),
+                                     st.floats(1e-3, 1e3)),
+                           min_size=5, max_size=5),
+           two_point=st.booleans())
+    def test_band_lines_are_the_fit_bit_for_bit(self, panels, two_point):
+        # reflect fits one band at a time, as each band's panel means come
+        # in; the fit takes all five and must agree.
+        rho_b, l_b, rho_d, l_d = (np.array(column) for column in
+                                  zip(*panels))
+        dark = PanelObservation("dark", rho_d, l_d, (4, 0, 2, 2))
+        cal = CalibrationImage(
+            "cal", 0.0, PanelObservation("bright", rho_b, l_b, (0, 0, 2, 2)),
+            upright_dls([1.0] * 5), dark if two_point else None)
+        points = (rho_b, l_b, rho_d, l_d)[:4 if two_point else 2]
+        lines = []
+        for k in range(5):
+            try:
+                slope, bias = elm_line("cal", *(v[k:k + 1] for v in points))
+                lines.append((slope.tobytes(), bias.tobytes()))
+            except SuascalError:
+                lines.append(None)
+        try:
+            model = (fit_elm_2pt if two_point else fit_elm_1pt)(cal)
+        except SuascalError:
+            # A band whose line fails shows that the fit fails.
+            assert None in lines
+            return
+        assert lines == [(model.slope[k:k + 1].tobytes(),
+                          model.bias[k:k + 1].tobytes()) for k in range(5)]
 
 
 class TestApplyElm:
