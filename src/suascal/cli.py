@@ -175,7 +175,8 @@ def _plan_bands(store: VignetteStore, entries,
     tasks, first = [], {}
     for i, entry in enumerate((*entries, *calibration)):
         for j, band in enumerate(entry.bands):
-            key = store.plan(band.metadata.vignette, pgm16_shape(band.path))
+            key = store.plan(band.metadata.vignette, pgm16_shape(band.path),
+                             band.metadata)
             first.setdefault((band.band_index, key), len(first))
             tasks.append(_BandTask(i, j, band, key))
     return sorted(tasks, key=lambda task: (

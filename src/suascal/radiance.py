@@ -163,7 +163,21 @@ def _require_2d(pixels: np.ndarray) -> None:
             f"{pixels.shape}")
 
 
-def row_factors(meta: RadiometricMetadata, height: int) -> np.ndarray:
+class RowModel(NamedTuple):
+    """The terms the row factors ``R`` depend on, as
+    :class:`RadiometricMetadata` names them."""
+
+    a2: float
+    a3: float
+    exposure_us: float
+
+
+def _row_model(meta: RadiometricMetadata) -> RowModel:
+    return RowModel(meta.a2, meta.a3, meta.exposure_us)
+
+
+def row_factors(meta: RadiometricMetadata | RowModel,
+                height: int) -> np.ndarray:
     """Rolling-shutter row factors ``R(y) = 1 / (1 + a2*y/t + a3*y)``.
 
     Raises
@@ -182,24 +196,36 @@ def row_factors(meta: RadiometricMetadata, height: int) -> np.ndarray:
 
 
 #: Rows per block of :func:`convert_band` and of each vignette map.  A
-#: float64 block of a 1280-wide frame is 320 KB, so each pass over it stays
-#: in cache; 16 and 64 rows measured slower on 1280x960 frames.
-ROW_BLOCK = 32
+#: float64 block of a 1280-wide frame is 640 KB, so each pass over it stays
+#: in cache.  Each block's numpy calls release the GIL, so fewer, larger
+#: blocks mean fewer thread hand-offs: on 1280x960 frames with two threads
+#: on 2 vCPUs, ``reflect --method elm2`` took 0.44 s and 2,900 voluntary
+#: context switches at 64 rows against 0.49 s and 7,000 at 32; 96 rows
+#: ran within the spread of 64 and held about 1 MB more.
+ROW_BLOCK = 64
 #: The largest finite float32: a float32 plane holds no pixel beyond it.
 FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 class Vignette(NamedTuple):
     """A read-only vignette correction map over one frame and its largest
-    value."""
+    value.
+
+    With ``rows`` set, the map holds ``V * R`` for that row model, each
+    pixel the product :func:`convert_band` would form; otherwise ``V``
+    alone.
+    """
 
     map: np.ndarray
     peak: float
+    rows: RowModel | None = None
 
 
 class _VignetteBuild:
-    """One vignette map ``V = 1/k(r)``, built in place :data:`ROW_BLOCK`
-    rows at a time.
+    """One vignette map ``V = 1/k(r)``, or ``V * R`` for the row model
+    ``rows``, built in place :data:`ROW_BLOCK` rows at a time.  A row model
+    :func:`row_factors` rejects gives ``V`` alone, and the map's users
+    report the rejection.
 
     Any number of threads may call :meth:`build` at once: each claims the
     next block nobody has started, so a thread that needs a map another
@@ -208,10 +234,17 @@ class _VignetteBuild:
     :meth:`result` waits for that.
     """
 
-    def __init__(self, model: VignetteModel, k: np.ndarray):
+    def __init__(self, model: VignetteModel, k: np.ndarray,
+                 rows: RowModel | None = None):
         height, width = k.shape
         self.model = model
         self.k = k
+        self.rows, self._factors = rows, None
+        if rows is not None:
+            try:
+                self._factors = row_factors(rows, height)[:, np.newaxis]
+            except MetadataError:
+                self.rows = None
         self._x = np.arange(width, dtype=np.float64) - model.center_x
         self._y = np.arange(height, dtype=np.float64) - model.center_y
         self._tops = iter(range(0, height, ROW_BLOCK))
@@ -245,7 +278,10 @@ class _VignetteBuild:
                                               block.shape)
                     worst = (block[iy, ix], ix, top + iy)
                 else:
-                    peak = np.divide(1.0, block, out=block).max()
+                    np.divide(1.0, block, out=block)
+                    if self._factors is not None:
+                        block *= self._factors[top:top + ROW_BLOCK]
+                    peak = block.max()
             except BaseException as exc:
                 self._failure = exc
                 raise
@@ -287,7 +323,8 @@ class _VignetteBuild:
                     f"pixel ({ix}, {iy})")
         vignette = self.k.view()
         vignette.flags.writeable = False
-        return Vignette(vignette, float(np.max(self._peaks, initial=-np.inf)))
+        return Vignette(vignette, float(np.max(self._peaks, initial=-np.inf)),
+                        self.rows)
 
 
 def _build_vignette(model: VignetteModel, shape: tuple[int, int]
@@ -328,31 +365,38 @@ class VignetteStore:
     A map depends only on the lens model and the frame shape.  Before the
     run, :meth:`plan` counts each band-frame that will use one; each of
     those then takes its map with :meth:`vignette` and gives its use back
-    with :meth:`release`, converted or not.  The storage of a dropped map
-    goes to the next map of the same shape, so the allocator never holds
-    on to freed maps.
+    with :meth:`release`, converted or not.  When every planned use of a
+    map has one row model, the map holds ``V * R`` for it, so no pass
+    forms that product per frame.  The storage of a dropped map goes to
+    the next map of the same shape, so the allocator never holds on to
+    freed maps.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._uses: dict[tuple, int] = {}
+        self._rows: dict[tuple, RowModel | None] = {}
         self._builds: dict[tuple, _VignetteBuild] = {}
         self._spare: dict[tuple[int, int], list[np.ndarray]] = {}
 
-    def plan(self, model: VignetteModel,
-             shape: tuple[int, int] | None) -> tuple:
+    def plan(self, model: VignetteModel, shape: tuple[int, int] | None,
+             meta: RadiometricMetadata) -> tuple:
         """Count one more use of the map of ``model`` over frames of
-        ``shape`` (``None`` when unknown); returns the key that
-        :meth:`vignette` and :meth:`release` take."""
+        ``shape`` (``None`` when unknown), by a band-frame of ``meta``;
+        returns the key that :meth:`vignette` and :meth:`release` take."""
         key = (model.center_x, model.center_y, model.coefficients.tobytes(),
                shape)
+        rows = _row_model(meta)
+        if key in self._uses and self._rows[key] != rows:
+            rows = None
+        self._rows[key] = rows
         self._uses[key] = self._uses.get(key, 0) + 1
         return key
 
     def vignette(self, key: tuple, shape: tuple[int, int]) -> Vignette:
         """The map under ``key`` for a frame of ``shape``, built by the
         threads that ask while it is unfinished.  A frame whose shape is
-        not the planned one gets a map of its own.
+        not the planned one gets a map of ``V`` alone, of its own.
 
         Raises
         ------
@@ -366,7 +410,8 @@ class VignetteStore:
             if build is None:
                 spare = self._spare.get(shape)
                 storage = spare.pop() if spare else np.empty(shape)
-                build = _VignetteBuild(_lens_model(key), storage)
+                build = _VignetteBuild(_lens_model(key), storage,
+                                       self._rows[key])
                 self._builds[key] = build
         build.build()
         return build.result()
@@ -378,7 +423,7 @@ class VignetteStore:
             self._uses[key] -= 1
             if self._uses[key]:
                 return
-            del self._uses[key]
+            del self._uses[key], self._rows[key]
             build = self._builds.pop(key, None)
             spare = self._spare.setdefault(key[-1], [])
             if build is not None:
@@ -405,8 +450,8 @@ def _camera_model(raw: RawImage, meta: RadiometricMetadata,
     describe it.
 
     ``vignette``, from a :class:`VignetteStore`, is the map to use; without
-    it the call builds its own.  ``R`` and the scale depend on exposure and
-    stay per call.
+    it the call builds its own.  ``R`` is checked on every call, also when
+    the map holds it, so its errors come in the same order either way.
     """
     if meta.band_index is not None and meta.band_index != raw.band_index:
         raise MetadataError(
@@ -418,8 +463,12 @@ def _camera_model(raw: RawImage, meta: RadiometricMetadata,
             f"bit depth {raw.bits_per_pixel}")
     if vignette is None:
         vignette = _build_vignette(meta.vignette, raw.pixels.shape)
+    factors = row_factors(meta, raw.pixels.shape[0])
+    if vignette.rows not in (None, _row_model(meta)):
+        raise ValueError(f"the vignette map holds the row model "
+                         f"{vignette.rows}, not that of the frame")
     scale = meta.a1 / (meta.gain * meta.exposure_us * 2.0 ** meta.bits_per_pixel)
-    return vignette, row_factors(meta, raw.pixels.shape[0]), scale
+    return vignette, factors, scale
 
 
 class BandCounts(NamedTuple):
@@ -443,14 +492,17 @@ def convert_band(raw: RawImage, meta: RadiometricMetadata, sink=None,
     Each pixel is ``(I - dL) * (V * R) * scale`` computed in that order in
     double precision, then clamped at zero.  ``post_map``, if given, then
     maps the block in place (the reflectance maps of
-    :mod:`suascal.reflectance`); it must keep a non-finite pixel
-    non-finite.  Each finished float64 block goes to ``sink``, which
-    writes it as float32.
+    :mod:`suascal.reflectance`).  It must work elementwise on any float64
+    array, be monotone non-decreasing and keep a non-finite pixel
+    non-finite: the mapped block's bounds are taken by mapping the
+    radiance block's bounds.  Each finished float64 block goes to
+    ``sink``, which writes it as float32.
 
     ``rows`` limits the pass to those frame rows (default: all).  With
     ``out``, of shape ``(len(rows), width)``, the blocks are built in it;
     otherwise in one reused scratch block.  ``vignette`` is the map to use
-    (default: one built for this call).
+    (default: one built for this call); when it holds ``R``, it must hold
+    the row model of ``meta``.
 
     Raises
     ------
@@ -467,10 +519,12 @@ def convert_band(raw: RawImage, meta: RadiometricMetadata, sink=None,
     height, width = raw.pixels.shape
     rows = range(height) if rows is None else rows
     block_rows = min(ROW_BLOCK, len(rows))
-    flat = np.empty((block_rows, width))
+    # A map that holds R needs no per-block product.
+    flat = (None if vignette.rows is not None
+            else np.empty((block_rows, width)))
     scratch = np.empty((block_rows, width)) if out is None else None
     rail = 2 ** raw.bits_per_pixel - 1
-    clamped = saturated = out_of_range = 0
+    clamped = out_of_range = 0
     negative_after = None  # negative pixels past the first -0.0 block
     too_wide = False  # a pixel given to the sink beyond float32 range
     # The checks below find overflow and NaN; numpy need not warn of them.
@@ -482,15 +536,15 @@ def convert_band(raw: RawImage, meta: RadiometricMetadata, sink=None,
                 block = scratch[:bottom - top]
             else:
                 block = out[top - rows.start:bottom - rows.start]
-            product = flat[:bottom - top]
             np.subtract(counts, meta.dark_level, out=block)
-            np.multiply(vignette.map[top:bottom], factors[top:bottom, np.newaxis],
-                        out=product)
-            block *= product
+            if flat is None:
+                block *= vignette.map[top:bottom]
+            else:
+                product = flat[:bottom - top]
+                np.multiply(vignette.map[top:bottom],
+                            factors[top:bottom, np.newaxis], out=product)
+                block *= product
             block *= scale
-            peak = counts.max()
-            if peak == rail:
-                saturated += int(np.count_nonzero(counts == peak))
             # min/max propagate NaN, so one reduction each checks the block.
             low = block.min()
             if low < 0:
@@ -507,13 +561,17 @@ def convert_band(raw: RawImage, meta: RadiometricMetadata, sink=None,
                         vignette=vignette).clamped
                 if clamped or negative_after:
                     np.maximum(block, 0.0, out=block)
+            high = block.max()
             if post_map is None:
-                low, high = 0.0, block.max()  # the clamp left none below 0
+                low = 0.0  # the clamp left none below 0
                 if not high < np.inf:
                     raise MetadataError("radiance contains non-finite pixels")
             else:
+                # The map is monotone, so it maps the bounds to the bounds.
+                bounds = np.array([max(low, 0.0), high])
+                post_map(bounds)
                 post_map(block)
-                low, high = block.min(), block.max()
+                low, high = bounds
                 if not (low > -np.inf and high < np.inf):
                     # A whole-frame check reports non-finite radiance first.
                     convert_band(raw, meta, rows=range(top, rows.stop),
@@ -526,6 +584,9 @@ def convert_band(raw: RawImage, meta: RadiometricMetadata, sink=None,
             if sink is not None:
                 too_wide |= max(-low, high) > FLOAT32_MAX
                 sink(block)
+    requested = raw.pixels[rows.start:rows.stop]
+    saturated = (int(np.count_nonzero(requested == rail))
+                 if requested.max() == rail else 0)
     if too_wide:
         quantity = "radiance" if post_map is None else "reflectance"
         raise MetadataError(f"{quantity} exceeds the float32 range of its "
@@ -541,11 +602,14 @@ def radiance_is_bounded(raw: RawImage, meta: RadiometricMetadata,
     Rounding is monotone and ``V``, ``R`` and the scale are positive, so
     every pixel lies between ``(min(I) - dL) * (max V * max R) * scale`` and
     the same with ``max(I)``, each rounded in :func:`convert_band`'s
-    order.  When both are finite, so is every pixel; when not, only a
+    order; a map that holds ``R`` gives ``max(V * R)``, which is no
+    larger.  When both are finite, so is every pixel; when not, only a
     whole conversion can tell.  ``vignette`` is as in :func:`convert_band`.
     """
     vignette, factors, scale = _camera_model(raw, meta, vignette)
-    peak = vignette.peak * float(factors.max())
+    peak = vignette.peak
+    if vignette.rows is None:
+        peak *= float(factors.max())
     return all(math.isfinite((float(count) - meta.dark_level) * peak * scale)
                for count in (raw.pixels.min(), raw.pixels.max()))
 

@@ -60,10 +60,10 @@ def counted(monkeypatch):
     builds, stores = [], []
 
     class CountedBuild(radiance_module._VignetteBuild):
-        def __init__(self, model, k):
+        def __init__(self, model, k, rows=None):
             builds.append((model.center_x, model.center_y,
                            model.coefficients.tobytes(), k.shape))
-            super().__init__(model, k)
+            super().__init__(model, k, rows)
 
     class RecordedStore(radiance_module.VignetteStore):
         def __init__(self):
@@ -176,13 +176,61 @@ class TestStoreAfterFailures:
         assert not stores[-1]._uses
 
 
+class TestHeldRowFactors:
+    """The helper flight gives every band-frame one lens model and one row
+    model, so its one map holds ``V * R``; a frame of another row model
+    makes it hold ``V`` alone, and the other images' bytes stay."""
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_rejected_row_model_fails_its_image_only(self, tmp_path,
+                                                      monkeypatch, counted,
+                                                      command):
+        builds, _ = counted
+        argv, report_name = COMMANDS[command]
+        manifest = helpers.build_flight(tmp_path / "flight", field_images=2)
+        held = []
+        vignette = radiance_module.VignetteStore.vignette
+
+        def noted(store, key, shape):
+            got = vignette(store, key, shape)
+            held.append(got.rows is not None)
+            return got
+
+        monkeypatch.setattr(radiance_module.VignetteStore, "vignette", noted)
+        clean = tmp_path / "clean"
+        assert main(argv + ["--manifest", str(manifest),
+                            "--out", str(clean)]) == 0
+        assert held and all(held)
+        edit_manifest(manifest, lambda raw: image(raw, "field_1")[
+            "bands"][1]["metadata"].update(a3=-0.05))
+        held.clear()
+        out = tmp_path / "out"
+        assert main(argv + ["--manifest", str(manifest),
+                            "--out", str(out)]) == 2
+        assert held and not any(held)
+        assert len(builds) == 2
+        report = json.loads((out / report_name).read_text())
+        assert report["failures"] == {
+            "field_1": "row correction denominator -1.35 is not positive "
+                       "at row 47"}
+        planes = sorted(p.name for p in out.glob("*.f32"))
+        assert planes == sorted(p.name for p in clean.glob("*.f32")
+                                if not p.name.startswith("field_1_"))
+        assert all((out / name).read_bytes() == (clean / name).read_bytes()
+                   for name in planes)
+
+
 class TestSkipRule:
     def test_only_bands_after_a_known_failure_are_skipped(self):
         # Run out of manifest order on one thread: band positions 3, 1, 4,
         # 0, 2 of one image, where positions 3 and 1 fail.
         store = radiance_module.VignetteStore()
         lens = radiance_module.VignetteModel(0.0, 0.0, (0.0,) * 6)
-        tasks = [cli._BandTask(0, position, None, store.plan(lens, (2, 2)))
+        meta = radiance_module.RadiometricMetadata(
+            a1=1.0, a2=0.0, a3=0.0, gain=1, exposure_us=1.0,
+            dark_level=0.0, vignette=lens, bits_per_pixel=16)
+        tasks = [cli._BandTask(0, position, None,
+                               store.plan(lens, (2, 2), meta))
                  for position in (3, 1, 4, 0, 2)]
         ran = []
 

@@ -11,20 +11,21 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import helpers
 from suascal.cli import main
-from suascal.errors import MetadataError
-from suascal.radiance import (ROW_BLOCK, RadiometricMetadata, RawImage,
-                              VignetteModel, convert_band, dc_to_radiance,
-                              radiance_is_bounded)
+from suascal.errors import MetadataError, NoIlluminationError
+from suascal.radiance import (FLOAT32_MAX, ROW_BLOCK, RadiometricMetadata,
+                              RawImage, VignetteModel, convert_band,
+                              dc_to_radiance, radiance_is_bounded)
 from suascal.reflectance import (CalibrationImage, DLSRecord, ElmModel,
                                  PanelObservation, aarr_map, dls_correct,
                                  elm_map, extract_panel, fit_elm_1pt,
                                  fit_elm_2pt, irradiance_to_radiance,
-                                 panel_band_reflectance, panel_means)
+                                 line_map, panel_band_reflectance,
+                                 panel_means)
 from suascal.rsr import SpectralCurve, write_spectral_curve
 from suascal import datasets
 
@@ -342,7 +343,7 @@ class TestKernelProperty:
         counts = np.full((HEIGHT, 6), 100, dtype=np.uint16)
         counts[0, 5] = 0  # -0.0 in the first block
         if negative_later:
-            counts[70, 3] = 0  # negative in the last block
+            counts[2 * ROW_BLOCK + 6, 3] = 0  # negative in the last block
         raw = RawImage(1, counts, bits_per_pixel=8)
         expected, clamped = reference_radiance(counts, meta)
         assert clamped == int(negative_later)
@@ -368,9 +369,52 @@ class TestKernelProperty:
         assert convert_band(raw, meta).saturated == 12
 
 
+#: Edge values a radiance block may hold, clamped or not.
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               FLOAT32_MAX, np.nextafter(FLOAT32_MAX, np.inf),
+               1.7976931348623157e308, -1.0, np.inf, -np.inf, np.nan]
+
+
+class TestMonotoneMaps:
+    """``convert_band`` maps a block's radiance bounds instead of taking
+    the bounds of the mapped block; the reflectance maps are monotone
+    non-decreasing, so the two agree, NaN included."""
+
+    @staticmethod
+    def assert_maps_bounds(post_map, values):
+        block = np.array(values, dtype=np.float64)
+        bounds = np.array([block.min(), block.max()])
+        with np.errstate(all="ignore"):
+            post_map(block)
+            post_map(bounds)
+        np.testing.assert_array_equal(bounds, [block.min(), block.max()])
+
+    blocks = st.lists(st.sampled_from(EDGE_VALUES)
+                      | st.floats(allow_nan=True, allow_infinity=True),
+                      min_size=1, max_size=12)
+
+    @given(blocks,
+           st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False))
+    def test_elm_line_maps_bounds_to_bounds(self, values, slope, bias):
+        self.assert_maps_bounds(line_map(slope, bias), values)
+
+    @given(blocks,
+           st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    def test_aarr_maps_bounds_to_bounds(self, values, irradiance):
+        # Overhead sun on a level sensor: the reference is irradiance / pi.
+        dls = DLSRecord(np.full(5, irradiance), 90.0, 0.0, 0.0)
+        try:
+            post_map = aarr_map(dls, 3)
+        except NoIlluminationError:
+            assume(False)
+        self.assert_maps_bounds(post_map, values)
+
+
 def overflowing_metadata(band):
     """Metadata whose radiance overflows where the counts are high and the
-    row factor exceeds 1.2, that is from row 40 on, in the second block."""
+    row factor exceeds 1.2, that is from row ``ROW_BLOCK + 8`` on, in the
+    second block."""
     meta = band_metadata(band)
     meta.update(a1=1.7e308, a2=0.0, a3=-0.005, gain=1, exposure_us=1.0,
                 dark_level=0.0)
@@ -379,9 +423,10 @@ def overflowing_metadata(band):
 
 
 def overflowing_counts():
-    """High counts in rows 40 to 69 only, off both panel ROIs."""
+    """High counts from row ``ROW_BLOCK + 8`` to 5 rows above the bottom,
+    off both panel ROIs."""
     counts = np.full((HEIGHT, WIDTH), 100, dtype=np.uint16)
-    counts[40:HEIGHT - 5] = 60000
+    counts[ROW_BLOCK + 8:HEIGHT - 5] = 60000
     return counts
 
 

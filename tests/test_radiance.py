@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from suascal import radiance as radiance_module
 from suascal.errors import MetadataError
 from helpers import radiance_to_counts
 from suascal.radiance import (ROW_BLOCK, RadiometricMetadata, RawImage,
-                              VignetteModel, VignetteStore, convert_band,
-                              dc_to_radiance, row_factors, vignette_map)
+                              RowModel, VignetteModel, VignetteStore,
+                              convert_band, dc_to_radiance, row_factors,
+                              vignette_map)
+from suascal.reflectance import line_map
 
 FLAT_VIGNETTE = VignetteModel(center_x=0.0, center_y=0.0,
                               coefficients=(0.0,) * 6)
@@ -65,7 +68,9 @@ class TestVignetteFactor:
         with pytest.raises(MetadataError):
             VignetteModel(0.0, 0.0, (0.1, 0.2))
 
-    @given(height=st.sampled_from([1, 31, 33, 97]), width=st.integers(1, 9),
+    @given(height=st.sampled_from([1, ROW_BLOCK - 1, ROW_BLOCK + 1,
+                                   3 * ROW_BLOCK + 1]),
+           width=st.integers(1, 9),
            center=st.tuples(*[st.integers(-20, 120).map(float)
                               | st.floats(-20.0, 120.0)
                               | st.sampled_from([1e308, -1e308])] * 2),
@@ -73,13 +78,13 @@ class TestVignetteFactor:
                                  | st.sampled_from([0.0, -0.0, 1e300,
                                                     -1e300]),
                                  min_size=6, max_size=6))
-    # Pixels (0, 0), (4, 0), (0, 32) and (4, 32) tie for the smallest k,
-    # rows 0 and 32 in different row blocks.
-    @example(height=33, width=5, center=(2.0, 16.0),
+    # Pixels (0, 0), (4, 0), (0, ROW_BLOCK) and (4, ROW_BLOCK) tie for the
+    # smallest k, rows 0 and ROW_BLOCK in different row blocks.
+    @example(height=ROW_BLOCK + 1, width=5, center=(2.0, ROW_BLOCK / 2),
              coefficients=[-0.1, 0.0, 0.0, 0.0, 0.0, 0.0])
     # The smallest k is in the second row block, with a non-positive k
     # in the first.
-    @example(height=33, width=5, center=(2.0, 10.0),
+    @example(height=ROW_BLOCK + 1, width=5, center=(2.0, 10.0),
              coefficients=[-0.1, 0.0, 0.0, 0.0, 0.0, 0.0])
     def test_row_blocks_match_the_whole_frame_formula(self, height, width,
                                                       center, coefficients):
@@ -104,7 +109,8 @@ def shared_vignette(model, width, height):
     for at once, so both build its row blocks."""
     store = VignetteStore()
     shape = (height, width)
-    keys = [store.plan(model, shape) for _ in range(2)]
+    keys = [store.plan(model, shape, make_meta(vignette=model))
+            for _ in range(2)]
     start = threading.Barrier(2)
 
     def ask(key):
@@ -302,7 +308,7 @@ class TestVignetteCache:
                                             (1000.0, 8, 2.0), (77.5, 2, 0.0),
                                             (1000.0, 1, 0.0))]
         raw = make_raw(self.COUNTS)
-        keys = [store.plan(LENS, self.COUNTS.shape) for _ in metas]
+        keys = [store.plan(LENS, self.COUNTS.shape, meta) for meta in metas]
         for meta, key in zip(metas, keys):
             expected = reference_radiance(raw, meta)
             np.testing.assert_array_equal(dc_to_radiance(raw, meta).pixels,
@@ -325,7 +331,7 @@ class TestVignetteCache:
 
     def test_cached_map_is_read_only(self):
         store = VignetteStore()
-        key = store.plan(LENS, (40, 30))
+        key = store.plan(LENS, (40, 30), make_meta(vignette=LENS))
         vignette = store.vignette(key, (40, 30))
         assert not vignette.map.flags.writeable
         with pytest.raises(ValueError):
@@ -353,7 +359,8 @@ class TestVignetteCache:
         lens = VignetteModel(3.5, 4.5, (1e-3,) + (0.0,) * 5)
         shape = (5 * ROW_BLOCK, 40)
         store = VignetteStore()
-        keys = [store.plan(lens, shape) for _ in range(4)]
+        keys = [store.plan(lens, shape, make_meta(vignette=lens))
+                for _ in range(4)]
         start = threading.Barrier(4)
 
         def ask(key):
@@ -383,7 +390,8 @@ class TestVignetteCache:
         lenses = [VignetteModel(5.0 + i, 7.0, (1e-4 * i,) + (0.0,) * 5)
                   for i in range(3)]
         store = VignetteStore()
-        keys = [store.plan(lens, (20, 20)) for lens in lenses for _ in "ab"]
+        keys = [store.plan(lens, (20, 20), make_meta(vignette=lens))
+                for lens in lenses for _ in "ab"]
         first = store.vignette(keys[0], (20, 20))
         assert store.vignette(keys[1], (20, 20)) is first
         store.release(keys[0])
@@ -404,7 +412,7 @@ class TestVignetteCache:
 
     def test_frame_of_another_shape_gets_its_own_map(self):
         store = VignetteStore()
-        key = store.plan(LENS, (40, 30))
+        key = store.plan(LENS, (40, 30), make_meta(vignette=LENS))
         vignette = store.vignette(key, (41, 30))
         np.testing.assert_array_equal(vignette.map, vignette_map(LENS, 30, 41))
         assert store.maps_held == 0
@@ -413,12 +421,158 @@ class TestVignetteCache:
     def test_bad_map_fails_every_use(self):
         lens = VignetteModel(0.0, 0.0, (-0.5,) + (0.0,) * 5)
         store = VignetteStore()
-        keys = [store.plan(lens, (5, 5)) for _ in range(2)]
+        keys = [store.plan(lens, (5, 5), make_meta(vignette=lens))
+                for _ in range(2)]
         for key in keys:
             with pytest.raises(MetadataError, match=r"pixel \(4, 4\)"):
                 store.vignette(key, (5, 5))
             store.release(key)
         assert store.maps_held == 0
+
+
+@st.composite
+def held_row_cases(draw):
+    """A frame up to three row blocks tall, a row model that
+    :func:`row_factors` may reject, the rows to convert and whether they
+    go into an ``out`` plane."""
+    bits = draw(st.integers(8, 16))
+    height = draw(st.integers(1, 2 * ROW_BLOCK + 3))
+    width = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    counts = np.random.default_rng(seed).integers(
+        0, 2 ** bits, size=(height, width), dtype=np.uint16)
+    meta = make_meta(
+        a1=draw(st.floats(1e-3, 1e3)),
+        a2=draw(st.floats(-2.0, 10.0)),
+        a3=draw(st.floats(-0.02, 1e-3)),
+        gain=draw(st.sampled_from([1, 2, 4, 8])),
+        exposure_us=draw(st.floats(1.0, 1e5)),
+        dark_level=draw(st.floats(0.0, float(2 ** bits))),
+        bits_per_pixel=bits,
+        vignette=VignetteModel(
+            draw(st.floats(-5.0, width + 5.0)),
+            draw(st.floats(-5.0, height + 5.0)),
+            draw(st.lists(st.floats(0.0, 1e-2), min_size=6, max_size=6))))
+    rows = range(height)
+    if draw(st.booleans()):
+        start = draw(st.integers(0, height - 1))
+        rows = range(start, draw(st.integers(start + 1, height)))
+    return make_raw(counts, bits=bits), meta, rows, draw(st.booleans())
+
+
+class TestStoreHeldRowFactors:
+    """A store map whose planned uses share one row model holds ``V * R``
+    for it; any other map holds ``V`` alone."""
+
+    COUNTS = TestVignetteCache.COUNTS
+
+    def test_map_of_one_row_model_holds_its_row_factors(self):
+        height, width = self.COUNTS.shape
+        meta = make_meta(vignette=LENS, a2=0.3, a3=1e-5, exposure_us=250.0)
+        store = VignetteStore()
+        keys = [store.plan(LENS, (height, width), meta) for _ in range(2)]
+        vignette = store.vignette(keys[0], (height, width))
+        assert vignette.rows == RowModel(0.3, 1e-5, 250.0)
+        np.testing.assert_array_equal(
+            vignette.map, vignette_map(LENS, width, height)
+            * row_factors(meta, height)[:, np.newaxis])
+        assert vignette.peak == vignette.map.max()
+        raw = make_raw(self.COUNTS)
+        plane = np.empty((height, width))
+        convert_band(raw, meta, out=plane, vignette=vignette)
+        np.testing.assert_array_equal(plane, reference_radiance(raw, meta))
+        with pytest.raises(ValueError, match="holds the row model"):
+            convert_band(raw, replace(meta, exposure_us=251.0),
+                         vignette=vignette)
+        for key in keys:
+            store.release(key)
+        assert store.maps_held == 0
+
+    @pytest.mark.parametrize("other", [
+        {"exposure_us": 1000.0}, {"a2": 0.25}, {"a3": 0.0}])
+    def test_map_shared_by_two_row_models_holds_v_alone(self, other):
+        shape = height, width = self.COUNTS.shape
+        meta = make_meta(vignette=LENS, a2=0.3, a3=1e-5, exposure_us=250.0,
+                         dark_level=4096.5, a1=163.84)
+        metas = [meta, replace(meta, **other)]
+        store = VignetteStore()
+        keys = [store.plan(LENS, shape, m) for m in metas]
+        assert keys[0] == keys[1]
+        raw = make_raw(self.COUNTS)
+        for m, key in zip(metas, keys):
+            vignette = store.vignette(key, shape)
+            assert vignette.rows is None
+            np.testing.assert_array_equal(vignette.map,
+                                          vignette_map(LENS, width, height))
+            plane = np.empty(shape)
+            convert_band(raw, m, out=plane, vignette=vignette)
+            np.testing.assert_array_equal(plane, reference_radiance(raw, m))
+            store.release(key)
+        assert store.maps_held == 0
+
+    def test_rejected_row_model_keeps_its_error_and_its_order(self):
+        shape = self.COUNTS.shape
+        raw = make_raw(self.COUNTS)
+        bad_rows = make_meta(vignette=LENS, a3=-0.01)
+        with pytest.raises(MetadataError, match="row correction") as expected:
+            row_factors(bad_rows, shape[0])
+        store = VignetteStore()
+        key = store.plan(LENS, shape, bad_rows)
+        vignette = store.vignette(key, shape)
+        assert vignette.rows is None
+        for given in (None, vignette):
+            with pytest.raises(MetadataError) as raised:
+                convert_band(raw, bad_rows, vignette=given)
+            assert str(raised.value) == str(expected.value)
+            # A band mismatch still comes first.
+            with pytest.raises(MetadataError,
+                               match="^metadata band 2 does not match"):
+                convert_band(raw, replace(bad_rows, band_index=2),
+                             vignette=given)
+        store.release(key)
+        # A bad lens still fails at its map, ahead of the row model.
+        bad_lens = VignetteModel(0.0, 0.0, (-0.5,) + (0.0,) * 5)
+        meta = replace(bad_rows, vignette=bad_lens)
+        key = store.plan(bad_lens, shape, meta)
+        for convert in (lambda: convert_band(raw, meta),
+                        lambda: store.vignette(key, shape)):
+            with pytest.raises(MetadataError,
+                               match="^vignette polynomial k=.* pixel "
+                                     r"\(122, 149\)$"):
+                convert()
+        store.release(key)
+        assert store.maps_held == 0
+
+    @given(held_row_cases(),
+           st.none() | st.tuples(st.floats(1e-3, 1e3), st.floats(-1.0, 1.0)))
+    def test_held_map_gives_the_standalone_bytes_and_counts(self, case,
+                                                            line):
+        raw, meta, rows, into_out = case
+        post_map = None if line is None else line_map(*line)
+
+        def outcome(vignette):
+            chunks = []
+            out = (np.empty((len(rows), raw.pixels.shape[1])) if into_out
+                   else None)
+            try:
+                counts = convert_band(
+                    raw, meta, lambda block: chunks.append(block.tobytes()),
+                    post_map, rows, out, vignette)
+            except MetadataError as exc:
+                return str(exc)
+            return counts, chunks, None if out is None else out.tobytes()
+
+        store = VignetteStore()
+        key = store.plan(meta.vignette, raw.pixels.shape, meta)
+        vignette = store.vignette(key, raw.pixels.shape)
+        try:
+            row_factors(meta, raw.pixels.shape[0])
+        except MetadataError:
+            assert vignette.rows is None
+        else:
+            assert vignette.rows == (meta.a2, meta.a3, meta.exposure_us)
+        assert outcome(vignette) == outcome(None)
+        store.release(key)
 
 
 @st.composite
