@@ -37,9 +37,8 @@ from .radiance import (ROW_BLOCK, BandCounts, RawImage, Vignette,
                        VignetteStore, convert_band)
 from .reflectance import (N_BANDS, SELECTION_MODES, CalibrationImage,
                           PanelObservation, ReflectanceImage, aarr_map,
-                          check_pgm_scale, elm_line, fit_elm_1pt,
-                          fit_elm_2pt, line_map, panel_band_reflectance,
-                          panel_means, pgm_counts, pgm_scale_is_valid,
+                          elm_line, fit_elm_1pt, fit_elm_2pt, line_map,
+                          panel_band_reflectance, panel_means, pgm_counts,
                           select_calibration, selection_metric)
 from .rsr import (DEFAULT_SHIFT_SCALE, MonochromatorRun, SpectralCurve,
                   is_degenerate, normalize_counts, peak_normalize,
@@ -105,15 +104,9 @@ def _stream_band(raw: RawImage, meta, vignette: Vignette, path: Path,
 
             def sink(block: np.ndarray) -> None:
                 plane(block)
-                # A bad scale writes no rows; it is rejected after the
-                # pass, once the band's own faults have had their turn.
-                if pgm_scale_is_valid(pgm_scale):
-                    pgm(pgm_counts(block, pgm_scale,
-                                   out=scratch[:len(block)]))
+                pgm(pgm_counts(block, pgm_scale, out=scratch[:len(block)]))
 
         counts = convert_band(raw, meta, sink, post_map, vignette=vignette)
-    if pgm_scale is not None:
-        check_pgm_scale(pgm_scale)
     write_sidecar(path, (height, width), raw.band_index, units)
     return counts
 
@@ -472,12 +465,7 @@ def cmd_reflect(args) -> int:
             return None
         band = task.band
         raw, vignette = _read_band(store, task)
-        try:
-            post_map = band_maps[task.image](band.band_index)
-        except SuascalError:
-            # A band's radiance faults are reported ahead of its map's.
-            convert_band(raw, band.metadata, vignette=vignette)
-            raise
+        post_map = band_maps[task.image](band.band_index)
         name = _plane_name(images[task.image].image_id, band.band_index)
         counts = _stream_band(
             raw, band.metadata, vignette, out / name, task.written,
@@ -732,7 +720,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="calibration image id for --selection single")
     p.add_argument("--write-pgm", action="store_true",
                    help="also write scaled 16-bit PGM planes")
-    p.add_argument("--pgm-scale", type=float, default=10000.0,
+    p.add_argument("--pgm-scale", type=_positive_number, default=10000.0,
                    help="counts per unit reflectance for --write-pgm")
     add_threads(p)
     p.set_defaults(handler=cmd_reflect)

@@ -149,6 +149,9 @@ def _parse_image(raw: dict, panels: dict[str, Path], base: Path,
                  index: int) -> ImageEntry:
     image_id = json_field(raw, "image_id", str, f"image[{index}]")
     context = f"image {image_id!r}"
+    # The id names the image's output files, which must land in --out.
+    if image_id in ("", ".", "..") or any(c in image_id for c in "/\\\0"):
+        raise ManifestError(f"{context}: 'image_id' must be a file name")
     timestamp = json_field(raw, "timestamp", float, context)
     if not math.isfinite(timestamp):
         raise ManifestError(

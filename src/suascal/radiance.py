@@ -490,7 +490,8 @@ def convert_band(raw: RawImage, meta: RadiometricMetadata, sink=None,
     one block of :data:`ROW_BLOCK` rows at a time.
 
     Each pixel is ``(I - dL) * (V * R) * scale`` computed in that order in
-    double precision, then clamped at zero.  ``post_map``, if given, then
+    double precision, then clamped: each pixel at or below zero, -0.0
+    included, becomes +0.0.  ``post_map``, if given, then
     maps the block in place (the reflectance maps of
     :mod:`suascal.reflectance`).  It must work elementwise on any float64
     array, be monotone non-decreasing and keep a non-finite pixel
@@ -508,12 +509,11 @@ def convert_band(raw: RawImage, meta: RadiometricMetadata, sink=None,
     ------
     MetadataError
         On band or bit-depth mismatch, a non-positive vignette or row model
-        anywhere over the frame, or a non-finite pixel in ``rows``.  With a
-        ``post_map``, a non-finite mapped pixel is reported as non-finite
-        reflectance unless a radiance pixel from its block on is
-        non-finite too.  With a ``sink``, a pixel it was given beyond
-        :data:`FLOAT32_MAX` in magnitude is reported after the pass, so
-        every non-finite pixel is reported ahead of it.
+        anywhere over the frame, or a non-finite pixel in ``rows``: the
+        first faulty block in row order, radiance ahead of reflectance.
+        With a ``sink``, a pixel it was given beyond :data:`FLOAT32_MAX`
+        in magnitude is reported after the pass, so every non-finite
+        pixel is reported ahead of it.
     """
     vignette, factors, scale = _camera_model(raw, meta, vignette)
     height, width = raw.pixels.shape
@@ -525,7 +525,6 @@ def convert_band(raw: RawImage, meta: RadiometricMetadata, sink=None,
     scratch = np.empty((block_rows, width)) if out is None else None
     rail = 2 ** raw.bits_per_pixel - 1
     clamped = out_of_range = 0
-    negative_after = None  # negative pixels past the first -0.0 block
     too_wide = False  # a pixel given to the sink beyond float32 range
     # The checks below find overflow and NaN; numpy need not warn of them.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -547,35 +546,20 @@ def convert_band(raw: RawImage, meta: RadiometricMetadata, sink=None,
             block *= scale
             # min/max propagate NaN, so one reduction each checks the block.
             low = block.min()
-            if low < 0:
+            if low <= 0:
                 clamped += int(np.count_nonzero(block < 0))
                 np.maximum(block, 0.0, out=block)
-            elif low == 0 and (sink or out is not None) and \
-                    np.signbit(block).any():
-                # A -0.0 is a negative that underflowed.  A whole-frame
-                # clamp runs when any pixel of the rows is negative, and
-                # makes it 0.0.
-                if not clamped and negative_after is None:
-                    negative_after = bottom < rows.stop and convert_band(
-                        raw, meta, rows=range(bottom, rows.stop),
-                        vignette=vignette).clamped
-                if clamped or negative_after:
-                    np.maximum(block, 0.0, out=block)
+                low = 0.0
             high = block.max()
-            if post_map is None:
-                low = 0.0  # the clamp left none below 0
-                if not high < np.inf:
-                    raise MetadataError("radiance contains non-finite pixels")
-            else:
+            if not high < np.inf:
+                raise MetadataError("radiance contains non-finite pixels")
+            if post_map is not None:
                 # The map is monotone, so it maps the bounds to the bounds.
-                bounds = np.array([max(low, 0.0), high])
+                bounds = np.array([low, high])
                 post_map(bounds)
                 post_map(block)
                 low, high = bounds
                 if not (low > -np.inf and high < np.inf):
-                    # A whole-frame check reports non-finite radiance first.
-                    convert_band(raw, meta, rows=range(top, rows.stop),
-                                 vignette=vignette)
                     raise MetadataError(
                         "reflectance contains non-finite pixels")
                 if low < 0 or high > 1:

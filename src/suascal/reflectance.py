@@ -471,19 +471,6 @@ def aarr(img: RadianceImage, dls: DLSRecord) -> ReflectanceImage:
     return ReflectanceImage(band_index=img.band_index, pixels=pixels)
 
 
-def pgm_scale_is_valid(scale: float) -> bool:
-    """Whether ``scale`` is a finite positive PGM export scale; an infinite
-    one maps zero reflectance to ``0 * inf``, which is NaN."""
-    return 0 < scale < math.inf
-
-
-def check_pgm_scale(scale: float) -> None:
-    """Reject a PGM export scale that is not a finite positive number."""
-    if not pgm_scale_is_valid(scale):
-        raise MetadataError(
-            f"PGM scale must be finite and positive, got {scale!r}")
-
-
 def pgm_counts(pixels: np.ndarray, scale: float,
                out: Optional[np.ndarray] = None) -> np.ndarray:
     """``rint(pixels * scale)`` saturated at the 16-bit rails, still in

@@ -27,8 +27,7 @@ from suascal.evaluate import TargetSample
 from suascal.imageio import pgm16_header, rows_writer
 from suascal.radiance import (RadianceImage, RadiometricMetadata,
                               row_factors, vignette_map)
-from suascal.reflectance import (ReflectanceImage, check_pgm_scale,
-                                 pgm_counts)
+from suascal.reflectance import ReflectanceImage, pgm_counts
 from suascal.rsr import SpectralCurve, write_spectral_curve
 
 
@@ -76,7 +75,6 @@ def radiance_to_counts(img: RadianceImage,
 def reflectance_to_pgm_counts(img: ReflectanceImage,
                               scale: float = 10000.0) -> np.ndarray:
     """Scale reflectance for 16-bit PGM export, saturating at the rails."""
-    check_pgm_scale(scale)
     return pgm_counts(img.pixels, scale).astype(np.uint16)
 
 WIDTH, HEIGHT = 64, 48

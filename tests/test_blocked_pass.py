@@ -120,8 +120,8 @@ def build_flight(root, seed=3):
 
 def reference_radiance(counts, meta):
     """The camera model over the whole frame, step by step:
-    ``(I - dL) * (V * R) * scale``, clamped at zero if any pixel is
-    negative.  Returns the plane and its clamped pixel count."""
+    ``(I - dL) * (V * R) * scale``, clamped at zero, which also turns
+    every -0.0 into 0.0.  Returns the plane and its clamped pixel count."""
     vignette = meta["vignette"]
     height, width = counts.shape
     x = np.arange(width, dtype=np.float64) - vignette["center_x"]
@@ -140,9 +140,7 @@ def reference_radiance(counts, meta):
     radiance = radiance * (v * factors[:, np.newaxis])
     radiance = radiance * scale
     clamped = int(np.count_nonzero(radiance < 0))
-    if clamped:  # which also turns every -0.0 into 0.0
-        radiance = np.maximum(radiance, 0.0)
-    return radiance, clamped
+    return np.maximum(radiance, 0.0), clamped
 
 
 def roi_mean(plane, roi):
@@ -332,11 +330,10 @@ class TestKernelProperty:
         np.testing.assert_array_equal(plane, expected)
 
     @pytest.mark.parametrize("negative_later", [False, True])
-    def test_negative_zero_follows_the_whole_frame_clamp(self,
-                                                         negative_later):
+    def test_underflowed_negative_is_positive_zero(self, negative_later):
         """A zero count under a 5e-324 dark level underflows to -0.0 where
         ``R * scale`` is small and stays negative where it is large; the
-        clamp, and with it -0.0 turning into 0.0, is the frame's."""
+        clamp makes the -0.0 0.0, whether or not a negative follows."""
         meta = dict(band_metadata(1), a1=102.4, a2=0.0, a3=-0.005, gain=1,
                     exposure_us=1.0, dark_level=5e-324, bits_per_pixel=8)
         meta["vignette"]["coefficients"] = [0.0] * 6
@@ -347,15 +344,16 @@ class TestKernelProperty:
         raw = RawImage(1, counts, bits_per_pixel=8)
         expected, clamped = reference_radiance(counts, meta)
         assert clamped == int(negative_later)
-        assert np.signbit(expected[0, 5]) != negative_later
+        underflowed = -meta["dark_level"] * (meta["a1"] / 2.0 ** 8)
+        assert underflowed == 0 and np.signbit(underflowed)
+        assert not np.signbit(expected).any()
         chunks = []
         got = convert_band(raw, meta_of(meta),
                            lambda block: chunks.append(block.copy()))
         assert got.clamped == clamped
         assert np.concatenate(chunks).tobytes() == expected.tobytes()
-        np.testing.assert_array_equal(
-            np.signbit(dc_to_radiance(raw, meta_of(meta)).pixels),
-            np.signbit(expected))
+        assert dc_to_radiance(raw, meta_of(meta)).pixels.tobytes() == \
+            expected.tobytes()
 
     def test_saturated_pixels_straddling_a_block_boundary(self):
         counts = np.zeros((HEIGHT, WIDTH), dtype=np.uint16)
@@ -459,16 +457,19 @@ class TestFailures:
 
     @pytest.mark.parametrize("scale", ["0", "-5", "nan", "inf"])
     def test_bad_pgm_scale_fails_every_image(self, tmp_path, capsys, scale):
+        """A bad scale is a usage error, found as the options are parsed,
+        so no image is written."""
         manifest, _ = build_flight(tmp_path / "flight")
         out = tmp_path / "out"
-        assert main(["reflect", "--manifest", str(manifest), "--out",
-                     str(out), "--method", "aarr", "--write-pgm",
-                     "--pgm-scale", scale]) == 3
-        report = json.loads((out / "reflectance_report.json").read_text())
-        assert set(report["failures"].values()) == {
-            f"PGM scale must be finite and positive, got {float(scale)!r}"}
-        assert [p.name for p in out.iterdir()] == ["reflectance_report.json"]
-        assert "Warning" not in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["reflect", "--manifest", str(manifest), "--out", str(out),
+                  "--method", "aarr", "--write-pgm", "--pgm-scale", scale])
+        assert excinfo.value.code == 1
+        err = capsys.readouterr().err
+        assert f"--pgm-scale: must be a finite number above zero, got " \
+            f"{scale!r}" in err
+        assert "Warning" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, quantity, log", [
         (["convert"], "radiance", "conversion_log.json"),
@@ -494,7 +495,9 @@ class TestFailures:
         assert [p.name for p in out.iterdir()] == [log]
         assert "Warning" not in capsys.readouterr().err
 
-    def test_radiance_fault_outranks_missing_illumination(self, tmp_path):
+    def test_missing_illumination_outranks_radiance_fault(self, tmp_path):
+        """An image's band map error comes ahead of its band's radiance
+        faults, as its selection and fit errors do."""
         manifest, _ = build_flight(tmp_path / "flight")
         raw = json.loads(manifest.read_text())
         for image in raw["images"][2:4]:
@@ -509,7 +512,8 @@ class TestFailures:
         assert failures == {
             "field_1": "band 3: corrected downwelling radiance is not "
                        "positive; AARR is undefined",
-            "field_2": "radiance contains non-finite pixels"}
+            "field_2": "band 3: corrected downwelling radiance is not "
+                       "positive; AARR is undefined"}
 
     def test_calibration_overflow_outside_roi_is_usage_error(
             self, tmp_path, capsys):
@@ -538,18 +542,24 @@ class TestFailures:
                            match="^reflectance contains non-finite"):
             convert_band(raw, meta, post_map=post_map)
 
-    def test_later_radiance_overflow_outranks_reflectance(self):
-        counts = np.full((HEIGHT, 3), 100, dtype=np.uint16)
-        counts[2 * ROW_BLOCK:] = 60000  # overflows in the third block
-        raw = RawImage(1, counts)
+    def test_first_faulty_block_is_reported(self):
+        """Blocks are checked in row order, and within a block radiance
+        ahead of reflectance."""
+        meta = meta_of(overflowing_metadata(1))
 
         def post_map(block):
-            block *= 1e10  # overflows in the first block
+            block *= 1e10  # overflows wherever radiance is not 0
 
+        counts = np.full((HEIGHT, 3), 100, dtype=np.uint16)
+        counts[2 * ROW_BLOCK:] = 60000  # radiance overflows in block 3
+        with pytest.raises(MetadataError,
+                           match="^reflectance contains non-finite"):
+            convert_band(RawImage(1, counts), meta, post_map=post_map)
+        counts[:ROW_BLOCK] = 0  # block 1 maps to 0
+        counts[ROW_BLOCK:] = 60000  # radiance overflows in block 2
         with pytest.raises(MetadataError,
                            match="^radiance contains non-finite"):
-            convert_band(raw, meta_of(overflowing_metadata(1)),
-                         post_map=post_map)
+            convert_band(RawImage(1, counts), meta, post_map=post_map)
 
 
 class TestPanelMeans:

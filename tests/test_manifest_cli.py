@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 import helpers
 from suascal.cli import _error_lines, main
 from suascal.errors import ManifestError, SuascalError
-from suascal.imageio import read_plane, read_pgm16
+from suascal.imageio import (read_plane, read_pgm16, sidecar_path,
+                             write_plane)
 from suascal.manifest import FlightManifest, load_manifest
 from suascal.simulate import SimulationTable
 
@@ -131,11 +132,20 @@ class TestManifest:
         (("images", 0, "bands", 0, "path"), None),
         (("images", 0, "bands", 0, "band_index"), 2.5),
         (("images", 0, "bands", 0, "metadata", "gain"), True),
+        # An id names the image's planes, which must stay inside --out.
+        (("images", 0, "image_id"), "../escaped"),
+        (("images", 0, "image_id"), ""),
+        (("images", 0, "image_id"), "."),
+        (("images", 0, "image_id"), ".."),
+        (("images", 0, "image_id"), "a\\b"),
+        (("images", 0, "image_id"), "a\0b"),
     ], ids=["timestamp-text", "timestamp-nan", "band_index-text", "a1-list",
             "bands-int", "images-int-list", "images-object", "panels-list",
             "roi-text", "bits_per_pixel-text", "altitude_ft-text",
             "flight-list", "coefficients-int", "rsr-key-text", "dls-list",
-            "path-null", "band_index-fraction", "gain-bool"])
+            "path-null", "band_index-fraction", "gain-bool",
+            "image_id-parent", "image_id-empty", "image_id-dot",
+            "image_id-dotdot", "image_id-backslash", "image_id-nul"])
     def test_mistyped_value_is_usage_error(self, flight, tmp_path, capsys,
                                            keys, value):
         def edit(raw):
@@ -147,6 +157,8 @@ class TestManifest:
         assert main(["convert", "--manifest", str(flight),
                      "--out", str(tmp_path / "out")]) == 1
         assert repr(keys[-1]) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert not list(tmp_path.glob("**/escaped*"))
 
     @given(data=st.data())
     def test_any_mutated_node_loads_or_is_a_suascal_error(self, pristine,
@@ -400,6 +412,41 @@ class TestNdviCommand:
         assert self._ndvi_with_sidecar(flight, tmp_path, width=-1,
                                        height=-pixels) == 1
         assert "'width'" in capsys.readouterr().err
+
+    #: The sidecar ``write_plane`` gives the 3x4 red plane below, each node
+    #: of which the property may replace.
+    SIDECAR = {"band_index": 3, "byte_order": "little-endian",
+               "dtype": "float32", "height": 3, "layout": "row-major",
+               "units": "reflectance", "width": 4}
+
+    @given(values=st.lists(st.floats(width=32), min_size=24, max_size=24),
+           node=st.none() | st.sampled_from(list(helpers.json_paths(SIDECAR))),
+           value=helpers.json_values)
+    @example(values=[math.inf] + [0.5] * 23, node=None, value=None)
+    @example(values=[0.5] * 12 + [math.nan] + [0.5] * 11, node=None,
+             value=None)
+    # A plane of 10^24 samples, which no file of 48 bytes holds.
+    @example(values=[0.5] * 24, node=(),
+             value=dict(SIDECAR, width=10 ** 12, height=10 ** 12))
+    def test_any_mutated_input_exits_cleanly(self, tmp_path_factory, values,
+                                             node, value):
+        """Mutated plane values (red then NIR) and one mutated node of the
+        red sidecar: an exit code of the contract, and no numpy warning."""
+        root = tmp_path_factory.getbasetemp() / "mutated_ndvi"
+        root.mkdir(exist_ok=True)
+        red, nir = root / "red.f32", root / "nir.f32"
+        planes = np.reshape(values, (2, 3, 4))
+        write_plane(red, planes[0], band_index=3, units="reflectance")
+        write_plane(nir, planes[1], band_index=5, units="reflectance")
+        if node is not None:
+            sidecar_path(red).write_text(json.dumps(
+                helpers.replace_node(self.SIDECAR, node, value)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["ndvi", "--red", str(red), "--nir", str(nir),
+                         "--out", str(root / "ndvi.f32")])
+        assert [str(w.message) for w in caught] == []
+        assert code in (0, 1, 2, 3)
 
 
 class TestEvaluateCommand:
