@@ -522,26 +522,40 @@ def _csv_field(text: str) -> str:
     return buffer.getvalue()[:-len(",\r\n")]
 
 
-def _error_lines(table: SimulationTable):
-    """``errors.csv`` data lines, joined here rather than by ``csv.writer``.
+#: Rows of ``errors.csv`` that :func:`_error_lines` formats at once.
+_CHUNK_ROWS = 2048
 
-    Each distinct text field (atmosphere, target) is formatted once by
-    :func:`_csv_field`; the numbers never need quoting.  Each cell's
-    leading fields are formatted once too.
+
+def _error_lines(table: SimulationTable):
+    """``errors.csv`` data lines as ``csv.writer`` writes them, yielded in
+    chunks of whole cells, about :data:`_CHUNK_ROWS` rows each.
+
+    Each distinct text field (atmosphere, target) is quoted once by
+    :func:`_csv_field`, with ``%`` doubled; the numbers never need quoting.
+    A chunk is one ``%`` format whose template holds every field but the
+    recovered reflectance and signed error, which fill its ``%r`` pairs.
     """
+    def escaped(text):
+        return _csv_field(text).replace("%", "%%")
+
     cells = list(itertools.product(*table.axes))
-    models = {model: _csv_field(model) for model in table.axes[0]}
-    targets = [_csv_field(target) for target in table.targets]
-    truth = [list(map(repr, row)) for row in table.truth.tolist()]
-    bands = list(map(str, table.bands))
-    for index, recovered, signed in zip(table.cells.tolist(),
-                                        table.recovered.tolist(),
-                                        table.signed_error.tolist()):
-        model, day, hour, visibility, altitude = cells[index]
-        lead = f"{models[model]},{day},{hour!r},{visibility!r},{altitude!r}"
-        for target, *row in zip(targets, truth, recovered, signed):
-            for band, true, value, error in zip(bands, *row):
-                yield f"{lead},{target},{band},{true},{value!r},{error!r}\r\n"
+    models = {model: escaped(model) for model in table.axes[0]}
+    # Each (target, band) row after its cell's leading fields; the empty
+    # string first makes ``lead.join(tails)`` put ``lead`` ahead of each.
+    tails = [""] + [f",{target},{band},{true!r},%r,%r\r\n"
+                    for target, row in zip(map(escaped, table.targets),
+                                           table.truth.tolist())
+                    for band, true in zip(table.bands, row)]
+    values = np.stack([table.recovered, table.signed_error], -1)
+    step = max(1, _CHUNK_ROWS // (len(tails) - 1))
+    indices = table.cells.tolist()
+    for start in range(0, len(indices), step):
+        template = "".join(
+            f"{models[model]},{day},{hour!r},{visibility!r},{altitude!r}"
+            .join(tails)
+            for model, day, hour, visibility, altitude in
+            (cells[index] for index in indices[start:start + step]))
+        yield template % tuple(values[start:start + step].ravel().tolist())
 
 
 def cmd_simulate(args) -> int:

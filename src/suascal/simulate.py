@@ -175,8 +175,10 @@ def _tau_to_sensor(tau1: np.ndarray, log_tau2: np.ndarray, cos_s: float,
     np.divide(log_tau2, cos_s, out=out)
     np.subtract(np.log(tau1), out, out=out)
     np.exp(out, out=out)
-    np.nan_to_num(out, copy=False, nan=0.0, posinf=1.0)
-    return np.clip(out, 0.0, 1.0, out=out)
+    # ``exp`` gives no negative value and no -0.0, so these two send NaN to
+    # 0 and +inf to 1 as ``nan_to_num`` followed by ``clip(0, 1)`` would.
+    np.fmax(out, 0.0, out=out)
+    return np.fmin(out, 1.0, out=out)
 
 
 def dls_downwelling(scene: Scene, atm: AtmosphereState) -> SpectralCurve:

@@ -7,6 +7,7 @@ import json
 import math
 import shutil
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
+from suascal import cli
 from suascal.cli import _error_lines, main
 from suascal.errors import ManifestError, SuascalError
 from suascal.imageio import (read_plane, read_pgm16, sidecar_path,
@@ -659,22 +661,25 @@ class TestSimulateCommand:
         assert code == 1
 
     def test_quoted_target_name_round_trips(self, tmp_path):
-        name = 'grass, "wet"\r\nlawn'
+        names = ['grass, "wet"\r\nlawn', '50% "wet", lawn']
+        spectrum = self._spectrum(tmp_path, 0.3)
         code, out = self._run(tmp_path, dict(
-            self.GRID, targets={name: self._spectrum(tmp_path, 0.3)}))
+            self.GRID, targets=dict.fromkeys(names, spectrum)))
         assert code == 0
         with (out / "errors.csv").open(newline="") as fh:
             rows = list(csv.reader(fh))
-        assert len(rows) == 1 + 4 * 5
-        assert {row[5] for row in rows[1:]} == {name}
+        assert len(rows) == 1 + 4 * 2 * 5
+        assert [row[5] for row in rows[1:11]] == [names[0]] * 5 + \
+            [names[1]] * 5
+        assert {row[5] for row in rows[1:]} == set(names)
 
     @settings(max_examples=50, deadline=None)
-    @given(names=st.lists(st.text(alphabet=' ,"\r\nab\'\t;', max_size=6),
+    @given(names=st.lists(st.text(alphabet=' ,"\r\nab\'\t;%', max_size=6),
                           min_size=1, max_size=3, unique=True),
-           model=st.text(alphabet=' ,"\r\nx', min_size=1, max_size=4))
+           model=st.text(alphabet=' ,"\r\nx%', min_size=1, max_size=4))
     def test_error_lines_equal_csv_writer(self, names, model):
-        """The hand-joined ``errors.csv`` lines are ``csv.writer``'s, byte
-        for byte, whatever the text fields hold."""
+        """The chunked ``errors.csv`` lines are ``csv.writer``'s, byte for
+        byte, whatever the text fields hold and wherever chunks end."""
         rng = np.random.default_rng(len(names))
         table = SimulationTable(
             axes=((model,), (171,), (16.0, 17.5), (5.0,), (0.214, 1.0)),
@@ -695,6 +700,27 @@ class TestSimulateCommand:
                         repr(float(table.recovered[i, t, b])),
                         repr(float(table.signed_error[i, t, b]))])
         assert "".join(_error_lines(table)) == expected.getvalue()
+        # One cell a chunk at 1 and 2 rows; two cells and then one at 4
+        # rows when a cell has two.
+        for rows in (1, 2, 4):
+            with mock.patch.object(cli, "_CHUNK_ROWS", rows):
+                assert "".join(_error_lines(table)) == expected.getvalue()
+
+    def test_error_lines_stream_in_bounded_chunks(self):
+        """200 cells of 20 rows come in more than one string, each holding
+        whole cells and at most one chunk's rows, so ``errors.csv`` is
+        never held whole in memory."""
+        rng = np.random.default_rng(0)
+        targets, bands = ("a", "b", "c", "d"), (1, 2, 3, 4, 5)
+        table = SimulationTable(
+            axes=(("tropical",), (171,), tuple(range(200)), (5.0,), (0.2,)),
+            targets=targets, bands=bands, truth=rng.random((4, 5)),
+            cells=np.arange(200), recovered=rng.random((200, 4, 5)))
+        rows = [chunk.count("\r\n") for chunk in _error_lines(table)]
+        assert len(rows) > 1
+        assert max(rows) <= cli._CHUNK_ROWS
+        assert all(count % 20 == 0 for count in rows)
+        assert sum(rows) == 200 * 20
 
     @pytest.mark.parametrize("config, named", [
         ({"days": ["x"]}, "'days'"),

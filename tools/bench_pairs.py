@@ -17,6 +17,12 @@ where its value is strictly better in the metric's direction.
 ``--json-out`` writes the same numbers, with every run's value, as one
 JSON object.  A run that is not ``correct`` or fails operations is
 reported and stops the comparison with exit 1.
+
+Compiled bytecode left in one checkout would let that side skip
+compiling and skew its set-up time and memory, so a checkout holding a
+``__pycache__`` directory or a ``.pyc`` file under ``src/`` or
+``perfbench/`` is refused with exit 1 before any run, and the runs
+themselves write no bytecode.
 """
 
 from __future__ import annotations
@@ -34,6 +40,18 @@ import numpy as np
 
 #: The flight and grid seed of every run.
 SEED = 5
+#: The directories of a checkout that its runs import code from.
+CODE_DIRS = ("src", "perfbench")
+
+
+def compiled_bytecode(tree: Path):
+    """The first ``__pycache__`` directory or ``.pyc`` file under
+    :data:`CODE_DIRS` of ``tree``, or ``None``."""
+    for name in CODE_DIRS:
+        for path in sorted((tree / name).rglob("*")):
+            if path.name == "__pycache__" or path.suffix == ".pyc":
+                return path
+    return None
 
 
 def run_once(tree: Path, workload: str, seconds: int) -> dict:
@@ -41,7 +59,8 @@ def run_once(tree: Path, workload: str, seconds: int) -> dict:
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(SEED), "--seconds", str(seconds)],
-        cwd=tree, capture_output=True, text=True, check=False)
+        cwd=tree, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+        capture_output=True, text=True, check=False)
     lines = done.stdout.strip().splitlines()
     if done.returncode or not lines:
         raise RuntimeError(f"{tree}: run.py exited {done.returncode}: "
@@ -101,6 +120,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds, metrics = benchmark["run_seconds"], benchmark["end_to_end"]
+    for tree in (args.parent, args.change):
+        stale = compiled_bytecode(tree)
+        if stale is not None:
+            print(f"error: {stale}: compiled bytecode in a checkout to "
+                  "compare; remove it first", file=sys.stderr)
+            return 1
     results = {}
     try:
         for workload in args.workload:
