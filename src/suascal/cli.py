@@ -2,9 +2,11 @@
 
 Exit status contract: 0 success, 1 usage or configuration error, 2 partial
 data failure (some images or grid cells processed, some failed), 3 total
-failure (every image or cell failed).  Batch commands continue past
-per-image errors and skipped cells and name them in their log file; all
-outputs are byte-identical across reruns of identical inputs.
+failure (every image or cell failed, or memory ran out), 130 interrupted
+(an imagery command first removes every file it wrote).  Batch commands
+continue past per-image errors and skipped cells and name them in their
+log file; all outputs are byte-identical across reruns of identical
+inputs.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import argparse
 import csv
 import io
 import itertools
-import json
 import math
 import os
 import sys
@@ -31,7 +32,7 @@ from .evaluate import (ERROR_STATISTICS, METHOD_LEVELS, aggregate, ndvi,
                        read_samples, write_reports)
 from .imageio import (pgm16_header, pgm16_shape, read_pgm16, read_plane,
                       rows_writer, sidecar_path, write_plane, write_sidecar)
-from .jsonread import json_field, read_json
+from .jsonread import json_field, read_json, write_json
 from .manifest import BandEntry, ImageEntry, load_manifest
 from .radiance import (ROW_BLOCK, BandCounts, RawImage, Vignette,
                        VignetteStore, convert_band)
@@ -51,6 +52,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARTIAL = 2
 EXIT_TOTAL = 3
+EXIT_INTERRUPTED = 130
 
 RADIANCE_UNITS = "W/m^2/sr/nm"
 
@@ -65,19 +67,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-
-
 def _plane_name(image_id: str, band_index: int) -> str:
     return f"{image_id}_b{band_index}.f32"
-
-
-def _read_raw(band: BandEntry) -> RawImage:
-    """Decode one band of one manifest image."""
-    return RawImage(band_index=band.band_index, pixels=read_pgm16(band.path),
-                    bits_per_pixel=band.metadata.bits_per_pixel)
 
 
 def _stream_band(raw: RawImage, meta, vignette: Vignette, path: Path,
@@ -126,18 +117,6 @@ def _default_threads() -> int:
     return min(usable, 4)
 
 
-def _thread_map(function, items, threads: int) -> list:
-    """``[function(item) for item in items]`` on ``threads`` threads.
-
-    An exception raised for an item propagates when that item's result is
-    reached, so the first failing item in order is the one reported.
-    """
-    if threads == 1:
-        return [function(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(function, items))
-
-
 @dataclass
 class _BandTask:
     """One band-frame of one image, holding one use of its vignette map."""
@@ -151,7 +130,8 @@ class _BandTask:
     key: tuple
     #: Files written for the band, removed if its image fails.
     written: list[Path] = field(default_factory=list)
-    #: Set to what :func:`_run_bands` returns for the task once it is known.
+    #: Set once the task is done: its record, the exception it raised, or
+    #: ``None`` if it was skipped.
     outcome: Future = field(default_factory=Future)
 
 
@@ -177,43 +157,6 @@ def _plan_bands(store: VignetteStore, entries,
         first[task.band.band_index, task.key]))
 
 
-def _run_bands(tasks: list[_BandTask], store: VignetteStore, work,
-               threads: int, failed: dict | None = None) -> dict:
-    """``work(task)`` for each task on ``threads`` threads, keyed by
-    ``(image, position)``: its result, or the exception it raised, or
-    ``None`` for a task skipped.
-
-    Only an image's failure first in manifest order is reported, so a task
-    is skipped once one of its image before it has failed.  ``failed``
-    maps images that failed beforehand to -1.  Every task gives back its
-    map use, run, failed or skipped, and then sets its ``outcome``.
-    """
-    failed = dict(failed or {})
-    lock = threading.Lock()
-
-    def run(task: _BandTask):
-        outcome = None
-        try:
-            with lock:
-                skip = failed.get(task.image, task.position) < task.position
-            if not skip:
-                try:
-                    outcome = work(task)
-                except Exception as exc:
-                    with lock:
-                        failed[task.image] = min(
-                            failed.get(task.image, task.position),
-                            task.position)
-                    outcome = exc
-            return outcome
-        finally:
-            store.release(task.key)
-            task.outcome.set_result(outcome)
-
-    return {(task.image, task.position): outcome for task, outcome in
-            zip(tasks, _thread_map(run, tasks, threads))}
-
-
 def _remove_written(tasks: list[_BandTask], images=None) -> None:
     """Remove the files the tasks of ``images`` (default: all) wrote."""
     for task in tasks:
@@ -225,14 +168,20 @@ def _remove_written(tasks: list[_BandTask], images=None) -> None:
 def _image_pass(entries, tasks: list[_BandTask], store: VignetteStore,
                 write_band, threads: int, errors: dict | None = None,
                 settle=None):
-    """Write every band of ``entries`` with ``write_band(task)``, which
-    returns the band's record; ``errors`` holds the images that failed
-    before their bands (position to exception) and run none.
+    """Write every band of ``entries`` with ``write_band(task)`` on
+    ``threads`` threads; it returns the band's record.  ``errors`` holds
+    the images that failed before their bands (position to exception).
 
-    ``settle(outcomes)``, if given, runs once every task is done, on what
-    :func:`_run_bands` returns.  It returns more images that fail ahead of
-    their bands, as ``errors`` holds them, or raises; then every file the
-    pass wrote is removed.
+    Only an image's failure first in manifest order is reported, so a task
+    is skipped once a band of its image before it has failed; the images
+    in ``errors`` fail at position -1 and run none.  Every task gives back
+    its map use, run, failed or skipped, and then sets its ``outcome``; an
+    interrupt cancels the tasks not yet started.
+
+    ``settle()``, if given, runs once every task is done.  It returns more
+    images that fail ahead of their bands, as ``errors`` holds them, or
+    raises.  If it raises, or anything escapes the pool (an interrupt),
+    every file the pass wrote is removed and the error raised.
 
     Returns ``(bands, failures)`` keyed by image id: each good image's band
     records by band index, each failed image's first error in manifest
@@ -241,30 +190,49 @@ def _image_pass(entries, tasks: list[_BandTask], store: VignetteStore,
     done.
     """
     errors = dict(errors or {})
-    outcomes = _run_bands(tasks, store, write_band, threads,
-                          failed=dict.fromkeys(errors, -1))
-    if settle is not None:
+    failed = dict.fromkeys(errors, -1)
+    lock = threading.Lock()
+
+    def run(task: _BandTask) -> None:
+        outcome = None
         try:
-            errors.update(settle(outcomes))
-        except Exception:
-            _remove_written(tasks)
-            raise
+            with lock:
+                skip = failed.get(task.image, task.position) < task.position
+            if not skip:
+                try:
+                    outcome = write_band(task)
+                except Exception as exc:
+                    outcome = exc
+                    with lock:
+                        if failed.get(task.image,
+                                      task.position) >= task.position:
+                            failed[task.image] = task.position
+                            errors[task.image] = exc
+        finally:
+            store.release(task.key)
+            task.outcome.set_result(outcome)
+
+    try:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            # Reaching a result re-raises what escaped its task, and the
+            # map then cancels every task not yet started.
+            list(pool.map(run, tasks))
+        if settle is not None:
+            errors.update(settle())
+    except BaseException:
+        _remove_written(tasks)
+        raise
+    _remove_written(tasks, errors)
+    outcomes = {(task.image, task.position): task.outcome.result()
+                for task in tasks}
     bands: dict[str, dict] = {}
     failures: dict[str, str] = {}
     for i, entry in enumerate(entries):
         if i not in errors:
-            records = [outcomes[i, j] for j in range(len(entry.bands))]
-            error = next((r for r in records if isinstance(r, Exception)),
-                         None)
-            if error is None:
-                bands[entry.image_id] = {
-                    str(band.band_index): record
-                    for band, record in zip(entry.bands, records)}
-                continue
-            errors[i] = error
-        if isinstance(errors[i], SuascalError):
+            bands[entry.image_id] = {str(band.band_index): outcomes[i, j]
+                                     for j, band in enumerate(entry.bands)}
+        elif isinstance(errors[i], SuascalError):
             failures[entry.image_id] = str(errors[i])
-    _remove_written(tasks, errors)
     for i in sorted(errors):
         if not isinstance(errors[i], SuascalError):
             raise errors[i]
@@ -274,7 +242,9 @@ def _image_pass(entries, tasks: list[_BandTask], store: VignetteStore,
 def _read_band(store: VignetteStore, task: _BandTask):
     """Decode a task's band-frame and take its vignette map, in that order,
     so a frame's decode errors come ahead of its map's."""
-    raw = _read_raw(task.band)
+    band = task.band
+    raw = RawImage(band_index=band.band_index, pixels=read_pgm16(band.path),
+                   bits_per_pixel=band.metadata.bits_per_pixel)
     return raw, store.vignette(task.key, raw.pixels.shape)
 
 
@@ -285,7 +255,7 @@ def cmd_convert(args) -> int:
     if not manifest.images:
         print("warning: manifest lists no images; nothing to convert",
               file=sys.stderr)
-        _write_json(out / "conversion_log.json", {"images": {}, "failures": {}})
+        write_json(out / "conversion_log.json", {"images": {}, "failures": {}})
         return EXIT_OK
     store = VignetteStore()
     tasks = _plan_bands(store, manifest.images)
@@ -303,8 +273,8 @@ def cmd_convert(args) -> int:
                                   args.threads)
     log = {image_id: {"bands": records}
            for image_id, records in bands.items()}
-    _write_json(out / "conversion_log.json",
-                {"images": log, "failures": failures})
+    write_json(out / "conversion_log.json",
+               {"images": log, "failures": failures})
     for image_id, message in sorted(failures.items()):
         print(f"error: image {image_id}: {message}", file=sys.stderr)
     return _batch_exit(len(log), len(failures))
@@ -317,13 +287,12 @@ def _placements(entry: ImageEntry) -> list:
             if placement is not None]
 
 
-def _calibration_images(calibration, outcomes: dict, first: int, grounds,
+def _calibration_images(calibration, means_tasks: dict, grounds,
                         bands) -> list[CalibrationImage]:
     """The ``calibration`` images from the panel means of each of their
-    band-frames, ``outcomes[first + c, position]`` as :func:`_run_bands`
-    keys them, and the ground reflectance of each of their panels in
-    ``bands``, ``grounds[c][k]``; either may be the exception raised in
-    its stead.
+    band-frames, the ``outcome`` of ``means_tasks[c, band_index]``, and the
+    ground reflectance of each of their panels in ``bands``,
+    ``grounds[c][k]``; either may be the exception raised in its stead.
 
     The first error in manifest order is raised: an image's band faults,
     then its panel spectra, then the next image's.
@@ -331,8 +300,8 @@ def _calibration_images(calibration, outcomes: dict, first: int, grounds,
     candidates = []
     for c, entry in enumerate(calibration):
         by_band = {}
-        for j, band in enumerate(entry.bands):
-            means = outcomes[first + c, j]
+        for band in entry.bands:
+            means = means_tasks[c, band.band_index].outcome.result()
             if isinstance(means, Exception):
                 raise means
             by_band[band.band_index] = means
@@ -360,9 +329,9 @@ def cmd_reflect(args) -> int:
     if not manifest.images:
         print("warning: manifest lists no images; nothing to process",
               file=sys.stderr)
-        _write_json(out / "reflectance_report.json",
-                    {"method": args.method, "selection": args.selection,
-                     "images": {}, "failures": {}})
+        write_json(out / "reflectance_report.json",
+                   {"method": args.method, "selection": args.selection,
+                    "images": {}, "failures": {}})
         return EXIT_OK
 
     images = manifest.images
@@ -382,9 +351,6 @@ def cmd_reflect(args) -> int:
     tasks = _plan_bands(store, images, calibration)
     means_tasks = {(task.image - len(images), task.band.band_index): task
                    for task in tasks if task.image >= len(images)}
-    # Set once a calibration band fails: the run then fails, so image
-    # tasks not yet started are skipped.
-    halted = threading.Event()
 
     def ground_reflectance(placement):
         try:
@@ -447,24 +413,14 @@ def cmd_reflect(args) -> int:
         except SuascalError as exc:
             errors[i] = exc
 
-    def means(task: _BandTask) -> list[float]:
-        # Only the per-band ROI means outlive each band-frame.
-        entry = calibration[task.image - len(images)]
-        try:
-            raw, vignette = _read_band(store, task)
-            return panel_means(raw, task.band.metadata,
-                               [p.roi for p in _placements(entry)], vignette)
-        except Exception:
-            halted.set()
-            raise
-
-    def write_band(task: _BandTask) -> dict | None:
-        if task.image >= len(images):
-            return means(task)
-        if halted.is_set():
-            return None
+    def write_band(task: _BandTask) -> dict | list[float]:
         band = task.band
         raw, vignette = _read_band(store, task)
+        if task.image >= len(images):
+            # Only a calibration frame's per-band ROI means outlive it.
+            entry = calibration[task.image - len(images)]
+            return panel_means(raw, band.metadata,
+                               [p.roi for p in _placements(entry)], vignette)
         post_map = band_maps[task.image](band.band_index)
         name = _plane_name(images[task.image].image_id, band.band_index)
         counts = _stream_band(
@@ -475,11 +431,11 @@ def cmd_reflect(args) -> int:
                 "out_of_range_fraction": counts.out_of_range_fraction,
                 "saturated_pixels": counts.saturated}
 
-    def settle(outcomes) -> dict:
+    def settle() -> dict:
         """The calibration images, or their first error; then each image's
         fit, whose error fails the image ahead of any band fault."""
-        candidates = _calibration_images(calibration, outcomes, len(images),
-                                         grounds, sorted(rsr_set))
+        candidates = _calibration_images(calibration, means_tasks, grounds,
+                                         sorted(rsr_set))
         fit = fit_elm_1pt if args.method == "elm1" else fit_elm_2pt
         fit_errors = {}
         for i, c in selected.items():
@@ -495,9 +451,9 @@ def cmd_reflect(args) -> int:
     results = {entry.image_id: dict(records[i], bands=bands[entry.image_id])
                for i, entry in enumerate(images)
                if entry.image_id in bands}
-    _write_json(out / "reflectance_report.json",
-                {"method": args.method, "selection": args.selection,
-                 "images": results, "failures": failures})
+    write_json(out / "reflectance_report.json",
+               {"method": args.method, "selection": args.selection,
+                "images": results, "failures": failures})
     for image_id, message in sorted(failures.items()):
         print(f"error: image {image_id}: {message}", file=sys.stderr)
     return _batch_exit(len(results), len(failures))
@@ -576,7 +532,7 @@ def cmd_simulate(args) -> int:
                    [attribute, "mean_absolute_error"],
                    ([key, repr(value)] for key, value in
                     grouped_absolute_error(table, attribute).items()))
-    _write_json(out / "simulate_log.json", {
+    write_json(out / "simulate_log.json", {
         "cells": grid.cell_count, "ran": len(table.cells),
         "skipped": [dict(zip(CELL_FIELDS, cell), reason=reason)
                     for cell, reason in table.skipped]})
@@ -673,7 +629,7 @@ def cmd_rsr(args) -> int:
         if degenerate:
             print(f"warning: band {run.band_index} sweep is degenerate "
                   "(no positive response)", file=sys.stderr)
-    _write_json(out / "rsr_log.json", {"bands": log})
+    write_json(out / "rsr_log.json", {"bands": log})
     return EXIT_OK
 
 
@@ -691,8 +647,8 @@ def cmd_ndvi(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_plane(out, result.values, band_index=0, units="ndvi")
-    _write_json(Path(str(out) + ".log.json"),
-                {"zero_denominator_pixels": result.zero_denominator_count})
+    write_json(Path(str(out) + ".log.json"),
+               {"zero_denominator_pixels": result.zero_denominator_count})
     return EXIT_OK
 
 
@@ -780,6 +736,12 @@ def main(argv=None) -> int:
     except (SuascalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_TOTAL
 
 
 if __name__ == "__main__":

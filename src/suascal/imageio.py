@@ -9,7 +9,6 @@ self-describing without inventing a container format.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from pathlib import Path
@@ -17,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ImageFormatError, ManifestError
-from .jsonread import json_field, read_json
+from .jsonread import json_field, read_json, write_json
 
 # magic, width, height, maxval -- comments (# ...) allowed between tokens.
 _PGM_HEADER = re.compile(
@@ -134,8 +133,7 @@ def write_sidecar(path, shape: tuple[int, int], band_index: int,
         "byte_order": "little-endian",
         "layout": "row-major",
     }
-    sidecar_path(path).write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(sidecar_path(path), sidecar)
 
 
 def write_plane(path, pixels: np.ndarray, band_index: int, units: str) -> None:

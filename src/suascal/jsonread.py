@@ -1,5 +1,6 @@
 """The typed JSON reader every JSON input of the package is checked
-through: manifests, grid configurations, RSR sweeps and plane sidecars.
+through: manifests, grid configurations, RSR sweeps and plane sidecars;
+and the one writer of its JSON outputs.
 
 A value of the wrong JSON kind is a :class:`ManifestError` that names the
 file and the key, never a ``TypeError`` from deep inside a consumer.
@@ -72,3 +73,10 @@ def read_json(path) -> dict:
     except ValueError as exc:  # also bad UTF-8 and over-long integers
         raise ManifestError(f"{path}: not valid JSON: {exc}") from exc
     return json_value(raw, dict, str(path))
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` to ``path`` as UTF-8 JSON with sorted keys, an
+    indent of 2 and a closing newline, so equal payloads are equal bytes."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                          encoding="utf-8")

@@ -11,6 +11,7 @@ the thread count.
 import json
 import sys
 import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -223,7 +224,8 @@ class TestHeldRowFactors:
 class TestSkipRule:
     def test_only_bands_after_a_known_failure_are_skipped(self):
         # Run out of manifest order on one thread: band positions 3, 1, 4,
-        # 0, 2 of one image, where positions 3 and 1 fail.
+        # 0, 2 of one image, where positions 3 and 1 fail.  The error is
+        # not a SuascalError, so the pass raises the one it reports.
         store = radiance_module.VignetteStore()
         lens = radiance_module.VignetteModel(0.0, 0.0, (0.0,) * 6)
         meta = radiance_module.RadiometricMetadata(
@@ -240,9 +242,13 @@ class TestSkipRule:
                 raise ValueError(task.position)
             return task.position
 
-        outcomes = cli._run_bands(tasks, store, work, threads=1)
+        entries = [SimpleNamespace(image_id="frame", bands=[None] * 5)]
+        with pytest.raises(ValueError) as raised:
+            cli._image_pass(entries, tasks, store, work, threads=1)
+        assert raised.value.args == (1,)
         assert ran == [3, 1, 0]
-        assert [type(outcomes[0, p]).__name__ for p in range(5)] == [
+        outcomes = {task.position: task.outcome.result() for task in tasks}
+        assert [type(outcomes[p]).__name__ for p in range(5)] == [
             "int", "ValueError", "NoneType", "ValueError", "NoneType"]
         assert store.maps_held == 0
         assert not store._uses
@@ -405,3 +411,54 @@ class TestFusedPassUnderContention:
                 assert not list(out.iterdir())
         finally:
             sys.setswitchinterval(interval)
+
+
+class TestInterrupted:
+    """An interrupt in the band pass ends the run with exit 130 and one
+    line, once the running tasks are done and every file the pass wrote
+    is removed."""
+
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    @pytest.mark.parametrize("command", [
+        ["convert"], ["reflect", "--method", "elm2"],
+        ["reflect", "--method", "aarr", "--write-pgm"]],
+        ids=["convert", "elm2", "aarr-pgm"])
+    def test_interrupt_leaves_no_file(self, tmp_path, monkeypatch, capsys,
+                                      command, threads):
+        manifest = helpers.build_flight(tmp_path / "flight", field_images=2)
+        stream_band = cli._stream_band
+        calls = []
+        lock = threading.Lock()
+
+        def interrupted(*args, **kwargs):
+            with lock:
+                calls.append(None)
+                if len(calls) == 4:
+                    raise KeyboardInterrupt
+            return stream_band(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_stream_band", interrupted)
+        before = set(threading.enumerate())
+        out = tmp_path / "out"
+        try:
+            code = main([command[0], "--manifest", str(manifest), "--out",
+                         str(out), "--threads", threads, *command[1:]])
+        except KeyboardInterrupt:
+            # Raised on, it would end the whole test session.
+            pytest.fail("KeyboardInterrupt escaped main")
+        assert code == 130
+        assert capsys.readouterr().err == "error: interrupted\n"
+        assert not list(out.iterdir())
+        assert set(threading.enumerate()) <= before
+
+    def test_memory_error_is_one_line_and_exit_3(self, tmp_path,
+                                                 monkeypatch, capsys):
+        manifest = helpers.build_flight(tmp_path / "flight", field_images=2)
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "_stream_band", exhausted)
+        assert main(["convert", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == "error: out of memory\n"
