@@ -46,7 +46,7 @@ from .rsr import (DEFAULT_SHIFT_SCALE, MonochromatorRun, SpectralCurve,
                   relative_response, write_spectral_curve)
 from .simulate import (CELL_FIELDS, SimulationGrid, SimulationTable,
                        band_statistics, grouped_absolute_error,
-                       run_maarr_grid, summary_rows)
+                       split_sweep, summary_rows)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -186,8 +186,9 @@ def _image_pass(entries, tasks: list[_BandTask], store: VignetteStore,
     Returns ``(bands, failures)`` keyed by image id: each good image's band
     records by band index, each failed image's first error in manifest
     order.  A failed image's files are removed, so it leaves none.  An
-    error that is not a :class:`SuascalError` is raised once every task is
-    done.
+    error that is not a :class:`SuascalError` (the first in manifest order)
+    is raised once every task is done, and every file the pass wrote is
+    removed first, as on an interrupt.
     """
     errors = dict(errors or {})
     failed = dict.fromkeys(errors, -1)
@@ -222,7 +223,11 @@ def _image_pass(entries, tasks: list[_BandTask], store: VignetteStore,
     except BaseException:
         _remove_written(tasks)
         raise
-    _remove_written(tasks, errors)
+    fatal = [errors[i] for i in sorted(errors)
+             if not isinstance(errors[i], SuascalError)]
+    _remove_written(tasks, None if fatal else errors)
+    if fatal:
+        raise fatal[0]
     outcomes = {(task.image, task.position): task.outcome.result()
                 for task in tasks}
     bands: dict[str, dict] = {}
@@ -231,11 +236,8 @@ def _image_pass(entries, tasks: list[_BandTask], store: VignetteStore,
         if i not in errors:
             bands[entry.image_id] = {str(band.band_index): outcomes[i, j]
                                      for j, band in enumerate(entry.bands)}
-        elif isinstance(errors[i], SuascalError):
+        else:
             failures[entry.image_id] = str(errors[i])
-    for i in sorted(errors):
-        if not isinstance(errors[i], SuascalError):
-            raise errors[i]
     return bands, failures
 
 
@@ -514,15 +516,29 @@ def _error_lines(table: SimulationTable):
         yield template % tuple(values[start:start + step].ravel().tolist())
 
 
+def _error_text(table: SimulationTable) -> bytes:
+    """Every ``errors.csv`` data line of ``table``, encoded."""
+    return "".join(_error_lines(table)).encode()
+
+
 def cmd_simulate(args) -> int:
     config = read_json(args.grid_config) if args.grid_config else {}
     grid = SimulationGrid.from_config(config)
-    table = run_maarr_grid(grid)
+    parts = (min(_default_threads(), len(grid.atmospheres))
+             if hasattr(os, "fork") else 1)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with (out / "errors.csv").open("w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(_ROW_FIELDS)
-        fh.writelines(_error_lines(table))
+    with split_sweep(grid, parts, _error_text) as (first, table, encoded):
+        out.mkdir(parents=True, exist_ok=True)
+        path = out / "errors.csv"
+        try:
+            with path.open("wb") as fh:
+                # No field name needs csv quoting.
+                fh.write(",".join(_ROW_FIELDS).encode() + b"\r\n")
+                fh.writelines(chunk.encode() for chunk in _error_lines(first))
+                fh.writelines(encoded)
+        except BaseException:
+            path.unlink(missing_ok=True)
+            raise
     kept = summary_rows(table, grid.summary_exclude_altitudes_km)
     _write_csv(out / "summary_band.csv", ["band_index", *ERROR_STATISTICS],
                ([band] + [repr(stats[name]) for name in ERROR_STATISTICS]

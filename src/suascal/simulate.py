@@ -26,13 +26,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import pickle
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import BinaryIO, Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import datasets
-from .errors import CurveError, ManifestError
+from .errors import CurveError, ManifestError, SuascalError
 from .evaluate import error_statistics
 from .jsonread import json_field, json_value
 from .rsr import (SpectralCurve, band_weights, read_spectral_curve,
@@ -616,6 +619,132 @@ def run_maarr_grid(grid: SimulationGrid) -> SimulationTable:
     return SimulationTable(axes, tuple(name for name, _ in grid.targets),
                            tuple(bands), truth, cells, recovered[cells],
                            tuple(skipped))
+
+
+#: Largest read from a part's pipe, bytes.
+_PIPE_READ = 1 << 16
+
+
+def _fork_part(grid: SimulationGrid, encode,
+               inherited) -> tuple[int, BinaryIO]:
+    """Fork a child that runs :func:`run_maarr_grid` on ``grid`` and sends
+    down a pipe, pickled, its table's ``(cells, recovered, skipped)`` or
+    the exception it raised, then ``encode(table)``, and exits.
+
+    ``inherited`` are the read ends of earlier parts, which the child
+    closes.  Returns the child's pid and the read end of its pipe.
+    """
+    read, write = os.pipe()
+    # Fork, not spawn: a spawned child imports numpy and this package
+    # again, which takes longer than the part it would run.  The command
+    # starts no thread; OpenBLAS's pool has its own fork handlers.
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, os.fdopen(read, "rb")
+    status = 1
+    try:
+        os.close(read)
+        for reader in inherited:
+            reader.close()
+        with os.fdopen(write, "wb") as sink:
+            try:
+                table = run_maarr_grid(grid)
+            except BaseException as exc:
+                pickle.dump(exc, sink)
+            else:
+                pickle.dump((table.cells, table.recovered, table.skipped),
+                            sink)
+                # The parent waits on the result, not on the encoding.
+                sink.flush()
+                sink.write(encode(table))
+        status = 0
+    finally:
+        # Nothing of the parent's (atexit hooks, stdio buffers) runs here.
+        os._exit(status)
+
+
+def _received(reader: BinaryIO, part: int, parts: int) -> tuple:
+    """A child's ``(cells, recovered, skipped)``; raises its exception."""
+    try:
+        result = pickle.load(reader)
+    except (EOFError, pickle.UnpicklingError):
+        raise SuascalError(f"simulation part {part} of {parts} ended "
+                           "without sending its result") from None
+    if isinstance(result, BaseException):
+        raise result
+    return result
+
+
+def _encoded(children: dict[int, BinaryIO], parts: int) -> Iterator[bytes]:
+    """Each child's encoded table in part order, in bounded reads; each
+    child is reaped once its pipe is drained."""
+    for part, (pid, reader) in enumerate(list(children.items()), 2):
+        while chunk := reader.read(_PIPE_READ):
+            yield chunk
+        reader.close()
+        status = os.waitpid(pid, 0)[1]
+        del children[pid]
+        if status:
+            raise SuascalError(f"simulation part {part} of {parts} ended "
+                               "before sending all of its output")
+
+
+@contextmanager
+def split_sweep(grid: SimulationGrid, parts: int,
+                encode: Callable[[SimulationTable], bytes]):
+    """Run ``grid``'s sweep in ``parts`` processes, each on a contiguous
+    run of its atmospheres, as even as can be with the shorter runs first.
+
+    This process runs part 1; a child forked for each later part runs it
+    and sends back its table and ``encode`` of it.  Yields ``(first,
+    table, encoded)``: part 1's table, the whole grid's table joined from
+    the parts' (equal to ``run_maarr_grid(grid)``), and an iterator over
+    the later parts' ``encode`` bytes in part order, which raises if a
+    child ends before sending all of them.
+
+    A part's error is raised once every part before it has run, so it is
+    the error one process would raise.  On any error or interrupt the
+    children still running are killed; every child is reaped before this
+    returns or raises.
+    """
+    # Loaded once here, not once in every child.
+    datasets.bundled_rsr_set()
+    if grid.exo_irradiance is None:
+        datasets.bundled_solar_spectrum()
+    n = len(grid.atmospheres)
+    grids = [replace(grid, atmospheres=grid.atmospheres[
+        k * n // parts:(k + 1) * n // parts]) for k in range(parts)]
+    children: dict[int, BinaryIO] = {}
+    try:
+        for part in grids[1:]:
+            pid, reader = _fork_part(part, encode, children.values())
+            children[pid] = reader
+        first = run_maarr_grid(grids[0])
+        results = [(first.cells, first.recovered, first.skipped)]
+        results += [_received(reader, part, parts)
+                    for part, reader in enumerate(children.values(), 2)]
+        offsets = itertools.accumulate(
+            (part.cell_count for part in grids), initial=0)
+        cells, recovered, skipped = zip(*results)
+        table = replace(
+            first, axes=(grid.atmospheres, *first.axes[1:]),
+            cells=np.concatenate([c + o for c, o in zip(cells, offsets)]),
+            recovered=np.concatenate(recovered),
+            skipped=tuple(itertools.chain(*skipped)))
+        yield first, table, _encoded(children, parts)
+    except BaseException:
+        if children:
+            import signal
+            for pid in children:
+                os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        # A child blocked on a full pipe ends once its read end is closed.
+        for reader in children.values():
+            reader.close()
+        for pid in children:
+            os.waitpid(pid, 0)
 
 
 def summary_rows(table: SimulationTable,

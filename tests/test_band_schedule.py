@@ -451,6 +451,38 @@ class TestInterrupted:
         assert not list(out.iterdir())
         assert set(threading.enumerate()) <= before
 
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    @pytest.mark.parametrize("error, code, line", [
+        (MemoryError, 3, "error: out of memory\n"),
+        (OSError("No space left on device"), 1,
+         "error: No space left on device\n")], ids=["memory", "os"])
+    @pytest.mark.parametrize("command", [["convert"],
+                                         ["reflect", "--method", "elm2"]],
+                             ids=["convert", "elm2"])
+    def test_fatal_band_error_leaves_no_file(self, tmp_path, monkeypatch,
+                                             capsys, command, threads, error,
+                                             code, line):
+        """An error that is no data fault, raised from the 4th band-frame,
+        removes the good images' planes too: no log would name them."""
+        manifest = helpers.build_flight(tmp_path / "flight", field_images=2)
+        stream_band = cli._stream_band
+        calls = []
+        lock = threading.Lock()
+
+        def failing(*args, **kwargs):
+            with lock:
+                calls.append(None)
+                if len(calls) == 4:
+                    raise error
+            return stream_band(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_stream_band", failing)
+        out = tmp_path / "out"
+        assert main([command[0], "--manifest", str(manifest), "--out",
+                     str(out), "--threads", threads, *command[1:]]) == code
+        assert capsys.readouterr().err == line
+        assert not list(out.iterdir())
+
     def test_memory_error_is_one_line_and_exit_3(self, tmp_path,
                                                  monkeypatch, capsys):
         manifest = helpers.build_flight(tmp_path / "flight", field_images=2)

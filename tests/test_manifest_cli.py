@@ -1,12 +1,16 @@
 """Manifest loading and the command-line workflows built on top of it."""
 
+import contextlib
 import csv
 import io
 import itertools
 import json
 import math
+import os
 import shutil
+import tempfile
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,6 +20,7 @@ from hypothesis import strategies as st
 
 import helpers
 from suascal import cli
+from suascal import simulate as simulate_module
 from suascal.cli import _error_lines, main
 from suascal.errors import ManifestError, SuascalError
 from suascal.imageio import (read_plane, read_pgm16, sidecar_path,
@@ -738,6 +743,142 @@ class TestSimulateCommand:
         code, _ = self._run(tmp_path, config)
         assert code == 1
         assert named in capsys.readouterr().err
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(scope="module")
+def flat_spectrum(tmp_path_factory):
+    path = tmp_path_factory.mktemp("spectrum") / "flat.csv"
+    path.write_text("wavelength_nm,value\n330,0.3\n1200,0.3\n")
+    return str(path)
+
+
+class TestSimulateParts:
+    """``simulate`` splits its sweep by atmosphere across one process per
+    usable CPU; its outputs, exit code and stderr do not depend on how
+    many, and no child outlives the command."""
+
+    GRID = {"atmospheres": list(simulate_module.ATMOSPHERE_PRESETS),
+            "days": [171], "times_utc": [16.0], "visibilities_km": [5.0],
+            "sensor_altitudes_km": [0.214]}
+
+    @staticmethod
+    def _run(root, config, parts):
+        """``main``'s exit code and stderr, and the files it wrote, with the
+        CPUs it sees set to ``parts``."""
+        config_path = root / "grid.json"
+        config_path.write_text(json.dumps(config))
+        out = root / f"sim{parts}"
+        shutil.rmtree(out, ignore_errors=True)
+        stderr = io.StringIO()
+        with mock.patch.object(cli, "_default_threads", lambda: parts), \
+                contextlib.redirect_stderr(stderr):
+            code = main(["simulate", "--out", str(out),
+                         "--grid-config", str(config_path)])
+        files = ({path.name: path.read_bytes() for path in out.iterdir()}
+                 if out.exists() else None)
+        return code, stderr.getvalue(), files
+
+    # Each example runs four commands: a quarter of the profile's count.
+    @settings(max_examples=settings.default.max_examples // 4)
+    @given(atmospheres=st.lists(
+               st.sampled_from(list(simulate_module.ATMOSPHERE_PRESETS)),
+               min_size=1, max_size=4, unique=True),
+           times=st.lists(st.sampled_from([6.0, 16.0, 17.5]), min_size=1,
+                          max_size=2, unique=True),
+           visibilities=st.lists(st.sampled_from([5.0, 23.0]), min_size=1,
+                                 max_size=2, unique=True),
+           targets=st.lists(st.sampled_from(
+               ["grass", '50% "wet", lawn', "dry\r\nsoil"]), min_size=1,
+               max_size=3, unique=True))
+    def test_outputs_do_not_depend_on_parts(self, flat_spectrum, atmospheres,
+                                            times, visibilities, targets):
+        config = dict(self.GRID, atmospheres=atmospheres, times_utc=times,
+                      visibilities_km=visibilities,
+                      sensor_altitudes_km=[0.214, 1.692],
+                      targets={name: "bundled" if name == "grass"
+                               else flat_spectrum for name in targets})
+        with tempfile.TemporaryDirectory() as root:
+            runs = [self._run(Path(root), config, parts)
+                    for parts in (1, 2, 3, 4)]
+        code, err, files = runs[0]
+        assert code in (0, 2, 3)
+        assert len(files) == 9
+        assert all(run == runs[0] for run in runs[1:])
+        _no_child_left()
+
+    def test_without_fork_one_process_runs_the_sweep(self, tmp_path,
+                                                     monkeypatch):
+        expected = self._run(tmp_path, self.GRID, 1)
+        monkeypatch.delattr(os, "fork")
+        assert self._run(tmp_path, self.GRID, 4) == expected
+
+    @pytest.mark.parametrize("parts", [1, 2, 4])
+    def test_sweep_error_in_a_later_part(self, tmp_path, monkeypatch, parts):
+        """The last atmosphere's radiance is not finite: the same one line
+        at every part count, and no file."""
+        monkeypatch.setitem(simulate_module.ATMOSPHERE_PRESETS,
+                            "us-standard", (math.nan, 0.14))
+        code, err, files = self._run(tmp_path, self.GRID, parts)
+        assert code == 1
+        assert err == ("error: us-standard atmosphere, day 171, 16.0 h UTC: "
+                       "radiance is not finite\n")
+        assert files is None
+        _no_child_left()
+
+    @pytest.mark.parametrize("model", ["tropical", "us-standard"],
+                             ids=["parent", "child"])
+    def test_interrupt_in_either_part(self, tmp_path, monkeypatch, capfd,
+                                      model):
+        sweep = simulate_module.run_maarr_grid
+
+        def interrupted(grid):
+            if model in grid.atmospheres:
+                raise KeyboardInterrupt
+            return sweep(grid)
+
+        monkeypatch.setattr(simulate_module, "run_maarr_grid", interrupted)
+        monkeypatch.setattr(cli, "_default_threads", lambda: 2)
+        out = tmp_path / "out"
+        try:
+            code = main(["simulate", "--out", str(out)])
+        except KeyboardInterrupt:
+            pytest.fail("KeyboardInterrupt escaped main")
+        assert code == 130
+        assert capfd.readouterr().err == "error: interrupted\n"
+        assert not out.exists()
+        _no_child_left()
+
+    def test_child_gone_without_a_result(self, tmp_path, monkeypatch):
+        sweep = simulate_module.run_maarr_grid
+
+        def vanishing(grid):
+            if "tropical" not in grid.atmospheres:
+                os._exit(0)
+            return sweep(grid)
+
+        monkeypatch.setattr(simulate_module, "run_maarr_grid", vanishing)
+        code, err, files = self._run(tmp_path, self.GRID, 2)
+        assert code == 1
+        assert err == ("error: simulation part 2 of 2 ended without sending "
+                       "its result\n")
+        assert files is None
+        _no_child_left()
+
+    def test_child_gone_before_its_rows(self, tmp_path, monkeypatch):
+        """A child that dies after its result leaves ``errors.csv`` cut
+        short; it is removed."""
+        monkeypatch.setattr(cli, "_error_text", lambda table: os._exit(1))
+        code, err, files = self._run(tmp_path, self.GRID, 3)
+        assert code == 1
+        assert err == ("error: simulation part 2 of 3 ended before sending "
+                       "all of its output\n")
+        assert files == {}
+        _no_child_left()
 
 
 def _sweep(band_index, flat_ratio=False):
