@@ -108,8 +108,9 @@ def _batch_exit(ok: int, failed: int) -> int:
     return EXIT_TOTAL if ok == 0 else EXIT_PARTIAL
 
 
-def _default_threads() -> int:
-    """The CPUs this process may run on, at most 4."""
+def _workers() -> int:
+    """Workers for the band pass and the simulation sweep: the CPUs this
+    process may run on, at most 4."""
     if hasattr(os, "sched_getaffinity"):
         usable = len(os.sched_getaffinity(0))
     else:
@@ -166,10 +167,9 @@ def _remove_written(tasks: list[_BandTask], images=None) -> None:
 
 
 def _image_pass(entries, tasks: list[_BandTask], store: VignetteStore,
-                write_band, threads: int, errors: dict | None = None,
-                settle=None):
+                write_band, errors: dict | None = None, settle=None):
     """Write every band of ``entries`` with ``write_band(task)`` on
-    ``threads`` threads; it returns the band's record.  ``errors`` holds
+    :func:`_workers` threads; it returns the band's record.  ``errors`` holds
     the images that failed before their bands (position to exception).
 
     Only an image's failure first in manifest order is reported, so a task
@@ -214,7 +214,7 @@ def _image_pass(entries, tasks: list[_BandTask], store: VignetteStore,
             task.outcome.set_result(outcome)
 
     try:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=_workers()) as pool:
             # Reaching a result re-raises what escaped its task, and the
             # map then cancels every task not yet started.
             list(pool.map(run, tasks))
@@ -271,8 +271,7 @@ def cmd_convert(args) -> int:
         return {"path": name, "clamped_pixels": counts.clamped,
                 "saturated_pixels": counts.saturated}
 
-    bands, failures = _image_pass(manifest.images, tasks, store, write_band,
-                                  args.threads)
+    bands, failures = _image_pass(manifest.images, tasks, store, write_band)
     log = {image_id: {"bands": records}
            for image_id, records in bands.items()}
     write_json(out / "conversion_log.json",
@@ -346,6 +345,13 @@ def cmd_reflect(args) -> int:
             dark_note = " with a dark panel" if args.method == "elm2" else ""
             print(f"error: method {args.method} needs at least one "
                   f"calibration image{dark_note}", file=sys.stderr)
+            return EXIT_USAGE
+        usable = [entry.image_id for entry in calibration]
+        if args.selection == "single" and \
+                args.designated_id not in (None, *usable):
+            print(f"error: --designated-id {args.designated_id!r} is not a "
+                  f"calibration image method {args.method} can use; usable: "
+                  f"{', '.join(map(repr, usable))}", file=sys.stderr)
             return EXIT_USAGE
     # One band-major pass: each band's panel means (calibration tasks,
     # numbered on from the images), then its planes.
@@ -447,8 +453,7 @@ def cmd_reflect(args) -> int:
                 fit_errors[i] = exc
         return fit_errors
 
-    bands, failures = _image_pass(images, tasks, store, write_band,
-                                  args.threads, errors,
+    bands, failures = _image_pass(images, tasks, store, write_band, errors,
                                   settle if calibration else None)
     results = {entry.image_id: dict(records[i], bands=bands[entry.image_id])
                for i, entry in enumerate(images)
@@ -524,10 +529,9 @@ def _error_text(table: SimulationTable) -> bytes:
 def cmd_simulate(args) -> int:
     config = read_json(args.grid_config) if args.grid_config else {}
     grid = SimulationGrid.from_config(config)
-    parts = (min(_default_threads(), len(grid.atmospheres))
-             if hasattr(os, "fork") else 1)
     out = Path(args.out)
-    with split_sweep(grid, parts, _error_text) as (first, table, encoded):
+    with split_sweep(grid, _workers(), _error_text) as (first, table,
+                                                         encoded):
         out.mkdir(parents=True, exist_ok=True)
         path = out / "errors.csv"
         try:
@@ -686,15 +690,9 @@ def build_parser() -> argparse.ArgumentParser:
                                  "five-band sUAS imagery")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_threads(p):
-        p.add_argument("--threads", type=int, default=_default_threads(),
-                       help="worker threads for band-frame work (default: "
-                            "the usable CPUs, at most 4)")
-
     p = sub.add_parser("convert", help="raw digital counts to radiance")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    add_threads(p)
     p.set_defaults(handler=cmd_convert)
 
     p = sub.add_parser("reflect", help="radiance to reflectance")
@@ -708,7 +706,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write scaled 16-bit PGM planes")
     p.add_argument("--pgm-scale", type=_positive_number, default=10000.0,
                    help="counts per unit reflectance for --write-pgm")
-    add_threads(p)
     p.set_defaults(handler=cmd_reflect)
 
     p = sub.add_parser("simulate", help="run the ratio-error study grid")
@@ -744,9 +741,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.handler(args)
     except (SuascalError, OSError) as exc:

@@ -249,7 +249,7 @@ class _VignetteBuild:
         self._y = np.arange(height, dtype=np.float64) - model.center_y
         self._tops = iter(range(0, height, ROW_BLOCK))
         self._left = len(range(0, height, ROW_BLOCK))
-        self._worst = {}  # block top -> (k, x, y) of its first smallest k <= 0
+        self._bad_from = height  # top of the first block with a k <= 0
         self._peaks = []
         self._failure = None  # what a block raised, raised to every caller
         self._outcome = None  # the map, or the message of its error
@@ -263,7 +263,7 @@ class _VignetteBuild:
                 top = next(self._tops, None)
             if top is None:
                 return
-            worst = peak = None
+            bad, peak = False, None
             try:
                 block = self.k[top:top + ROW_BLOCK]
                 r = radius[:len(block)]
@@ -273,11 +273,8 @@ class _VignetteBuild:
                 # A NaN k needs an infinite radius, and the finite center
                 # puts every pixel at that radius, so a map with a NaN is
                 # all NaN.
-                if block.min() <= 0:
-                    iy, ix = np.unravel_index(int(np.argmin(block)),
-                                              block.shape)
-                    worst = (block[iy, ix], ix, top + iy)
-                else:
+                bad = block.min() <= 0
+                if not bad:
                     np.divide(1.0, block, out=block)
                     if self._factors is not None:
                         block *= self._factors[top:top + ROW_BLOCK]
@@ -287,9 +284,9 @@ class _VignetteBuild:
                 raise
             finally:
                 with self._finished:
-                    if worst is not None:
-                        self._worst[top] = worst
-                    elif peak is not None:
+                    if bad:
+                        self._bad_from = min(self._bad_from, top)
+                    if peak is not None:
                         self._peaks.append(peak)
                     self._left -= 1
                     if not self._left:
@@ -314,13 +311,15 @@ class _VignetteBuild:
         return self._outcome
 
     def _judge(self) -> Vignette | str:
-        # The first of the smallest in row order, as argmin over the frame.
-        worst = min((self._worst[top] for top in sorted(self._worst)),
-                    key=lambda found: found[0], default=None)
-        if worst is not None:
-            value, ix, iy = worst
-            return (f"vignette polynomial k={value:.6g} is not positive at "
-                    f"pixel ({ix}, {iy})")
+        if self._bad_from < len(self.k):
+            # A bad block keeps its k, whose least is <= 0; a good one holds
+            # 1/k (times R) >= 0, which is 0 where k is infinite.  From the
+            # first bad block on, argmin over the map is argmin over k.
+            rest = self.k[self._bad_from:]
+            iy, ix = np.unravel_index(int(np.argmin(rest)), rest.shape)
+            iy += self._bad_from
+            return (f"vignette polynomial k={self.k[iy, ix]:.6g} is not "
+                    f"positive at pixel ({ix}, {iy})")
         vignette = self.k.view()
         vignette.flags.writeable = False
         return Vignette(vignette, float(np.max(self._peaks, initial=-np.inf)),

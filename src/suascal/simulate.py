@@ -393,6 +393,9 @@ class SimulationGrid:
                     kwargs["exo_irradiance"] = read_spectral_curve(path)
             elif key == "targets":
                 targets = json_field(config, key, dict, context)
+                if not targets:
+                    # An empty tuple would mean the bundled targets.
+                    raise ManifestError(f"{context}: {key!r} is empty")
                 curves = []
                 for name in targets:
                     source = json_field(targets, name, str,
@@ -691,10 +694,12 @@ def _encoded(children: dict[int, BinaryIO], parts: int) -> Iterator[bytes]:
 
 
 @contextmanager
-def split_sweep(grid: SimulationGrid, parts: int,
+def split_sweep(grid: SimulationGrid, workers: int,
                 encode: Callable[[SimulationTable], bytes]):
-    """Run ``grid``'s sweep in ``parts`` processes, each on a contiguous
-    run of its atmospheres, as even as can be with the shorter runs first.
+    """Run ``grid``'s sweep in up to ``workers`` processes, each on a
+    contiguous run of its atmospheres, as even as can be with the shorter
+    runs first: one part per worker, or per atmosphere if there are fewer,
+    and one part where :func:`os.fork` does not exist.
 
     This process runs part 1; a child forked for each later part runs it
     and sends back its table and ``encode`` of it.  Yields ``(first,
@@ -713,6 +718,7 @@ def split_sweep(grid: SimulationGrid, parts: int,
     if grid.exo_irradiance is None:
         datasets.bundled_solar_spectrum()
     n = len(grid.atmospheres)
+    parts = min(workers, n) if hasattr(os, "fork") else 1
     grids = [replace(grid, atmospheres=grid.atmospheres[
         k * n // parts:(k + 1) * n // parts]) for k in range(parts)]
     children: dict[int, BinaryIO] = {}

@@ -9,19 +9,23 @@ line through the origin (so 1-point and 2-point fits agree), and the DLS
 irradiance is ``pi`` times the radiance a perfect diffuser would see.
 
 It also holds the JSON strategies the input-validation properties mutate
-documents with, and the writers and inverses that only tests need: raw
-PGM frames, sample CSVs, PGM export counts and radiance back to counts.
+documents with, the writers and inverses that only tests need (raw PGM
+frames, sample CSVs, PGM export counts and radiance back to counts), and
+:func:`workers`, which pins the worker count of every command.
 """
 
+import contextlib
 import copy
 import csv
 import json
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import strategies as st
 
+from suascal import cli
 from suascal.errors import ImageFormatError
 from suascal.evaluate import TargetSample
 from suascal.imageio import pgm16_header, rows_writer
@@ -43,6 +47,16 @@ def write_pgm16(path, pixels: np.ndarray) -> None:
     with Path(path).open("wb") as handle:
         handle.write(pgm16_header(width, height))
         rows_writer(handle, ">u2")(pixels)
+
+
+def workers(n: int | None):
+    """A context manager under which ``convert`` and ``reflect`` run their
+    band pass on ``n`` threads and ``simulate`` splits its sweep for ``n``
+    processes, whatever CPUs the process may use; ``None`` leaves the count
+    to the CPU set.  It uses no fixture, so it works inside ``@given``."""
+    if n is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(cli, "_workers", lambda: n)
 
 
 def write_samples(path, samples) -> None:

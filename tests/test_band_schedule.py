@@ -84,12 +84,12 @@ class TestTwoLensFlight:
         argv, _ = COMMANDS[command]
         manifest = two_lens_flight(tmp_path / "flight")
         trees = []
-        for i, threads in enumerate(([], ["--threads", "1"],
-                                     ["--threads", "3"])):
+        for i, workers in enumerate((None, 1, 3)):
             builds.clear()
             out = tmp_path / str(i)
-            assert main(argv + ["--manifest", str(manifest),
-                                "--out", str(out)] + threads) == 0
+            with helpers.workers(workers):
+                assert main(argv + ["--manifest", str(manifest),
+                                    "--out", str(out)]) == 0
             assert len(builds) == 10
             assert len(set(builds)) == 10
             assert stores[-1].maps_held == 0
@@ -124,9 +124,10 @@ class TestFirstFaultInManifestOrder:
         expected = (self.UNDECODABLE if undecodable < bad_vignette
                     else self.BAD_VIGNETTE)
         out = tmp_path / "out"
-        for threads in ("1", "2", "3"):
-            assert main(argv + ["--manifest", str(manifest), "--out",
-                                str(out), "--threads", threads]) == 2
+        for workers in (1, 2, 3):
+            with helpers.workers(workers):
+                assert main(argv + ["--manifest", str(manifest), "--out",
+                                    str(out)]) == 2
             report = json.loads((out / report_name).read_text())
             assert report["failures"]["field_2"].endswith(expected)
             assert sorted(report["images"]) == ["cal_a", "field_1"]
@@ -243,8 +244,8 @@ class TestSkipRule:
             return task.position
 
         entries = [SimpleNamespace(image_id="frame", bands=[None] * 5)]
-        with pytest.raises(ValueError) as raised:
-            cli._image_pass(entries, tasks, store, work, threads=1)
+        with pytest.raises(ValueError) as raised, helpers.workers(1):
+            cli._image_pass(entries, tasks, store, work)
         assert raised.value.args == (1,)
         assert ran == [3, 1, 0]
         outcomes = {task.position: task.outcome.result() for task in tasks}
@@ -315,18 +316,18 @@ class TestFusedCalibration:
         builds, _ = counted
         manifest = lens_per_band_flight(tmp_path / "flight")
         trees = []
-        for i, threads in enumerate((None, 1, 3)):
+        for i, workers in enumerate((None, 1, 3)):
             builds.clear()
             out = tmp_path / str(i)
-            option = [] if threads is None else ["--threads", str(threads)]
-            assert main(["reflect", "--method", method, "--manifest",
-                         str(manifest), "--out", str(out)] + option) == 0
+            with helpers.workers(workers):
+                assert main(["reflect", "--method", method, "--manifest",
+                             str(manifest), "--out", str(out)]) == 0
             assert len(builds) == len(set(builds)) == 5
             store = peak_maps[-1]
             # A map is held from its band's first task to its last, and
             # only the band after the running tasks can add one: n threads
             # hold at most n + 1 maps, one thread at most two.
-            assert 1 <= store.peak <= (threads or cli._default_threads()) + 1
+            assert 1 <= store.peak <= (workers or cli._workers()) + 1
             assert store.maps_held == 0 and not store._uses
             trees.append({p.name: p.read_bytes() for p in out.iterdir()})
         assert all(tree == trees[0] for tree in trees[1:])
@@ -336,11 +337,11 @@ class TestFusedCalibration:
         manifest = lens_per_band_flight(tmp_path / "flight")
         bad = manifest.parent / "cal_b_b5.pgm"
         bad.write_bytes(b"P6\n")
-        for threads in ("1", "2", "3"):
-            out = tmp_path / threads
-            assert main(["reflect", "--method", "elm2", "--manifest",
-                         str(manifest), "--out", str(out),
-                         "--threads", threads]) == 1
+        for workers in (1, 2, 3):
+            out = tmp_path / str(workers)
+            with helpers.workers(workers):
+                assert main(["reflect", "--method", "elm2", "--manifest",
+                             str(manifest), "--out", str(out)]) == 1
             assert capsys.readouterr().err == (
                 f"error: {bad}: not a binary PGM (magic b'P6', expected "
                 "b'P5')\n")
@@ -377,12 +378,13 @@ class TestFusedPassUnderContention:
     no outcome may be lost."""
 
     @staticmethod
-    def run_bounded(argv):
+    def run_bounded(argv, workers):
         codes = []
         worker = threading.Thread(target=lambda: codes.append(main(argv)),
                                   daemon=True)
-        worker.start()
-        worker.join(timeout=120)
+        with helpers.workers(workers):
+            worker.start()
+            worker.join(timeout=120)
         assert not worker.is_alive(), "reflect did not finish"
         return codes[0]
 
@@ -391,8 +393,8 @@ class TestFusedPassUnderContention:
         faulty = lens_per_band_flight(tmp_path / "faulty")
         (faulty.parent / "cal_a_b3.pgm").write_bytes(b"P6\n")
         argv = ["reflect", "--method", "elm2", "--manifest", str(manifest)]
-        assert self.run_bounded(argv + ["--out", str(tmp_path / "ref"),
-                                        "--threads", "1"]) == 0
+        assert self.run_bounded(argv + ["--out", str(tmp_path / "ref")],
+                                1) == 0
         expected = {p.name: p.read_bytes()
                     for p in (tmp_path / "ref").iterdir()}
         interval = sys.getswitchinterval()
@@ -400,14 +402,13 @@ class TestFusedPassUnderContention:
         try:
             for i in range(3):
                 out = tmp_path / f"many{i}"
-                assert self.run_bounded(argv + ["--out", str(out),
-                                                "--threads", "8"]) == 0
+                assert self.run_bounded(argv + ["--out", str(out)], 8) == 0
                 assert {p.name: p.read_bytes()
                         for p in out.iterdir()} == expected
                 out = tmp_path / f"faulty{i}"
                 assert self.run_bounded([
                     "reflect", "--method", "elm2", "--manifest",
-                    str(faulty), "--out", str(out), "--threads", "8"]) == 1
+                    str(faulty), "--out", str(out)], 8) == 1
                 assert not list(out.iterdir())
         finally:
             sys.setswitchinterval(interval)
@@ -418,13 +419,13 @@ class TestInterrupted:
     line, once the running tasks are done and every file the pass wrote
     is removed."""
 
-    @pytest.mark.parametrize("threads", ["1", "3"])
+    @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("command", [
         ["convert"], ["reflect", "--method", "elm2"],
         ["reflect", "--method", "aarr", "--write-pgm"]],
         ids=["convert", "elm2", "aarr-pgm"])
     def test_interrupt_leaves_no_file(self, tmp_path, monkeypatch, capsys,
-                                      command, threads):
+                                      command, workers):
         manifest = helpers.build_flight(tmp_path / "flight", field_images=2)
         stream_band = cli._stream_band
         calls = []
@@ -441,8 +442,9 @@ class TestInterrupted:
         before = set(threading.enumerate())
         out = tmp_path / "out"
         try:
-            code = main([command[0], "--manifest", str(manifest), "--out",
-                         str(out), "--threads", threads, *command[1:]])
+            with helpers.workers(workers):
+                code = main([command[0], "--manifest", str(manifest),
+                             "--out", str(out), *command[1:]])
         except KeyboardInterrupt:
             # Raised on, it would end the whole test session.
             pytest.fail("KeyboardInterrupt escaped main")
@@ -451,7 +453,7 @@ class TestInterrupted:
         assert not list(out.iterdir())
         assert set(threading.enumerate()) <= before
 
-    @pytest.mark.parametrize("threads", ["1", "3"])
+    @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("error, code, line", [
         (MemoryError, 3, "error: out of memory\n"),
         (OSError("No space left on device"), 1,
@@ -460,7 +462,7 @@ class TestInterrupted:
                                          ["reflect", "--method", "elm2"]],
                              ids=["convert", "elm2"])
     def test_fatal_band_error_leaves_no_file(self, tmp_path, monkeypatch,
-                                             capsys, command, threads, error,
+                                             capsys, command, workers, error,
                                              code, line):
         """An error that is no data fault, raised from the 4th band-frame,
         removes the good images' planes too: no log would name them."""
@@ -478,8 +480,9 @@ class TestInterrupted:
 
         monkeypatch.setattr(cli, "_stream_band", failing)
         out = tmp_path / "out"
-        assert main([command[0], "--manifest", str(manifest), "--out",
-                     str(out), "--threads", threads, *command[1:]]) == code
+        with helpers.workers(workers):
+            assert main([command[0], "--manifest", str(manifest), "--out",
+                         str(out), *command[1:]]) == code
         assert capsys.readouterr().err == line
         assert not list(out.iterdir())
 

@@ -287,6 +287,25 @@ class TestReflectCommand:
         assert record["calibration_image"] == "cal_a"
         assert record["selection_metric"] == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("method, designated, usable", [
+        ("elm1", "nope", "'cal_a', 'cal_b'"),
+        ("elm2", "cal_b", "'cal_a'")])
+    def test_unusable_designated_id_is_usage_error(
+            self, flight, tmp_path, capsys, method, designated, usable):
+        """One line naming the usable ids, before any band is read; elm2
+        cannot use ``cal_b`` once its dark panel is gone."""
+        raw = json.loads(flight.read_text())
+        del raw["images"][1]["calibration"]["dark"]
+        flight.write_text(json.dumps(raw))
+        out = tmp_path / "single"
+        assert main(["reflect", "--manifest", str(flight), "--out", str(out),
+                     "--method", method, "--selection", "single",
+                     "--designated-id", designated]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --designated-id {designated!r} is not a calibration "
+            f"image method {method} can use; usable: {usable}\n")
+        assert not list(out.iterdir())
+
     def test_single_selection_uses_designated(self, flight, tmp_path):
         out = tmp_path / "single"
         main(["reflect", "--manifest", str(flight), "--out", str(out),
@@ -737,6 +756,7 @@ class TestSimulateCommand:
         ({"days": [171.9]}, "'days'"),
         ({"targets": {"grass": 5}}, "'targets'"),
         ({"solar_spectrum": 5}, "'solar_spectrum'"),
+        ({"targets": {}}, "'targets'"),
     ])
     def test_mistyped_config_is_usage_error(self, tmp_path, capsys, config,
                                             named):
@@ -775,8 +795,7 @@ class TestSimulateParts:
         out = root / f"sim{parts}"
         shutil.rmtree(out, ignore_errors=True)
         stderr = io.StringIO()
-        with mock.patch.object(cli, "_default_threads", lambda: parts), \
-                contextlib.redirect_stderr(stderr):
+        with helpers.workers(parts), contextlib.redirect_stderr(stderr):
             code = main(["simulate", "--out", str(out),
                          "--grid-config", str(config_path)])
         files = ({path.name: path.read_bytes() for path in out.iterdir()}
@@ -842,10 +861,10 @@ class TestSimulateParts:
             return sweep(grid)
 
         monkeypatch.setattr(simulate_module, "run_maarr_grid", interrupted)
-        monkeypatch.setattr(cli, "_default_threads", lambda: 2)
         out = tmp_path / "out"
         try:
-            code = main(["simulate", "--out", str(out)])
+            with helpers.workers(2):
+                code = main(["simulate", "--out", str(out)])
         except KeyboardInterrupt:
             pytest.fail("KeyboardInterrupt escaped main")
         assert code == 130
@@ -1013,14 +1032,36 @@ class TestParserContract:
     def test_thread_count_does_not_change_outputs(self, flight, tmp_path,
                                                   command):
         trees = []
-        for i, threads in enumerate(([], ["--threads", "1"],
-                                     ["--threads", "2"], ["--threads", "3"])):
+        for i, workers in enumerate((None, 1, 2, 3)):
             out = tmp_path / str(i)
-            assert main(command + ["--manifest", str(flight),
-                                   "--out", str(out)] + threads) == 0
+            with helpers.workers(workers):
+                assert main(command + ["--manifest", str(flight),
+                                       "--out", str(out)]) == 0
             trees.append({p.name: p.read_bytes() for p in out.iterdir()})
         assert all(tree == trees[0] for tree in trees[1:])
 
-    def test_bad_thread_count(self, flight, tmp_path):
-        assert main(["convert", "--manifest", str(flight),
-                     "--out", str(tmp_path / "o"), "--threads", "0"]) == 1
+    def test_bad_thread_count(self, flight, tmp_path, capsys):
+        """The worker count comes from the CPU set alone (restrict it with
+        ``taskset``), so ``--threads`` is an unknown argument."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["convert", "--manifest", str(flight),
+                  "--out", str(tmp_path / "o"), "--threads", "2"])
+        assert excinfo.value.code == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "suascal: error: unrecognized arguments: --threads 2")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("cpus, workers", [(1, 1), (2, 2), (3, 3),
+                                               (8, 4)])
+    def test_workers_are_the_usable_cpus_at_most_four(self, monkeypatch,
+                                                      cpus, workers):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        assert cli._workers() == workers
+
+    @pytest.mark.parametrize("count, workers", [(6, 4), (None, 1)])
+    def test_workers_without_affinity_count_the_cpus(self, monkeypatch,
+                                                     count, workers):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert cli._workers() == workers

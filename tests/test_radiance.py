@@ -86,6 +86,10 @@ class TestVignetteFactor:
     # in the first.
     @example(height=ROW_BLOCK + 1, width=5, center=(2.0, 10.0),
              coefficients=[-0.1, 0.0, 0.0, 0.0, 0.0, 0.0])
+    # k = 0 at row 149, and k is infinite, so the map 0, in the first
+    # block: the error names the pixel of k, not the earlier 0 of the map.
+    @example(height=3 * ROW_BLOCK + 1, width=1, center=(0.0, 150.0),
+             coefficients=[-1.0, 0.0, 0.0, 0.0, -1e300, 1e300])
     def test_row_blocks_match_the_whole_frame_formula(self, height, width,
                                                       center, coefficients):
         model = VignetteModel(*center, coefficients)
