@@ -521,37 +521,42 @@ def _error_lines(table: SimulationTable):
         yield template % tuple(values[start:start + step].ravel().tolist())
 
 
-def _error_text(table: SimulationTable) -> bytes:
-    """Every ``errors.csv`` data line of ``table``, encoded."""
-    return "".join(_error_lines(table)).encode()
+def _error_text(table: SimulationTable) -> list[bytes]:
+    """Every ``errors.csv`` data line of ``table``, as the encoded chunks
+    of :func:`_error_lines`."""
+    return [chunk.encode() for chunk in _error_lines(table)]
 
 
 def cmd_simulate(args) -> int:
     config = read_json(args.grid_config) if args.grid_config else {}
     grid = SimulationGrid.from_config(config)
     out = Path(args.out)
-    with split_sweep(grid, _workers(), _error_text) as (first, table,
-                                                         encoded):
+    path = out / "errors.csv"
+    with split_sweep(grid, _workers(), _error_text) as (first, table, place):
         out.mkdir(parents=True, exist_ok=True)
-        path = out / "errors.csv"
         try:
             with path.open("wb") as fh:
                 # No field name needs csv quoting.
                 fh.write(",".join(_ROW_FIELDS).encode() + b"\r\n")
                 fh.writelines(chunk.encode() for chunk in _error_lines(first))
-                fh.writelines(encoded)
+                end = fh.tell()
+            # Taken while the later parts format their rows.
+            kept = summary_rows(table, grid.summary_exclude_altitudes_km)
+            summaries = {"summary_band.csv": (
+                ["band_index", *ERROR_STATISTICS],
+                [[band] + [repr(stats[name]) for name in ERROR_STATISTICS]
+                 for band, stats in band_statistics(kept).items()])}
+            for attribute in (*CELL_FIELDS, "target"):
+                summaries[f"summary_{attribute}.csv"] = (
+                    [attribute, "mean_absolute_error"],
+                    [[key, repr(value)] for key, value in
+                     grouped_absolute_error(table, attribute).items()])
+            place(path, end)
         except BaseException:
             path.unlink(missing_ok=True)
             raise
-    kept = summary_rows(table, grid.summary_exclude_altitudes_km)
-    _write_csv(out / "summary_band.csv", ["band_index", *ERROR_STATISTICS],
-               ([band] + [repr(stats[name]) for name in ERROR_STATISTICS]
-                for band, stats in band_statistics(kept).items()))
-    for attribute in (*CELL_FIELDS, "target"):
-        _write_csv(out / f"summary_{attribute}.csv",
-                   [attribute, "mean_absolute_error"],
-                   ([key, repr(value)] for key, value in
-                    grouped_absolute_error(table, attribute).items()))
+    for name, (header, rows) in summaries.items():
+        _write_csv(out / name, header, rows)
     write_json(out / "simulate_log.json", {
         "cells": grid.cell_count, "ran": len(table.cells),
         "skipped": [dict(zip(CELL_FIELDS, cell), reason=reason)

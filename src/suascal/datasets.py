@@ -13,7 +13,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import CurveError
-from .rsr import SpectralCurve, read_spectral_curve
+from .rsr import SpectralCurve
 
 #: Band index to band name, in spectral order.
 BAND_NAMES = {1: "blue", 2: "green", 3: "red", 4: "rededge", 5: "nir"}
@@ -23,9 +23,17 @@ TARGET_NAMES = ("grass", "concrete", "asphalt", "constant_100")
 
 
 def _read_bundled_curve(filename: str) -> SpectralCurve:
+    """A packaged ``wavelength_nm,value`` CSV, parsed by one numpy call.
+
+    The packaged files are known to be well formed; a user's CSV goes
+    through :func:`~suascal.rsr.read_spectral_curve` and its line-numbered
+    errors instead.
+    """
     ref = resources.files("suascal.data").joinpath(filename)
-    with resources.as_file(ref) as path:
-        return read_spectral_curve(path)
+    with ref.open("rb") as fh:
+        table = np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2,
+                           comments=None)
+    return SpectralCurve(table[:, 0], table[:, 1])
 
 
 @lru_cache(maxsize=None)

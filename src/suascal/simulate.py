@@ -30,7 +30,7 @@ import os
 import pickle
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import BinaryIO, Callable, Iterator, Optional, Sequence
+from typing import BinaryIO, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -286,6 +286,16 @@ def parametric_atmosphere(
     return atm, zenith
 
 
+def _csv_path(mapping: dict, key: str, context: str, default):
+    """A CSV path field of a grid configuration, read by
+    :func:`~suascal.jsonread.json_field`; an empty path is a
+    :class:`ManifestError` naming the key."""
+    path = json_field(mapping, key, str, context, default)
+    if path == "":
+        raise ManifestError(f"{context}: {key!r} is an empty path")
+    return path
+
+
 @dataclass(frozen=True)
 class SimulationGrid:
     """Full parameter sweep for the desk-scale ratio-error study.
@@ -388,8 +398,8 @@ class SimulationGrid:
             if key in scalars:
                 kwargs[key] = json_field(config, key, float, context)
             elif key == "solar_spectrum":
-                path = json_field(config, key, str, context, None)
-                if path:
+                path = _csv_path(config, key, context, None)
+                if path is not None:
                     kwargs["exo_irradiance"] = read_spectral_curve(path)
             elif key == "targets":
                 targets = json_field(config, key, dict, context)
@@ -398,8 +408,8 @@ class SimulationGrid:
                     raise ManifestError(f"{context}: {key!r} is empty")
                 curves = []
                 for name in targets:
-                    source = json_field(targets, name, str,
-                                        f"{context} 'targets'", "bundled")
+                    source = _csv_path(targets, name, f"{context} 'targets'",
+                                       "bundled")
                     curves.append((name, datasets.bundled_target(name)
                                    if source == "bundled"
                                    else read_spectral_curve(source)))
@@ -408,8 +418,6 @@ class SimulationGrid:
                 kwargs[key] = tuple(json_field(config, key, [axes[key]],
                                                context))
         return cls(**kwargs)
-
-
 
 
 #: Grid axes that locate a cell, in sweep order.
@@ -447,6 +455,12 @@ class SimulationTable:
         return np.asarray(self.axes[axis])[index[axis]]
 
 
+def _left(x: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Index ``j`` of the interval ``x[j], x[j + 1]`` that linear
+    interpolation from ``x`` reads for each point of ``grid``."""
+    return np.clip(np.searchsorted(x, grid, side="right") - 1, 0, x.size - 2)
+
+
 def _resampler(x: np.ndarray, grid: np.ndarray):
     """Linear interpolation from ``x`` onto ``grid`` (within ``x``) along
     the last axis, in :func:`numpy.interp`'s arithmetic.
@@ -458,7 +472,7 @@ def _resampler(x: np.ndarray, grid: np.ndarray):
     """
     if np.array_equal(x, grid):
         return lambda values, key: values
-    j = np.clip(np.searchsorted(x, grid, side="right") - 1, 0, x.size - 2)
+    j = _left(x, grid)
     dx, step = grid - x[j], x[j + 1] - x[j]
     kept: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -480,17 +494,18 @@ def _resampler(x: np.ndarray, grid: np.ndarray):
 
 @dataclass(frozen=True)
 class _TargetGroup:
-    """Targets :func:`sensor_radiance` evaluates on one union grid, with
-    the scratch arrays their block fills."""
+    """Targets :func:`sensor_radiance` evaluates on one union grid, at the
+    wavelengths of it that the sweep keeps, with the scratch arrays their
+    block fills."""
 
     index: list[int]
-    exo_over_pi: np.ndarray  # exo_irradiance / pi on the union grid
-    rho: np.ndarray  # (targets, union) reflectance
+    exo_over_pi: np.ndarray  # exo_irradiance / pi at the kept wavelengths
+    rho: np.ndarray  # (targets, kept) reflectance
     resample: Callable[[np.ndarray, str], np.ndarray]  # see _resampler
-    matrix: np.ndarray  # (union, bands) band weights
-    direct: np.ndarray  # (vis, targets, union) ground radiance
-    diffuse: np.ndarray  # (vis, targets, union) its sky share
-    block: np.ndarray  # (vis, alt, targets, union) at-sensor radiance
+    matrix: np.ndarray  # (kept, bands) band weights
+    direct: np.ndarray  # (vis, targets, kept) ground radiance
+    diffuse: np.ndarray  # (vis, targets, kept) its sky share
+    block: np.ndarray  # (vis, alt, targets, kept) at-sensor radiance
 
 
 # A block's finiteness check finds overflow and NaN, and a cell whose
@@ -506,6 +521,13 @@ def run_maarr_grid(grid: SimulationGrid) -> SimulationTable:
     one product with the :func:`~suascal.rsr.band_weights` matrix of each
     grid.  A cell whose downwelling band radiance is not positive in some
     band (the sun below the horizon) is skipped.
+
+    Every spectral array is built only at the wavelengths some band
+    weighs: the non-zero rows of each grid's band matrix, and on the solar
+    grid also the two samples that resampling onto each other kept grid
+    reads.  A dropped row adds ``0 * value`` to a band value, so the band
+    values sum the same non-zero terms as over the whole grids, and only
+    the order of the summation may differ.
 
     The spectral arrays of a block are allocated once per run and filled
     in place; terms that depend only on the atmosphere model (the view-path
@@ -524,8 +546,6 @@ def run_maarr_grid(grid: SimulationGrid) -> SimulationTable:
         return matrices[key]
 
     exo = grid.exo_irradiance or datasets.bundled_solar_spectrum()
-    wl = exo.wavelengths_nm
-    exo_over_pi = exo.values / math.pi
     truth = np.array([band_matrix(curve.wavelengths_nm) @ curve.values
                       for _, curve in grid.targets])
     n_vis, n_alt = len(grid.visibilities_km), len(grid.sensor_altitudes_km)
@@ -534,15 +554,33 @@ def run_maarr_grid(grid: SimulationGrid) -> SimulationTable:
     for index, (_, curve) in enumerate(grid.targets):
         union = _common_grid([exo, curve])
         by_grid.setdefault(union.tobytes(), (union, []))[1].append(index)
-    groups = [_TargetGroup(
-        index, exo.interpolate(union) / math.pi,
-        np.array([grid.targets[i][1].interpolate(union) for i in index]),
-        _resampler(wl, union), band_matrix(union).T,
-        np.empty((n_vis, len(index), union.size)),
-        np.empty((n_vis, len(index), union.size)),
-        np.empty((n_vis, n_alt, len(index), union.size)))
-        for union, index in by_grid.values()]
-    down_matrix = band_matrix(wl).T
+    # Kept solar samples: those the downwelling band values weigh, and the
+    # interval ends of every kept wavelength of another grid.  Targets on
+    # the solar grid keep all of them and need no resampling.  The band
+    # matrices are built in the order a grid that no band fits is named.
+    foreign, reads = {}, []
+    for key, (union, _) in by_grid.items():
+        rows = np.flatnonzero(band_matrix(union).any(axis=0))
+        if not np.array_equal(union, exo.wavelengths_nm):
+            foreign[key] = rows
+            j = _left(exo.wavelengths_nm, union[rows])
+            reads += [j, j + 1]
+    down_matrix = band_matrix(exo.wavelengths_nm)
+    kept = union_grid(np.flatnonzero(down_matrix.any(axis=0)), *reads)
+    wl, exo_values = exo.wavelengths_nm[kept], exo.values[kept]
+    exo_over_pi = exo_values / math.pi
+    down_matrix = down_matrix[:, kept].T
+    groups = []
+    for key, (union, index) in by_grid.items():
+        rows = foreign.get(key, kept)
+        groups.append(_TargetGroup(
+            index, exo.interpolate(union[rows]) / math.pi,
+            np.array([grid.targets[i][1].interpolate(union[rows])
+                      for i in index]),
+            _resampler(wl, union[rows]), band_matrix(union)[:, rows].T,
+            np.empty((n_vis, len(index), rows.size)),
+            np.empty((n_vis, len(index), rows.size)),
+            np.empty((n_vis, n_alt, len(index), rows.size))))
 
     axes = (grid.atmospheres, grid.days, grid.times_utc,
             grid.visibilities_km, grid.sensor_altitudes_km)
@@ -584,7 +622,7 @@ def run_maarr_grid(grid: SimulationGrid) -> SimulationTable:
             down = np.zeros((n_vis, n_alt, len(bands)))
             if cos_s > 0.0:
                 tau1 = np.exp(-beta * grid.extinction_layer_km / cos_s)
-                sky = f_diffuse * exo.values * cos_s * (1.0 - tau1) / math.pi
+                sky = f_diffuse * exo_values * cos_s * (1.0 - tau1) / math.pi
                 sun = exo_over_pi * cos_s
                 np.multiply(path_factor, (sun * tau1 + sky)[:, None, :],
                             out=path)
@@ -624,89 +662,114 @@ def run_maarr_grid(grid: SimulationGrid) -> SimulationTable:
                            tuple(skipped))
 
 
-#: Largest read from a part's pipe, bytes.
-_PIPE_READ = 1 << 16
+#: How a child that ended before an answer the parent waits for is named.
+_CUT_SHORT = "ended before sending all of its output"
+
+
+def _write_at(path: str, offset: int, chunks: Sequence[bytes]) -> None:
+    """Write ``chunks`` into the existing file ``path`` from ``offset`` on."""
+    fd = os.open(path, os.O_WRONLY)
+    try:
+        for chunk in chunks:
+            view = memoryview(chunk)
+            while view:
+                written = os.pwrite(fd, view, offset)
+                view, offset = view[written:], offset + written
+    finally:
+        os.close(fd)
 
 
 def _fork_part(grid: SimulationGrid, encode,
-               inherited) -> tuple[int, BinaryIO]:
-    """Fork a child that runs :func:`run_maarr_grid` on ``grid`` and sends
-    down a pipe, pickled, its table's ``(cells, recovered, skipped)`` or
-    the exception it raised, then ``encode(table)``, and exits.
+               inherited: Sequence[tuple[BinaryIO, int]]
+               ) -> tuple[int, BinaryIO, int]:
+    """Fork a child that runs :func:`run_maarr_grid` on ``grid``, writes
+    ``encode(table)`` into the parent's file where it is told to, and
+    exits.
 
-    ``inherited`` are the read ends of earlier parts, which the child
-    closes.  Returns the child's pid and the read end of its pipe.
+    The child sends down one pipe, each pickled: its table's ``(cells,
+    recovered, skipped)`` or the exception it raised, then the byte count
+    of its encoded chunks.  It then reads from the other pipe the pickled
+    ``(path, offset)`` to :func:`os.pwrite` them at, and answers with
+    ``None`` or the :class:`OSError` the write raised.  ``inherited`` are
+    the parent's ends of earlier parts' pipes, which the child closes.
+    Returns the child's pid, the read end of its pipe and the write end of
+    the other.
     """
-    read, write = os.pipe()
+    read, sink = os.pipe()
+    source, write = os.pipe()
     # Fork, not spawn: a spawned child imports numpy and this package
     # again, which takes longer than the part it would run.  The command
     # starts no thread; OpenBLAS's pool has its own fork handlers.
     pid = os.fork()
     if pid:
-        os.close(write)
-        return pid, os.fdopen(read, "rb")
+        os.close(sink)
+        os.close(source)
+        return pid, os.fdopen(read, "rb"), write
     status = 1
     try:
         os.close(read)
-        for reader in inherited:
+        os.close(write)
+        for reader, writer in inherited:
             reader.close()
-        with os.fdopen(write, "wb") as sink:
+            os.close(writer)
+        with os.fdopen(sink, "wb") as out, os.fdopen(source, "rb") as into:
             try:
                 table = run_maarr_grid(grid)
             except BaseException as exc:
-                pickle.dump(exc, sink)
+                pickle.dump(exc, out)
             else:
                 pickle.dump((table.cells, table.recovered, table.skipped),
-                            sink)
+                            out)
                 # The parent waits on the result, not on the encoding.
-                sink.flush()
-                sink.write(encode(table))
+                out.flush()
+                chunks = encode(table)
+                pickle.dump(sum(map(len, chunks)), out)
+                out.flush()
+                try:
+                    _write_at(*pickle.load(into), chunks)
+                except OSError as exc:
+                    pickle.dump(exc, out)
+                else:
+                    pickle.dump(None, out)
         status = 0
     finally:
         # Nothing of the parent's (atexit hooks, stdio buffers) runs here.
         os._exit(status)
 
 
-def _received(reader: BinaryIO, part: int, parts: int) -> tuple:
-    """A child's ``(cells, recovered, skipped)``; raises its exception."""
+def _message(reader: BinaryIO, part: int, parts: int, missing: str):
+    """The next pickled message of a part's child; raises the exception it
+    sent, or a :class:`SuascalError` if it ended first."""
     try:
-        result = pickle.load(reader)
+        message = pickle.load(reader)
     except (EOFError, pickle.UnpicklingError):
-        raise SuascalError(f"simulation part {part} of {parts} ended "
-                           "without sending its result") from None
-    if isinstance(result, BaseException):
-        raise result
-    return result
-
-
-def _encoded(children: dict[int, BinaryIO], parts: int) -> Iterator[bytes]:
-    """Each child's encoded table in part order, in bounded reads; each
-    child is reaped once its pipe is drained."""
-    for part, (pid, reader) in enumerate(list(children.items()), 2):
-        while chunk := reader.read(_PIPE_READ):
-            yield chunk
-        reader.close()
-        status = os.waitpid(pid, 0)[1]
-        del children[pid]
-        if status:
-            raise SuascalError(f"simulation part {part} of {parts} ended "
-                               "before sending all of its output")
+        raise SuascalError(f"simulation part {part} of {parts} "
+                           f"{missing}") from None
+    if isinstance(message, BaseException):
+        raise message
+    return message
 
 
 @contextmanager
 def split_sweep(grid: SimulationGrid, workers: int,
-                encode: Callable[[SimulationTable], bytes]):
+                encode: Callable[[SimulationTable], Sequence[bytes]]):
     """Run ``grid``'s sweep in up to ``workers`` processes, each on a
     contiguous run of its atmospheres, as even as can be with the shorter
     runs first: one part per worker, or per atmosphere if there are fewer,
     and one part where :func:`os.fork` does not exist.
 
-    This process runs part 1; a child forked for each later part runs it
-    and sends back its table and ``encode`` of it.  Yields ``(first,
-    table, encoded)``: part 1's table, the whole grid's table joined from
-    the parts' (equal to ``run_maarr_grid(grid)``), and an iterator over
-    the later parts' ``encode`` bytes in part order, which raises if a
-    child ends before sending all of them.
+    This process runs part 1; a child forked for each later part runs it,
+    sends back its table, and formats ``encode`` of it while this process
+    goes on.  Yields ``(first, table, place)``: part 1's table, the whole
+    grid's table joined from the parts' (equal to ``run_maarr_grid(grid)``
+    up to the order of each band sum), and ``place(path, offset)``.  That
+    hands each later part, in part order, the offset in the existing file
+    ``path`` that follows ``offset`` and the bytes of the parts before it;
+    every child writes its own bytes there with :func:`os.pwrite`, and
+    ``place`` returns once all have answered.  It raises the
+    :class:`OSError` of a child's write, or a :class:`SuascalError` if a
+    child ends before its answer.  No child's bytes pass through this
+    process.
 
     A part's error is raised once every part before it has run, so it is
     the error one process would raise.  On any error or interrupt the
@@ -721,15 +784,30 @@ def split_sweep(grid: SimulationGrid, workers: int,
     parts = min(workers, n) if hasattr(os, "fork") else 1
     grids = [replace(grid, atmospheres=grid.atmospheres[
         k * n // parts:(k + 1) * n // parts]) for k in range(parts)]
-    children: dict[int, BinaryIO] = {}
+    children: dict[int, tuple[BinaryIO, int]] = {}
+
+    def place(path, offset: int) -> None:
+        ends = list(enumerate(children.values(), 2))
+        for part, (reader, writer) in ends:
+            size = _message(reader, part, parts, _CUT_SHORT)
+            try:
+                os.write(writer, pickle.dumps((os.fspath(path), offset)))
+            except BrokenPipeError:
+                pass  # The child has ended; reading its answer says so.
+            offset += size
+        for part, (reader, _) in ends:
+            _message(reader, part, parts, _CUT_SHORT)
+
     try:
         for part in grids[1:]:
-            pid, reader = _fork_part(part, encode, children.values())
-            children[pid] = reader
+            pid, reader, writer = _fork_part(part, encode,
+                                             list(children.values()))
+            children[pid] = reader, writer
         first = run_maarr_grid(grids[0])
         results = [(first.cells, first.recovered, first.skipped)]
-        results += [_received(reader, part, parts)
-                    for part, reader in enumerate(children.values(), 2)]
+        results += [_message(reader, part, parts,
+                             "ended without sending its result")
+                    for part, (reader, _) in enumerate(children.values(), 2)]
         offsets = itertools.accumulate(
             (part.cell_count for part in grids), initial=0)
         cells, recovered, skipped = zip(*results)
@@ -738,7 +816,7 @@ def split_sweep(grid: SimulationGrid, workers: int,
             cells=np.concatenate([c + o for c, o in zip(cells, offsets)]),
             recovered=np.concatenate(recovered),
             skipped=tuple(itertools.chain(*skipped)))
-        yield first, table, _encoded(children, parts)
+        yield first, table, place
     except BaseException:
         if children:
             import signal
@@ -746,9 +824,10 @@ def split_sweep(grid: SimulationGrid, workers: int,
                 os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        # A child blocked on a full pipe ends once its read end is closed.
-        for reader in children.values():
+        # A child blocked on a pipe ends once this process's end is closed.
+        for reader, writer in children.values():
             reader.close()
+            os.close(writer)
         for pid in children:
             os.waitpid(pid, 0)
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import errno
 import io
 import itertools
 import json
@@ -757,6 +758,8 @@ class TestSimulateCommand:
         ({"targets": {"grass": 5}}, "'targets'"),
         ({"solar_spectrum": 5}, "'solar_spectrum'"),
         ({"targets": {}}, "'targets'"),
+        ({"solar_spectrum": ""}, "'solar_spectrum'"),
+        ({"targets": {"grass": ""}}, "'grass'"),
     ])
     def test_mistyped_config_is_usage_error(self, tmp_path, capsys, config,
                                             named):
@@ -896,6 +899,29 @@ class TestSimulateParts:
         assert code == 1
         assert err == ("error: simulation part 2 of 3 ended before sending "
                        "all of its output\n")
+        assert files == {}
+        _no_child_left()
+
+    def test_child_gone_before_writing_its_rows(self, tmp_path, monkeypatch):
+        """A child that dies after sending its byte count, before it
+        writes: ``errors.csv`` is removed and no summary is written."""
+        monkeypatch.setattr(os, "pwrite", lambda *args: os._exit(1))
+        code, err, files = self._run(tmp_path, self.GRID, 3)
+        assert code == 1
+        assert err == ("error: simulation part 2 of 3 ended before sending "
+                       "all of its output\n")
+        assert files == {}
+        _no_child_left()
+
+    def test_child_write_error(self, tmp_path, monkeypatch):
+        def full(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "pwrite", full)
+        code, err, files = self._run(tmp_path, self.GRID, 3)
+        assert code == 1
+        assert err == (f"error: [Errno {errno.ENOSPC}] "
+                       f"{os.strerror(errno.ENOSPC)}\n")
         assert files == {}
         _no_child_left()
 

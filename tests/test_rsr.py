@@ -1,5 +1,7 @@
 """Spectral curve handling, RSR reduction and band integration."""
 
+from importlib import resources
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given
@@ -429,6 +431,19 @@ class TestBundledData:
         # Red and NIR drive the NDVI fixture; pin them tightly.
         assert grass[2] == pytest.approx(0.0264, abs=1e-12)
         assert grass[4] == pytest.approx(0.4912, abs=1e-12)
+
+    @pytest.mark.parametrize("filename", [
+        *(f"rsr_{name}.csv" for name in datasets.BAND_NAMES.values()),
+        "solar_exoatmospheric.csv",
+        *(f"target_{name}.csv" for name in datasets.TARGET_NAMES)])
+    def test_bundled_curve_parses_as_the_csv_reader_does(self, filename):
+        curve = datasets._read_bundled_curve(filename)
+        ref = resources.files("suascal.data").joinpath(filename)
+        with resources.as_file(ref) as path:
+            expected = read_spectral_curve(path)
+        assert curve.wavelengths_nm.tobytes() == \
+            expected.wavelengths_nm.tobytes()
+        assert curve.values.tobytes() == expected.values.tobytes()
 
     def test_solar_spectrum_is_positive_everywhere(self):
         solar = datasets.bundled_solar_spectrum()

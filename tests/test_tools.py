@@ -79,3 +79,40 @@ class TestBenchPairs:
         assert code == 0
         assert runs == [(tree, "1") for tree in
                         (trees[0], trees[1], trees[1], trees[0])]
+
+    @pytest.mark.parametrize("parent, change, expected", [
+        ([100, 101, 99, 100, 102, 98, 100, 101, 99, 100],
+         [120, 121, 119, 120, 122, 118, 120, 121, 119, 120], "gain"),
+        ([100, 101, 99, 100, 102, 98, 100, 101, 99, 100],
+         [70, 71, 69, 70, 72, 68, 70, 71, 69, 70], "regression"),
+        ([50, 150, 60, 140, 70, 130, 80, 120, 90, 110],
+         [55, 145, 65, 135, 75, 125, 85, 115, 95, 105], "unresolved"),
+        ([100, 101, 99, 100, 102, 98, 100, 101, 99, 100],
+         [101, 100, 100, 99, 101, 99, 101, 100, 100, 101], "same"),
+    ], ids=["gain", "regression", "unresolved", "same"])
+    def test_verdict_of_the_claim_rule(self, bench_pairs, tmp_path,
+                                       monkeypatch, capsys, parent, change,
+                                       expected):
+        trees = {name: checkout(tmp_path / name)
+                 for name in ("parent", "change")}
+        values = {trees["parent"]: iter(parent), trees["change"]: iter(change)}
+
+        def run_once(tree, workload, seconds):
+            metrics = {"setup_s": 0.3, "ops_per_s": next(values[tree]),
+                       "peak_rss_mb": 44.0}
+            return {"correct": True, "failed": 0, "metrics": {
+                name: {"value": value} for name, value in metrics.items()}}
+
+        monkeypatch.setattr(bench_pairs, "run_once", run_once)
+        out = tmp_path / "bench.json"
+        code = bench_pairs.main(["--parent", str(trees["parent"]),
+                                 "--change", str(trees["change"]),
+                                 "--workload", "sim_grid", "--pairs", "10",
+                                 "--json-out", str(out)])
+        assert code == 0
+        report = json.loads(out.read_text())["workloads"]["sim_grid"]
+        assert {name: row["verdict"] for name, row in report.items()} == {
+            "setup_s": "same", "ops_per_s": expected, "peak_rss_mb": "same"}
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.rsplit(": ", 1)[1] for line in lines] == [
+            "same", expected, "same"]

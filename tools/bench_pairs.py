@@ -12,11 +12,11 @@ directory, on seed ``SEED`` for the ``run_seconds`` that the change's
 ``BENCHMARK.json`` sets: the parent first in even pairs and the change
 first in odd ones, so a drift in machine speed falls on both sides alike.
 For each end-to-end metric that ``BENCHMARK.json`` declares, it prints
-both sides' medians and quartiles and the pairs the change won, that is
-where its value is strictly better in the metric's direction.
-``--json-out`` writes the same numbers, with every run's value, as one
-JSON object.  A run that is not ``correct`` or fails operations is
-reported and stops the comparison with exit 1.
+both sides' medians and quartiles, the pairs the change won, that is
+where its value is strictly better in the metric's direction, and the
+verdict of :func:`verdict`.  ``--json-out`` writes the same numbers, with
+every run's value, as one JSON object.  A run that is not ``correct`` or
+fails operations is reported and stops the comparison with exit 1.
 
 Compiled bytecode left in one checkout would let that side skip
 compiling and skew its set-up time and memory, so a checkout holding a
@@ -80,6 +80,31 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
+def verdict(row: dict, bound: float) -> str:
+    """What one metric's pairs show, by the claim rule.
+
+    ``gain``: the change won at least nine tenths of the pairs and its
+    median is better than the parent's by more than the parent's q3 - q1.
+    ``regression``: its median is worse than the parent's by more than
+    ``bound`` times the parent's median.  ``unresolved``: the parent's q3 -
+    q1 is wider than that bound, and not every run of the change is better
+    than every run of the parent.  ``same`` otherwise.
+    """
+    parent, change = row["parent"], row["change"]
+    sign = 1 if row["better"] == "higher" else -1
+    gained = sign * (change["median"] - parent["median"])
+    iqr = parent["q3"] - parent["q1"]
+    limit = bound * abs(parent["median"])
+    if 10 * row["change_wins"] >= 9 * row["pairs"] and gained > iqr:
+        return "gain"
+    if -gained > limit:
+        return "regression"
+    if iqr > limit and not min(sign * value for value in change["values"]) \
+            > max(sign * value for value in parent["values"]):
+        return "unresolved"
+    return "same"
+
+
 def compare(parent: Path, change: Path, workload: str, pairs: int,
             seconds: int, metrics: list[dict]) -> dict:
     """Every end-to-end metric of ``pairs`` alternating runs."""
@@ -107,6 +132,7 @@ def compare(parent: Path, change: Path, workload: str, pairs: int,
                         "parent": spread(sides["parent"]),
                         "change": spread(sides["change"]),
                         "change_wins": wins, "pairs": pairs}
+        report[name]["verdict"] = verdict(report[name], metric["bound"])
     return report
 
 
@@ -141,7 +167,8 @@ def main(argv=None) -> int:
                   f"[{p['q1']:.4g}, {p['q3']:.4g}]  change "
                   f"{c['median']:10.4g} [{c['q1']:.4g}, {c['q3']:.4g}]  "
                   f"change wins {row['change_wins']}/{row['pairs']} "
-                  f"({row['better']} is better, {row['unit']})")
+                  f"({row['better']} is better, {row['unit']}): "
+                  f"{row['verdict']}")
     if args.json_out is not None:
         payload = {"seed": SEED, "seconds": seconds, "pairs": args.pairs,
                    "host": {"cpus": len(os.sched_getaffinity(0))
