@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import itertools
 import math
 import os
@@ -36,7 +35,7 @@ from .jsonread import json_field, read_json, write_json
 from .manifest import BandEntry, ImageEntry, load_manifest
 from .radiance import (ROW_BLOCK, BandCounts, RawImage, Vignette,
                        VignetteStore, convert_band)
-from .reflectance import (N_BANDS, SELECTION_MODES, CalibrationImage,
+from .reflectance import (SELECTION_MODES, CalibrationImage,
                           PanelObservation, ReflectanceImage, aarr_map,
                           elm_line, fit_elm_1pt, fit_elm_2pt, line_map,
                           panel_band_reflectance, panel_means, pgm_counts,
@@ -44,9 +43,8 @@ from .reflectance import (N_BANDS, SELECTION_MODES, CalibrationImage,
 from .rsr import (DEFAULT_SHIFT_SCALE, MonochromatorRun, SpectralCurve,
                   is_degenerate, normalize_counts, peak_normalize,
                   relative_response, write_spectral_curve)
-from .simulate import (CELL_FIELDS, SimulationGrid, SimulationTable,
-                       band_statistics, grouped_absolute_error,
-                       split_sweep, summary_rows)
+from .simulate import (CELL_FIELDS, SimulationGrid, band_statistics,
+                       grouped_absolute_error, split_sweep, summary_rows)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -288,24 +286,24 @@ def _placements(entry: ImageEntry) -> list:
             if placement is not None]
 
 
-def _calibration_images(calibration, means_tasks: dict, grounds,
-                        bands) -> list[CalibrationImage]:
+def _calibration_images(calibration, means_tasks: dict,
+                        grounds) -> list[CalibrationImage]:
     """The ``calibration`` images from the panel means of each of their
     band-frames, the ``outcome`` of ``means_tasks[c, band_index]``, and the
-    ground reflectance of each of their panels in ``bands``,
-    ``grounds[c][k]``; either may be the exception raised in its stead.
+    ground reflectance of each of their panels, ``grounds[c][k]``; either
+    may be the exception raised in its stead.
 
     The first error in manifest order is raised: an image's band faults,
     then its panel spectra, then the next image's.
     """
     candidates = []
     for c, entry in enumerate(calibration):
-        by_band = {}
+        by_band = []  # in band order, as the manifest sorts them
         for band in entry.bands:
             means = means_tasks[c, band.band_index].outcome.result()
             if isinstance(means, Exception):
                 raise means
-            by_band[band.band_index] = means
+            by_band.append(means)
         observations = []
         for k, placement in enumerate(_placements(entry)):
             if isinstance(grounds[c][k], Exception):
@@ -313,7 +311,7 @@ def _calibration_images(calibration, means_tasks: dict, grounds,
             observations.append(PanelObservation(
                 panel_id=placement.panel_id,
                 ground_reflectance=grounds[c][k],
-                mean_radiance=np.array([by_band[b][k] for b in bands]),
+                mean_radiance=np.array([means[k] for means in by_band]),
                 roi=placement.roi))
         candidates.append(CalibrationImage(
             image_id=entry.image_id, timestamp=entry.timestamp,
@@ -362,8 +360,13 @@ def cmd_reflect(args) -> int:
 
     def ground_reflectance(placement):
         try:
-            return panel_band_reflectance(
-                manifest.panel_spectrum(placement.panel_id), rsr_set)
+            spectrum = manifest.panel_spectrum(placement.panel_id)
+            try:
+                return panel_band_reflectance(spectrum, rsr_set)
+            except CurveError as exc:
+                raise CurveError(f"{manifest.panels[placement.panel_id]}: "
+                                 f"panel {placement.panel_id!r}: {exc}"
+                                 ) from None
         except Exception as exc:
             # Raised in manifest order once the panel means are in.
             return exc
@@ -382,7 +385,7 @@ def cmd_reflect(args) -> int:
         means = means_tasks[c, band_index].outcome.result()
         rho = grounds[c]
         if not isinstance(means, list) or any(
-                isinstance(r, Exception) or len(r) != N_BANDS for r in rho):
+                isinstance(r, Exception) for r in rho):
             raise SuascalError(
                 f"calibration image {calibration[c].image_id} failed")
         band = slice(band_index - 1, band_index)
@@ -442,8 +445,7 @@ def cmd_reflect(args) -> int:
     def settle() -> dict:
         """The calibration images, or their first error; then each image's
         fit, whose error fails the image ahead of any band fault."""
-        candidates = _calibration_images(calibration, means_tasks, grounds,
-                                         sorted(rsr_set))
+        candidates = _calibration_images(calibration, means_tasks, grounds)
         fit = fit_elm_1pt if args.method == "elm1" else fit_elm_2pt
         fit_errors = {}
         for i, c in selected.items():
@@ -466,10 +468,6 @@ def cmd_reflect(args) -> int:
     return _batch_exit(len(results), len(failures))
 
 
-_ROW_FIELDS = (*CELL_FIELDS, "target", "band_index", "true_reflectance",
-               "recovered_reflectance", "signed_error")
-
-
 def _write_csv(path: Path, header, rows) -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -477,84 +475,22 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _csv_field(text: str) -> str:
-    """``text`` as ``csv.writer`` writes it inside a row: quoted and
-    escaped only where the stdlib's minimal quoting says so."""
-    buffer = io.StringIO()
-    csv.writer(buffer).writerow([text, ""])
-    return buffer.getvalue()[:-len(",\r\n")]
-
-
-#: Rows of ``errors.csv`` that :func:`_error_lines` formats at once.
-_CHUNK_ROWS = 2048
-
-
-def _error_lines(table: SimulationTable):
-    """``errors.csv`` data lines as ``csv.writer`` writes them, yielded in
-    chunks of whole cells, about :data:`_CHUNK_ROWS` rows each.
-
-    Each distinct text field (atmosphere, target) is quoted once by
-    :func:`_csv_field`, with ``%`` doubled; the numbers never need quoting.
-    A chunk is one ``%`` format whose template holds every field but the
-    recovered reflectance and signed error, which fill its ``%r`` pairs.
-    """
-    def escaped(text):
-        return _csv_field(text).replace("%", "%%")
-
-    cells = list(itertools.product(*table.axes))
-    models = {model: escaped(model) for model in table.axes[0]}
-    # Each (target, band) row after its cell's leading fields; the empty
-    # string first makes ``lead.join(tails)`` put ``lead`` ahead of each.
-    tails = [""] + [f",{target},{band},{true!r},%r,%r\r\n"
-                    for target, row in zip(map(escaped, table.targets),
-                                           table.truth.tolist())
-                    for band, true in zip(table.bands, row)]
-    values = np.stack([table.recovered, table.signed_error], -1)
-    step = max(1, _CHUNK_ROWS // (len(tails) - 1))
-    indices = table.cells.tolist()
-    for start in range(0, len(indices), step):
-        template = "".join(
-            f"{models[model]},{day},{hour!r},{visibility!r},{altitude!r}"
-            .join(tails)
-            for model, day, hour, visibility, altitude in
-            (cells[index] for index in indices[start:start + step]))
-        yield template % tuple(values[start:start + step].ravel().tolist())
-
-
-def _error_text(table: SimulationTable) -> list[bytes]:
-    """Every ``errors.csv`` data line of ``table``, as the encoded chunks
-    of :func:`_error_lines`."""
-    return [chunk.encode() for chunk in _error_lines(table)]
-
-
 def cmd_simulate(args) -> int:
     config = read_json(args.grid_config) if args.grid_config else {}
     grid = SimulationGrid.from_config(config)
     out = Path(args.out)
-    path = out / "errors.csv"
-    with split_sweep(grid, _workers(), _error_text) as (first, table, place):
-        out.mkdir(parents=True, exist_ok=True)
-        try:
-            with path.open("wb") as fh:
-                # No field name needs csv quoting.
-                fh.write(",".join(_ROW_FIELDS).encode() + b"\r\n")
-                fh.writelines(chunk.encode() for chunk in _error_lines(first))
-                end = fh.tell()
-            # Taken while the later parts format their rows.
-            kept = summary_rows(table, grid.summary_exclude_altitudes_km)
-            summaries = {"summary_band.csv": (
-                ["band_index", *ERROR_STATISTICS],
-                [[band] + [repr(stats[name]) for name in ERROR_STATISTICS]
-                 for band, stats in band_statistics(kept).items()])}
-            for attribute in (*CELL_FIELDS, "target"):
-                summaries[f"summary_{attribute}.csv"] = (
-                    [attribute, "mean_absolute_error"],
-                    [[key, repr(value)] for key, value in
-                     grouped_absolute_error(table, attribute).items()])
-            place(path, end)
-        except BaseException:
-            path.unlink(missing_ok=True)
-            raise
+    with split_sweep(grid, _workers(), out / "errors.csv") as table:
+        # Taken while the later parts format their rows.
+        kept = summary_rows(table, grid.summary_exclude_altitudes_km)
+        summaries = {"summary_band.csv": (
+            ["band_index", *ERROR_STATISTICS],
+            [[band] + [repr(stats[name]) for name in ERROR_STATISTICS]
+             for band, stats in band_statistics(kept).items()])}
+        for attribute in (*CELL_FIELDS, "target"):
+            summaries[f"summary_{attribute}.csv"] = (
+                [attribute, "mean_absolute_error"],
+                [[key, repr(value)] for key, value in
+                 grouped_absolute_error(table, attribute).items()])
     for name, (header, rows) in summaries.items():
         _write_csv(out / name, header, rows)
     write_json(out / "simulate_log.json", {

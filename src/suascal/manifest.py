@@ -78,11 +78,11 @@ class FlightManifest:
     rsr_files: dict[int, Path]
 
     def rsr_set(self) -> dict[int, SpectralCurve]:
-        """Per-band RSR curves; bundled defaults when none are listed."""
-        if not self.rsr_files:
-            return datasets.bundled_rsr_set()
-        return {band: read_spectral_curve(path)
-                for band, path in sorted(self.rsr_files.items())}
+        """The RSR curve of each of the five bands: a listed file's for its
+        band, the bundled curve for every other."""
+        return {**datasets.bundled_rsr_set(),
+                **{band: read_spectral_curve(path)
+                   for band, path in self.rsr_files.items()}}
 
     def panel_spectrum(self, panel_id: str) -> SpectralCurve:
         if panel_id not in self.panels:

@@ -24,12 +24,15 @@ better with visibility) rather than any particular reference atmosphere.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 import os
 import pickle
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import BinaryIO, Callable, Optional, Sequence
 
 import numpy as np
@@ -662,11 +665,61 @@ def run_maarr_grid(grid: SimulationGrid) -> SimulationTable:
                            tuple(skipped))
 
 
+#: The header line of ``errors.csv``; no field name needs csv quoting.
+_HEADER = ",".join((*CELL_FIELDS, "target", "band_index", "true_reflectance",
+                    "recovered_reflectance", "signed_error")).encode() + b"\r\n"
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it inside a row: quoted and
+    escaped only where the stdlib's minimal quoting says so."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow([text, ""])
+    return buffer.getvalue()[:-len(",\r\n")]
+
+
+#: Rows of ``errors.csv`` that :func:`_error_lines` formats at once.
+_CHUNK_ROWS = 2048
+
+
+def _error_lines(table: SimulationTable):
+    """``errors.csv`` data lines as ``csv.writer`` writes them, yielded
+    encoded in chunks of whole cells, about :data:`_CHUNK_ROWS` rows each.
+
+    Each distinct text field (atmosphere, target) is quoted once by
+    :func:`_csv_field`, with ``%`` doubled; the numbers never need quoting.
+    A chunk is one ``%`` format whose template holds every field but the
+    recovered reflectance and signed error, which fill its ``%r`` pairs.
+    """
+    def escaped(text):
+        return _csv_field(text).replace("%", "%%")
+
+    cells = list(itertools.product(*table.axes))
+    models = {model: escaped(model) for model in table.axes[0]}
+    # Each (target, band) row after its cell's leading fields; the empty
+    # string first makes ``lead.join(tails)`` put ``lead`` ahead of each.
+    tails = [""] + [f",{target},{band},{true!r},%r,%r\r\n"
+                    for target, row in zip(map(escaped, table.targets),
+                                           table.truth.tolist())
+                    for band, true in zip(table.bands, row)]
+    values = np.stack([table.recovered, table.signed_error], -1)
+    step = max(1, _CHUNK_ROWS // (len(tails) - 1))
+    indices = table.cells.tolist()
+    for start in range(0, len(indices), step):
+        template = "".join(
+            f"{models[model]},{day},{hour!r},{visibility!r},{altitude!r}"
+            .join(tails)
+            for model, day, hour, visibility, altitude in
+            (cells[index] for index in indices[start:start + step]))
+        yield (template
+               % tuple(values[start:start + step].ravel().tolist())).encode()
+
+
 #: How a child that ended before an answer the parent waits for is named.
 _CUT_SHORT = "ended before sending all of its output"
 
 
-def _write_at(path: str, offset: int, chunks: Sequence[bytes]) -> None:
+def _write_at(path: Path, offset: int, chunks: Sequence[bytes]) -> None:
     """Write ``chunks`` into the existing file ``path`` from ``offset`` on."""
     fd = os.open(path, os.O_WRONLY)
     try:
@@ -679,21 +732,19 @@ def _write_at(path: str, offset: int, chunks: Sequence[bytes]) -> None:
         os.close(fd)
 
 
-def _fork_part(grid: SimulationGrid, encode,
+def _fork_part(grid: SimulationGrid, path: Path,
                inherited: Sequence[tuple[BinaryIO, int]]
                ) -> tuple[int, BinaryIO, int]:
     """Fork a child that runs :func:`run_maarr_grid` on ``grid``, writes
-    ``encode(table)`` into the parent's file where it is told to, and
-    exits.
+    its ``errors.csv`` lines into ``path`` where it is told to, and exits.
 
     The child sends down one pipe, each pickled: its table's ``(cells,
     recovered, skipped)`` or the exception it raised, then the byte count
-    of its encoded chunks.  It then reads from the other pipe the pickled
-    ``(path, offset)`` to :func:`os.pwrite` them at, and answers with
-    ``None`` or the :class:`OSError` the write raised.  ``inherited`` are
-    the parent's ends of earlier parts' pipes, which the child closes.
-    Returns the child's pid, the read end of its pipe and the write end of
-    the other.
+    of its lines.  It then reads from the other pipe the pickled offset to
+    :func:`os.pwrite` them at, and answers with ``None`` or the
+    :class:`OSError` the write raised.  ``inherited`` are the parent's ends
+    of earlier parts' pipes, which the child closes.  Returns the child's
+    pid, the read end of its pipe and the write end of the other.
     """
     read, sink = os.pipe()
     source, write = os.pipe()
@@ -720,13 +771,13 @@ def _fork_part(grid: SimulationGrid, encode,
             else:
                 pickle.dump((table.cells, table.recovered, table.skipped),
                             out)
-                # The parent waits on the result, not on the encoding.
+                # The parent waits on the result, not on the formatting.
                 out.flush()
-                chunks = encode(table)
+                chunks = list(_error_lines(table))
                 pickle.dump(sum(map(len, chunks)), out)
                 out.flush()
                 try:
-                    _write_at(*pickle.load(into), chunks)
+                    _write_at(path, pickle.load(into), chunks)
                 except OSError as exc:
                     pickle.dump(exc, out)
                 else:
@@ -751,30 +802,30 @@ def _message(reader: BinaryIO, part: int, parts: int, missing: str):
 
 
 @contextmanager
-def split_sweep(grid: SimulationGrid, workers: int,
-                encode: Callable[[SimulationTable], Sequence[bytes]]):
+def split_sweep(grid: SimulationGrid, workers: int, path: Path):
     """Run ``grid``'s sweep in up to ``workers`` processes, each on a
     contiguous run of its atmospheres, as even as can be with the shorter
     runs first: one part per worker, or per atmosphere if there are fewer,
-    and one part where :func:`os.fork` does not exist.
+    and one part where :func:`os.fork` does not exist; and write its
+    ``errors.csv`` at ``path``.  This is the one writer of that file.
 
     This process runs part 1; a child forked for each later part runs it,
-    sends back its table, and formats ``encode`` of it while this process
-    goes on.  Yields ``(first, table, place)``: part 1's table, the whole
+    sends back its table, and formats its own lines while this process goes
+    on.  Once every part has run, this process creates ``path``'s
+    directory, writes the header and part 1's lines, and yields the whole
     grid's table joined from the parts' (equal to ``run_maarr_grid(grid)``
-    up to the order of each band sum), and ``place(path, offset)``.  That
-    hands each later part, in part order, the offset in the existing file
-    ``path`` that follows ``offset`` and the bytes of the parts before it;
-    every child writes its own bytes there with :func:`os.pwrite`, and
-    ``place`` returns once all have answered.  It raises the
-    :class:`OSError` of a child's write, or a :class:`SuascalError` if a
-    child ends before its answer.  No child's bytes pass through this
-    process.
+    up to the order of each band sum).  When the block ends, each child in
+    part order is told the offset that follows the header and the lines of
+    the parts before it, and writes its own lines there with
+    :func:`os.pwrite`; this returns once all have answered.  No child's
+    lines pass through this process.
 
     A part's error is raised once every part before it has run, so it is
-    the error one process would raise.  On any error or interrupt the
-    children still running are killed; every child is reaped before this
-    returns or raises.
+    the error one process would raise; a child's write error is raised as
+    its :class:`OSError`, and a child that ends before an answer as a
+    :class:`SuascalError`.  Once ``path`` is opened, any error or interrupt
+    removes it.  On any error or interrupt the children still running are
+    killed; every child is reaped before this returns or raises.
     """
     # Loaded once here, not once in every child.
     datasets.bundled_rsr_set()
@@ -785,22 +836,9 @@ def split_sweep(grid: SimulationGrid, workers: int,
     grids = [replace(grid, atmospheres=grid.atmospheres[
         k * n // parts:(k + 1) * n // parts]) for k in range(parts)]
     children: dict[int, tuple[BinaryIO, int]] = {}
-
-    def place(path, offset: int) -> None:
-        ends = list(enumerate(children.values(), 2))
-        for part, (reader, writer) in ends:
-            size = _message(reader, part, parts, _CUT_SHORT)
-            try:
-                os.write(writer, pickle.dumps((os.fspath(path), offset)))
-            except BrokenPipeError:
-                pass  # The child has ended; reading its answer says so.
-            offset += size
-        for part, (reader, _) in ends:
-            _message(reader, part, parts, _CUT_SHORT)
-
     try:
         for part in grids[1:]:
-            pid, reader, writer = _fork_part(part, encode,
+            pid, reader, writer = _fork_part(part, path,
                                              list(children.values()))
             children[pid] = reader, writer
         first = run_maarr_grid(grids[0])
@@ -816,7 +854,26 @@ def split_sweep(grid: SimulationGrid, workers: int,
             cells=np.concatenate([c + o for c, o in zip(cells, offsets)]),
             recovered=np.concatenate(recovered),
             skipped=tuple(itertools.chain(*skipped)))
-        yield first, table, place
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            with path.open("wb") as fh:
+                fh.write(_HEADER)
+                fh.writelines(_error_lines(first))
+                offset = fh.tell()
+            yield table
+            ends = list(enumerate(children.values(), 2))
+            for part, (reader, writer) in ends:
+                size = _message(reader, part, parts, _CUT_SHORT)
+                try:
+                    os.write(writer, pickle.dumps(offset))
+                except BrokenPipeError:
+                    pass  # The child has ended; reading its answer says so.
+                offset += size
+            for part, (reader, _) in ends:
+                _message(reader, part, parts, _CUT_SHORT)
+        except BaseException:
+            path.unlink(missing_ok=True)
+            raise
     except BaseException:
         if children:
             import signal

@@ -455,7 +455,7 @@ class TestFailures:
         expected = 5 * (3 if command[0] == "reflect" else 2)
         assert len(list(out.glob("field_1_*"))) == expected
 
-    @pytest.mark.parametrize("scale", ["0", "-5", "nan", "inf"])
+    @pytest.mark.parametrize("scale", ["0", "-5", "nan", "inf", "abc"])
     def test_bad_pgm_scale_fails_every_image(self, tmp_path, capsys, scale):
         """A bad scale is a usage error, found as the options are parsed,
         so no image is written."""

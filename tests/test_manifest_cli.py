@@ -11,6 +11,7 @@ import os
 import shutil
 import tempfile
 import warnings
+from importlib import resources
 from pathlib import Path
 from unittest import mock
 
@@ -20,14 +21,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from suascal import cli
+from suascal import cli, datasets
 from suascal import simulate as simulate_module
-from suascal.cli import _error_lines, main
+from suascal.cli import main
 from suascal.errors import ManifestError, SuascalError
 from suascal.imageio import (read_plane, read_pgm16, sidecar_path,
                              write_plane)
 from suascal.manifest import FlightManifest, load_manifest
-from suascal.simulate import SimulationTable
+from suascal.rsr import SpectralCurve, write_spectral_curve
+from suascal.simulate import SimulationTable, _error_lines
 
 
 @pytest.fixture
@@ -64,6 +66,19 @@ class TestManifest:
     def test_bundled_rsr_fallback(self, flight):
         rsr_set = load_manifest(flight).rsr_set()
         assert sorted(rsr_set) == [1, 2, 3, 4, 5]
+
+    def test_listed_rsr_replaces_its_band_only(self, flight):
+        write_spectral_curve(flight.parent / "rsr_red.csv",
+                             helpers.flat_spectrum(1.0))
+        raw = json.loads(flight.read_text())
+        raw["rsr"] = {"3": "rsr_red.csv"}
+        flight.write_text(json.dumps(raw))
+        rsr_set = load_manifest(flight).rsr_set()
+        assert list(rsr_set) == [1, 2, 3, 4, 5]
+        assert rsr_set[3].wavelengths_nm.tolist() == [330.0, 1200.0]
+        assert rsr_set[3].values.tolist() == [1.0, 1.0]
+        for band in (1, 2, 4, 5):
+            assert rsr_set[band] is datasets.bundled_rsr(band)
 
     def test_panel_spectrum_lookup(self, flight):
         manifest = load_manifest(flight)
@@ -336,6 +351,91 @@ class TestReflectCommand:
         assert "field_2_b4.pgm" in report["failures"]["field_2"]
         assert "field_1" in report["images"]
         assert not list(out.glob("field_2_b*"))
+
+    @pytest.mark.parametrize("bands", [(1,), (1, 2, 3, 4, 5)],
+                             ids=["blue-only", "all-five"])
+    @pytest.mark.parametrize("method", ["elm1", "elm2"])
+    def test_rsr_files_of_the_bundled_curves(self, flight, tmp_path, bands,
+                                             method):
+        """An ``rsr`` map of copies of the bundled curves, for some bands or
+        all, gives the bytes of a manifest with no ``rsr``: a band not
+        listed keeps its bundled curve."""
+        trees = []
+        for rsr in ({}, {str(band): f"rsr_{band}.csv" for band in bands}):
+            for band in bands:
+                name = f"rsr_{datasets.BAND_NAMES[band]}.csv"
+                (flight.parent / f"rsr_{band}.csv").write_bytes(
+                    resources.files("suascal.data").joinpath(name)
+                    .read_bytes())
+            raw = json.loads(flight.read_text())
+            raw["rsr"] = rsr
+            flight.write_text(json.dumps(raw))
+            out = tmp_path / f"out{len(rsr)}"
+            assert main(["reflect", "--manifest", str(flight), "--out",
+                         str(out), "--method", method]) == 0
+            trees.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert trees[1] == trees[0]
+
+    @pytest.mark.parametrize("method", ["elm1", "elm2"])
+    def test_panel_spectrum_short_of_an_rsr(self, flight, tmp_path, capsys,
+                                            method):
+        """A panel spectrum that does not cover a band's RSR fails the run
+        with one line naming the file and the panel, and leaves no file."""
+        spectrum = flight.parent / "panel_bright.csv"
+        write_spectral_curve(spectrum, SpectralCurve(
+            np.array([500.0, 600.0]), np.array([0.5, 0.5])))
+        out = tmp_path / "out"
+        assert main(["reflect", "--manifest", str(flight), "--out", str(out),
+                     "--method", method]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {spectrum}: panel 'bright': spectrum [500.0, 600.0] nm "
+            "does not cover the RSR support [435.0, 515.0] nm\n")
+        assert not list(out.iterdir())
+
+    def test_aarr_image_without_dls(self, flight, tmp_path, capsys):
+        """That image fails with exit 2 and writes nothing; every other
+        image's outputs are the bytes of a run where it has its record."""
+        out = tmp_path / "all"
+        assert main(["reflect", "--manifest", str(flight), "--out", str(out),
+                     "--method", "aarr"]) == 0
+        capsys.readouterr()
+        raw = json.loads(flight.read_text())
+        del next(image for image in raw["images"]
+                 if image["image_id"] == "field_2")["dls"]
+        flight.write_text(json.dumps(raw))
+        partial = tmp_path / "partial"
+        assert main(["reflect", "--manifest", str(flight), "--out",
+                     str(partial), "--method", "aarr"]) == 2
+        assert capsys.readouterr().err == (
+            "error: image field_2: aarr requires a dls record\n")
+        report = json.loads((partial / "reflectance_report.json").read_text())
+        assert report["failures"] == {
+            "field_2": "aarr requires a dls record"}
+        assert sorted(report["images"]) == ["cal_a", "cal_b", "field_1"]
+        assert not list(partial.glob("field_2_*"))
+        expected = {p.name: p.read_bytes() for p in out.iterdir()
+                    if not p.name.startswith("field_2_")
+                    and p.name != "reflectance_report.json"}
+        assert {p.name: p.read_bytes() for p in partial.iterdir()
+                if p.name != "reflectance_report.json"} == expected
+
+    @pytest.mark.parametrize("method", ["elm2", "aarr"])
+    def test_empty_manifest_warns_and_succeeds(self, tmp_path, capsys,
+                                               method):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({
+            "flight": {"id": "empty", "date": "2021-01-01",
+                       "weather": "sunny", "altitude_ft": 150},
+            "panels": {}, "images": []}))
+        out = tmp_path / "reflectance"
+        assert main(["reflect", "--manifest", str(path), "--out", str(out),
+                     "--method", method]) == 0
+        assert capsys.readouterr().err == (
+            "warning: manifest lists no images; nothing to process\n")
+        assert [p.name for p in out.iterdir()] == ["reflectance_report.json"]
+        assert json.loads((out / "reflectance_report.json").read_text()) == {
+            "method": method, "selection": "dls", "images": {},
+            "failures": {}}
 
     def test_elm_without_calibration_image_is_usage_error(self, tmp_path,
                                                           capsys):
@@ -724,12 +824,13 @@ class TestSimulateCommand:
                         repr(float(table.truth[t, b])),
                         repr(float(table.recovered[i, t, b])),
                         repr(float(table.signed_error[i, t, b]))])
-        assert "".join(_error_lines(table)) == expected.getvalue()
+        assert b"".join(_error_lines(table)) == expected.getvalue().encode()
         # One cell a chunk at 1 and 2 rows; two cells and then one at 4
         # rows when a cell has two.
         for rows in (1, 2, 4):
-            with mock.patch.object(cli, "_CHUNK_ROWS", rows):
-                assert "".join(_error_lines(table)) == expected.getvalue()
+            with mock.patch.object(simulate_module, "_CHUNK_ROWS", rows):
+                assert b"".join(_error_lines(table)) == \
+                    expected.getvalue().encode()
 
     def test_error_lines_stream_in_bounded_chunks(self):
         """200 cells of 20 rows come in more than one string, each holding
@@ -741,9 +842,9 @@ class TestSimulateCommand:
             axes=(("tropical",), (171,), tuple(range(200)), (5.0,), (0.2,)),
             targets=targets, bands=bands, truth=rng.random((4, 5)),
             cells=np.arange(200), recovered=rng.random((200, 4, 5)))
-        rows = [chunk.count("\r\n") for chunk in _error_lines(table)]
+        rows = [chunk.count(b"\r\n") for chunk in _error_lines(table)]
         assert len(rows) > 1
-        assert max(rows) <= cli._CHUNK_ROWS
+        assert max(rows) <= simulate_module._CHUNK_ROWS
         assert all(count % 20 == 0 for count in rows)
         assert sum(rows) == 200 * 20
 
@@ -894,7 +995,14 @@ class TestSimulateParts:
     def test_child_gone_before_its_rows(self, tmp_path, monkeypatch):
         """A child that dies after its result leaves ``errors.csv`` cut
         short; it is removed."""
-        monkeypatch.setattr(cli, "_error_text", lambda table: os._exit(1))
+        lines = simulate_module._error_lines
+
+        def gone(table):
+            if "tropical" not in table.axes[0]:
+                os._exit(1)
+            return lines(table)
+
+        monkeypatch.setattr(simulate_module, "_error_lines", gone)
         code, err, files = self._run(tmp_path, self.GRID, 3)
         assert code == 1
         assert err == ("error: simulation part 2 of 3 ended before sending "
