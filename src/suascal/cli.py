@@ -12,7 +12,6 @@ inputs.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import math
 import os
@@ -28,7 +27,7 @@ import numpy as np
 
 from .errors import CurveError, ManifestError, SuascalError
 from .evaluate import (ERROR_STATISTICS, METHOD_LEVELS, aggregate, ndvi,
-                       read_samples, write_reports)
+                       read_samples, write_csv, write_reports)
 from .imageio import (pgm16_header, pgm16_shape, read_pgm16, read_plane,
                       rows_writer, sidecar_path, write_plane, write_sidecar)
 from .jsonread import json_field, read_json, write_json
@@ -43,8 +42,7 @@ from .reflectance import (SELECTION_MODES, CalibrationImage,
 from .rsr import (DEFAULT_SHIFT_SCALE, MonochromatorRun, SpectralCurve,
                   is_degenerate, normalize_counts, peak_normalize,
                   relative_response, write_spectral_curve)
-from .simulate import (CELL_FIELDS, SimulationGrid, band_statistics,
-                       grouped_absolute_error, split_sweep, summary_rows)
+from .simulate import SimulationGrid, run_study
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -468,35 +466,10 @@ def cmd_reflect(args) -> int:
     return _batch_exit(len(results), len(failures))
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def cmd_simulate(args) -> int:
     config = read_json(args.grid_config) if args.grid_config else {}
     grid = SimulationGrid.from_config(config)
-    out = Path(args.out)
-    with split_sweep(grid, _workers(), out / "errors.csv") as table:
-        # Taken while the later parts format their rows.
-        kept = summary_rows(table, grid.summary_exclude_altitudes_km)
-        summaries = {"summary_band.csv": (
-            ["band_index", *ERROR_STATISTICS],
-            [[band] + [repr(stats[name]) for name in ERROR_STATISTICS]
-             for band, stats in band_statistics(kept).items()])}
-        for attribute in (*CELL_FIELDS, "target"):
-            summaries[f"summary_{attribute}.csv"] = (
-                [attribute, "mean_absolute_error"],
-                [[key, repr(value)] for key, value in
-                 grouped_absolute_error(table, attribute).items()])
-    for name, (header, rows) in summaries.items():
-        _write_csv(out / name, header, rows)
-    write_json(out / "simulate_log.json", {
-        "cells": grid.cell_count, "ran": len(table.cells),
-        "skipped": [dict(zip(CELL_FIELDS, cell), reason=reason)
-                    for cell, reason in table.skipped]})
+    table = run_study(grid, _workers(), Path(args.out))
     if table.skipped:
         print(f"warning: skipped {len(table.skipped)} of {grid.cell_count} "
               "cells; see simulate_log.json", file=sys.stderr)
@@ -516,9 +489,9 @@ def cmd_evaluate(args) -> int:
         # Overall-errors layout: one column per method, one row per statistic.
         by_method = {dict(r.group)["method"]: r for r in reports}
         methods = [m for m in METHOD_LEVELS if m in by_method]
-        _write_csv(out / "overall_by_method.csv", ["statistic"] + methods,
-                   ([stat] + [repr(getattr(by_method[m], stat))
-                              for m in methods] for stat in ERROR_STATISTICS))
+        write_csv(out / "overall_by_method.csv", ["statistic"] + methods,
+                  ([stat] + [repr(getattr(by_method[m], stat))
+                             for m in methods] for stat in ERROR_STATISTICS))
     elif set(group_by) == {"band_index", "method"}:
         # Per-band layout: band rows, method mean/std column pairs.
         cells = {(dict(r.group)["band_index"], dict(r.group)["method"]): r
@@ -534,12 +507,10 @@ def cmd_evaluate(args) -> int:
             row = [band]
             for method in methods:
                 report = cells.get((band, method))
-                if report is None:
-                    row += ["", ""]
-                else:
-                    row += [repr(report.mean_signed), repr(report.std_signed)]
+                row += (["", ""] if report is None else
+                        [repr(report.mean_signed), repr(report.std_signed)])
             rows.append(row)
-        _write_csv(out / "per_band_by_method.csv", header, rows)
+        write_csv(out / "per_band_by_method.csv", header, rows)
     return EXIT_OK
 
 
@@ -550,10 +521,8 @@ def cmd_rsr(args) -> int:
         print(f"error: no band_*.json sweeps under {run_dir}",
               file=sys.stderr)
         return EXIT_USAGE
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    log: dict[str, dict] = {}
     sources: dict[int, Path] = {}
+    curves: dict[int, tuple[SpectralCurve, bool]] = {}
     for band_file in band_files:
         where = str(band_file)
         payload = read_json(band_file)
@@ -582,13 +551,17 @@ def cmd_rsr(args) -> int:
         except CurveError as exc:
             raise CurveError(f"{where}: {exc}") from None
         degenerate = is_degenerate(response)
-        if not degenerate:
-            response = peak_normalize(response)
-        name = f"rsr_band_{run.band_index}.csv"
+        curves[run.band_index] = (response if degenerate
+                                  else peak_normalize(response), degenerate)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    log: dict[str, dict] = {}
+    for band, (response, degenerate) in curves.items():
+        name = f"rsr_band_{band}.csv"
         write_spectral_curve(out / name, response)
-        log[str(run.band_index)] = {"degenerate": degenerate, "output": name}
+        log[str(band)] = {"degenerate": degenerate, "output": name}
         if degenerate:
-            print(f"warning: band {run.band_index} sweep is degenerate "
+            print(f"warning: band {band} sweep is degenerate "
                   "(no positive response)", file=sys.stderr)
     write_json(out / "rsr_log.json", {"bands": log})
     return EXIT_OK

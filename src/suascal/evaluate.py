@@ -130,17 +130,19 @@ def aggregate(samples: Sequence[TargetSample],
               sample_std: bool = False) -> list[ErrorReport]:
     """Group samples and report signed/absolute error statistics.
 
-    ``group_by`` names TargetSample fields; empty means one grand group.
+    ``group_by`` names distinct TargetSample fields; empty means one group.
     Standard deviations are population-flavored unless ``sample_std``.
     Groups come back sorted by their key values, so ordering does not
     depend on sample order.
     """
     if not samples:
         raise MetadataError("aggregate requires at least one sample")
-    for name in group_by:
+    for i, name in enumerate(group_by):
         if name not in GROUPABLE_FIELDS:
             raise MetadataError(
                 f"cannot group by {name!r}; choose from {GROUPABLE_FIELDS}")
+        if name in group_by[:i]:
+            raise MetadataError(f"cannot group by {name!r} twice")
     ddof = 1 if sample_std else 0
     groups: dict[tuple, list[float]] = {}
     for sample in samples:
@@ -365,14 +367,18 @@ def read_samples(path) -> list[TargetSample]:
     return samples
 
 
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and then ``rows`` as the CSV file ``path``."""
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_reports(path, reports: Sequence[ErrorReport]) -> None:
     """Emit reports as CSV: group columns, then the five statistics."""
-    path = Path(path)
     group_fields = list(reports[0].group_dict) if reports else []
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(group_fields + list(ERROR_STATISTICS))
-        for report in reports:
-            row = [report.group_dict[g] for g in group_fields]
-            writer.writerow(row + [repr(getattr(report, name))
-                                   for name in ERROR_STATISTICS])
+    write_csv(path, group_fields + list(ERROR_STATISTICS),
+              ([report.group_dict[g] for g in group_fields]
+               + [repr(getattr(report, name)) for name in ERROR_STATISTICS]
+               for report in reports))

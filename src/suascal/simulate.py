@@ -30,7 +30,6 @@ import itertools
 import math
 import os
 import pickle
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import BinaryIO, Callable, Optional, Sequence
@@ -39,8 +38,8 @@ import numpy as np
 
 from . import datasets
 from .errors import CurveError, ManifestError, SuascalError
-from .evaluate import error_statistics
-from .jsonread import json_field, json_value
+from .evaluate import ERROR_STATISTICS, error_statistics, write_csv
+from .jsonread import json_field, json_value, write_json
 from .rsr import (SpectralCurve, band_weights, read_spectral_curve,
                   union_grid)
 from .solar import solar_zenith_deg
@@ -665,6 +664,10 @@ def run_maarr_grid(grid: SimulationGrid) -> SimulationTable:
                            tuple(skipped))
 
 
+#: The files a study writes into its output directory.
+STUDY_FILES = ("errors.csv", "simulate_log.json", *(
+    f"summary_{name}.csv" for name in ("band", *CELL_FIELDS, "target")))
+
 #: The header line of ``errors.csv``; no field name needs csv quoting.
 _HEADER = ",".join((*CELL_FIELDS, "target", "band_index", "true_reflectance",
                     "recovered_reflectance", "signed_error")).encode() + b"\r\n"
@@ -801,31 +804,31 @@ def _message(reader: BinaryIO, part: int, parts: int, missing: str):
     return message
 
 
-@contextmanager
-def split_sweep(grid: SimulationGrid, workers: int, path: Path):
+def run_study(grid: SimulationGrid, workers: int, out: Path
+              ) -> SimulationTable:
     """Run ``grid``'s sweep in up to ``workers`` processes, each on a
     contiguous run of its atmospheres, as even as can be with the shorter
     runs first: one part per worker, or per atmosphere if there are fewer,
-    and one part where :func:`os.fork` does not exist; and write its
-    ``errors.csv`` at ``path``.  This is the one writer of that file.
+    and one part where :func:`os.fork` does not exist; write the study's
+    :data:`STUDY_FILES` into ``out``, the one writer of those files.
 
     This process runs part 1; a child forked for each later part runs it,
     sends back its table, and formats its own lines while this process goes
-    on.  Once every part has run, this process creates ``path``'s
-    directory, writes the header and part 1's lines, and yields the whole
-    grid's table joined from the parts' (equal to ``run_maarr_grid(grid)``
-    up to the order of each band sum).  When the block ends, each child in
-    part order is told the offset that follows the header and the lines of
-    the parts before it, and writes its own lines there with
-    :func:`os.pwrite`; this returns once all have answered.  No child's
-    lines pass through this process.
+    on.  Once every part has run, this process creates ``out``, writes the
+    header and part 1's lines of ``errors.csv``, and summarizes the table
+    joined from the parts' (equal to ``run_maarr_grid(grid)`` up to the
+    order of each band sum).  Then each child in part order is told the
+    offset that follows the header and the lines of the parts before it,
+    and writes its own lines there with :func:`os.pwrite`; once all have
+    answered, this process writes the summaries and the log and returns
+    the table.  No child's lines pass through this process.
 
     A part's error is raised once every part before it has run, so it is
     the error one process would raise; a child's write error is raised as
     its :class:`OSError`, and a child that ends before an answer as a
-    :class:`SuascalError`.  Once ``path`` is opened, any error or interrupt
-    removes it.  On any error or interrupt the children still running are
-    killed; every child is reaped before this returns or raises.
+    :class:`SuascalError`.  Any error or interrupt kills the children still
+    running and, once ``errors.csv`` is opened, removes every study file in
+    ``out``, new or old; every child is reaped before this returns or raises.
     """
     # Loaded once here, not once in every child.
     datasets.bundled_rsr_set()
@@ -838,7 +841,7 @@ def split_sweep(grid: SimulationGrid, workers: int, path: Path):
     children: dict[int, tuple[BinaryIO, int]] = {}
     try:
         for part in grids[1:]:
-            pid, reader, writer = _fork_part(part, path,
+            pid, reader, writer = _fork_part(part, out / "errors.csv",
                                              list(children.values()))
             children[pid] = reader, writer
         first = run_maarr_grid(grids[0])
@@ -854,13 +857,23 @@ def split_sweep(grid: SimulationGrid, workers: int, path: Path):
             cells=np.concatenate([c + o for c, o in zip(cells, offsets)]),
             recovered=np.concatenate(recovered),
             skipped=tuple(itertools.chain(*skipped)))
-        path.parent.mkdir(parents=True, exist_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
         try:
-            with path.open("wb") as fh:
+            with (out / "errors.csv").open("wb") as fh:
                 fh.write(_HEADER)
                 fh.writelines(_error_lines(first))
                 offset = fh.tell()
-            yield table
+            # Taken while the later parts format their rows.
+            kept = summary_rows(table, grid.summary_exclude_altitudes_km)
+            summaries = {"summary_band.csv": (
+                ["band_index", *ERROR_STATISTICS],
+                [[band] + [repr(stats[name]) for name in ERROR_STATISTICS]
+                 for band, stats in band_statistics(kept).items()])}
+            for attribute in (*CELL_FIELDS, "target"):
+                summaries[f"summary_{attribute}.csv"] = (
+                    [attribute, "mean_absolute_error"],
+                    [[key, repr(value)] for key, value in
+                     grouped_absolute_error(table, attribute).items()])
             ends = list(enumerate(children.values(), 2))
             for part, (reader, writer) in ends:
                 size = _message(reader, part, parts, _CUT_SHORT)
@@ -871,8 +884,15 @@ def split_sweep(grid: SimulationGrid, workers: int, path: Path):
                 offset += size
             for part, (reader, _) in ends:
                 _message(reader, part, parts, _CUT_SHORT)
+            for name, (header, rows) in summaries.items():
+                write_csv(out / name, header, rows)
+            write_json(out / "simulate_log.json", {
+                "cells": grid.cell_count, "ran": len(table.cells),
+                "skipped": [dict(zip(CELL_FIELDS, cell), reason=reason)
+                            for cell, reason in table.skipped]})
         except BaseException:
-            path.unlink(missing_ok=True)
+            for name in STUDY_FILES:
+                (out / name).unlink(missing_ok=True)
             raise
     except BaseException:
         if children:
@@ -887,6 +907,7 @@ def split_sweep(grid: SimulationGrid, workers: int, path: Path):
             os.close(writer)
         for pid in children:
             os.waitpid(pid, 0)
+    return table
 
 
 def summary_rows(table: SimulationTable,

@@ -135,8 +135,9 @@ class TestAggregate:
             aggregate([make_sample(0.01)], sample_std=True)
 
     def test_unknown_group_field_rejected(self):
-        with pytest.raises(MetadataError, match="group"):
-            aggregate([make_sample(0.01)], group_by=("truth",))
+        for group_by in (("truth",), ("method", "band_index", "method")):
+            with pytest.raises(MetadataError, match="group"):
+                aggregate([make_sample(0.01)], group_by=group_by)
 
     def test_no_samples_rejected(self):
         with pytest.raises(MetadataError):

@@ -622,12 +622,17 @@ class TestEvaluateCommand:
         assert len(lines) == 6
 
     def test_unknown_group_field_is_usage_error(self, tmp_path, capsys):
+        """An unknown field, or one named twice: one line, and no file."""
         samples = tmp_path / "samples.csv"
         self._write_samples(samples)
-        assert main(["evaluate", "--samples", str(samples),
-                     "--out", str(tmp_path / "eval"),
-                     "--group-by", "pilot"]) == 1
-        assert "group" in capsys.readouterr().err
+        for group_by in ("pilot", "method,method"):
+            out = tmp_path / "eval"
+            assert main(["evaluate", "--samples", str(samples),
+                         "--out", str(out), "--group-by", group_by]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: cannot group by")
+            assert err.count("\n") == 1
+            assert not out.exists()
 
     @pytest.mark.parametrize("tail", [b"t0,1,sunny,225,aarr,0.3,\xff\n",
                                       b"t0," + b"1" * 200_000 + b"\n"],
@@ -719,7 +724,7 @@ class TestSimulateCommand:
     def test_rerun_is_byte_identical(self, tmp_path):
         _, out = self._run(tmp_path, dict(self.GRID, times_utc=[6.0, 16.0]))
         first = {path.name: path.read_bytes() for path in out.iterdir()}
-        assert "simulate_log.json" in first and len(first) == 9
+        assert sorted(first) == sorted(simulate_module.STUDY_FILES)
         self._run(tmp_path, dict(self.GRID, times_utc=[6.0, 16.0]))
         assert {path.name: path.read_bytes()
                 for path in out.iterdir()} == first
@@ -891,13 +896,15 @@ class TestSimulateParts:
             "sensor_altitudes_km": [0.214]}
 
     @staticmethod
-    def _run(root, config, parts):
-        """``main``'s exit code and stderr, and the files it wrote, with the
-        CPUs it sees set to ``parts``."""
+    def _run(root, config, parts, rerun=False):
+        """``main``'s exit code and stderr, and the files its output
+        directory holds after it, with the CPUs it sees set to ``parts``;
+        with ``rerun``, over what the last run at ``parts`` left there."""
         config_path = root / "grid.json"
         config_path.write_text(json.dumps(config))
         out = root / f"sim{parts}"
-        shutil.rmtree(out, ignore_errors=True)
+        if not rerun:
+            shutil.rmtree(out, ignore_errors=True)
         stderr = io.StringIO()
         with helpers.workers(parts), contextlib.redirect_stderr(stderr):
             code = main(["simulate", "--out", str(out),
@@ -1021,15 +1028,43 @@ class TestSimulateParts:
         assert files == {}
         _no_child_left()
 
-    def test_child_write_error(self, tmp_path, monkeypatch):
+    def test_child_write_error(self, tmp_path):
+        """A full disk under a child's rows, in a fresh directory and in a
+        rerun over a finished study: no file of either run is left."""
         def full(*args):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-        monkeypatch.setattr(os, "pwrite", full)
-        code, err, files = self._run(tmp_path, self.GRID, 3)
-        assert code == 1
-        assert err == (f"error: [Errno {errno.ENOSPC}] "
-                       f"{os.strerror(errno.ENOSPC)}\n")
+        for parts, rerun in ((3, False), (2, True)):
+            if rerun:
+                assert self._run(tmp_path, self.GRID, parts)[0] == 0
+            with mock.patch.object(os, "pwrite", full):
+                code, err, files = self._run(tmp_path, self.GRID, parts,
+                                             rerun)
+            assert code == 1
+            assert err == (f"error: [Errno {errno.ENOSPC}] "
+                           f"{os.strerror(errno.ENOSPC)}\n")
+            assert files == {}
+            _no_child_left()
+
+    def test_interrupt_while_summaries_are_written(self, tmp_path,
+                                                   monkeypatch):
+        """An interrupt in a rerun, after ``errors.csv`` and two summaries
+        are written, leaves none of the study's files."""
+        assert len(self._run(tmp_path, self.GRID, 2)[2]) == 9
+        writer, opened = csv.writer, []
+
+        def interrupted(handle, *args, **kwargs):
+            name = Path(getattr(handle, "name", "")).name
+            if name.startswith("summary_"):
+                opened.append(name)
+                if len(opened) == 3:
+                    raise KeyboardInterrupt
+            return writer(handle, *args, **kwargs)
+
+        monkeypatch.setattr(csv, "writer", interrupted)
+        code, err, files = self._run(tmp_path, self.GRID, 2, rerun=True)
+        assert (code, err) == (130, "error: interrupted\n")
+        assert len(opened) == 3
         assert files == {}
         _no_child_left()
 
@@ -1077,6 +1112,23 @@ class TestRsrCommand:
         assert "degenerate" in capsys.readouterr().err
         log = json.loads((out / "rsr_log.json").read_text())
         assert log["bands"]["1"]["degenerate"] is True
+
+    def test_failed_run_writes_nothing(self, tmp_path, capsys):
+        """A malformed third sweep: one line, and no file, not even the
+        curves or the warning of the sweeps before it."""
+        run_dir = tmp_path / "run"
+        self._write_run(run_dir, 1, flat_ratio=True)
+        self._write_run(run_dir, 2)
+        payload = _sweep(3)
+        payload["samples"][5].pop()
+        (run_dir / "band_3.json").write_text(json.dumps(payload))
+        out = tmp_path / "rsr"
+        assert main(["rsr", "--run-dir", str(run_dir),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {run_dir / 'band_3.json'}: 'samples'[5] must be "
+            "[wavelength_nm, mean_counts, power_w], got 2 values\n")
+        assert not out.exists()
 
     def test_empty_run_dir_is_usage_error(self, tmp_path):
         (tmp_path / "run").mkdir()

@@ -1,23 +1,30 @@
 """The scripts under ``tools/``."""
 
+import csv
 import importlib.util
 import json
 import shutil
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
+DATA = TOOLS.parent / "src" / "suascal" / "data"
+
+
+def load_tool(name: str):
+    """The script ``tools/<name>.py`` as a module."""
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def bench_pairs():
-    spec = importlib.util.spec_from_file_location(
-        "bench_pairs", TOOLS / "bench_pairs.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_tool("bench_pairs")
 
 
 def checkout(root: Path) -> Path:
@@ -116,3 +123,39 @@ class TestBenchPairs:
         lines = capsys.readouterr().out.splitlines()
         assert [line.rsplit(": ", 1)[1] for line in lines] == [
             "same", expected, "same"]
+
+
+def read_columns(path: Path) -> tuple[list[str], list[tuple[str, ...]]]:
+    """A CSV file's header and its columns of text fields."""
+    with path.open(newline="", encoding="utf-8") as handle:
+        header, *rows = csv.reader(handle)
+    assert all(len(row) == len(header) for row in rows)
+    return header, list(zip(*rows))
+
+
+class TestGenerateFixtures:
+    def test_bundled_data_is_what_the_generator_writes(self, tmp_path,
+                                                       monkeypatch):
+        """Every file under ``src/suascal/data`` comes from the generator:
+        the same files, headers and rows.  Spectral values are compared to
+        1e-15 relative, not as bytes, since numpy's ``exp`` and ``expm1``
+        may differ by an ulp between SIMD paths; every other field,
+        wavelengths included, must be the same text."""
+        generator = load_tool("generate_fixtures")
+        monkeypatch.setattr(generator, "DATA_DIR", tmp_path)
+        generator.main()
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            sorted(p.name for p in DATA.iterdir())
+        for path in sorted(DATA.iterdir()):
+            header, expected = read_columns(path)
+            got_header, got = read_columns(tmp_path / path.name)
+            assert (got_header, len(got)) == (header, len(expected)), \
+                path.name
+            for name, want, have in zip(header, expected, got):
+                if name == "value":
+                    np.testing.assert_allclose(
+                        np.array(have, dtype=float),
+                        np.array(want, dtype=float), rtol=1e-15, atol=0,
+                        err_msg=path.name)
+                else:
+                    assert have == want, (path.name, name)
