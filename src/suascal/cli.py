@@ -16,8 +16,6 @@ import itertools
 import math
 import os
 import sys
-import threading
-from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import partial
@@ -32,6 +30,7 @@ from .imageio import (pgm16_header, pgm16_shape, read_pgm16, read_plane,
                       rows_writer, sidecar_path, write_plane, write_sidecar)
 from .jsonread import json_field, read_json, write_json
 from .manifest import BandEntry, ImageEntry, load_manifest
+from .parts import Parts, part_count, removed_on_error, send_outcome
 from .radiance import (ROW_BLOCK, BandCounts, RawImage, Vignette,
                        VignetteStore, convert_band)
 from .reflectance import (SELECTION_MODES, CalibrationImage,
@@ -127,9 +126,8 @@ class _BandTask:
     key: tuple
     #: Files written for the band, removed if its image fails.
     written: list[Path] = field(default_factory=list)
-    #: Set once the task is done: its record, the exception it raised, or
-    #: ``None`` if it was skipped.
-    outcome: Future = field(default_factory=Future)
+    #: Its record or the exception it raised; ``None`` if it did not run.
+    outcome: object = None
 
 
 def _plan_bands(store: VignetteStore, entries,
@@ -154,78 +152,92 @@ def _plan_bands(store: VignetteStore, entries,
         first[task.band.band_index, task.key]))
 
 
-def _remove_written(tasks: list[_BandTask], images=None) -> None:
-    """Remove the files the tasks of ``images`` (default: all) wrote."""
-    for task in tasks:
-        if images is None or task.image in images:
-            for path in task.written:
-                path.unlink(missing_ok=True)
+def _pass_files(out: Path, entries, pgm: bool = False) -> list[Path]:
+    """Every file a band pass over ``entries`` may write into ``out``."""
+    files = []
+    for entry in entries:
+        for band in entry.bands:
+            plane = out / _plane_name(entry.image_id, band.band_index)
+            files += [plane, sidecar_path(plane)]
+            files += [plane.with_suffix(".pgm")] if pgm else []
+    return files
 
 
 def _image_pass(entries, tasks: list[_BandTask], store: VignetteStore,
                 write_band, errors: dict | None = None, settle=None):
-    """Write every band of ``entries`` with ``write_band(task)`` on
-    :func:`_workers` threads; it returns the band's record.  ``errors`` holds
-    the images that failed before their bands (position to exception).
+    """Write every band of ``entries`` with ``write_band(task)``; it returns
+    the band's record.  ``errors`` holds the images that failed before
+    their bands (position to exception).
 
-    Only an image's failure first in manifest order is reported, so a task
-    is skipped once a band of its image before it has failed; the images
-    in ``errors`` fail at position -1 and run none.  Every task gives back
-    its map use, run, failed or skipped, and then sets its ``outcome``; an
-    interrupt cancels the tasks not yet started.
+    The tasks run as :func:`~suascal.parts.part_count` parts for
+    :func:`_workers`, contiguous runs of ``tasks`` as even as can be: part
+    1 here, each later one in a forked child that sends back its tasks'
+    outcomes and written files.  A part runs its tasks in order, after the
+    calibration tasks (images numbered on from ``len(entries)``) of every
+    band it writes, so no part waits on another.  It skips a task once a
+    band of its image before it has failed there, and the images in
+    ``errors`` run none: only an image's first failure in manifest order
+    is reported.  Every task gives back its map use, run or not.
 
-    ``settle()``, if given, runs once every task is done.  It returns more
+    ``settle()``, if given, runs once every part is done.  It returns more
     images that fail ahead of their bands, as ``errors`` holds them, or
-    raises.  If it raises, or anything escapes the pool (an interrupt),
-    every file the pass wrote is removed and the error raised.
+    raises.
 
     Returns ``(bands, failures)`` keyed by image id: each good image's band
     records by band index, each failed image's first error in manifest
     order.  A failed image's files are removed, so it leaves none.  An
     error that is not a :class:`SuascalError` (the first in manifest order)
-    is raised once every task is done, and every file the pass wrote is
-    removed first, as on an interrupt.
+    is raised once every part is done; an interrupt or error in a part is
+    raised once the children are killed and reaped.
     """
     errors = dict(errors or {})
-    failed = dict.fromkeys(errors, -1)
-    lock = threading.Lock()
+    n = len(tasks)
+    parts = part_count(_workers(), n)
+    runs = [range(k * n // parts, (k + 1) * n // parts) for k in range(parts)]
 
-    def run(task: _BandTask) -> None:
-        outcome = None
-        try:
-            with lock:
-                skip = failed.get(task.image, task.position) < task.position
-            if not skip:
+    def run_part(run: range) -> list:
+        """Run the part of ``run``; returns the outcome and the written
+        files of each of its tasks."""
+        bands = {tasks[i].band.band_index for i in run
+                 if tasks[i].image < len(entries)}
+        failed = dict.fromkeys(errors, -1)
+        for i, task in enumerate(tasks):
+            needed = i in run or (task.image >= len(entries)
+                                  and task.band.band_index in bands)
+            if needed and failed.get(task.image,
+                                     task.position) >= task.position:
                 try:
-                    outcome = write_band(task)
+                    task.outcome = write_band(task)
                 except Exception as exc:
-                    outcome = exc
-                    with lock:
-                        if failed.get(task.image,
-                                      task.position) >= task.position:
-                            failed[task.image] = task.position
-                            errors[task.image] = exc
-        finally:
+                    task.outcome = exc
+                    failed[task.image] = task.position
             store.release(task.key)
-            task.outcome.set_result(outcome)
+        return [(tasks[i].outcome, tasks[i].written) for i in run]
 
-    try:
-        with ThreadPoolExecutor(max_workers=_workers()) as pool:
-            # Reaching a result re-raises what escaped its task, and the
-            # map then cancels every task not yet started.
-            list(pool.map(run, tasks))
-        if settle is not None:
-            errors.update(settle())
-    except BaseException:
-        _remove_written(tasks)
-        raise
+    with Parts("band pass part", parts) as children:
+        for run in runs[1:]:
+            children.fork(lambda out, _, run=run: send_outcome(
+                partial(run_part, run), out))
+        run_part(runs[0])
+        for part, run in enumerate(runs[1:], 2):
+            message = children.receive(part, "ended without sending its "
+                                       "result")
+            for i, (outcome, written) in zip(run, message):
+                tasks[i].outcome, tasks[i].written = outcome, written
+    for task in sorted(tasks, key=lambda task: task.position):
+        if isinstance(task.outcome, Exception):
+            errors.setdefault(task.image, task.outcome)
+    if settle is not None:
+        errors.update(settle())
     fatal = [errors[i] for i in sorted(errors)
              if not isinstance(errors[i], SuascalError)]
-    _remove_written(tasks, None if fatal else errors)
     if fatal:
         raise fatal[0]
-    outcomes = {(task.image, task.position): task.outcome.result()
-                for task in tasks}
+    for task in tasks:
+        if task.image in errors:
+            for path in task.written:
+                path.unlink(missing_ok=True)
+    outcomes = {(task.image, task.position): task.outcome for task in tasks}
     bands: dict[str, dict] = {}
     failures: dict[str, str] = {}
     for i, entry in enumerate(entries):
@@ -267,11 +279,13 @@ def cmd_convert(args) -> int:
         return {"path": name, "clamped_pixels": counts.clamped,
                 "saturated_pixels": counts.saturated}
 
-    bands, failures = _image_pass(manifest.images, tasks, store, write_band)
-    log = {image_id: {"bands": records}
-           for image_id, records in bands.items()}
-    write_json(out / "conversion_log.json",
-               {"images": log, "failures": failures})
+    report = out / "conversion_log.json"
+    with removed_on_error([*_pass_files(out, manifest.images), report]):
+        bands, failures = _image_pass(manifest.images, tasks, store,
+                                      write_band)
+        log = {image_id: {"bands": records}
+               for image_id, records in bands.items()}
+        write_json(report, {"images": log, "failures": failures})
     for image_id, message in sorted(failures.items()):
         print(f"error: image {image_id}: {message}", file=sys.stderr)
     return _batch_exit(len(log), len(failures))
@@ -298,7 +312,7 @@ def _calibration_images(calibration, means_tasks: dict,
     for c, entry in enumerate(calibration):
         by_band = []  # in band order, as the manifest sorts them
         for band in entry.bands:
-            means = means_tasks[c, band.band_index].outcome.result()
+            means = means_tasks[c, band.band_index].outcome
             if isinstance(means, Exception):
                 raise means
             by_band.append(means)
@@ -377,10 +391,11 @@ def cmd_reflect(args) -> int:
 
     def band_line(c: int, band_index: int):
         """Band ``band_index`` of calibration image ``c``'s empirical line,
-        as the fit gives it, once that band's panel means are in.  Raises
-        when they show that the fit fails, or when the calibration image
-        fails, which fails the run once every task is done."""
-        means = means_tasks[c, band_index].outcome.result()
+        as the fit gives it from that band's panel means, which the part
+        has run.  Raises when they show that the fit fails, or when the
+        calibration image fails, which fails the run once every part is
+        done."""
+        means = means_tasks[c, band_index].outcome
         rho = grounds[c]
         if not isinstance(means, list) or any(
                 isinstance(r, Exception) for r in rho):
@@ -436,7 +451,7 @@ def cmd_reflect(args) -> int:
             raw, band.metadata, vignette, out / name, task.written,
             "reflectance", post_map,
             args.pgm_scale if args.write_pgm else None)
-        return {"path": name,
+        return {"path": name, "clamped_pixels": counts.clamped,
                 "out_of_range_fraction": counts.out_of_range_fraction,
                 "saturated_pixels": counts.saturated}
 
@@ -453,14 +468,18 @@ def cmd_reflect(args) -> int:
                 fit_errors[i] = exc
         return fit_errors
 
-    bands, failures = _image_pass(images, tasks, store, write_band, errors,
-                                  settle if calibration else None)
-    results = {entry.image_id: dict(records[i], bands=bands[entry.image_id])
-               for i, entry in enumerate(images)
-               if entry.image_id in bands}
-    write_json(out / "reflectance_report.json",
-               {"method": args.method, "selection": args.selection,
-                "images": results, "failures": failures})
+    report = out / "reflectance_report.json"
+    with removed_on_error([*_pass_files(out, images, args.write_pgm),
+                           report]):
+        bands, failures = _image_pass(images, tasks, store, write_band,
+                                      errors, settle if calibration else None)
+        results = {entry.image_id: dict(records[i],
+                                        bands=bands[entry.image_id])
+                   for i, entry in enumerate(images)
+                   if entry.image_id in bands}
+        write_json(report, {"method": args.method,
+                            "selection": args.selection, "images": results,
+                            "failures": failures})
     for image_id, message in sorted(failures.items()):
         print(f"error: image {image_id}: {message}", file=sys.stderr)
     return _batch_exit(len(results), len(failures))
@@ -483,34 +502,39 @@ def cmd_evaluate(args) -> int:
     reports = aggregate(samples, group_by, sample_std=args.sample_std)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_reports(out / "report.csv", reports)
-
-    if group_by == ("method",):
-        # Overall-errors layout: one column per method, one row per statistic.
-        by_method = {dict(r.group)["method"]: r for r in reports}
-        methods = [m for m in METHOD_LEVELS if m in by_method]
-        write_csv(out / "overall_by_method.csv", ["statistic"] + methods,
-                  ([stat] + [repr(getattr(by_method[m], stat))
-                             for m in methods] for stat in ERROR_STATISTICS))
-    elif set(group_by) == {"band_index", "method"}:
-        # Per-band layout: band rows, method mean/std column pairs.
-        cells = {(dict(r.group)["band_index"], dict(r.group)["method"]): r
-                 for r in reports}
-        bands = sorted({band for band, _ in cells})
-        methods = [m for m in METHOD_LEVELS
-                   if any(method == m for _, method in cells)]
-        header = ["band_index"]
-        for method in methods:
-            header += [f"{method}_mean_signed", f"{method}_std_signed"]
-        rows = []
-        for band in bands:
-            row = [band]
+    with removed_on_error([out / "report.csv"]) as files:
+        write_reports(files[0], reports)
+        if group_by == ("method",):
+            # Overall-errors layout: one column per method, one row per
+            # statistic.
+            by_method = {dict(r.group)["method"]: r for r in reports}
+            methods = [m for m in METHOD_LEVELS if m in by_method]
+            files.append(out / "overall_by_method.csv")
+            write_csv(files[-1], ["statistic"] + methods,
+                      ([stat] + [repr(getattr(by_method[m], stat))
+                                 for m in methods]
+                       for stat in ERROR_STATISTICS))
+        elif set(group_by) == {"band_index", "method"}:
+            # Per-band layout: band rows, method mean/std column pairs.
+            cells = {(dict(r.group)["band_index"],
+                      dict(r.group)["method"]): r for r in reports}
+            bands = sorted({band for band, _ in cells})
+            methods = [m for m in METHOD_LEVELS
+                       if any(method == m for _, method in cells)]
+            header = ["band_index"]
             for method in methods:
-                report = cells.get((band, method))
-                row += (["", ""] if report is None else
-                        [repr(report.mean_signed), repr(report.std_signed)])
-            rows.append(row)
-        write_csv(out / "per_band_by_method.csv", header, rows)
+                header += [f"{method}_mean_signed", f"{method}_std_signed"]
+            rows = []
+            for band in bands:
+                row = [band]
+                for method in methods:
+                    report = cells.get((band, method))
+                    row += (["", ""] if report is None else
+                            [repr(report.mean_signed),
+                             repr(report.std_signed)])
+                rows.append(row)
+            files.append(out / "per_band_by_method.csv")
+            write_csv(files[-1], header, rows)
     return EXIT_OK
 
 
@@ -555,15 +579,17 @@ def cmd_rsr(args) -> int:
                                   else peak_normalize(response), degenerate)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    names = {band: f"rsr_band_{band}.csv" for band in curves}
     log: dict[str, dict] = {}
-    for band, (response, degenerate) in curves.items():
-        name = f"rsr_band_{band}.csv"
-        write_spectral_curve(out / name, response)
-        log[str(band)] = {"degenerate": degenerate, "output": name}
-        if degenerate:
-            print(f"warning: band {band} sweep is degenerate "
-                  "(no positive response)", file=sys.stderr)
-    write_json(out / "rsr_log.json", {"bands": log})
+    with removed_on_error([out / "rsr_log.json",
+                           *(out / name for name in names.values())]):
+        for band, (response, degenerate) in curves.items():
+            write_spectral_curve(out / names[band], response)
+            log[str(band)] = {"degenerate": degenerate, "output": names[band]}
+            if degenerate:
+                print(f"warning: band {band} sweep is degenerate "
+                      "(no positive response)", file=sys.stderr)
+        write_json(out / "rsr_log.json", {"bands": log})
     return EXIT_OK
 
 
@@ -580,9 +606,11 @@ def cmd_ndvi(args) -> int:
                   ReflectanceImage(band_index=5, pixels=nir_pixels))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_plane(out, result.values, band_index=0, units="ndvi")
-    write_json(Path(str(out) + ".log.json"),
-               {"zero_denominator_pixels": result.zero_denominator_count})
+    log = Path(str(out) + ".log.json")
+    with removed_on_error([out, sidecar_path(out), log]):
+        write_plane(out, result.values, band_index=0, units="ndvi")
+        write_json(log,
+                   {"zero_denominator_pixels": result.zero_denominator_count})
     return EXIT_OK
 
 

@@ -17,7 +17,6 @@ the result metadata.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -197,11 +196,10 @@ def row_factors(meta: RadiometricMetadata | RowModel,
 
 #: Rows per block of :func:`convert_band` and of each vignette map.  A
 #: float64 block of a 1280-wide frame is 640 KB, so each pass over it stays
-#: in cache.  Each block's numpy calls release the GIL, so fewer, larger
-#: blocks mean fewer thread hand-offs: on 1280x960 frames with two threads
-#: on 2 vCPUs, ``reflect --method elm2`` took 0.44 s and 2,900 voluntary
-#: context switches at 64 rows against 0.49 s and 7,000 at 32; 96 rows
-#: ran within the spread of 64 and held about 1 MB more.
+#: in cache.  On the 1280x960 benchmark flight and 2 vCPUs, ``reflect
+#: --method elm2`` took a median 0.41 s in two parts at 64 rows, 0.43 s at
+#: 32 and 0.47 s at 96, all within the spread of the runs; larger blocks
+#: hold more scratch memory, about 1 MB at 96 rows.
 ROW_BLOCK = 64
 #: The largest finite float32: a float32 plane holds no pixel beyond it.
 FLOAT32_MAX = float(np.finfo(np.float32).max)
@@ -221,140 +219,59 @@ class Vignette(NamedTuple):
     rows: RowModel | None = None
 
 
-class _VignetteBuild:
-    """One vignette map ``V = 1/k(r)``, or ``V * R`` for the row model
-    ``rows``, built in place :data:`ROW_BLOCK` rows at a time.  A row model
-    :func:`row_factors` rejects gives ``V`` alone, and the map's users
-    report the rejection.
-
-    Any number of threads may call :meth:`build` at once: each claims the
-    next block nobody has started, so a thread that needs a map another
-    thread is building builds part of it instead of waiting.  The thread
-    that finishes the last block judges the whole frame, and
-    :meth:`result` waits for that.
+def _build_vignette(model: VignetteModel, k: np.ndarray,
+                    rows: RowModel | None = None) -> Vignette:
+    """The map ``V = 1/k(r)`` of ``model``, or ``V * R`` for the row model
+    ``rows``, built in place in ``k`` (the frame's shape) :data:`ROW_BLOCK`
+    rows at a time, so the only other array is one block of radii.  A row
+    model :func:`row_factors` rejects gives ``V`` alone, and the map's
+    users report the rejection.  Raises :class:`MetadataError` if the
+    polynomial is non-positive anywhere, naming the pixel
+    :func:`numpy.argmin` picks over the whole of ``k``.
     """
-
-    def __init__(self, model: VignetteModel, k: np.ndarray,
-                 rows: RowModel | None = None):
-        height, width = k.shape
-        self.model = model
-        self.k = k
-        self.rows, self._factors = rows, None
-        if rows is not None:
-            try:
-                self._factors = row_factors(rows, height)[:, np.newaxis]
-            except MetadataError:
-                self.rows = None
-        self._x = np.arange(width, dtype=np.float64) - model.center_x
-        self._y = np.arange(height, dtype=np.float64) - model.center_y
-        self._tops = iter(range(0, height, ROW_BLOCK))
-        self._left = len(range(0, height, ROW_BLOCK))
-        self._bad_from = height  # top of the first block with a k <= 0
-        self._peaks = []
-        self._failure = None  # what a block raised, raised to every caller
-        self._outcome = None  # the map, or the message of its error
-        self._finished = threading.Condition()
-
-    def build(self) -> None:
-        """Build unclaimed blocks until none is left."""
-        radius = np.empty((min(ROW_BLOCK, len(self._y)), len(self._x)))
-        while True:
-            with self._finished:
-                top = next(self._tops, None)
-            if top is None:
-                return
-            bad, peak = False, None
-            try:
-                block = self.k[top:top + ROW_BLOCK]
-                r = radius[:len(block)]
-                np.hypot(self._x, self._y[top:top + ROW_BLOCK, np.newaxis],
-                         out=r)
-                self.model.polynomial(r, out=block)
-                # A NaN k needs an infinite radius, and the finite center
-                # puts every pixel at that radius, so a map with a NaN is
-                # all NaN.
-                bad = block.min() <= 0
-                if not bad:
-                    np.divide(1.0, block, out=block)
-                    if self._factors is not None:
-                        block *= self._factors[top:top + ROW_BLOCK]
-                    peak = block.max()
-            except BaseException as exc:
-                self._failure = exc
-                raise
-            finally:
-                with self._finished:
-                    if bad:
-                        self._bad_from = min(self._bad_from, top)
-                    if peak is not None:
-                        self._peaks.append(peak)
-                    self._left -= 1
-                    if not self._left:
-                        self._outcome = self._judge()
-                        self._finished.notify_all()
-
-    def result(self) -> Vignette:
-        """The finished map, once every block is built.
-
-        Raises
-        ------
-        MetadataError
-            If the polynomial is non-positive anywhere; the message names
-            the pixel :func:`numpy.argmin` picks over the whole of ``k``.
-        """
-        with self._finished:
-            self._finished.wait_for(lambda: not self._left)
-        if self._failure is not None:
-            raise self._failure
-        if isinstance(self._outcome, str):
-            raise MetadataError(self._outcome)
-        return self._outcome
-
-    def _judge(self) -> Vignette | str:
-        if self._bad_from < len(self.k):
-            # A bad block keeps its k, whose least is <= 0; a good one holds
-            # 1/k (times R) >= 0, which is 0 where k is infinite.  From the
-            # first bad block on, argmin over the map is argmin over k.
-            rest = self.k[self._bad_from:]
-            iy, ix = np.unravel_index(int(np.argmin(rest)), rest.shape)
-            iy += self._bad_from
-            return (f"vignette polynomial k={self.k[iy, ix]:.6g} is not "
-                    f"positive at pixel ({ix}, {iy})")
-        vignette = self.k.view()
-        vignette.flags.writeable = False
-        return Vignette(vignette, float(np.max(self._peaks, initial=-np.inf)),
-                        self.rows)
-
-
-def _build_vignette(model: VignetteModel, shape: tuple[int, int]
-                    ) -> Vignette:
-    """A map of ``model`` over ``shape`` for the caller alone."""
-    build = _VignetteBuild(model, np.empty(shape))
-    build.build()
-    return build.result()
+    height, width = k.shape
+    factors = None
+    if rows is not None:
+        try:
+            factors = row_factors(rows, height)[:, np.newaxis]
+        except MetadataError:
+            rows = None
+    x = np.arange(width, dtype=np.float64) - model.center_x
+    y = np.arange(height, dtype=np.float64)[:, np.newaxis] - model.center_y
+    radius = np.empty((min(ROW_BLOCK, height), width))
+    bad_from, peaks = height, []  # top of the first block with a k <= 0
+    for top in range(0, height, ROW_BLOCK):
+        block = k[top:top + ROW_BLOCK]
+        r = radius[:len(block)]
+        np.hypot(x, y[top:top + ROW_BLOCK], out=r)
+        model.polynomial(r, out=block)
+        # A NaN k needs an infinite radius, and the finite center puts
+        # every pixel at that radius, so a map with a NaN is all NaN.
+        if block.min() <= 0:
+            bad_from = min(bad_from, top)
+            continue
+        np.divide(1.0, block, out=block)
+        if factors is not None:
+            block *= factors[top:top + ROW_BLOCK]
+        peaks.append(block.max())
+    if bad_from < height:
+        # A bad block keeps its k, whose least is <= 0; a good one holds
+        # 1/k (times R) >= 0, which is 0 where k is infinite.  From the
+        # first bad block on, argmin over the map is argmin over k.
+        rest = k[bad_from:]
+        iy, ix = np.unravel_index(int(np.argmin(rest)), rest.shape)
+        iy += bad_from
+        raise MetadataError(f"vignette polynomial k={k[iy, ix]:.6g} is not "
+                            f"positive at pixel ({ix}, {iy})")
+    vignette = k.view()
+    vignette.flags.writeable = False
+    return Vignette(vignette, float(np.max(peaks, initial=-np.inf)), rows)
 
 
 def vignette_map(model: VignetteModel, width: int, height: int) -> np.ndarray:
     """Vignette correction ``V = 1/k(r)`` over a full frame, shape (h, w),
-    read-only.
-
-    ``k`` is built in the map itself, :data:`ROW_BLOCK` rows at a time, so
-    the only other array is one block of radii.
-
-    Raises
-    ------
-    MetadataError
-        If the polynomial is non-positive anywhere; the message names the
-        pixel :func:`numpy.argmin` picks over the whole of ``k``.
-    """
-    return _build_vignette(model, (height, width)).map
-
-
-def _lens_model(key: tuple) -> VignetteModel:
-    """The lens model of a :class:`VignetteStore` key."""
-    center_x, center_y, coefficients, _ = key
-    return VignetteModel(center_x, center_y,
-                         np.frombuffer(coefficients, dtype=np.float64))
+    read-only; raises as :func:`_build_vignette` does."""
+    return _build_vignette(model, np.empty((height, width))).map
 
 
 class VignetteStore:
@@ -372,10 +289,11 @@ class VignetteStore:
     """
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._uses: dict[tuple, int] = {}
         self._rows: dict[tuple, RowModel | None] = {}
-        self._builds: dict[tuple, _VignetteBuild] = {}
+        self._models: dict[tuple, VignetteModel] = {}
+        #: Each map built and not yet dropped: (storage, map or error).
+        self._built: dict[tuple, tuple] = {}
         self._spare: dict[tuple[int, int], list[np.ndarray]] = {}
 
     def plan(self, model: VignetteModel, shape: tuple[int, int] | None,
@@ -388,14 +306,14 @@ class VignetteStore:
         rows = _row_model(meta)
         if key in self._uses and self._rows[key] != rows:
             rows = None
-        self._rows[key] = rows
+        self._rows[key], self._models[key] = rows, model
         self._uses[key] = self._uses.get(key, 0) + 1
         return key
 
     def vignette(self, key: tuple, shape: tuple[int, int]) -> Vignette:
-        """The map under ``key`` for a frame of ``shape``, built by the
-        threads that ask while it is unfinished.  A frame whose shape is
-        not the planned one gets a map of ``V`` alone, of its own.
+        """The map under ``key`` for a frame of ``shape``, built on its
+        first use.  A frame whose shape is not the planned one gets a map
+        of ``V`` alone, of its own.
 
         Raises
         ------
@@ -403,42 +321,44 @@ class VignetteStore:
             As :func:`vignette_map` does, for every use of a bad map.
         """
         if shape != key[-1]:
-            return _build_vignette(_lens_model(key), shape)
-        with self._lock:
-            build = self._builds.get(key)
-            if build is None:
-                spare = self._spare.get(shape)
-                storage = spare.pop() if spare else np.empty(shape)
-                build = _VignetteBuild(_lens_model(key), storage,
-                                       self._rows[key])
-                self._builds[key] = build
-        build.build()
-        return build.result()
+            return _build_vignette(self._models[key], np.empty(shape))
+        if key not in self._built:
+            spare = self._spare.get(shape)
+            storage = spare.pop() if spare else np.empty(shape)
+            try:
+                built = _build_vignette(self._models[key], storage,
+                                        self._rows[key])
+            except MetadataError as exc:
+                built = exc
+            self._built[key] = storage, built
+        built = self._built[key][1]
+        if isinstance(built, MetadataError):
+            raise built.with_traceback(None)
+        return built
 
     def release(self, key: tuple) -> None:
         """Give back one use of the map under ``key``; after the last, the
         map is dropped."""
-        with self._lock:
-            self._uses[key] -= 1
-            if self._uses[key]:
-                return
-            del self._uses[key], self._rows[key]
-            build = self._builds.pop(key, None)
-            spare = self._spare.setdefault(key[-1], [])
-            if build is not None:
-                spare.append(build.k)
-            # Keep no more spares than maps of the shape are still to come.
-            del spare[self._unbuilt(key[-1]):]
+        self._uses[key] -= 1
+        if self._uses[key]:
+            return
+        del self._uses[key], self._rows[key], self._models[key]
+        built = self._built.pop(key, None)
+        spare = self._spare.setdefault(key[-1], [])
+        if built is not None:
+            spare.append(built[0])
+        # Keep no more spares than maps of the shape are still to come.
+        del spare[self._unbuilt(key[-1]):]
 
     def _unbuilt(self, shape) -> int:
         """Planned maps of ``shape`` not built yet."""
         return sum(1 for key in self._uses
-                   if key[-1] == shape and key not in self._builds)
+                   if key[-1] == shape and key not in self._built)
 
     @property
     def maps_held(self) -> int:
         """Maps built or kept for reuse and not yet dropped."""
-        return len(self._builds) + sum(map(len, self._spare.values()))
+        return len(self._built) + sum(map(len, self._spare.values()))
 
 
 def _camera_model(raw: RawImage, meta: RadiometricMetadata,
@@ -461,7 +381,8 @@ def _camera_model(raw: RawImage, meta: RadiometricMetadata,
             f"metadata bit depth {meta.bits_per_pixel} does not match image "
             f"bit depth {raw.bits_per_pixel}")
     if vignette is None:
-        vignette = _build_vignette(meta.vignette, raw.pixels.shape)
+        vignette = _build_vignette(meta.vignette,
+                                   np.empty(raw.pixels.shape))
     factors = row_factors(meta, raw.pixels.shape[0])
     if vignette.rows not in (None, _row_model(meta)):
         raise ValueError(f"the vignette map holds the row model "

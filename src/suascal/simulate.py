@@ -31,15 +31,17 @@ import math
 import os
 import pickle
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import BinaryIO, Callable, Optional, Sequence
 
 import numpy as np
 
 from . import datasets
-from .errors import CurveError, ManifestError, SuascalError
+from .errors import CurveError, ManifestError
 from .evaluate import ERROR_STATISTICS, error_statistics, write_csv
 from .jsonread import json_field, json_value, write_json
+from .parts import Parts, part_count, removed_on_error, send_outcome
 from .rsr import (SpectralCurve, band_weights, read_spectral_curve,
                   union_grid)
 from .solar import solar_zenith_deg
@@ -735,81 +737,31 @@ def _write_at(path: Path, offset: int, chunks: Sequence[bytes]) -> None:
         os.close(fd)
 
 
-def _fork_part(grid: SimulationGrid, path: Path,
-               inherited: Sequence[tuple[BinaryIO, int]]
-               ) -> tuple[int, BinaryIO, int]:
-    """Fork a child that runs :func:`run_maarr_grid` on ``grid``, writes
-    its ``errors.csv`` lines into ``path`` where it is told to, and exits.
-
-    The child sends down one pipe, each pickled: its table's ``(cells,
-    recovered, skipped)`` or the exception it raised, then the byte count
-    of its lines.  It then reads from the other pipe the pickled offset to
-    :func:`os.pwrite` them at, and answers with ``None`` or the
-    :class:`OSError` the write raised.  ``inherited`` are the parent's ends
-    of earlier parts' pipes, which the child closes.  Returns the child's
-    pid, the read end of its pipe and the write end of the other.
-    """
-    read, sink = os.pipe()
-    source, write = os.pipe()
-    # Fork, not spawn: a spawned child imports numpy and this package
-    # again, which takes longer than the part it would run.  The command
-    # starts no thread; OpenBLAS's pool has its own fork handlers.
-    pid = os.fork()
-    if pid:
-        os.close(sink)
-        os.close(source)
-        return pid, os.fdopen(read, "rb"), write
-    status = 1
+def _part(grid: SimulationGrid, path: Path, out: BinaryIO,
+          into: BinaryIO) -> None:
+    """A later part of :func:`run_study`, in its child: sends the table of
+    ``grid`` as ``(cells, recovered, skipped)`` or the exception raised,
+    then the byte count of its ``errors.csv`` lines; writes them into
+    ``path`` at the offset it is sent and answers ``None`` or the error."""
     try:
-        os.close(read)
-        os.close(write)
-        for reader, writer in inherited:
-            reader.close()
-            os.close(writer)
-        with os.fdopen(sink, "wb") as out, os.fdopen(source, "rb") as into:
-            try:
-                table = run_maarr_grid(grid)
-            except BaseException as exc:
-                pickle.dump(exc, out)
-            else:
-                pickle.dump((table.cells, table.recovered, table.skipped),
-                            out)
-                # The parent waits on the result, not on the formatting.
-                out.flush()
-                chunks = list(_error_lines(table))
-                pickle.dump(sum(map(len, chunks)), out)
-                out.flush()
-                try:
-                    _write_at(path, pickle.load(into), chunks)
-                except OSError as exc:
-                    pickle.dump(exc, out)
-                else:
-                    pickle.dump(None, out)
-        status = 0
-    finally:
-        # Nothing of the parent's (atexit hooks, stdio buffers) runs here.
-        os._exit(status)
-
-
-def _message(reader: BinaryIO, part: int, parts: int, missing: str):
-    """The next pickled message of a part's child; raises the exception it
-    sent, or a :class:`SuascalError` if it ended first."""
-    try:
-        message = pickle.load(reader)
-    except (EOFError, pickle.UnpicklingError):
-        raise SuascalError(f"simulation part {part} of {parts} "
-                           f"{missing}") from None
-    if isinstance(message, BaseException):
-        raise message
-    return message
+        table = run_maarr_grid(grid)
+    except BaseException as exc:
+        pickle.dump(exc, out)
+        return
+    pickle.dump((table.cells, table.recovered, table.skipped), out)
+    # The parent waits on the result, not on the formatting.
+    out.flush()
+    chunks = list(_error_lines(table))
+    pickle.dump(sum(map(len, chunks)), out)
+    out.flush()
+    send_outcome(lambda: _write_at(path, pickle.load(into), chunks), out)
 
 
 def run_study(grid: SimulationGrid, workers: int, out: Path
               ) -> SimulationTable:
-    """Run ``grid``'s sweep in up to ``workers`` processes, each on a
-    contiguous run of its atmospheres, as even as can be with the shorter
-    runs first: one part per worker, or per atmosphere if there are fewer,
-    and one part where :func:`os.fork` does not exist; write the study's
+    """Run ``grid``'s sweep in :func:`~suascal.parts.part_count` parts for
+    ``workers`` and its atmospheres, each a contiguous run of them, as even
+    as can be with the shorter runs first; write the study's
     :data:`STUDY_FILES` into ``out``, the one writer of those files.
 
     This process runs part 1; a child forked for each later part runs it,
@@ -826,29 +778,27 @@ def run_study(grid: SimulationGrid, workers: int, out: Path
     A part's error is raised once every part before it has run, so it is
     the error one process would raise; a child's write error is raised as
     its :class:`OSError`, and a child that ends before an answer as a
-    :class:`SuascalError`.  Any error or interrupt kills the children still
-    running and, once ``errors.csv`` is opened, removes every study file in
-    ``out``, new or old; every child is reaped before this returns or raises.
+    :class:`~suascal.errors.SuascalError`.  Any error or interrupt kills
+    and reaps the children still running and, once ``errors.csv`` is
+    opened, removes every study file in ``out``, new or old.
     """
     # Loaded once here, not once in every child.
     datasets.bundled_rsr_set()
     if grid.exo_irradiance is None:
         datasets.bundled_solar_spectrum()
     n = len(grid.atmospheres)
-    parts = min(workers, n) if hasattr(os, "fork") else 1
+    parts = part_count(workers, n)
     grids = [replace(grid, atmospheres=grid.atmospheres[
         k * n // parts:(k + 1) * n // parts]) for k in range(parts)]
-    children: dict[int, tuple[BinaryIO, int]] = {}
-    try:
+    later = range(2, parts + 1)
+    with removed_on_error() as study, \
+            Parts("simulation part", parts) as children:
         for part in grids[1:]:
-            pid, reader, writer = _fork_part(part, out / "errors.csv",
-                                             list(children.values()))
-            children[pid] = reader, writer
+            children.fork(partial(_part, part, out / "errors.csv"))
         first = run_maarr_grid(grids[0])
         results = [(first.cells, first.recovered, first.skipped)]
-        results += [_message(reader, part, parts,
-                             "ended without sending its result")
-                    for part, (reader, _) in enumerate(children.values(), 2)]
+        results += [children.receive(part, "ended without sending its "
+                                     "result") for part in later]
         offsets = itertools.accumulate(
             (part.cell_count for part in grids), initial=0)
         cells, recovered, skipped = zip(*results)
@@ -858,55 +808,34 @@ def run_study(grid: SimulationGrid, workers: int, out: Path
             recovered=np.concatenate(recovered),
             skipped=tuple(itertools.chain(*skipped)))
         out.mkdir(parents=True, exist_ok=True)
-        try:
-            with (out / "errors.csv").open("wb") as fh:
-                fh.write(_HEADER)
-                fh.writelines(_error_lines(first))
-                offset = fh.tell()
-            # Taken while the later parts format their rows.
-            kept = summary_rows(table, grid.summary_exclude_altitudes_km)
-            summaries = {"summary_band.csv": (
-                ["band_index", *ERROR_STATISTICS],
-                [[band] + [repr(stats[name]) for name in ERROR_STATISTICS]
-                 for band, stats in band_statistics(kept).items()])}
-            for attribute in (*CELL_FIELDS, "target"):
-                summaries[f"summary_{attribute}.csv"] = (
-                    [attribute, "mean_absolute_error"],
-                    [[key, repr(value)] for key, value in
-                     grouped_absolute_error(table, attribute).items()])
-            ends = list(enumerate(children.values(), 2))
-            for part, (reader, writer) in ends:
-                size = _message(reader, part, parts, _CUT_SHORT)
-                try:
-                    os.write(writer, pickle.dumps(offset))
-                except BrokenPipeError:
-                    pass  # The child has ended; reading its answer says so.
-                offset += size
-            for part, (reader, _) in ends:
-                _message(reader, part, parts, _CUT_SHORT)
-            for name, (header, rows) in summaries.items():
-                write_csv(out / name, header, rows)
-            write_json(out / "simulate_log.json", {
-                "cells": grid.cell_count, "ran": len(table.cells),
-                "skipped": [dict(zip(CELL_FIELDS, cell), reason=reason)
-                            for cell, reason in table.skipped]})
-        except BaseException:
-            for name in STUDY_FILES:
-                (out / name).unlink(missing_ok=True)
-            raise
-    except BaseException:
-        if children:
-            import signal
-            for pid in children:
-                os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        # A child blocked on a pipe ends once this process's end is closed.
-        for reader, writer in children.values():
-            reader.close()
-            os.close(writer)
-        for pid in children:
-            os.waitpid(pid, 0)
+        study += [out / name for name in STUDY_FILES]
+        with (out / "errors.csv").open("wb") as fh:
+            fh.write(_HEADER)
+            fh.writelines(_error_lines(first))
+            offset = fh.tell()
+        # Taken while the later parts format their rows.
+        kept = summary_rows(table, grid.summary_exclude_altitudes_km)
+        summaries = {"summary_band.csv": (
+            ["band_index", *ERROR_STATISTICS],
+            [[band] + [repr(stats[name]) for name in ERROR_STATISTICS]
+             for band, stats in band_statistics(kept).items()])}
+        for attribute in (*CELL_FIELDS, "target"):
+            summaries[f"summary_{attribute}.csv"] = (
+                [attribute, "mean_absolute_error"],
+                [[key, repr(value)] for key, value in
+                 grouped_absolute_error(table, attribute).items()])
+        for part in later:
+            size = children.receive(part, _CUT_SHORT)
+            children.send(part, offset)
+            offset += size
+        for part in later:
+            children.receive(part, _CUT_SHORT)
+        for name, (header, rows) in summaries.items():
+            write_csv(out / name, header, rows)
+        write_json(out / "simulate_log.json", {
+            "cells": grid.cell_count, "ran": len(table.cells),
+            "skipped": [dict(zip(CELL_FIELDS, cell), reason=reason)
+                        for cell, reason in table.skipped]})
     return table
 
 

@@ -10,19 +10,23 @@ irradiance is ``pi`` times the radiance a perfect diffuser would see.
 
 It also holds the JSON strategies the input-validation properties mutate
 documents with, the writers and inverses that only tests need (raw PGM
-frames, sample CSVs, PGM export counts and radiance back to counts), and
-:func:`workers`, which pins the worker count of every command.
+frames, sample CSVs, PGM export counts and radiance back to counts),
+:func:`workers`, which pins the worker count of every command, and what
+tests of forked parts need: :class:`ForkLog` and :func:`no_child_left`.
 """
 
 import contextlib
 import copy
 import csv
 import json
+import os
+import pickle
 from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 from suascal import cli
@@ -50,13 +54,53 @@ def write_pgm16(path, pixels: np.ndarray) -> None:
 
 
 def workers(n: int | None):
-    """A context manager under which ``convert`` and ``reflect`` run their
-    band pass on ``n`` threads and ``simulate`` splits its sweep for ``n``
-    processes, whatever CPUs the process may use; ``None`` leaves the count
-    to the CPU set.  It uses no fixture, so it works inside ``@given``."""
+    """A context manager under which ``convert``, ``reflect`` and
+    ``simulate`` split their work for ``n`` processes, whatever CPUs the
+    process may use; ``None`` leaves the count to the CPU set.  It uses no
+    fixture, so it works inside ``@given``."""
     if n is None:
         return contextlib.nullcontext()
     return mock.patch.object(cli, "_workers", lambda: n)
+
+
+def no_child_left() -> None:
+    """Assert that this process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class ForkLog:
+    """Items noted by this process and by the children it forks, each as
+    ``(pid, item)`` in the order noted.  Each note is one append to the
+    file ``path``, so no child's note is lost."""
+
+    def __init__(self, path):
+        self.path = Path(path)
+        self.clear()
+
+    def clear(self) -> None:
+        self.path.write_bytes(b"")
+
+    def note(self, item) -> None:
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
+        try:
+            os.write(fd, pickle.dumps((os.getpid(), item)))
+        finally:
+            os.close(fd)
+
+    def notes(self) -> list:
+        notes = []
+        with self.path.open("rb") as handle:
+            while handle.peek(1):
+                notes.append(pickle.load(handle))
+        return notes
+
+    def by_process(self) -> dict:
+        """The items noted by each process, keyed by its pid."""
+        items: dict[int, list] = {}
+        for pid, item in self.notes():
+            items.setdefault(pid, []).append(item)
+        return items
 
 
 def write_samples(path, samples) -> None:

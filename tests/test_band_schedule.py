@@ -1,16 +1,17 @@
-"""The band-major imagery schedule and its per-run vignette map store.
+"""The band-major imagery schedule, its parts and its vignette map store.
 
 ``convert`` and ``reflect`` run one task per (image, band), ordered so
 that the frames of one band and lens model run back to back; ``reflect``
 runs each band's calibration panel means ahead of that band's planes.
-Each map is built once, on its first use, and dropped after its last;
-per-image results, errors and files must not depend on that order or on
-the thread count.
+The tasks run as contiguous parts, one per worker, each in its own
+process.  In each part a map is built once, on its first use, and dropped
+after its last; per-image results, errors and files must not depend on
+that order or on the part count.
 """
 
+import errno
 import json
-import sys
-import threading
+import os
 from types import SimpleNamespace
 
 import pytest
@@ -55,52 +56,72 @@ def two_lens_flight(root):
 
 
 @pytest.fixture
-def counted(monkeypatch):
-    """Every vignette map built, as (lens model, shape), and every store
-    made."""
-    builds, stores = [], []
+def counted(monkeypatch, tmp_path):
+    """Every vignette map built in any part, as (lens model, shape), and
+    the maps and planned uses each part's store holds after each of its
+    calls, as ``(maps_held, uses)``."""
+    builds = helpers.ForkLog(tmp_path / "builds.log")
+    held = helpers.ForkLog(tmp_path / "held.log")
+    build = radiance_module._build_vignette
 
-    class CountedBuild(radiance_module._VignetteBuild):
-        def __init__(self, model, k, rows=None):
-            builds.append((model.center_x, model.center_y,
-                           model.coefficients.tobytes(), k.shape))
-            super().__init__(model, k, rows)
+    def counted_build(model, k, rows=None):
+        builds.note((model.center_x, model.center_y,
+                     model.coefficients.tobytes(), k.shape))
+        return build(model, k, rows)
 
-    class RecordedStore(radiance_module.VignetteStore):
-        def __init__(self):
-            super().__init__()
-            stores.append(self)
+    class NotedStore(radiance_module.VignetteStore):
+        def vignette(self, key, shape):
+            try:
+                return super().vignette(key, shape)
+            finally:
+                held.note((self.maps_held, len(self._uses)))
 
-    monkeypatch.setattr(radiance_module, "_VignetteBuild", CountedBuild)
-    monkeypatch.setattr(cli, "VignetteStore", RecordedStore)
-    return builds, stores
+        def release(self, key):
+            super().release(key)
+            held.note((self.maps_held, len(self._uses)))
+
+    monkeypatch.setattr(radiance_module, "_build_vignette", counted_build)
+    monkeypatch.setattr(cli, "VignetteStore", NotedStore)
+    return SimpleNamespace(builds=builds, held=held)
+
+
+def each_part_dropped_every_map(counted) -> bool:
+    """Whether each part's store ended holding no map and no use."""
+    return all(notes[-1] == (0, 0)
+               for notes in counted.held.by_process().values())
 
 
 class TestTwoLensFlight:
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_each_map_is_built_once_and_dropped(self, tmp_path, counted,
                                                 command):
-        builds, stores = counted
         argv, _ = COMMANDS[command]
         manifest = two_lens_flight(tmp_path / "flight")
         trees = []
         for i, workers in enumerate((None, 1, 3)):
-            builds.clear()
+            counted.builds.clear()
+            counted.held.clear()
             out = tmp_path / str(i)
             with helpers.workers(workers):
                 assert main(argv + ["--manifest", str(manifest),
                                     "--out", str(out)]) == 0
-            assert len(builds) == 10
+            parts = counted.builds.by_process()
+            assert len(parts) == (workers or cli._workers())
+            # Each part builds each of its maps once; a part boundary can
+            # split the run of one map between two parts.
+            builds = [build for _, build in counted.builds.notes()]
             assert len(set(builds)) == 10
-            assert stores[-1].maps_held == 0
+            assert all(len(set(part)) == len(part)
+                       for part in parts.values())
+            assert len(builds) <= 10 + len(parts) - 1
+            assert each_part_dropped_every_map(counted)
             trees.append({p.name: p.read_bytes() for p in out.iterdir()})
-        assert len(stores) == 3
         assert all(tree == trees[0] for tree in trees[1:])
 
 
 class TestFirstFaultInManifestOrder:
     """An image with two faulty bands reports the one first in manifest
-    order, whichever fault its thread meets first."""
+    order, whichever fault its part meets first."""
 
     UNDECODABLE = "not a binary PGM (magic b'P6', expected b'P5')"
     BAD_VIGNETTE = ("vignette polynomial k=-77.6003 is not positive at "
@@ -124,7 +145,7 @@ class TestFirstFaultInManifestOrder:
         expected = (self.UNDECODABLE if undecodable < bad_vignette
                     else self.BAD_VIGNETTE)
         out = tmp_path / "out"
-        for workers in (1, 2, 3):
+        for workers in (1, 2, 3, 4):
             with helpers.workers(workers):
                 assert main(argv + ["--manifest", str(manifest), "--out",
                                     str(out)]) == 2
@@ -150,32 +171,35 @@ class TestCalibrationFitFirst:
         (manifest.parent / "field_2_b3.pgm").write_bytes(b"P5\n2 2\n")
         edit_manifest(manifest,
                       lambda raw: image(raw, "field_2").update(timestamp=4999))
-        out = tmp_path / "out"
-        assert main(["reflect", "--manifest", str(manifest), "--out",
-                     str(out), "--method", "elm2",
-                     "--selection", "time"]) == 2
-        report = json.loads((out / "reflectance_report.json").read_text())
-        degenerate = ("calibration image cal_b: bright panel is not brighter "
-                      "than the dark panel in every band")
-        assert report["failures"] == {"cal_b": degenerate,
-                                      "field_2": degenerate}
-        assert sorted(report["images"]) == ["cal_a", "field_1"]
-        assert not list(out.glob("cal_b_*")) + list(out.glob("field_2_*"))
+        for workers in (1, 2, 3, 4):
+            out = tmp_path / str(workers)
+            with helpers.workers(workers):
+                assert main(["reflect", "--manifest", str(manifest), "--out",
+                             str(out), "--method", "elm2",
+                             "--selection", "time"]) == 2
+            report = json.loads((out / "reflectance_report.json").read_text())
+            degenerate = ("calibration image cal_b: bright panel is not "
+                          "brighter than the dark panel in every band")
+            assert report["failures"] == {"cal_b": degenerate,
+                                          "field_2": degenerate}
+            assert sorted(report["images"]) == ["cal_a", "field_1"]
+            assert not list(out.glob("cal_b_*")) + list(out.glob("field_2_*"))
 
 
 class TestStoreAfterFailures:
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_failed_and_skipped_bands_give_their_maps_back(
             self, tmp_path, counted, command):
-        _, stores = counted
         argv, _ = COMMANDS[command]
         manifest = helpers.build_flight(tmp_path / "flight", field_images=2)
         for band in (1, 3):
             (manifest.parent / f"field_1_b{band}.pgm").unlink()
-        assert main(argv + ["--manifest", str(manifest),
-                            "--out", str(tmp_path / "out")]) == 2
-        assert stores[-1].maps_held == 0
-        assert not stores[-1]._uses
+        for workers in (1, 3):
+            counted.held.clear()
+            with helpers.workers(workers):
+                assert main(argv + ["--manifest", str(manifest),
+                                    "--out", str(tmp_path / "out")]) == 2
+            assert each_part_dropped_every_map(counted)
 
 
 class TestHeldRowFactors:
@@ -187,39 +211,47 @@ class TestHeldRowFactors:
     def test_rejected_row_model_fails_its_image_only(self, tmp_path,
                                                       monkeypatch, counted,
                                                       command):
-        builds, _ = counted
         argv, report_name = COMMANDS[command]
-        manifest = helpers.build_flight(tmp_path / "flight", field_images=2)
-        held = []
+        held = helpers.ForkLog(tmp_path / "rows.log")
         vignette = radiance_module.VignetteStore.vignette
 
         def noted(store, key, shape):
             got = vignette(store, key, shape)
-            held.append(got.rows is not None)
+            held.note(got.rows is not None)
             return got
 
         monkeypatch.setattr(radiance_module.VignetteStore, "vignette", noted)
-        clean = tmp_path / "clean"
-        assert main(argv + ["--manifest", str(manifest),
-                            "--out", str(clean)]) == 0
-        assert held and all(held)
-        edit_manifest(manifest, lambda raw: image(raw, "field_1")[
-            "bands"][1]["metadata"].update(a3=-0.05))
-        held.clear()
-        out = tmp_path / "out"
-        assert main(argv + ["--manifest", str(manifest),
-                            "--out", str(out)]) == 2
-        assert held and not any(held)
-        assert len(builds) == 2
-        report = json.loads((out / report_name).read_text())
-        assert report["failures"] == {
-            "field_1": "row correction denominator -1.35 is not positive "
-                       "at row 47"}
-        planes = sorted(p.name for p in out.glob("*.f32"))
-        assert planes == sorted(p.name for p in clean.glob("*.f32")
-                                if not p.name.startswith("field_1_"))
-        assert all((out / name).read_bytes() == (clean / name).read_bytes()
-                   for name in planes)
+        for workers in (1, 3):
+            root = tmp_path / str(workers)
+            manifest = helpers.build_flight(root / "flight", field_images=2)
+            counted.builds.clear()
+            held.clear()
+            clean = root / "clean"
+            with helpers.workers(workers):
+                assert main(argv + ["--manifest", str(manifest),
+                                    "--out", str(clean)]) == 0
+            rows = [row for _, row in held.notes()]
+            assert rows and all(rows)
+            edit_manifest(manifest, lambda raw: image(raw, "field_1")[
+                "bands"][1]["metadata"].update(a3=-0.05))
+            held.clear()
+            out = root / "out"
+            with helpers.workers(workers):
+                assert main(argv + ["--manifest", str(manifest),
+                                    "--out", str(out)]) == 2
+            rows = [row for _, row in held.notes()]
+            assert rows and not any(rows)
+            # One lens model: each part of each run builds its one map.
+            assert len(counted.builds.notes()) == 2 * workers
+            report = json.loads((out / report_name).read_text())
+            assert report["failures"] == {
+                "field_1": "row correction denominator -1.35 is not "
+                           "positive at row 47"}
+            planes = sorted(p.name for p in out.glob("*.f32"))
+            assert planes == sorted(p.name for p in clean.glob("*.f32")
+                                    if not p.name.startswith("field_1_"))
+            assert all((out / name).read_bytes()
+                       == (clean / name).read_bytes() for name in planes)
 
 
 class TestSkipRule:
@@ -232,7 +264,8 @@ class TestSkipRule:
         meta = radiance_module.RadiometricMetadata(
             a1=1.0, a2=0.0, a3=0.0, gain=1, exposure_us=1.0,
             dark_level=0.0, vignette=lens, bits_per_pixel=16)
-        tasks = [cli._BandTask(0, position, None,
+        tasks = [cli._BandTask(0, position,
+                               SimpleNamespace(band_index=position + 1),
                                store.plan(lens, (2, 2), meta))
                  for position in (3, 1, 4, 0, 2)]
         ran = []
@@ -248,7 +281,7 @@ class TestSkipRule:
             cli._image_pass(entries, tasks, store, work)
         assert raised.value.args == (1,)
         assert ran == [3, 1, 0]
-        outcomes = {task.position: task.outcome.result() for task in tasks}
+        outcomes = {task.position: task.outcome for task in tasks}
         assert [type(outcomes[p]).__name__ for p in range(5)] == [
             "int", "ValueError", "NoneType", "ValueError", "NoneType"]
         assert store.maps_held == 0
@@ -272,63 +305,36 @@ def lens_per_band_flight(root):
     return manifest
 
 
-@pytest.fixture
-def peak_maps(monkeypatch):
-    """The stores made, each noting its most maps held after any call.
-
-    A map is built or dropped only inside :meth:`vignette` and
-    :meth:`release`, so on one thread the note is the exact high-water
-    mark; with more, another thread may drop a map before it is taken, so
-    the note may miss a peak but never exceeds one.
-    """
-    stores = []
-
-    class PeakStore(radiance_module.VignetteStore):
-        def __init__(self):
-            super().__init__()
-            self.peak = 0
-            stores.append(self)
-
-        def note(self):
-            with self._lock:
-                self.peak = max(self.peak, self.maps_held)
-
-        def vignette(self, key, shape):
-            vignette = super().vignette(key, shape)
-            self.note()
-            return vignette
-
-        def release(self, key):
-            super().release(key)
-            self.note()
-
-    monkeypatch.setattr(cli, "VignetteStore", PeakStore)
-    return stores
-
-
 class TestFusedCalibration:
     """``reflect --method elm1|elm2`` runs each band's panel means, then
-    that band's planes, in one pass over one store."""
+    that band's planes, in one pass over one store per part; a part that
+    starts inside a band runs that band's panel means first."""
 
     @pytest.mark.parametrize("method", ["elm1", "elm2"])
     def test_maps_live_per_band_and_are_built_once(self, tmp_path, counted,
-                                                   peak_maps, method):
-        builds, _ = counted
+                                                   method):
         manifest = lens_per_band_flight(tmp_path / "flight")
         trees = []
         for i, workers in enumerate((None, 1, 3)):
-            builds.clear()
+            counted.builds.clear()
+            counted.held.clear()
             out = tmp_path / str(i)
             with helpers.workers(workers):
                 assert main(["reflect", "--method", method, "--manifest",
                              str(manifest), "--out", str(out)]) == 0
-            assert len(builds) == len(set(builds)) == 5
-            store = peak_maps[-1]
+            parts = counted.builds.by_process()
+            assert len(parts) == (workers or cli._workers())
+            assert all(len(set(part)) == len(part)
+                       for part in parts.values())
+            builds = [build for _, build in counted.builds.notes()]
+            assert len(set(builds)) == 5
+            assert len(builds) <= 5 + len(parts) - 1
             # A map is held from its band's first task to its last, and
-            # only the band after the running tasks can add one: n threads
-            # hold at most n + 1 maps, one thread at most two.
-            assert 1 <= store.peak <= (workers or cli._workers()) + 1
-            assert store.maps_held == 0 and not store._uses
+            # its storage waits for the next map of its shape: each part
+            # holds at most two at once.
+            for notes in counted.held.by_process().values():
+                assert 1 <= max(held for held, _ in notes) <= 2
+            assert each_part_dropped_every_map(counted)
             trees.append({p.name: p.read_bytes() for p in out.iterdir()})
         assert all(tree == trees[0] for tree in trees[1:])
 
@@ -337,7 +343,7 @@ class TestFusedCalibration:
         manifest = lens_per_band_flight(tmp_path / "flight")
         bad = manifest.parent / "cal_b_b5.pgm"
         bad.write_bytes(b"P6\n")
-        for workers in (1, 2, 3):
+        for workers in (1, 2, 3, 4):
             out = tmp_path / str(workers)
             with helpers.workers(workers):
                 assert main(["reflect", "--method", "elm2", "--manifest",
@@ -350,10 +356,11 @@ class TestFusedCalibration:
     def test_band_lines_are_the_fits_bit_for_bit(self, tmp_path,
                                                  monkeypatch):
         manifest = lens_per_band_flight(tmp_path / "flight")
-        lines, models = [], []
+        noted = helpers.ForkLog(tmp_path / "lines.log")
+        models = []
 
         def line_map(slope, bias):
-            lines.append((slope.hex(), bias.hex()))
+            noted.note((slope.hex(), bias.hex()))
             return reflectance_module.line_map(slope, bias)
 
         def fit_elm_2pt(cal):
@@ -362,62 +369,29 @@ class TestFusedCalibration:
 
         monkeypatch.setattr(cli, "line_map", line_map)
         monkeypatch.setattr(cli, "fit_elm_2pt", fit_elm_2pt)
-        assert main(["reflect", "--method", "elm2", "--manifest",
-                     str(manifest), "--out", str(tmp_path / "out")]) == 0
-        # Every band of five images, each image's fit once.
-        assert len(lines) == 25 and len(models) == 5
-        assert {model.source_image for model in models} == {"cal_a", "cal_b"}
-        assert set(lines) == {
-            (model.slope[k].hex(), model.bias[k].hex())
-            for model in models for k in range(5)}
-
-
-class TestFusedPassUnderContention:
-    """Image tasks wait for other threads' panel means; with more threads
-    than cores and a thread switch every microsecond, no wait may hang and
-    no outcome may be lost."""
-
-    @staticmethod
-    def run_bounded(argv, workers):
-        codes = []
-        worker = threading.Thread(target=lambda: codes.append(main(argv)),
-                                  daemon=True)
-        with helpers.workers(workers):
-            worker.start()
-            worker.join(timeout=120)
-        assert not worker.is_alive(), "reflect did not finish"
-        return codes[0]
-
-    def test_outputs_and_errors_match_one_thread(self, tmp_path):
-        manifest = lens_per_band_flight(tmp_path / "flight")
-        faulty = lens_per_band_flight(tmp_path / "faulty")
-        (faulty.parent / "cal_a_b3.pgm").write_bytes(b"P6\n")
-        argv = ["reflect", "--method", "elm2", "--manifest", str(manifest)]
-        assert self.run_bounded(argv + ["--out", str(tmp_path / "ref")],
-                                1) == 0
-        expected = {p.name: p.read_bytes()
-                    for p in (tmp_path / "ref").iterdir()}
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for i in range(3):
-                out = tmp_path / f"many{i}"
-                assert self.run_bounded(argv + ["--out", str(out)], 8) == 0
-                assert {p.name: p.read_bytes()
-                        for p in out.iterdir()} == expected
-                out = tmp_path / f"faulty{i}"
-                assert self.run_bounded([
-                    "reflect", "--method", "elm2", "--manifest",
-                    str(faulty), "--out", str(out)], 8) == 1
-                assert not list(out.iterdir())
-        finally:
-            sys.setswitchinterval(interval)
+        for workers in (1, 3):
+            noted.clear()
+            models.clear()
+            with helpers.workers(workers):
+                assert main(["reflect", "--method", "elm2", "--manifest",
+                             str(manifest), "--out",
+                             str(tmp_path / str(workers))]) == 0
+            lines = [line for _, line in noted.notes()]
+            # Every band of five images, in whichever part, and each
+            # image's fit once.
+            assert len(lines) == 25 and len(models) == 5
+            assert {model.source_image
+                    for model in models} == {"cal_a", "cal_b"}
+            assert set(lines) == {
+                (model.slope[k].hex(), model.bias[k].hex())
+                for model in models for k in range(5)}
 
 
 class TestInterrupted:
     """An interrupt in the band pass ends the run with exit 130 and one
-    line, once the running tasks are done and every file the pass wrote
-    is removed."""
+    line, once every part is killed and reaped and every file the run may
+    write is removed.  With several parts, each counts its own calls, so
+    every part meets the fault."""
 
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("command", [
@@ -429,17 +403,14 @@ class TestInterrupted:
         manifest = helpers.build_flight(tmp_path / "flight", field_images=2)
         stream_band = cli._stream_band
         calls = []
-        lock = threading.Lock()
 
         def interrupted(*args, **kwargs):
-            with lock:
-                calls.append(None)
-                if len(calls) == 4:
-                    raise KeyboardInterrupt
+            calls.append(None)
+            if len(calls) == 4:
+                raise KeyboardInterrupt
             return stream_band(*args, **kwargs)
 
         monkeypatch.setattr(cli, "_stream_band", interrupted)
-        before = set(threading.enumerate())
         out = tmp_path / "out"
         try:
             with helpers.workers(workers):
@@ -451,7 +422,7 @@ class TestInterrupted:
         assert code == 130
         assert capsys.readouterr().err == "error: interrupted\n"
         assert not list(out.iterdir())
-        assert set(threading.enumerate()) <= before
+        helpers.no_child_left()
 
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("error, code, line", [
@@ -469,13 +440,11 @@ class TestInterrupted:
         manifest = helpers.build_flight(tmp_path / "flight", field_images=2)
         stream_band = cli._stream_band
         calls = []
-        lock = threading.Lock()
 
         def failing(*args, **kwargs):
-            with lock:
-                calls.append(None)
-                if len(calls) == 4:
-                    raise error
+            calls.append(None)
+            if len(calls) == 4:
+                raise error
             return stream_band(*args, **kwargs)
 
         monkeypatch.setattr(cli, "_stream_band", failing)
@@ -497,3 +466,160 @@ class TestInterrupted:
         assert main(["convert", "--manifest", str(manifest),
                      "--out", str(tmp_path / "out")]) == 3
         assert capsys.readouterr().err == "error: out of memory\n"
+
+
+def fault(error, where="child"):
+    """A stand-in for :func:`cli._stream_band` that raises ``error`` in
+    every forked part (``where="child"``) or in this process only."""
+    stream_band, parent = cli._stream_band, os.getpid()
+
+    def faulty(*args, **kwargs):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise error
+        return stream_band(*args, **kwargs)
+
+    return faulty
+
+
+class TestBandPassParts:
+    """The band pass runs as contiguous parts, part 1 in this process and
+    each later one in a forked child.  Exit code, stderr and every file
+    are the same at any part count, and no child outlives the command."""
+
+    COMMANDS = {"convert": ["convert"],
+                "elm1": ["reflect", "--method", "elm1"],
+                "elm2": ["reflect", "--method", "elm2"],
+                "aarr-pgm": ["reflect", "--method", "aarr", "--write-pgm"]}
+
+    @staticmethod
+    def run(capsys, argv, manifest, out, workers):
+        """``main``'s exit code and stderr, and the files in ``out``."""
+        with helpers.workers(workers):
+            code = main(argv + ["--manifest", str(manifest),
+                                "--out", str(out)])
+        return code, capsys.readouterr().err, {
+            path.name: path.read_bytes() for path in out.iterdir()}
+
+    @staticmethod
+    def faulty_flight(root):
+        """:func:`lens_per_band_flight` with an undecodable band of field_2
+        and a lens of field_1 that is not positive over its frame."""
+        manifest = lens_per_band_flight(root)
+        (manifest.parent / "field_2_b3.pgm").write_bytes(b"P6\n")
+
+        def edit(raw):
+            band = image(raw, "field_1")["bands"][1]
+            band["metadata"]["vignette"]["coefficients"][0] = -1.0
+
+        edit_manifest(manifest, edit)
+        return manifest
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_outputs_do_not_depend_on_parts(self, tmp_path, capsys,
+                                            command):
+        argv = self.COMMANDS[command]
+        for name, flight, code in (("good", lens_per_band_flight, 0),
+                                   ("faulty", self.faulty_flight, 2)):
+            manifest = flight(tmp_path / name)
+            runs = [self.run(capsys, argv, manifest,
+                             tmp_path / f"{name}{workers}", workers)
+                    for workers in (1, 2, 3, 4)]
+            assert runs[0][0] == code
+            assert all(run == runs[0] for run in runs[1:])
+
+    def test_without_fork_one_process_runs_the_pass(self, tmp_path, capsys,
+                                                    monkeypatch):
+        argv = self.COMMANDS["elm2"]
+        manifest = self.faulty_flight(tmp_path / "flight")
+        expected = self.run(capsys, argv, manifest, tmp_path / "one", 1)
+        monkeypatch.delattr(os, "fork")
+        assert self.run(capsys, argv, manifest, tmp_path / "four",
+                        4) == expected
+
+    @pytest.mark.parametrize("where", ["parent", "child"])
+    @pytest.mark.parametrize("error, code, line", [
+        (KeyboardInterrupt, 130, "error: interrupted\n"),
+        (MemoryError, 3, "error: out of memory\n"),
+        (OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), 1,
+         f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")],
+        ids=["interrupt", "memory", "os"])
+    @pytest.mark.parametrize("command", ["convert", "elm2"])
+    def test_error_in_one_part_leaves_no_file(self, tmp_path, monkeypatch,
+                                              capsys, command, error, code,
+                                              line, where):
+        manifest = helpers.build_flight(tmp_path / "flight", field_images=2)
+        monkeypatch.setattr(cli, "_stream_band", fault(error, where))
+        try:
+            assert self.run(capsys, self.COMMANDS[command], manifest,
+                            tmp_path / "out", 3) == (code, line, {})
+        except KeyboardInterrupt:
+            # Raised on, it would end the whole test session.
+            pytest.fail("KeyboardInterrupt escaped main")
+        helpers.no_child_left()
+
+    def test_child_gone_without_its_result(self, tmp_path, monkeypatch,
+                                           capsys):
+        manifest = helpers.build_flight(tmp_path / "flight", field_images=2)
+        parent = os.getpid()
+        stream_band = cli._stream_band
+
+        def gone(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(1)
+            return stream_band(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_stream_band", gone)
+        assert self.run(capsys, self.COMMANDS["elm2"], manifest,
+                        tmp_path / "out", 3) == (
+            1, "error: band pass part 2 of 3 ended without sending its "
+               "result\n", {})
+        helpers.no_child_left()
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_report_write_error_leaves_no_file(self, tmp_path, monkeypatch,
+                                               capsys, command, workers):
+        """A full disk under the report, in a fresh directory and in a
+        rerun over a finished run: no file of either run is left."""
+        manifest = helpers.build_flight(tmp_path / "flight", field_images=2)
+        argv, out = self.COMMANDS[command], tmp_path / "out"
+        assert self.run(capsys, argv, manifest, out, workers)[0] == 0
+        write_json = cli.write_json
+
+        def full(path, payload):
+            if path.parent == out:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            write_json(path, payload)
+
+        monkeypatch.setattr(cli, "write_json", full)
+        for rerun in (True, False):
+            if not rerun:
+                out.rmdir()
+            assert self.run(capsys, argv, manifest, out, workers) == (
+                1, f"error: [Errno {errno.ENOSPC}] "
+                   f"{os.strerror(errno.ENOSPC)}\n", {})
+
+
+class TestClampedPixels:
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_reflect_counts_what_convert_counts(self, tmp_path, workers):
+        manifest = helpers.build_flight(tmp_path / "flight", field_images=2)
+        # Above the background and dark panel counts, below the bright
+        # panel's: every pixel but the bright panel's 64 is clamped.
+        edit_manifest(manifest, lambda raw: image(raw, "field_1")["bands"][
+            1]["metadata"].update(dark_level=5000.0))
+        records = {}
+        for command, (argv, report_name) in COMMANDS.items():
+            out = tmp_path / command
+            with helpers.workers(workers):
+                assert main(argv + ["--manifest", str(manifest),
+                                    "--out", str(out)]) == 0
+            report = json.loads((out / report_name).read_text())
+            records[command] = {
+                (image_id, band): record["clamped_pixels"]
+                for image_id, entry in report["images"].items()
+                for band, record in entry["bands"].items()}
+        assert records["reflect"] == records["convert"]
+        assert records["convert"].pop(("field_1", "2")) == (
+            helpers.WIDTH * helpers.HEIGHT - 64)
+        assert not any(records["convert"].values())

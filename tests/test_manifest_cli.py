@@ -874,11 +874,6 @@ class TestSimulateCommand:
         assert named in capsys.readouterr().err
 
 
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.fixture(scope="module")
 def flat_spectrum(tmp_path_factory):
     path = tmp_path_factory.mktemp("spectrum") / "flat.csv"
@@ -939,7 +934,7 @@ class TestSimulateParts:
         assert code in (0, 2, 3)
         assert len(files) == 9
         assert all(run == runs[0] for run in runs[1:])
-        _no_child_left()
+        helpers.no_child_left()
 
     def test_without_fork_one_process_runs_the_sweep(self, tmp_path,
                                                      monkeypatch):
@@ -958,7 +953,7 @@ class TestSimulateParts:
         assert err == ("error: us-standard atmosphere, day 171, 16.0 h UTC: "
                        "radiance is not finite\n")
         assert files is None
-        _no_child_left()
+        helpers.no_child_left()
 
     @pytest.mark.parametrize("model", ["tropical", "us-standard"],
                              ids=["parent", "child"])
@@ -981,7 +976,7 @@ class TestSimulateParts:
         assert code == 130
         assert capfd.readouterr().err == "error: interrupted\n"
         assert not out.exists()
-        _no_child_left()
+        helpers.no_child_left()
 
     def test_child_gone_without_a_result(self, tmp_path, monkeypatch):
         sweep = simulate_module.run_maarr_grid
@@ -997,7 +992,7 @@ class TestSimulateParts:
         assert err == ("error: simulation part 2 of 2 ended without sending "
                        "its result\n")
         assert files is None
-        _no_child_left()
+        helpers.no_child_left()
 
     def test_child_gone_before_its_rows(self, tmp_path, monkeypatch):
         """A child that dies after its result leaves ``errors.csv`` cut
@@ -1015,7 +1010,7 @@ class TestSimulateParts:
         assert err == ("error: simulation part 2 of 3 ended before sending "
                        "all of its output\n")
         assert files == {}
-        _no_child_left()
+        helpers.no_child_left()
 
     def test_child_gone_before_writing_its_rows(self, tmp_path, monkeypatch):
         """A child that dies after sending its byte count, before it
@@ -1026,7 +1021,7 @@ class TestSimulateParts:
         assert err == ("error: simulation part 2 of 3 ended before sending "
                        "all of its output\n")
         assert files == {}
-        _no_child_left()
+        helpers.no_child_left()
 
     def test_child_write_error(self, tmp_path):
         """A full disk under a child's rows, in a fresh directory and in a
@@ -1044,7 +1039,7 @@ class TestSimulateParts:
             assert err == (f"error: [Errno {errno.ENOSPC}] "
                            f"{os.strerror(errno.ENOSPC)}\n")
             assert files == {}
-            _no_child_left()
+            helpers.no_child_left()
 
     def test_interrupt_while_summaries_are_written(self, tmp_path,
                                                    monkeypatch):
@@ -1066,7 +1061,7 @@ class TestSimulateParts:
         assert (code, err) == (130, "error: interrupted\n")
         assert len(opened) == 3
         assert files == {}
-        _no_child_left()
+        helpers.no_child_left()
 
 
 def _sweep(band_index, flat_ratio=False):
@@ -1205,6 +1200,67 @@ class TestRsrCommand:
             json.dumps(helpers.replace_node(_sweep(1), node, value)))
         assert main(["rsr", "--run-dir", str(run_dir),
                      "--out", str(run_dir / "out")]) in (0, 1)
+
+
+def no_space(*names):
+    """A context manager under which writing a file named one of
+    ``names`` raises ``ENOSPC``, once its writer has opened it."""
+    opened = Path.open
+
+    def full(path, mode="r", *args, **kwargs):
+        handle = opened(path, mode, *args, **kwargs)
+        if path.name in names and "w" in mode:
+            handle.close()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return handle
+
+    return mock.patch.object(Path, "open", full)
+
+
+class TestFailedWriteLeavesNothing:
+    """A command whose write fails exits 1 with one line and leaves none
+    of its files, new or left by an earlier run."""
+
+    LINE = f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+
+    def test_rsr(self, tmp_path, capsys):
+        run_dir, out = tmp_path / "run", tmp_path / "rsr"
+        for band in (1, 2, 3):
+            TestRsrCommand()._write_run(run_dir, band)
+        argv = ["rsr", "--run-dir", str(run_dir), "--out", str(out)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        with no_space("rsr_band_3.csv"):
+            assert main(argv) == 1
+        assert capsys.readouterr().err == self.LINE
+        assert not list(out.iterdir())
+
+    def test_ndvi(self, flight, tmp_path, capsys):
+        planes = tmp_path / "reflect"
+        assert main(["reflect", "--manifest", str(flight), "--out",
+                     str(planes), "--method", "aarr"]) == 0
+        out = tmp_path / "ndvi" / "n.f32"
+        argv = ["ndvi", "--red", str(planes / "field_1_b3.f32"),
+                "--nir", str(planes / "field_1_b5.f32"), "--out", str(out)]
+        assert main(argv) == 0
+        with no_space("n.f32.log.json"):
+            assert main(argv) == 1
+        assert capsys.readouterr().err == self.LINE
+        assert not list(out.parent.iterdir())
+
+    @pytest.mark.parametrize("group_by, layout", [
+        ("method", "overall_by_method.csv"),
+        ("band_index,method", "per_band_by_method.csv")])
+    def test_evaluate(self, tmp_path, capsys, group_by, layout):
+        samples, out = tmp_path / "samples.csv", tmp_path / "eval"
+        TestEvaluateCommand()._write_samples(samples)
+        argv = ["evaluate", "--samples", str(samples), "--out", str(out),
+                "--group-by", group_by]
+        assert main(argv) == 0
+        with no_space(layout):
+            assert main(argv) == 1
+        assert capsys.readouterr().err == self.LINE
+        assert not list(out.iterdir())
 
 
 class TestParserContract:

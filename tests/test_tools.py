@@ -10,6 +10,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import helpers
+
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 DATA = TOOLS.parent / "src" / "suascal" / "data"
 
@@ -159,3 +161,30 @@ class TestGenerateFixtures:
                         err_msg=path.name)
                 else:
                     assert have == want, (path.name, name)
+
+
+class TestPeakRss:
+    def test_command_and_largest_part(self, tmp_path, capsys):
+        peak_rss = load_tool("peak_rss")
+        manifest = helpers.build_flight(tmp_path / "flight", field_images=2)
+        runs = {}
+        for workers in (1, 2):
+            out = tmp_path / str(workers)
+            assert peak_rss.main(["--workers", str(workers), "--", "convert",
+                                  "--manifest", str(manifest),
+                                  "--out", str(out)]) == 0
+            runs[workers] = json.loads(capsys.readouterr().out)
+            assert len(list(out.iterdir())) == 31
+        assert runs[1]["exit"] == runs[2]["exit"] == 0
+        # numpy and the package take about 30 MB, the helper flight little
+        # more; the test run's own peak, whatever it is, is not carried in.
+        assert 20 < runs[1]["command_mb"] < 80
+        assert runs[1]["largest_part_mb"] == 0
+        assert 0 < runs[2]["largest_part_mb"] < 80
+
+    def test_exit_code_of_a_failed_command(self, tmp_path, capsys):
+        peak_rss = load_tool("peak_rss")
+        assert peak_rss.main(["convert", "--manifest",
+                              str(tmp_path / "missing.json"),
+                              "--out", str(tmp_path / "out")]) == 0
+        assert json.loads(capsys.readouterr().out)["exit"] == 1
