@@ -15,6 +15,7 @@ import argparse
 import itertools
 import math
 import os
+import re
 import sys
 from contextlib import ExitStack
 from dataclasses import dataclass, field
@@ -30,7 +31,7 @@ from .imageio import (pgm16_header, pgm16_shape, read_pgm16, read_plane,
                       rows_writer, sidecar_path, write_plane, write_sidecar)
 from .jsonread import json_field, read_json, write_json
 from .manifest import BandEntry, ImageEntry, load_manifest
-from .parts import Parts, part_count, removed_on_error, send_outcome
+from .parts import Parts, part_runs, removed_on_error, send_outcome
 from .radiance import (ROW_BLOCK, BandCounts, RawImage, Vignette,
                        VignetteStore, convert_band)
 from .reflectance import (SELECTION_MODES, CalibrationImage,
@@ -169,10 +170,10 @@ def _image_pass(entries, tasks: list[_BandTask], store: VignetteStore,
     the band's record.  ``errors`` holds the images that failed before
     their bands (position to exception).
 
-    The tasks run as :func:`~suascal.parts.part_count` parts for
-    :func:`_workers`, contiguous runs of ``tasks`` as even as can be: part
-    1 here, each later one in a forked child that sends back its tasks'
-    outcomes and written files.  A part runs its tasks in order, after the
+    The tasks run in the parts of :func:`~suascal.parts.part_runs` for
+    :func:`_workers`, contiguous runs of ``tasks``: part 1 here, each
+    later one in a forked child that sends back its tasks' outcomes and
+    written files.  A part runs its tasks in order, after the
     calibration tasks (images numbered on from ``len(entries)``) of every
     band it writes, so no part waits on another.  It skips a task once a
     band of its image before it has failed there, and the images in
@@ -191,9 +192,7 @@ def _image_pass(entries, tasks: list[_BandTask], store: VignetteStore,
     raised once the children are killed and reaped.
     """
     errors = dict(errors or {})
-    n = len(tasks)
-    parts = part_count(_workers(), n)
-    runs = [range(k * n // parts, (k + 1) * n // parts) for k in range(parts)]
+    runs = part_runs(_workers(), len(tasks))
 
     def run_part(run: range) -> list:
         """Run the part of ``run``; returns the outcome and the written
@@ -214,10 +213,9 @@ def _image_pass(entries, tasks: list[_BandTask], store: VignetteStore,
             store.release(task.key)
         return [(tasks[i].outcome, tasks[i].written) for i in run]
 
-    with Parts("band pass part", parts) as children:
+    with Parts("band pass part", len(runs)) as children:
         for run in runs[1:]:
-            children.fork(lambda out, _, run=run: send_outcome(
-                partial(run_part, run), out))
+            children.fork(partial(send_outcome, partial(run_part, run)))
         run_part(runs[0])
         for part, run in enumerate(runs[1:], 2):
             message = children.receive(part, "ended without sending its "
@@ -249,12 +247,16 @@ def _image_pass(entries, tasks: list[_BandTask], store: VignetteStore,
     return bands, failures
 
 
-def _read_band(store: VignetteStore, task: _BandTask):
-    """Decode a task's band-frame and take its vignette map, in that order,
-    so a frame's decode errors come ahead of its map's."""
+def _read_band(store: VignetteStore, task: _BandTask,
+               raw: RawImage | None = None):
+    """Decode a task's band-frame, unless ``raw`` is its decode, and take
+    its vignette map, in that order, so a frame's decode errors come ahead
+    of its map's."""
     band = task.band
-    raw = RawImage(band_index=band.band_index, pixels=read_pgm16(band.path),
-                   bits_per_pixel=band.metadata.bits_per_pixel)
+    if raw is None:
+        raw = RawImage(band_index=band.band_index,
+                       pixels=read_pgm16(band.path),
+                       bits_per_pixel=band.metadata.bits_per_pixel)
     return raw, store.vignette(task.key, raw.pixels.shape)
 
 
@@ -437,16 +439,26 @@ def cmd_reflect(args) -> int:
         except SuascalError as exc:
             errors[i] = exc
 
+    # A calibration frame's decode in this part, by (image id, band), kept
+    # for the image's own plane task; tasks run band-major, so the frames
+    # of the band before are dropped.
+    decoded: dict[tuple[str, int], RawImage] = {}
+    entries = (*images, *calibration)
+
     def write_band(task: _BandTask) -> dict | list[float]:
         band = task.band
-        raw, vignette = _read_band(store, task)
+        if any(index != band.band_index for _, index in decoded):
+            decoded.clear()
+        entry = entries[task.image]
+        key = entry.image_id, band.band_index
+        raw, vignette = _read_band(store, task, decoded.pop(key, None))
         if task.image >= len(images):
+            decoded[key] = raw
             # Only a calibration frame's per-band ROI means outlive it.
-            entry = calibration[task.image - len(images)]
             return panel_means(raw, band.metadata,
                                [p.roi for p in _placements(entry)], vignette)
         post_map = band_maps[task.image](band.band_index)
-        name = _plane_name(images[task.image].image_id, band.band_index)
+        name = _plane_name(entry.image_id, band.band_index)
         counts = _stream_band(
             raw, band.metadata, vignette, out / name, task.written,
             "reflectance", post_map,
@@ -583,6 +595,11 @@ def cmd_rsr(args) -> int:
     log: dict[str, dict] = {}
     with removed_on_error([out / "rsr_log.json",
                            *(out / name for name in names.values())]):
+        # An earlier run's curves of bands this run has no sweep of.
+        for path in out.glob("rsr_band_*.csv"):
+            if re.fullmatch(r"rsr_band_(0|-?[1-9][0-9]*)\.csv", path.name) \
+                    and path.name not in names.values():
+                path.unlink()
         for band, (response, degenerate) in curves.items():
             write_spectral_curve(out / names[band], response)
             log[str(band)] = {"degenerate": degenerate, "output": names[band]}

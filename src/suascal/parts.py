@@ -11,45 +11,45 @@ from typing import BinaryIO, Callable
 from .errors import SuascalError
 
 
-def part_count(workers: int, units: int) -> int:
-    """One part per worker, or per unit of work if there are fewer, and
-    one where :func:`os.fork` does not exist."""
-    return min(workers, units) if hasattr(os, "fork") else 1
+def part_runs(workers: int, units: int) -> list[range]:
+    """``range(units)`` cut into one contiguous run per part, as even as
+    can be with the shorter runs first: one part per worker, or per unit
+    if there are fewer, and one where :func:`os.fork` does not exist."""
+    parts = min(workers, units) if hasattr(os, "fork") else 1
+    return [range(k * units // parts, (k + 1) * units // parts)
+            for k in range(parts)]
 
 
 class Parts:
     """The children that run parts 2 to ``count`` of a run, each on one
-    thread, while this process runs part 1; they answer in pickled
-    messages.  An error or interrupt in the ``with`` block kills them, and
-    leaving it closes every pipe and reaps every child."""
+    thread, while this process runs part 1.  A child only sends: pickled
+    messages down its one pipe to this process.  An error or interrupt in
+    the ``with`` block kills them, and leaving it closes every pipe and
+    reaps every child."""
 
     def __init__(self, name: str, count: int):
         self.name, self.count = name, count
-        self._children: list[tuple[int, BinaryIO, int]] = []
+        self._children: list[tuple[int, BinaryIO]] = []
 
-    def fork(self, run: Callable[[BinaryIO, BinaryIO], None]) -> None:
-        """Fork the next part's child, which calls ``run(out, into)`` with
-        its ends of the pipes to and from this process, then exits."""
-        read, sink = os.pipe()
-        source, write = os.pipe()
+    def fork(self, run: Callable[[BinaryIO], None]) -> None:
+        """Fork the next part's child, which calls ``run(out)`` with its end
+        of the pipe to this process, then exits."""
+        read, write = os.pipe()
         # Fork, not spawn: a spawned child imports numpy and this package
         # again, which takes longer than the part it would run.  The
         # package starts no thread; OpenBLAS's pool has fork handlers.
         pid = os.fork()
         if pid:
-            os.close(sink)
-            os.close(source)
-            self._children.append((pid, os.fdopen(read, "rb"), write))
+            os.close(write)
+            self._children.append((pid, os.fdopen(read, "rb")))
             return
         status = 1
         try:
             os.close(read)
-            os.close(write)
-            for _, reader, writer in self._children:
+            for _, reader in self._children:
                 reader.close()
-                os.close(writer)
-            with os.fdopen(sink, "wb") as out, os.fdopen(source, "rb") as into:
-                run(out, into)
+            with os.fdopen(write, "wb") as out:
+                run(out)
             status = 0
         finally:
             # Nothing of the parent's (atexit hooks, stdio buffers) runs here.
@@ -68,28 +68,19 @@ class Parts:
             raise message
         return message
 
-    def send(self, part: int, message) -> None:
-        """Pickle ``message`` to ``part``'s child; if it has ended,
-        receiving its answer says so."""
-        try:
-            os.write(self._children[part - 2][2], pickle.dumps(message))
-        except BrokenPipeError:
-            pass
-
     def __enter__(self) -> Parts:
         return self
 
     def __exit__(self, kind, value, traceback) -> None:
         try:
             if kind is not None:
-                for pid, _, _ in self._children:
+                for pid, _ in self._children:
                     os.kill(pid, signal.SIGKILL)
         finally:
-            # A child blocked on a pipe ends once this end is closed.
-            for _, reader, writer in self._children:
+            # A child blocked on its pipe ends once this end is closed.
+            for _, reader in self._children:
                 reader.close()
-                os.close(writer)
-            for pid, _, _ in self._children:
+            for pid, _ in self._children:
                 os.waitpid(pid, 0)
 
 

@@ -28,7 +28,6 @@ import csv
 import io
 import itertools
 import math
-import os
 import pickle
 from dataclasses import dataclass, replace
 from functools import partial
@@ -41,7 +40,7 @@ from . import datasets
 from .errors import CurveError, ManifestError
 from .evaluate import ERROR_STATISTICS, error_statistics, write_csv
 from .jsonread import json_field, json_value, write_json
-from .parts import Parts, part_count, removed_on_error, send_outcome
+from .parts import Parts, part_runs, removed_on_error, send_outcome
 from .rsr import (SpectralCurve, band_weights, read_spectral_curve,
                   union_grid)
 from .solar import solar_zenith_deg
@@ -720,29 +719,14 @@ def _error_lines(table: SimulationTable):
                % tuple(values[start:start + step].ravel().tolist())).encode()
 
 
-#: How a child that ended before an answer the parent waits for is named.
+#: How a child that ended before its rows is named.
 _CUT_SHORT = "ended before sending all of its output"
 
 
-def _write_at(path: Path, offset: int, chunks: Sequence[bytes]) -> None:
-    """Write ``chunks`` into the existing file ``path`` from ``offset`` on."""
-    fd = os.open(path, os.O_WRONLY)
-    try:
-        for chunk in chunks:
-            view = memoryview(chunk)
-            while view:
-                written = os.pwrite(fd, view, offset)
-                view, offset = view[written:], offset + written
-    finally:
-        os.close(fd)
-
-
-def _part(grid: SimulationGrid, path: Path, out: BinaryIO,
-          into: BinaryIO) -> None:
+def _part(grid: SimulationGrid, out: BinaryIO) -> None:
     """A later part of :func:`run_study`, in its child: sends the table of
     ``grid`` as ``(cells, recovered, skipped)`` or the exception raised,
-    then the byte count of its ``errors.csv`` lines; writes them into
-    ``path`` at the offset it is sent and answers ``None`` or the error."""
+    then its ``errors.csv`` lines as one list of encoded chunks."""
     try:
         table = run_maarr_grid(grid)
     except BaseException as exc:
@@ -751,50 +735,43 @@ def _part(grid: SimulationGrid, path: Path, out: BinaryIO,
     pickle.dump((table.cells, table.recovered, table.skipped), out)
     # The parent waits on the result, not on the formatting.
     out.flush()
-    chunks = list(_error_lines(table))
-    pickle.dump(sum(map(len, chunks)), out)
-    out.flush()
-    send_outcome(lambda: _write_at(path, pickle.load(into), chunks), out)
+    send_outcome(lambda: list(_error_lines(table)), out)
 
 
 def run_study(grid: SimulationGrid, workers: int, out: Path
               ) -> SimulationTable:
-    """Run ``grid``'s sweep in :func:`~suascal.parts.part_count` parts for
-    ``workers`` and its atmospheres, each a contiguous run of them, as even
-    as can be with the shorter runs first; write the study's
-    :data:`STUDY_FILES` into ``out``, the one writer of those files.
+    """Run ``grid``'s sweep in the parts of :func:`~suascal.parts.part_runs`
+    for ``workers`` and its atmospheres, each a contiguous run of them;
+    write the study's :data:`STUDY_FILES` into ``out``, the one writer of
+    those files.
 
     This process runs part 1; a child forked for each later part runs it,
-    sends back its table, and formats its own lines while this process goes
-    on.  Once every part has run, this process creates ``out``, writes the
-    header and part 1's lines of ``errors.csv``, and summarizes the table
-    joined from the parts' (equal to ``run_maarr_grid(grid)`` up to the
-    order of each band sum).  Then each child in part order is told the
-    offset that follows the header and the lines of the parts before it,
-    and writes its own lines there with :func:`os.pwrite`; once all have
-    answered, this process writes the summaries and the log and returns
-    the table.  No child's lines pass through this process.
+    sends back its table, then formats its lines of ``errors.csv`` and
+    sends them too.  Once every part has run, this process creates
+    ``out`` and summarizes the table joined from the parts' (equal to
+    ``run_maarr_grid(grid)`` up to the order of each band sum) while the
+    children format.  It writes the header and part 1's lines of
+    ``errors.csv``, then each child's lines in part order as they come,
+    then the summaries and the log, and returns the table.  A child opens
+    no file.
 
     A part's error is raised once every part before it has run, so it is
-    the error one process would raise; a child's write error is raised as
-    its :class:`OSError`, and a child that ends before an answer as a
-    :class:`~suascal.errors.SuascalError`.  Any error or interrupt kills
-    and reaps the children still running and, once ``errors.csv`` is
-    opened, removes every study file in ``out``, new or old.
+    the error one process would raise; a child that ends before its rows
+    is raised as a :class:`~suascal.errors.SuascalError`.  Any error or
+    interrupt kills and reaps the children still running and, once
+    ``out`` is created, removes every study file in ``out``, new or old.
     """
     # Loaded once here, not once in every child.
     datasets.bundled_rsr_set()
     if grid.exo_irradiance is None:
         datasets.bundled_solar_spectrum()
-    n = len(grid.atmospheres)
-    parts = part_count(workers, n)
-    grids = [replace(grid, atmospheres=grid.atmospheres[
-        k * n // parts:(k + 1) * n // parts]) for k in range(parts)]
-    later = range(2, parts + 1)
+    grids = [replace(grid, atmospheres=grid.atmospheres[run.start:run.stop])
+             for run in part_runs(workers, len(grid.atmospheres))]
+    later = range(2, len(grids) + 1)
     with removed_on_error() as study, \
-            Parts("simulation part", parts) as children:
+            Parts("simulation part", len(grids)) as children:
         for part in grids[1:]:
-            children.fork(partial(_part, part, out / "errors.csv"))
+            children.fork(partial(_part, part))
         first = run_maarr_grid(grids[0])
         results = [(first.cells, first.recovered, first.skipped)]
         results += [children.receive(part, "ended without sending its "
@@ -809,11 +786,6 @@ def run_study(grid: SimulationGrid, workers: int, out: Path
             skipped=tuple(itertools.chain(*skipped)))
         out.mkdir(parents=True, exist_ok=True)
         study += [out / name for name in STUDY_FILES]
-        with (out / "errors.csv").open("wb") as fh:
-            fh.write(_HEADER)
-            fh.writelines(_error_lines(first))
-            offset = fh.tell()
-        # Taken while the later parts format their rows.
         kept = summary_rows(table, grid.summary_exclude_altitudes_km)
         summaries = {"summary_band.csv": (
             ["band_index", *ERROR_STATISTICS],
@@ -824,12 +796,11 @@ def run_study(grid: SimulationGrid, workers: int, out: Path
                 [attribute, "mean_absolute_error"],
                 [[key, repr(value)] for key, value in
                  grouped_absolute_error(table, attribute).items()])
-        for part in later:
-            size = children.receive(part, _CUT_SHORT)
-            children.send(part, offset)
-            offset += size
-        for part in later:
-            children.receive(part, _CUT_SHORT)
+        with (out / "errors.csv").open("wb") as fh:
+            fh.write(_HEADER)
+            fh.writelines(_error_lines(first))
+            for part in later:
+                fh.writelines(children.receive(part, _CUT_SHORT))
         for name, (header, rows) in summaries.items():
             write_csv(out / name, header, rows)
         write_json(out / "simulate_log.json", {

@@ -12,6 +12,7 @@ that order or on the part count.
 import errno
 import json
 import os
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -21,6 +22,7 @@ from suascal import cli
 from suascal import radiance as radiance_module
 from suascal import reflectance as reflectance_module
 from suascal.cli import main
+from suascal.manifest import load_manifest
 
 COMMANDS = {"convert": (["convert"], "conversion_log.json"),
             "reflect": (["reflect", "--method", "elm2"],
@@ -385,6 +387,43 @@ class TestFusedCalibration:
             assert set(lines) == {
                 (model.slope[k].hex(), model.bias[k].hex())
                 for model in models for k in range(5)}
+
+    @pytest.mark.parametrize("method", ["elm1", "elm2"])
+    def test_a_part_decodes_each_frame_once(self, tmp_path, monkeypatch,
+                                            method):
+        """A calibration frame decoded for its panel means serves its own
+        plane in the same part: one worker decodes each band-frame once,
+        three decode every frame and none twice in one part, and the
+        planes are the same."""
+        manifest = lens_per_band_flight(tmp_path / "flight")
+        frames = sorted(band.path.name for entry in
+                        load_manifest(manifest).images
+                        for band in entry.bands)
+        decodes = helpers.ForkLog(tmp_path / "decodes.log")
+        read = cli.read_pgm16
+
+        def noted(path):
+            decodes.note(Path(path).name)
+            return read(path)
+
+        monkeypatch.setattr(cli, "read_pgm16", noted)
+        trees = []
+        for workers in (1, 3):
+            decodes.clear()
+            out = tmp_path / str(workers)
+            with helpers.workers(workers):
+                assert main(["reflect", "--method", method, "--manifest",
+                             str(manifest), "--out", str(out)]) == 0
+            parts = decodes.by_process().values()
+            assert len(parts) == workers
+            assert all(len(set(names)) == len(names) for names in parts)
+            names = [name for _, name in decodes.notes()]
+            if workers == 1:
+                assert sorted(names) == frames
+            else:
+                assert set(names) == set(frames)
+            trees.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert trees[0] == trees[1]
 
 
 class TestInterrupted:

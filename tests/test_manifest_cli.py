@@ -1,5 +1,6 @@
 """Manifest loading and the command-line workflows built on top of it."""
 
+import builtins
 import contextlib
 import csv
 import errno
@@ -1012,27 +1013,29 @@ class TestSimulateParts:
         assert files == {}
         helpers.no_child_left()
 
-    def test_child_gone_before_writing_its_rows(self, tmp_path, monkeypatch):
-        """A child that dies after sending its byte count, before it
-        writes: ``errors.csv`` is removed and no summary is written."""
-        monkeypatch.setattr(os, "pwrite", lambda *args: os._exit(1))
-        code, err, files = self._run(tmp_path, self.GRID, 3)
-        assert code == 1
-        assert err == ("error: simulation part 2 of 3 ended before sending "
-                       "all of its output\n")
-        assert files == {}
-        helpers.no_child_left()
-
     def test_child_write_error(self, tmp_path):
-        """A full disk under a child's rows, in a fresh directory and in a
-        rerun over a finished study: no file of either run is left."""
-        def full(*args):
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        """A full disk under a child's rows, as this process writes them,
+        in a fresh directory and in a rerun over a finished study: no file
+        of either run is left."""
+        real_open = Path.open
+
+        class FullDisk(io.BufferedWriter):
+            """Full from the rows of the last atmosphere, a child's."""
+
+            def write(self, data):
+                if b"us-standard" in data:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return super().write(data)
+
+        def opened(path, mode="r", *args, **kwargs):
+            if path.name == "errors.csv" and mode == "wb":
+                return FullDisk(io.FileIO(path, mode))
+            return real_open(path, mode, *args, **kwargs)
 
         for parts, rerun in ((3, False), (2, True)):
             if rerun:
                 assert self._run(tmp_path, self.GRID, parts)[0] == 0
-            with mock.patch.object(os, "pwrite", full):
+            with mock.patch.object(Path, "open", opened):
                 code, err, files = self._run(tmp_path, self.GRID, parts,
                                              rerun)
             assert code == 1
@@ -1040,6 +1043,24 @@ class TestSimulateParts:
                            f"{os.strerror(errno.ENOSPC)}\n")
             assert files == {}
             helpers.no_child_left()
+
+    def test_children_open_no_file(self, tmp_path, monkeypatch):
+        """A child that opens a file by name ends there; the run's bytes
+        are those of one process."""
+        expected = self._run(tmp_path, self.GRID, 1)
+        parent = os.getpid()
+
+        def guarded(real):
+            def call(file, *args, **kwargs):
+                if os.getpid() != parent and not isinstance(file, int):
+                    os._exit(1)
+                return real(file, *args, **kwargs)
+            return call
+
+        for module in (builtins, io, os):
+            monkeypatch.setattr(module, "open", guarded(module.open))
+        assert self._run(tmp_path, self.GRID, 3) == expected
+        helpers.no_child_left()
 
     def test_interrupt_while_summaries_are_written(self, tmp_path,
                                                    monkeypatch):
@@ -1124,6 +1145,26 @@ class TestRsrCommand:
             f"error: {run_dir / 'band_3.json'}: 'samples'[5] must be "
             "[wavelength_nm, mean_counts, power_w], got 2 values\n")
         assert not out.exists()
+
+    def test_rerun_with_fewer_sweeps_drops_the_old_curves(self, tmp_path):
+        """A two-sweep rerun over a three-sweep run's output leaves only
+        the curves its log lists, and no file that is not a curve."""
+        run_dir, out = tmp_path / "run", tmp_path / "rsr"
+        for band in (1, 2, 3):
+            self._write_run(run_dir, band)
+        argv = ["rsr", "--run-dir", str(run_dir), "--out", str(out)]
+        assert main(argv) == 0
+        first = (out / "rsr_band_1.csv").read_bytes()
+        for name in ("rsr_band_07.csv", "rsr_band_x.csv", "notes.txt"):
+            (out / name).write_text("kept")
+        (run_dir / "band_3.json").unlink()
+        assert main(argv) == 0
+        log = json.loads((out / "rsr_log.json").read_text())
+        assert sorted(log["bands"]) == ["1", "2"]
+        assert sorted(path.name for path in out.iterdir()) == [
+            "notes.txt", "rsr_band_07.csv", "rsr_band_1.csv",
+            "rsr_band_2.csv", "rsr_band_x.csv", "rsr_log.json"]
+        assert (out / "rsr_band_1.csv").read_bytes() == first
 
     def test_empty_run_dir_is_usage_error(self, tmp_path):
         (tmp_path / "run").mkdir()

@@ -4,6 +4,7 @@ import csv
 import importlib.util
 import json
 import shutil
+import subprocess
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -125,6 +126,33 @@ class TestBenchPairs:
         lines = capsys.readouterr().out.splitlines()
         assert [line.rsplit(": ", 1)[1] for line in lines] == [
             "same", expected, "same"]
+
+    @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+    def test_json_names_each_side_commit(self, bench_pairs, tmp_path,
+                                         monkeypatch):
+        trees = {name: checkout(tmp_path / name)
+                 for name in ("parent", "change")}
+        git = ["git", "-c", "user.name=bench", "-c", "user.email=bench@test"]
+        for argv in (["init", "-q"], ["add", "-A"],
+                     ["commit", "-q", "-m", "change"]):
+            subprocess.run(git + argv, cwd=trees["change"], check=True)
+        head = subprocess.run(["git", "rev-parse", "HEAD"],
+                              cwd=trees["change"], capture_output=True,
+                              text=True, check=True).stdout.strip()
+
+        def run_once(tree, workload, seconds):
+            return {"correct": True, "failed": 0, "metrics": {
+                name: {"value": 1.0}
+                for name in ("setup_s", "ops_per_s", "peak_rss_mb")}}
+
+        monkeypatch.setattr(bench_pairs, "run_once", run_once)
+        out = tmp_path / "bench.json"
+        assert bench_pairs.main(["--parent", str(trees["parent"]),
+                                 "--change", str(trees["change"]),
+                                 "--workload", "sim_grid", "--pairs", "1",
+                                 "--json-out", str(out)]) == 0
+        assert json.loads(out.read_text())["commits"] == {
+            "parent": None, "change": head}
 
 
 def read_columns(path: Path) -> tuple[list[str], list[tuple[str, ...]]]:

@@ -15,7 +15,7 @@ For each end-to-end metric that ``BENCHMARK.json`` declares, it prints
 both sides' medians and quartiles, the pairs the change won, that is
 where its value is strictly better in the metric's direction, and the
 verdict of :func:`verdict`.  ``--json-out`` writes the same numbers, with
-every run's value, as one JSON object.  A run that is not ``correct`` or
+every run's value and each checkout's commit, as one JSON object.  A run that is not ``correct`` or
 fails operations is reported and stops the comparison with exit 1.
 
 Compiled bytecode left in one checkout would let that side skip
@@ -69,6 +69,17 @@ def run_once(tree: Path, workload: str, seconds: int) -> dict:
     if not result["correct"] or result["failed"]:
         raise RuntimeError(f"{tree}: {workload} not correct: {lines[-1]}")
     return result
+
+
+def head_commit(tree: Path) -> str | None:
+    """``git rev-parse HEAD`` in ``tree``, or ``None`` outside a git
+    checkout."""
+    try:
+        done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tree,
+                              capture_output=True, text=True, check=False)
+    except OSError:
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
 
 
 def spread(values: list[float]) -> dict:
@@ -171,6 +182,8 @@ def main(argv=None) -> int:
                   f"{row['verdict']}")
     if args.json_out is not None:
         payload = {"seed": SEED, "seconds": seconds, "pairs": args.pairs,
+                   "commits": {"parent": head_commit(args.parent),
+                               "change": head_commit(args.change)},
                    "host": {"cpus": len(os.sched_getaffinity(0))
                             if hasattr(os, "sched_getaffinity")
                             else os.cpu_count(),
