@@ -786,6 +786,7 @@ def run_study(grid: SimulationGrid, workers: int, out: Path
             skipped=tuple(itertools.chain(*skipped)))
         out.mkdir(parents=True, exist_ok=True)
         study += [out / name for name in STUDY_FILES]
+        # Taken while the later parts format their rows.
         kept = summary_rows(table, grid.summary_exclude_altitudes_km)
         summaries = {"summary_band.csv": (
             ["band_index", *ERROR_STATISTICS],
