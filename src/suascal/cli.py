@@ -18,7 +18,7 @@ import os
 import re
 import sys
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -32,8 +32,8 @@ from .imageio import (pgm16_header, pgm16_shape, read_pgm16, read_plane,
 from .jsonread import json_field, read_json, write_json
 from .manifest import BandEntry, ImageEntry, load_manifest
 from .parts import Parts, part_runs, removed_on_error, send_outcome
-from .radiance import (ROW_BLOCK, BandCounts, RawImage, Vignette,
-                       VignetteStore, convert_band)
+from .radiance import (ROW_BLOCK, RawImage, Vignette, VignetteStore,
+                       convert_band)
 from .reflectance import (SELECTION_MODES, CalibrationImage,
                           PanelObservation, ReflectanceImage, aarr_map,
                           elm_line, fit_elm_1pt, fit_elm_2pt, line_map,
@@ -63,28 +63,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _plane_name(image_id: str, band_index: int) -> str:
-    return f"{image_id}_b{band_index}.f32"
+def _stream_band(task: _BandTask, raw: RawImage, vignette: Vignette,
+                 units: str, post_map=None,
+                 pgm_scale: float | None = None) -> dict:
+    """Convert a task's band-frame block by block into its float32 plane
+    and, with ``pgm_scale``, into its 16-bit PGM of the scaled plane; the
+    sidecar follows the last block.
 
-
-def _stream_band(raw: RawImage, meta, vignette: Vignette, path: Path,
-                 written: list[Path], units: str, post_map=None,
-                 pgm_scale: float | None = None) -> BandCounts:
-    """Convert one band-frame block by block into the float32 plane at
-    ``path`` and, with ``pgm_scale``, into a 16-bit PGM of the scaled
-    plane beside it; the sidecar follows the last block.
-
-    Each path goes on ``written`` before it is opened.
+    Returns the band's record: the plane's name and the pixels clamped and
+    saturated, and with a ``post_map`` the share out of [0, 1].
     """
     height, width = raw.pixels.shape
-    written += [path, sidecar_path(path)]
+    path = task.files[0]
     with ExitStack() as files:
         plane = rows_writer(files.enter_context(path.open("wb")), "<f4")
         sink = plane
         if pgm_scale is not None:
-            pgm_path = path.with_suffix(".pgm")
-            written.append(pgm_path)
-            handle = files.enter_context(pgm_path.open("wb"))
+            handle = files.enter_context(task.files[2].open("wb"))
             handle.write(pgm16_header(width, height))
             pgm = rows_writer(handle, ">u2")
             scratch = np.empty((min(ROW_BLOCK, height), width))
@@ -93,9 +88,14 @@ def _stream_band(raw: RawImage, meta, vignette: Vignette, path: Path,
                 plane(block)
                 pgm(pgm_counts(block, pgm_scale, out=scratch[:len(block)]))
 
-        counts = convert_band(raw, meta, sink, post_map, vignette=vignette)
+        counts = convert_band(raw, task.band.metadata, sink, post_map,
+                              vignette=vignette)
     write_sidecar(path, (height, width), raw.band_index, units)
-    return counts
+    record = {"path": path.name, "clamped_pixels": counts.clamped,
+              "saturated_pixels": counts.saturated}
+    if post_map is not None:
+        record["out_of_range_fraction"] = counts.out_of_range_fraction
+    return record
 
 
 def _batch_exit(ok: int, failed: int) -> int:
@@ -116,7 +116,8 @@ def _workers() -> int:
 
 @dataclass
 class _BandTask:
-    """One band-frame of one image, holding one use of its vignette map."""
+    """One band-frame of one image, holding one use of its vignette map
+    and naming the files it writes."""
 
     #: Position of the image in the list it was planned from.
     image: int
@@ -125,17 +126,21 @@ class _BandTask:
     band: BandEntry
     #: The :class:`VignetteStore` key of the band's map.
     key: tuple
-    #: Files written for the band, removed if its image fails.
-    written: list[Path] = field(default_factory=list)
+    #: The band's plane, its sidecar and, with PGMs, its PGM; none for a
+    #: calibration frame's panel means.  Removed if its image fails,
+    #: whichever run wrote them.
+    files: tuple[Path, ...] = ()
     #: Its record or the exception it raised; ``None`` if it did not run.
     outcome: object = None
 
 
-def _plan_bands(store: VignetteStore, entries,
-                calibration=()) -> list[_BandTask]:
+def _plan_bands(store: VignetteStore, out: Path, entries, calibration=(),
+                pgm: bool = False) -> list[_BandTask]:
     """One task per band-frame of ``entries`` and of ``calibration``, whose
     images are numbered on from ``len(entries)``, each counted in
-    ``store``.
+    ``store``.  Each band of ``entries`` writes its files into ``out``,
+    its PGM too with ``pgm``; a :class:`ManifestError` names the first
+    that is a band-frame of either, before any is opened.
 
     The tasks run band-major: for each band the calibration frames first,
     then the others, and within each the frames of one lens model back to
@@ -147,21 +152,22 @@ def _plan_bands(store: VignetteStore, entries,
             key = store.plan(band.metadata.vignette, pgm16_shape(band.path),
                              band.metadata)
             first.setdefault((band.band_index, key), len(first))
-            tasks.append(_BandTask(i, j, band, key))
+            files = ()
+            if i < len(entries):
+                plane = out / f"{entry.image_id}_b{band.band_index}.f32"
+                files = (plane, sidecar_path(plane),
+                         plane.with_suffix(".pgm"))[:3 if pgm else 2]
+            tasks.append(_BandTask(i, j, band, key, files))
+    frames = {os.path.realpath(task.band.path) for task in tasks
+              if "\0" not in str(task.band.path)}
+    for task in tasks:
+        for path in task.files:
+            if os.path.realpath(path) in frames:
+                raise ManifestError(f"{path}: an output of this run would "
+                                    "overwrite this band-frame")
     return sorted(tasks, key=lambda task: (
         task.band.band_index, task.image < len(entries),
         first[task.band.band_index, task.key]))
-
-
-def _pass_files(out: Path, entries, pgm: bool = False) -> list[Path]:
-    """Every file a band pass over ``entries`` may write into ``out``."""
-    files = []
-    for entry in entries:
-        for band in entry.bands:
-            plane = out / _plane_name(entry.image_id, band.band_index)
-            files += [plane, sidecar_path(plane)]
-            files += [plane.with_suffix(".pgm")] if pgm else []
-    return files
 
 
 def _image_pass(entries, tasks: list[_BandTask], store: VignetteStore,
@@ -172,13 +178,13 @@ def _image_pass(entries, tasks: list[_BandTask], store: VignetteStore,
 
     The tasks run in the parts of :func:`~suascal.parts.part_runs` for
     :func:`_workers`, contiguous runs of ``tasks``: part 1 here, each
-    later one in a forked child that sends back its tasks' outcomes and
-    written files.  A part runs its tasks in order, after the
-    calibration tasks (images numbered on from ``len(entries)``) of every
-    band it writes, so no part waits on another.  It skips a task once a
-    band of its image before it has failed there, and the images in
-    ``errors`` run none: only an image's first failure in manifest order
-    is reported.  Every task gives back its map use, run or not.
+    later one in a forked child that sends back its tasks' outcomes.  A
+    part runs its tasks in order, after the calibration tasks (images
+    numbered on from ``len(entries)``) of every band it writes, so no part
+    waits on another.  It skips a task once a band of its image before it
+    has failed there, and the images in ``errors`` run none: only an
+    image's first failure in manifest order is reported.  Every task gives
+    back its map use, run or not.
 
     ``settle()``, if given, runs once every part is done.  It returns more
     images that fail ahead of their bands, as ``errors`` holds them, or
@@ -186,17 +192,18 @@ def _image_pass(entries, tasks: list[_BandTask], store: VignetteStore,
 
     Returns ``(bands, failures)`` keyed by image id: each good image's band
     records by band index, each failed image's first error in manifest
-    order.  A failed image's files are removed, so it leaves none.  An
-    error that is not a :class:`SuascalError` (the first in manifest order)
-    is raised once every part is done; an interrupt or error in a part is
-    raised once the children are killed and reaped.
+    order.  A failed image's ``files`` are removed, whichever run wrote
+    them, so it leaves none, new or old.  An error that is not a
+    :class:`SuascalError` (the first in manifest order) is raised once
+    every part is done; an interrupt or error in a part is raised once the
+    children are killed and reaped.
     """
     errors = dict(errors or {})
     runs = part_runs(_workers(), len(tasks))
 
     def run_part(run: range) -> list:
-        """Run the part of ``run``; returns the outcome and the written
-        files of each of its tasks."""
+        """Run the part of ``run``; returns the outcome of each of its
+        tasks."""
         bands = {tasks[i].band.band_index for i in run
                  if tasks[i].image < len(entries)}
         failed = dict.fromkeys(errors, -1)
@@ -211,7 +218,7 @@ def _image_pass(entries, tasks: list[_BandTask], store: VignetteStore,
                     task.outcome = exc
                     failed[task.image] = task.position
             store.release(task.key)
-        return [(tasks[i].outcome, tasks[i].written) for i in run]
+        return [tasks[i].outcome for i in run]
 
     with Parts("band pass part", len(runs)) as children:
         for run in runs[1:]:
@@ -220,8 +227,8 @@ def _image_pass(entries, tasks: list[_BandTask], store: VignetteStore,
         for part, run in enumerate(runs[1:], 2):
             message = children.receive(part, "ended without sending its "
                                        "result")
-            for i, (outcome, written) in zip(run, message):
-                tasks[i].outcome, tasks[i].written = outcome, written
+            for i, outcome in zip(run, message):
+                tasks[i].outcome = outcome
     for task in sorted(tasks, key=lambda task: task.position):
         if isinstance(task.outcome, Exception):
             errors.setdefault(task.image, task.outcome)
@@ -233,7 +240,7 @@ def _image_pass(entries, tasks: list[_BandTask], store: VignetteStore,
         raise fatal[0]
     for task in tasks:
         if task.image in errors:
-            for path in task.written:
+            for path in task.files:
                 path.unlink(missing_ok=True)
     outcomes = {(task.image, task.position): task.outcome for task in tasks}
     bands: dict[str, dict] = {}
@@ -247,16 +254,12 @@ def _image_pass(entries, tasks: list[_BandTask], store: VignetteStore,
     return bands, failures
 
 
-def _read_band(store: VignetteStore, task: _BandTask,
-               raw: RawImage | None = None):
-    """Decode a task's band-frame, unless ``raw`` is its decode, and take
-    its vignette map, in that order, so a frame's decode errors come ahead
-    of its map's."""
+def _read_band(store: VignetteStore, task: _BandTask):
+    """Decode a task's band-frame and take its vignette map, in that order,
+    so a frame's decode errors come ahead of its map's."""
     band = task.band
-    if raw is None:
-        raw = RawImage(band_index=band.band_index,
-                       pixels=read_pgm16(band.path),
-                       bits_per_pixel=band.metadata.bits_per_pixel)
+    raw = RawImage(band_index=band.band_index, pixels=read_pgm16(band.path),
+                   bits_per_pixel=band.metadata.bits_per_pixel)
     return raw, store.vignette(task.key, raw.pixels.shape)
 
 
@@ -270,19 +273,14 @@ def cmd_convert(args) -> int:
         write_json(out / "conversion_log.json", {"images": {}, "failures": {}})
         return EXIT_OK
     store = VignetteStore()
-    tasks = _plan_bands(store, manifest.images)
+    tasks = _plan_bands(store, out, manifest.images)
 
     def write_band(task: _BandTask) -> dict:
-        raw, vignette = _read_band(store, task)
-        name = _plane_name(manifest.images[task.image].image_id,
-                           task.band.band_index)
-        counts = _stream_band(raw, task.band.metadata, vignette, out / name,
-                              task.written, RADIANCE_UNITS)
-        return {"path": name, "clamped_pixels": counts.clamped,
-                "saturated_pixels": counts.saturated}
+        return _stream_band(task, *_read_band(store, task), RADIANCE_UNITS)
 
     report = out / "conversion_log.json"
-    with removed_on_error([*_pass_files(out, manifest.images), report]):
+    with removed_on_error([*(path for task in tasks for path in task.files),
+                           report]):
         bands, failures = _image_pass(manifest.images, tasks, store,
                                       write_band)
         log = {image_id: {"bands": records}
@@ -368,7 +366,7 @@ def cmd_reflect(args) -> int:
     # One band-major pass: each band's panel means (calibration tasks,
     # numbered on from the images), then its planes.
     store = VignetteStore()
-    tasks = _plan_bands(store, images, calibration)
+    tasks = _plan_bands(store, out, images, calibration, args.write_pgm)
     means_tasks = {(task.image - len(images), task.band.band_index): task
                    for task in tasks if task.image >= len(images)}
 
@@ -439,33 +437,17 @@ def cmd_reflect(args) -> int:
         except SuascalError as exc:
             errors[i] = exc
 
-    # A calibration frame's decode in this part, by (image id, band), kept
-    # for the image's own plane task; tasks run band-major, so the frames
-    # of the band before are dropped.
-    decoded: dict[tuple[str, int], RawImage] = {}
-    entries = (*images, *calibration)
-
     def write_band(task: _BandTask) -> dict | list[float]:
         band = task.band
-        if any(index != band.band_index for _, index in decoded):
-            decoded.clear()
-        entry = entries[task.image]
-        key = entry.image_id, band.band_index
-        raw, vignette = _read_band(store, task, decoded.pop(key, None))
+        raw, vignette = _read_band(store, task)
         if task.image >= len(images):
-            decoded[key] = raw
             # Only a calibration frame's per-band ROI means outlive it.
-            return panel_means(raw, band.metadata,
-                               [p.roi for p in _placements(entry)], vignette)
-        post_map = band_maps[task.image](band.band_index)
-        name = _plane_name(entry.image_id, band.band_index)
-        counts = _stream_band(
-            raw, band.metadata, vignette, out / name, task.written,
-            "reflectance", post_map,
-            args.pgm_scale if args.write_pgm else None)
-        return {"path": name, "clamped_pixels": counts.clamped,
-                "out_of_range_fraction": counts.out_of_range_fraction,
-                "saturated_pixels": counts.saturated}
+            rois = [p.roi for p in
+                    _placements(calibration[task.image - len(images)])]
+            return panel_means(raw, band.metadata, rois, vignette)
+        return _stream_band(task, raw, vignette, "reflectance",
+                            band_maps[task.image](band.band_index),
+                            args.pgm_scale if args.write_pgm else None)
 
     def settle() -> dict:
         """The calibration images, or their first error; then each image's
@@ -481,7 +463,7 @@ def cmd_reflect(args) -> int:
         return fit_errors
 
     report = out / "reflectance_report.json"
-    with removed_on_error([*_pass_files(out, images, args.write_pgm),
+    with removed_on_error([*(path for task in tasks for path in task.files),
                            report]):
         bands, failures = _image_pass(images, tasks, store, write_band,
                                       errors, settle if calibration else None)

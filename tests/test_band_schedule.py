@@ -12,7 +12,6 @@ that order or on the part count.
 import errno
 import json
 import os
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -22,7 +21,6 @@ from suascal import cli
 from suascal import radiance as radiance_module
 from suascal import reflectance as reflectance_module
 from suascal.cli import main
-from suascal.manifest import load_manifest
 
 COMMANDS = {"convert": (["convert"], "conversion_log.json"),
             "reflect": (["reflect", "--method", "elm2"],
@@ -388,43 +386,6 @@ class TestFusedCalibration:
                 (model.slope[k].hex(), model.bias[k].hex())
                 for model in models for k in range(5)}
 
-    @pytest.mark.parametrize("method", ["elm1", "elm2"])
-    def test_a_part_decodes_each_frame_once(self, tmp_path, monkeypatch,
-                                            method):
-        """A calibration frame decoded for its panel means serves its own
-        plane in the same part: one worker decodes each band-frame once,
-        three decode every frame and none twice in one part, and the
-        planes are the same."""
-        manifest = lens_per_band_flight(tmp_path / "flight")
-        frames = sorted(band.path.name for entry in
-                        load_manifest(manifest).images
-                        for band in entry.bands)
-        decodes = helpers.ForkLog(tmp_path / "decodes.log")
-        read = cli.read_pgm16
-
-        def noted(path):
-            decodes.note(Path(path).name)
-            return read(path)
-
-        monkeypatch.setattr(cli, "read_pgm16", noted)
-        trees = []
-        for workers in (1, 3):
-            decodes.clear()
-            out = tmp_path / str(workers)
-            with helpers.workers(workers):
-                assert main(["reflect", "--method", method, "--manifest",
-                             str(manifest), "--out", str(out)]) == 0
-            parts = decodes.by_process().values()
-            assert len(parts) == workers
-            assert all(len(set(names)) == len(names) for names in parts)
-            names = [name for _, name in decodes.notes()]
-            if workers == 1:
-                assert sorted(names) == frames
-            else:
-                assert set(names) == set(frames)
-            trees.append({p.name: p.read_bytes() for p in out.iterdir()})
-        assert trees[0] == trees[1]
-
 
 class TestInterrupted:
     """An interrupt in the band pass ends the run with exit 130 and one
@@ -637,6 +598,60 @@ class TestBandPassParts:
             assert self.run(capsys, argv, manifest, out, workers) == (
                 1, f"error: [Errno {errno.ENOSPC}] "
                    f"{os.strerror(errno.ENOSPC)}\n", {})
+
+
+
+class TestPlannedFiles:
+    """Each band names its own files when the pass is planned: a failed
+    image's files go, whichever run wrote them, and no file may be a
+    band-frame of the manifest."""
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("command", [["convert"],
+                                         ["reflect", "--method", "elm2"]],
+                             ids=["convert", "elm2"])
+    def test_failed_image_leaves_no_earlier_file(self, tmp_path, capsys,
+                                                 command, workers):
+        manifest = helpers.build_flight(tmp_path / "flight", field_images=2)
+        out = tmp_path / "out"
+        argv = [command[0], "--manifest", str(manifest), "--out", str(out),
+                *command[1:]]
+        with helpers.workers(workers):
+            assert main(argv) == 0
+            assert len(list(out.glob("field_2_*"))) == 10
+            (manifest.parent / "field_2_b3.pgm").write_bytes(b"P6\n")
+            assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: image field_2: ")
+        assert not list(out.glob("field_2_*"))
+        assert len(list(out.glob("field_1_*"))) == 10
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("linked", [False, True],
+                             ids=["same-folder", "symlink"])
+    def test_pgm_export_never_overwrites_a_frame(self, tmp_path, capsys,
+                                                 workers, linked):
+        """``--out`` is the flight folder, or holds a link to a frame
+        under the name of a planned PGM: the run stops before it opens
+        any file."""
+        manifest = helpers.build_flight(tmp_path / "flight", field_images=2)
+        flight = manifest.parent
+        out, clash = flight, flight / "cal_a_b1.pgm"
+        if linked:
+            out = tmp_path / "out"
+            out.mkdir()
+            clash = out / "field_1_b4.pgm"
+            clash.symlink_to(flight / "cal_a_b1.pgm")
+        before = {path: path.read_bytes() for path in flight.iterdir()}
+        with helpers.workers(workers):
+            assert main(["reflect", "--method", "aarr", "--write-pgm",
+                         "--manifest", str(manifest),
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {clash}: an output of this run would overwrite this "
+            "band-frame\n")
+        assert {path: path.read_bytes()
+                for path in flight.iterdir()} == before
+        assert not linked or list(out.iterdir()) == [clash]
 
 
 class TestClampedPixels:

@@ -209,6 +209,10 @@ class TestPeakRss:
         assert 20 < runs[1]["command_mb"] < 80
         assert runs[1]["largest_part_mb"] == 0
         assert 0 < runs[2]["largest_part_mb"] < 80
+        # The interpreter alone faults in thousands of pages.  A part
+        # faults in again each page it shares with the command and writes,
+        # so the faults of its parts add to the command's.
+        assert 1000 < runs[1]["minor_faults"] < runs[2]["minor_faults"]
 
     def test_exit_code_of_a_failed_command(self, tmp_path, capsys):
         peak_rss = load_tool("peak_rss")

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Peak memory of one suascal command and of its largest forked part.
+"""Peak memory and page faults of one suascal command and its parts.
 
 Usage::
 
@@ -17,7 +17,11 @@ interpreter with ``DIR`` (default: this checkout's ``src``) on
 * ``largest_part_mb`` - the largest peak of the parts it forked, read as
   ``RUSAGE_CHILDREN`` once the command has reaped them; 0 when it forked
   none.  A part's peak counts the pages it shares with the process that
-  forked it.
+  forked it;
+* ``minor_faults`` - the minor page faults of the command and of the
+  parts it reaped: ``ru_minflt`` of ``RUSAGE_SELF`` plus that of
+  ``RUSAGE_CHILDREN``.  Each is a page first touched, so it counts the
+  memory the command fills, freed or not.
 
 Linux carries a process's ``ru_maxrss`` across ``fork`` and ``exec``, so a
 command started from a large process (a test run, the benchmark's parent)
@@ -51,9 +55,11 @@ try:
                    if line.startswith("VmHWM:"))
 except (OSError, StopIteration):
     own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-parts = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+usage = [resource.getrusage(who) for who in
+         (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]
 print(json.dumps({"exit": code, "command_mb": own / 1024,
-                  "largest_part_mb": parts / 1024}))
+                  "largest_part_mb": usage[1].ru_maxrss / 1024,
+                  "minor_faults": sum(u.ru_minflt for u in usage)}))
 """
 
 
