@@ -24,16 +24,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CurveError, ManifestError, SuascalError
+from .errors import CurveError, ManifestError, MetadataError, SuascalError
 from .evaluate import (ERROR_STATISTICS, METHOD_LEVELS, aggregate, ndvi,
                        read_samples, write_csv, write_reports)
-from .imageio import (pgm16_header, pgm16_shape, read_pgm16, read_plane,
-                      rows_writer, sidecar_path, write_plane, write_sidecar)
+from .imageio import (pgm16_header, read_pgm16, read_plane, rows_writer,
+                      sidecar_path, write_plane, write_sidecar)
 from .jsonread import json_field, read_json, write_json
 from .manifest import BandEntry, ImageEntry, load_manifest
 from .parts import Parts, part_runs, removed_on_error, send_outcome
-from .radiance import (ROW_BLOCK, RawImage, Vignette, VignetteStore,
-                       convert_band)
+from .radiance import (ROW_BLOCK, RawImage, RowModel, Vignette,
+                       _build_vignette, convert_band)
 from .reflectance import (SELECTION_MODES, CalibrationImage,
                           PanelObservation, ReflectanceImage, aarr_map,
                           elm_line, fit_elm_1pt, fit_elm_2pt, line_map,
@@ -68,7 +68,8 @@ def _stream_band(task: _BandTask, raw: RawImage, vignette: Vignette,
                  pgm_scale: float | None = None) -> dict:
     """Convert a task's band-frame block by block into its float32 plane
     and, with ``pgm_scale``, into its 16-bit PGM of the scaled plane; the
-    sidecar follows the last block.
+    sidecar follows the last block.  Without ``pgm_scale``, a PGM under
+    the task's name, of an earlier run, is removed.
 
     Returns the band's record: the plane's name and the pixels clamped and
     saturated, and with a ``post_map`` the share out of [0, 1].
@@ -78,7 +79,10 @@ def _stream_band(task: _BandTask, raw: RawImage, vignette: Vignette,
     with ExitStack() as files:
         plane = rows_writer(files.enter_context(path.open("wb")), "<f4")
         sink = plane
-        if pgm_scale is not None:
+        if pgm_scale is None:
+            for stale in task.files[2:]:
+                stale.unlink(missing_ok=True)
+        else:
             handle = files.enter_context(task.files[2].open("wb"))
             handle.write(pgm16_header(width, height))
             pgm = rows_writer(handle, ">u2")
@@ -116,65 +120,77 @@ def _workers() -> int:
 
 @dataclass
 class _BandTask:
-    """One band-frame of one image, holding one use of its vignette map
-    and naming the files it writes."""
+    """One band-frame of one image, naming its lens model and the files it
+    writes."""
 
     #: Position of the image in the list it was planned from.
     image: int
     #: Position of the band in the image's manifest order.
     position: int
     band: BandEntry
-    #: The :class:`VignetteStore` key of the band's map.
-    key: tuple
-    #: The band's plane, its sidecar and, with PGMs, its PGM; none for a
-    #: calibration frame's panel means.  Removed if its image fails,
+    #: The band's lens model: its center and coefficient bytes.
+    lens: tuple
+    #: The row model of every band-frame of the lens when they share one,
+    #: which its maps then hold; otherwise ``None``.
+    rows: RowModel | None = None
+    #: The band's plane, its sidecar and its PGM, written or removed; none
+    #: for a calibration frame's panel means.  Removed if its image fails,
     #: whichever run wrote them.
     files: tuple[Path, ...] = ()
     #: Its record or the exception it raised; ``None`` if it did not run.
     outcome: object = None
 
 
-def _plan_bands(store: VignetteStore, out: Path, entries, calibration=(),
+def _plan_bands(out: Path, entries, calibration=(),
                 pgm: bool = False) -> list[_BandTask]:
     """One task per band-frame of ``entries`` and of ``calibration``, whose
-    images are numbered on from ``len(entries)``, each counted in
-    ``store``.  Each band of ``entries`` writes its files into ``out``,
-    its PGM too with ``pgm``; a :class:`ManifestError` names the first
-    that is a band-frame of either, before any is opened.
+    images are numbered on from ``len(entries)``.  Each band of
+    ``entries`` names its files in ``out``; a :class:`ManifestError` names
+    the first that is a band-frame of either, before any is opened.
+    Without ``pgm``, a PGM name that is a band-frame is left out, as the
+    frame is no output to remove.
 
     The tasks run band-major: for each band the calibration frames first,
     then the others, and within each the frames of one lens model back to
     back, in manifest order, so each map is needed for one stretch only.
     """
-    tasks, first = [], {}
+    tasks, first, rows = [], {}, {}
     for i, entry in enumerate((*entries, *calibration)):
         for j, band in enumerate(entry.bands):
-            key = store.plan(band.metadata.vignette, pgm16_shape(band.path),
-                             band.metadata)
-            first.setdefault((band.band_index, key), len(first))
+            meta, model = band.metadata, band.metadata.vignette
+            lens = (model.center_x, model.center_y,
+                    model.coefficients.tobytes())
+            first.setdefault((band.band_index, lens), len(first))
+            row_model = RowModel(meta.a2, meta.a3, meta.exposure_us)
+            rows[lens] = (row_model if rows.get(lens, row_model) == row_model
+                          else None)
             files = ()
             if i < len(entries):
                 plane = out / f"{entry.image_id}_b{band.band_index}.f32"
-                files = (plane, sidecar_path(plane),
-                         plane.with_suffix(".pgm"))[:3 if pgm else 2]
-            tasks.append(_BandTask(i, j, band, key, files))
+                files = (plane, sidecar_path(plane), plane.with_suffix(".pgm"))
+            tasks.append(_BandTask(i, j, band, lens, files=files))
     frames = {os.path.realpath(task.band.path) for task in tasks
               if "\0" not in str(task.band.path)}
     for task in tasks:
+        task.rows = rows[task.lens]
+        if not pgm and task.files and \
+                os.path.realpath(task.files[2]) in frames:
+            task.files = task.files[:2]
         for path in task.files:
             if os.path.realpath(path) in frames:
                 raise ManifestError(f"{path}: an output of this run would "
                                     "overwrite this band-frame")
     return sorted(tasks, key=lambda task: (
         task.band.band_index, task.image < len(entries),
-        first[task.band.band_index, task.key]))
+        first[task.band.band_index, task.lens]))
 
 
-def _image_pass(entries, tasks: list[_BandTask], store: VignetteStore,
-                write_band, errors: dict | None = None, settle=None):
-    """Write every band of ``entries`` with ``write_band(task)``; it returns
-    the band's record.  ``errors`` holds the images that failed before
-    their bands (position to exception).
+def _image_pass(entries, tasks: list[_BandTask], write_band,
+                errors: dict | None = None, settle=None):
+    """Write every band of ``entries`` with ``write_band(task, vignette)``;
+    it returns the band's record, and ``vignette(shape)`` gives the task's
+    map over frames of ``shape``.  ``errors`` holds the images that failed
+    before their bands (position to exception).
 
     The tasks run in the parts of :func:`~suascal.parts.part_runs` for
     :func:`_workers`, contiguous runs of ``tasks``: part 1 here, each
@@ -183,8 +199,12 @@ def _image_pass(entries, tasks: list[_BandTask], store: VignetteStore,
     numbered on from ``len(entries)``) of every band it writes, so no part
     waits on another.  It skips a task once a band of its image before it
     has failed there, and the images in ``errors`` run none: only an
-    image's first failure in manifest order is reported.  Every task gives
-    back its map use, run or not.
+    image's first failure in manifest order is reported.
+
+    A part builds a map on the first use of its (lens model, frame shape)
+    and drops it after the lens model's last task in the part, run or not;
+    its storage is kept, one per shape, for the next map of that shape.  A
+    map that fails to build fails each use.
 
     ``settle()``, if given, runs once every part is done.  It returns more
     images that fail ahead of their bands, as ``errors`` holds them, or
@@ -206,18 +226,40 @@ def _image_pass(entries, tasks: list[_BandTask], store: VignetteStore,
         tasks."""
         bands = {tasks[i].band.band_index for i in run
                  if tasks[i].image < len(entries)}
-        failed = dict.fromkeys(errors, -1)
-        for i, task in enumerate(tasks):
-            needed = i in run or (task.image >= len(entries)
-                                  and task.band.band_index in bands)
-            if needed and failed.get(task.image,
-                                     task.position) >= task.position:
+        mine = [task for i, task in enumerate(tasks)
+                if i in run or (task.image >= len(entries)
+                                and task.band.band_index in bands)]
+        last = {task.lens: n for n, task in enumerate(mine)}
+        maps = {}  # (lens, shape) -> (storage, map or the error building it)
+        spare = {}  # shape -> the storage of a dropped map
+
+        def vignette(task: _BandTask, shape: tuple[int, int]) -> Vignette:
+            key = task.lens, shape
+            if key not in maps:
+                storage = spare.pop(shape) if shape in spare \
+                    else np.empty(shape)
                 try:
-                    task.outcome = write_band(task)
+                    built = _build_vignette(task.band.metadata.vignette,
+                                            storage, task.rows)
+                except MetadataError as exc:
+                    built = exc
+                maps[key] = storage, built
+            built = maps[key][1]
+            if isinstance(built, MetadataError):
+                raise built.with_traceback(None)
+            return built
+
+        failed = dict.fromkeys(errors, -1)
+        for n, task in enumerate(mine):
+            if failed.get(task.image, task.position) >= task.position:
+                try:
+                    task.outcome = write_band(task, partial(vignette, task))
                 except Exception as exc:
                     task.outcome = exc
                     failed[task.image] = task.position
-            store.release(task.key)
+            if last[task.lens] == n:
+                for key in [key for key in maps if key[0] == task.lens]:
+                    spare[key[1]] = maps.pop(key)[0]
         return [tasks[i].outcome for i in run]
 
     with Parts("band pass part", len(runs)) as children:
@@ -254,13 +296,14 @@ def _image_pass(entries, tasks: list[_BandTask], store: VignetteStore,
     return bands, failures
 
 
-def _read_band(store: VignetteStore, task: _BandTask):
-    """Decode a task's band-frame and take its vignette map, in that order,
-    so a frame's decode errors come ahead of its map's."""
+def _read_band(task: _BandTask, vignette):
+    """Decode a task's band-frame, then take its map from
+    ``vignette(shape)``, so a frame's decode errors come ahead of its
+    map's."""
     band = task.band
     raw = RawImage(band_index=band.band_index, pixels=read_pgm16(band.path),
                    bits_per_pixel=band.metadata.bits_per_pixel)
-    return raw, store.vignette(task.key, raw.pixels.shape)
+    return raw, vignette(raw.pixels.shape)
 
 
 def cmd_convert(args) -> int:
@@ -272,17 +315,17 @@ def cmd_convert(args) -> int:
               file=sys.stderr)
         write_json(out / "conversion_log.json", {"images": {}, "failures": {}})
         return EXIT_OK
-    store = VignetteStore()
-    tasks = _plan_bands(store, out, manifest.images)
+    tasks = _plan_bands(out, manifest.images)
 
-    def write_band(task: _BandTask) -> dict:
-        return _stream_band(task, *_read_band(store, task), RADIANCE_UNITS)
+    def write_band(task: _BandTask, vignette) -> dict:
+        return _stream_band(task, *_read_band(task, vignette), RADIANCE_UNITS)
 
     report = out / "conversion_log.json"
     with removed_on_error([*(path for task in tasks for path in task.files),
                            report]):
-        bands, failures = _image_pass(manifest.images, tasks, store,
-                                      write_band)
+        # reflect's report would name planes this pass overwrites.
+        (out / "reflectance_report.json").unlink(missing_ok=True)
+        bands, failures = _image_pass(manifest.images, tasks, write_band)
         log = {image_id: {"bands": records}
                for image_id, records in bands.items()}
         write_json(report, {"images": log, "failures": failures})
@@ -365,8 +408,7 @@ def cmd_reflect(args) -> int:
             return EXIT_USAGE
     # One band-major pass: each band's panel means (calibration tasks,
     # numbered on from the images), then its planes.
-    store = VignetteStore()
-    tasks = _plan_bands(store, out, images, calibration, args.write_pgm)
+    tasks = _plan_bands(out, images, calibration, args.write_pgm)
     means_tasks = {(task.image - len(images), task.band.band_index): task
                    for task in tasks if task.image >= len(images)}
 
@@ -437,9 +479,9 @@ def cmd_reflect(args) -> int:
         except SuascalError as exc:
             errors[i] = exc
 
-    def write_band(task: _BandTask) -> dict | list[float]:
+    def write_band(task: _BandTask, vignette) -> dict | list[float]:
         band = task.band
-        raw, vignette = _read_band(store, task)
+        raw, vignette = _read_band(task, vignette)
         if task.image >= len(images):
             # Only a calibration frame's per-band ROI means outlive it.
             rois = [p.roi for p in
@@ -465,8 +507,10 @@ def cmd_reflect(args) -> int:
     report = out / "reflectance_report.json"
     with removed_on_error([*(path for task in tasks for path in task.files),
                            report]):
-        bands, failures = _image_pass(images, tasks, store, write_band,
-                                      errors, settle if calibration else None)
+        # convert's log would name planes this pass overwrites.
+        (out / "conversion_log.json").unlink(missing_ok=True)
+        bands, failures = _image_pass(images, tasks, write_band, errors,
+                                      settle if calibration else None)
         results = {entry.image_id: dict(records[i],
                                         bands=bands[entry.image_id])
                    for i, entry in enumerate(images)

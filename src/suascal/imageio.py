@@ -78,18 +78,6 @@ def read_pgm16(path) -> np.ndarray:
     return pixels.reshape((height, width))
 
 
-def pgm16_shape(path) -> tuple[int, int] | None:
-    """The ``(height, width)`` in a binary PGM's header, read without the
-    pixels; ``None`` when the first 4 KB hold no header.  Nothing else is
-    checked: that is :func:`read_pgm16`'s job."""
-    try:
-        with Path(path).open("rb") as handle:
-            match = _PGM_HEADER.match(handle.read(4096))
-    except (OSError, ValueError):  # ValueError: a NUL in the path
-        return None
-    return (int(match.group(3)), int(match.group(2))) if match else None
-
-
 def pgm16_header(width: int, height: int) -> bytes:
     """The header of a binary 16-bit PGM of ``width`` x ``height``."""
     return f"P5\n{width} {height}\n65535\n".encode("ascii")

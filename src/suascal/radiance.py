@@ -274,93 +274,6 @@ def vignette_map(model: VignetteModel, width: int, height: int) -> np.ndarray:
     return _build_vignette(model, np.empty((height, width))).map
 
 
-class VignetteStore:
-    """The vignette maps of one run: each built on its first use and
-    dropped after its last.
-
-    A map depends only on the lens model and the frame shape.  Before the
-    run, :meth:`plan` counts each band-frame that will use one; each of
-    those then takes its map with :meth:`vignette` and gives its use back
-    with :meth:`release`, converted or not.  When every planned use of a
-    map has one row model, the map holds ``V * R`` for it, so no pass
-    forms that product per frame.  The storage of a dropped map goes to
-    the next map of the same shape, so the allocator never holds on to
-    freed maps.
-    """
-
-    def __init__(self):
-        self._uses: dict[tuple, int] = {}
-        self._rows: dict[tuple, RowModel | None] = {}
-        self._models: dict[tuple, VignetteModel] = {}
-        #: Each map built and not yet dropped: (storage, map or error).
-        self._built: dict[tuple, tuple] = {}
-        self._spare: dict[tuple[int, int], list[np.ndarray]] = {}
-
-    def plan(self, model: VignetteModel, shape: tuple[int, int] | None,
-             meta: RadiometricMetadata) -> tuple:
-        """Count one more use of the map of ``model`` over frames of
-        ``shape`` (``None`` when unknown), by a band-frame of ``meta``;
-        returns the key that :meth:`vignette` and :meth:`release` take."""
-        key = (model.center_x, model.center_y, model.coefficients.tobytes(),
-               shape)
-        rows = _row_model(meta)
-        if key in self._uses and self._rows[key] != rows:
-            rows = None
-        self._rows[key], self._models[key] = rows, model
-        self._uses[key] = self._uses.get(key, 0) + 1
-        return key
-
-    def vignette(self, key: tuple, shape: tuple[int, int]) -> Vignette:
-        """The map under ``key`` for a frame of ``shape``, built on its
-        first use.  A frame whose shape is not the planned one gets a map
-        of ``V`` alone, of its own.
-
-        Raises
-        ------
-        MetadataError
-            As :func:`vignette_map` does, for every use of a bad map.
-        """
-        if shape != key[-1]:
-            return _build_vignette(self._models[key], np.empty(shape))
-        if key not in self._built:
-            spare = self._spare.get(shape)
-            storage = spare.pop() if spare else np.empty(shape)
-            try:
-                built = _build_vignette(self._models[key], storage,
-                                        self._rows[key])
-            except MetadataError as exc:
-                built = exc
-            self._built[key] = storage, built
-        built = self._built[key][1]
-        if isinstance(built, MetadataError):
-            raise built.with_traceback(None)
-        return built
-
-    def release(self, key: tuple) -> None:
-        """Give back one use of the map under ``key``; after the last, the
-        map is dropped."""
-        self._uses[key] -= 1
-        if self._uses[key]:
-            return
-        del self._uses[key], self._rows[key], self._models[key]
-        built = self._built.pop(key, None)
-        spare = self._spare.setdefault(key[-1], [])
-        if built is not None:
-            spare.append(built[0])
-        # Keep no more spares than maps of the shape are still to come.
-        del spare[self._unbuilt(key[-1]):]
-
-    def _unbuilt(self, shape) -> int:
-        """Planned maps of ``shape`` not built yet."""
-        return sum(1 for key in self._uses
-                   if key[-1] == shape and key not in self._built)
-
-    @property
-    def maps_held(self) -> int:
-        """Maps built or kept for reuse and not yet dropped."""
-        return len(self._built) + sum(map(len, self._spare.values()))
-
-
 def _camera_model(raw: RawImage, meta: RadiometricMetadata,
                   vignette: Vignette | None = None
                   ) -> tuple[Vignette, np.ndarray, float]:
@@ -368,7 +281,7 @@ def _camera_model(raw: RawImage, meta: RadiometricMetadata,
     ``a1 / (g * t * 2**N)`` of ``raw``, once ``meta`` is checked to
     describe it.
 
-    ``vignette``, from a :class:`VignetteStore`, is the map to use; without
+    ``vignette``, from :func:`_build_vignette`, is the map to use; without
     it the call builds its own.  ``R`` is checked on every call, also when
     the map holds it, so its errors come in the same order either way.
     """

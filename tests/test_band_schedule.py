@@ -1,24 +1,26 @@
-"""The band-major imagery schedule, its parts and its vignette map store.
+"""The band-major imagery schedule, its parts and their vignette maps.
 
 ``convert`` and ``reflect`` run one task per (image, band), ordered so
 that the frames of one band and lens model run back to back; ``reflect``
 runs each band's calibration panel means ahead of that band's planes.
 The tasks run as contiguous parts, one per worker, each in its own
-process.  In each part a map is built once, on its first use, and dropped
-after its last; per-image results, errors and files must not depend on
-that order or on the part count.
+process.  In each part a map of a (lens model, frame size) is built once,
+on its first use, and dropped after the lens model's last task there, its
+storage kept for the next map of that size; per-image results, errors and
+files must not depend on that order or on the part count.
 """
 
 import errno
 import json
 import os
+import weakref
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import helpers
 from suascal import cli
-from suascal import radiance as radiance_module
 from suascal import reflectance as reflectance_module
 from suascal.cli import main
 
@@ -58,36 +60,41 @@ def two_lens_flight(root):
 @pytest.fixture
 def counted(monkeypatch, tmp_path):
     """Every vignette map built in any part, as (lens model, shape), and
-    the maps and planned uses each part's store holds after each of its
-    calls, as ``(maps_held, uses)``."""
+    at each build the number of map storages of the run its part holds
+    alive, the one built in included.  ``clear()`` starts a new run."""
     builds = helpers.ForkLog(tmp_path / "builds.log")
     held = helpers.ForkLog(tmp_path / "held.log")
-    build = radiance_module._build_vignette
+    build = cli._build_vignette
+    alive = set()  # ids of this run's storages not yet freed
 
     def counted_build(model, k, rows=None):
+        if id(k) not in alive:
+            alive.add(id(k))
+            weakref.finalize(k, alive.discard, id(k))
         builds.note((model.center_x, model.center_y,
                      model.coefficients.tobytes(), k.shape))
+        held.note(len(alive))
         return build(model, k, rows)
 
-    class NotedStore(radiance_module.VignetteStore):
-        def vignette(self, key, shape):
-            try:
-                return super().vignette(key, shape)
-            finally:
-                held.note((self.maps_held, len(self._uses)))
+    def clear():
+        builds.clear()
+        held.clear()
+        alive.clear()
 
-        def release(self, key):
-            super().release(key)
-            held.note((self.maps_held, len(self._uses)))
-
-    monkeypatch.setattr(radiance_module, "_build_vignette", counted_build)
-    monkeypatch.setattr(cli, "VignetteStore", NotedStore)
-    return SimpleNamespace(builds=builds, held=held)
+    monkeypatch.setattr(cli, "_build_vignette", counted_build)
+    return SimpleNamespace(builds=builds, held=held, clear=clear)
 
 
-def each_part_dropped_every_map(counted) -> bool:
-    """Whether each part's store ended holding no map and no use."""
-    return all(notes[-1] == (0, 0)
+def tree(folder) -> dict:
+    """Each file in ``folder`` by name, with its bytes."""
+    return {path.name: path.read_bytes() for path in folder.iterdir()}
+
+
+def each_part_held_one_storage(counted) -> bool:
+    """Whether each part built every map in one storage: each map was
+    dropped after its lens model's last task, and the next took its
+    storage."""
+    return all(set(notes) == {1}
                for notes in counted.held.by_process().values())
 
 
@@ -99,8 +106,7 @@ class TestTwoLensFlight:
         manifest = two_lens_flight(tmp_path / "flight")
         trees = []
         for i, workers in enumerate((None, 1, 3)):
-            counted.builds.clear()
-            counted.held.clear()
+            counted.clear()
             out = tmp_path / str(i)
             with helpers.workers(workers):
                 assert main(argv + ["--manifest", str(manifest),
@@ -114,9 +120,48 @@ class TestTwoLensFlight:
             assert all(len(set(part)) == len(part)
                        for part in parts.values())
             assert len(builds) <= 10 + len(parts) - 1
-            assert each_part_dropped_every_map(counted)
+            assert each_part_held_one_storage(counted)
             trees.append({p.name: p.read_bytes() for p in out.iterdir()})
         assert all(tree == trees[0] for tree in trees[1:])
+
+
+class TestFrameSizes:
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_one_map_per_lens_model_and_size(self, tmp_path, counted,
+                                             command):
+        """field_2's frames are of another size under the same five lens
+        models: each part builds one map per (lens model, size) it meets
+        and holds one storage per size, and the files do not depend on
+        the part count."""
+        argv, _ = COMMANDS[command]
+        manifest = lens_per_band_flight(tmp_path / "flight")
+        height, width = helpers.HEIGHT + 16, helpers.WIDTH - 8
+        for band in range(1, 6):
+            raster = np.tile(helpers.panel_raster(band), (2, 1))
+            helpers.write_pgm16(manifest.parent / f"field_2_b{band}.pgm",
+                                raster[:height, :width])
+        trees = []
+        for workers in (1, 3):
+            counted.clear()
+            out = tmp_path / str(workers)
+            with helpers.workers(workers):
+                assert main(argv + ["--manifest", str(manifest),
+                                    "--out", str(out)]) == 0
+            builds = [build for _, build in counted.builds.notes()]
+            assert {build[-1] for build in builds} == {
+                (helpers.HEIGHT, helpers.WIDTH), (height, width)}
+            assert len(set(builds)) == 10
+            parts = counted.builds.by_process().values()
+            assert all(len(set(part)) == len(part) for part in parts)
+            # Successive maps of one size take its one storage.
+            held = counted.held.by_process().values()
+            assert all(max(notes) <= 2 for notes in held)
+            if workers == 1:
+                assert len(builds) == 10
+                assert list(held) == [[1] + [2] * 9]
+            trees.append(tree(out))
+        assert trees[1] == trees[0]
+        assert len(trees[0]["field_2_b1.f32"]) == 4 * height * width
 
 
 class TestFirstFaultInManifestOrder:
@@ -190,16 +235,21 @@ class TestStoreAfterFailures:
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_failed_and_skipped_bands_give_their_maps_back(
             self, tmp_path, counted, command):
+        """field_3, the last image of each lens model, fails in band 1 and
+        skips its later bands; field_1 fails in band 3.  Each lens
+        model's map is dropped all the same."""
         argv, _ = COMMANDS[command]
-        manifest = helpers.build_flight(tmp_path / "flight", field_images=2)
-        for band in (1, 3):
-            (manifest.parent / f"field_1_b{band}.pgm").unlink()
+        manifest = lens_per_band_flight(tmp_path / "flight")
+        for image_id, band in (("field_3", 1), ("field_1", 3)):
+            (manifest.parent / f"{image_id}_b{band}.pgm").unlink()
         for workers in (1, 3):
-            counted.held.clear()
+            counted.clear()
             with helpers.workers(workers):
                 assert main(argv + ["--manifest", str(manifest),
                                     "--out", str(tmp_path / "out")]) == 2
-            assert each_part_dropped_every_map(counted)
+            assert all(len(set(part)) == len(part) for part in
+                       counted.builds.by_process().values())
+            assert each_part_held_one_storage(counted)
 
 
 class TestHeldRowFactors:
@@ -213,18 +263,18 @@ class TestHeldRowFactors:
                                                       command):
         argv, report_name = COMMANDS[command]
         held = helpers.ForkLog(tmp_path / "rows.log")
-        vignette = radiance_module.VignetteStore.vignette
+        build = cli._build_vignette
 
-        def noted(store, key, shape):
-            got = vignette(store, key, shape)
+        def noted(model, k, rows=None):
+            got = build(model, k, rows)
             held.note(got.rows is not None)
             return got
 
-        monkeypatch.setattr(radiance_module.VignetteStore, "vignette", noted)
+        monkeypatch.setattr(cli, "_build_vignette", noted)
         for workers in (1, 3):
             root = tmp_path / str(workers)
             manifest = helpers.build_flight(root / "flight", field_images=2)
-            counted.builds.clear()
+            counted.clear()
             held.clear()
             clean = root / "clean"
             with helpers.workers(workers):
@@ -259,18 +309,13 @@ class TestSkipRule:
         # Run out of manifest order on one thread: band positions 3, 1, 4,
         # 0, 2 of one image, where positions 3 and 1 fail.  The error is
         # not a SuascalError, so the pass raises the one it reports.
-        store = radiance_module.VignetteStore()
-        lens = radiance_module.VignetteModel(0.0, 0.0, (0.0,) * 6)
-        meta = radiance_module.RadiometricMetadata(
-            a1=1.0, a2=0.0, a3=0.0, gain=1, exposure_us=1.0,
-            dark_level=0.0, vignette=lens, bits_per_pixel=16)
         tasks = [cli._BandTask(0, position,
                                SimpleNamespace(band_index=position + 1),
-                               store.plan(lens, (2, 2), meta))
+                               "lens")
                  for position in (3, 1, 4, 0, 2)]
         ran = []
 
-        def work(task):
+        def work(task, vignette):
             ran.append(task.position)
             if task.position in (1, 3):
                 raise ValueError(task.position)
@@ -278,14 +323,12 @@ class TestSkipRule:
 
         entries = [SimpleNamespace(image_id="frame", bands=[None] * 5)]
         with pytest.raises(ValueError) as raised, helpers.workers(1):
-            cli._image_pass(entries, tasks, store, work)
+            cli._image_pass(entries, tasks, work)
         assert raised.value.args == (1,)
         assert ran == [3, 1, 0]
         outcomes = {task.position: task.outcome for task in tasks}
         assert [type(outcomes[p]).__name__ for p in range(5)] == [
             "int", "ValueError", "NoneType", "ValueError", "NoneType"]
-        assert store.maps_held == 0
-        assert not store._uses
 
 
 def lens_per_band_flight(root):
@@ -307,8 +350,8 @@ def lens_per_band_flight(root):
 
 class TestFusedCalibration:
     """``reflect --method elm1|elm2`` runs each band's panel means, then
-    that band's planes, in one pass over one store per part; a part that
-    starts inside a band runs that band's panel means first."""
+    that band's planes, in one pass; a part that starts inside a band runs
+    that band's panel means first."""
 
     @pytest.mark.parametrize("method", ["elm1", "elm2"])
     def test_maps_live_per_band_and_are_built_once(self, tmp_path, counted,
@@ -316,8 +359,7 @@ class TestFusedCalibration:
         manifest = lens_per_band_flight(tmp_path / "flight")
         trees = []
         for i, workers in enumerate((None, 1, 3)):
-            counted.builds.clear()
-            counted.held.clear()
+            counted.clear()
             out = tmp_path / str(i)
             with helpers.workers(workers):
                 assert main(["reflect", "--method", method, "--manifest",
@@ -330,11 +372,8 @@ class TestFusedCalibration:
             assert len(set(builds)) == 5
             assert len(builds) <= 5 + len(parts) - 1
             # A map is held from its band's first task to its last, and
-            # its storage waits for the next map of its shape: each part
-            # holds at most two at once.
-            for notes in counted.held.by_process().values():
-                assert 1 <= max(held for held, _ in notes) <= 2
-            assert each_part_dropped_every_map(counted)
+            # the next map of its shape takes its storage.
+            assert each_part_held_one_storage(counted)
             trees.append({p.name: p.read_bytes() for p in out.iterdir()})
         assert all(tree == trees[0] for tree in trees[1:])
 
@@ -652,6 +691,53 @@ class TestPlannedFiles:
         assert {path: path.read_bytes()
                 for path in flight.iterdir()} == before
         assert not linked or list(out.iterdir()) == [clash]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("command", [["convert"],
+                                         ["reflect", "--method", "elm2"]],
+                             ids=["convert", "elm2"])
+    def test_out_in_the_flight_folder_keeps_every_frame(self, tmp_path,
+                                                        command, workers):
+        """Without PGMs, a PGM name that is a band-frame is no output: it
+        is neither written nor removed."""
+        manifest = helpers.build_flight(tmp_path / "flight", field_images=2)
+        flight = manifest.parent
+        frames = {path: path.read_bytes() for path in flight.glob("*.pgm")}
+        with helpers.workers(workers):
+            assert main([command[0], "--manifest", str(manifest),
+                         "--out", str(flight), *command[1:]]) == 0
+        assert {path: path.read_bytes()
+                for path in flight.glob("*.pgm")} == frames
+
+    AARR_PGM = ["reflect", "--method", "aarr", "--write-pgm"]
+    AARR = ["reflect", "--method", "aarr"]
+    ELM2 = ["reflect", "--method", "elm2"]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("first, then, broken", [
+        (AARR_PGM, AARR, True), (AARR_PGM, ELM2, False),
+        (ELM2, ["convert"], False), (["convert"], ELM2, False)],
+        ids=["aarr-pgm-failed-aarr", "aarr-pgm-elm2", "elm2-convert",
+             "convert-elm2"])
+    def test_rerun_leaves_only_its_own_files(self, tmp_path, capsys, first,
+                                             then, broken, workers):
+        """A run into the ``--out`` of another run, with ``field_2_b3``
+        undecodable if ``broken``, leaves the files a run into an empty
+        folder writes, byte for byte: no PGM, plane or report of the
+        other run."""
+        manifest = helpers.build_flight(tmp_path / "flight", field_images=2)
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+
+        def run(argv, folder):
+            return main([argv[0], "--manifest", str(manifest),
+                         "--out", str(folder), *argv[1:]])
+
+        with helpers.workers(workers):
+            assert run(first, out) == 0
+            if broken:
+                (manifest.parent / "field_2_b3.pgm").write_bytes(b"P6\n")
+            assert run(then, out) == run(then, fresh) == (2 if broken else 0)
+        assert tree(out) == tree(fresh)
 
 
 class TestClampedPixels:

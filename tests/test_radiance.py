@@ -1,16 +1,20 @@
 """Digital-count to radiance conversion and its factor models."""
 
 from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import helpers
+from suascal import cli
 from suascal.errors import MetadataError
 from helpers import radiance_to_counts
 from suascal.radiance import (ROW_BLOCK, RadiometricMetadata, RawImage,
-                              RowModel, VignetteModel, VignetteStore,
+                              RowModel, VignetteModel, _build_vignette,
                               convert_band, dc_to_radiance, row_factors,
                               vignette_map)
 from suascal.reflectance import line_map
@@ -93,7 +97,7 @@ class TestVignetteFactor:
                 expected = whole_frame_vignette(model, width, height)
             except MetadataError as exc:
                 expected = exc
-            for build in (vignette_map, shared_vignette):
+            for build in (vignette_map, reused_storage_vignette):
                 if isinstance(expected, MetadataError):
                     with pytest.raises(MetadataError) as raised:
                         build(model, width, height)
@@ -103,24 +107,13 @@ class TestVignetteFactor:
                     assert got.tobytes() == expected.tobytes()
 
 
-def shared_vignette(model, width, height):
-    """``model``'s map through a :class:`VignetteStore` planned for two
-    uses, which both get the one map it builds."""
-    store = VignetteStore()
-    shape = (height, width)
-    keys = [store.plan(model, shape, make_meta(vignette=model))
-            for _ in range(2)]
-    maps = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for key in keys:
-            try:
-                maps.append(store.vignette(key, shape))
-            finally:
-                store.release(key)
-    assert store.maps_held == 0
-    first, second = maps
-    assert first.map is second.map
-    return first.map
+def reused_storage_vignette(model, width, height):
+    """``model``'s map built in storage that held other values, as a band
+    pass reuses a dropped map's storage."""
+    storage = np.full((height, width), np.nan)
+    vignette = _build_vignette(model, storage)
+    assert np.shares_memory(vignette.map, storage)
+    return vignette.map
 
 
 def whole_frame_vignette(model, width, height):
@@ -284,17 +277,47 @@ def reference_radiance(raw, meta):
     return np.maximum(radiance, 0.0)
 
 
+def row_model(meta):
+    return RowModel(meta.a2, meta.a3, meta.exposure_us)
+
+
+def band_pass(lenses, work, shapes):
+    """Run one image of one band per entry of ``lenses`` through
+    :func:`cli._image_pass` in one part, each task keyed by its lens
+    model's id, with ``work(task, maps)``, where ``maps`` holds the
+    task's map over each of ``shapes`` or the error taking it raised."""
+    entries = [SimpleNamespace(image_id=str(i), bands=[
+        SimpleNamespace(band_index=1, metadata=SimpleNamespace(vignette=lens))])
+        for i, lens in enumerate(lenses)]
+    tasks = [cli._BandTask(i, 0, entry.bands[0], id(lens))
+             for i, (entry, lens) in enumerate(zip(entries, lenses))]
+
+    def taken(task, vignette):
+        maps = []
+        for shape in shapes:
+            try:
+                maps.append(vignette(shape))
+            except MetadataError as exc:
+                maps.append(exc)
+        return work(task, maps)
+
+    with helpers.workers(1):
+        cli._image_pass(entries, tasks, taken)
+    return [task.outcome for task in tasks]
+
+
 class TestVignetteCache:
-    """The per-run map store: one vignette map per (lens model, frame
-    size), built on its first use, shared read-only and dropped after its
-    last use."""
+    """The band pass's maps: in each part, one vignette map per (lens
+    model, frame size), built on its first use, shared read-only and
+    dropped after the lens model's last task, its storage kept for the
+    next map of its size."""
 
     # Taller than one row block, so the last block is a partial one.
     COUNTS = np.random.default_rng(11).integers(
         0, 65536, size=(150, 123)).astype(np.uint16)
 
     def test_matches_uncached_reference_exactly(self):
-        store = VignetteStore()
+        storage = np.empty(self.COUNTS.shape)
         metas = [make_meta(a1=163.84, a2=a2, a3=1e-5, gain=gain,
                            exposure_us=exposure, dark_level=4096.5,
                            vignette=LENS)
@@ -302,17 +325,16 @@ class TestVignetteCache:
                                             (1000.0, 8, 2.0), (77.5, 2, 0.0),
                                             (1000.0, 1, 0.0))]
         raw = make_raw(self.COUNTS)
-        keys = [store.plan(LENS, self.COUNTS.shape, meta) for meta in metas]
-        for meta, key in zip(metas, keys):
+        for meta in metas:
             expected = reference_radiance(raw, meta)
             np.testing.assert_array_equal(dc_to_radiance(raw, meta).pixels,
                                           expected)
-            shared = np.empty(self.COUNTS.shape)
-            convert_band(raw, meta, out=shared,
-                         vignette=store.vignette(key, self.COUNTS.shape))
-            store.release(key)
-            np.testing.assert_array_equal(shared, expected)
-        assert store.maps_held == 0
+            # V alone, or V * R for the frame's row model, in one storage.
+            for rows in (None, row_model(meta)):
+                shared = np.empty(self.COUNTS.shape)
+                convert_band(raw, meta, out=shared,
+                             vignette=_build_vignette(LENS, storage, rows))
+                np.testing.assert_array_equal(shared, expected)
 
     def test_mutating_a_result_leaves_later_conversions_alone(self):
         meta = make_meta(vignette=LENS, dark_level=10.0)
@@ -324,58 +346,51 @@ class TestVignetteCache:
                                       expected)
 
     def test_cached_map_is_read_only(self):
-        store = VignetteStore()
-        key = store.plan(LENS, (40, 30), make_meta(vignette=LENS))
-        vignette = store.vignette(key, (40, 30))
+        vignette = _build_vignette(LENS, np.empty((40, 30)))
         assert not vignette.map.flags.writeable
         with pytest.raises(ValueError):
             vignette.map[0, 0] = 2.0
         np.testing.assert_array_equal(vignette.map, vignette_map(LENS, 30, 40))
         assert vignette.peak == vignette.map.max()
-        store.release(key)
 
     def test_map_is_dropped_after_its_last_use(self):
         lenses = [VignetteModel(5.0 + i, 7.0, (1e-4 * i,) + (0.0,) * 5)
                   for i in range(3)]
-        store = VignetteStore()
-        keys = [store.plan(lens, (20, 20), make_meta(vignette=lens))
-                for lens in lenses for _ in "ab"]
-        first = store.vignette(keys[0], (20, 20))
-        assert store.vignette(keys[1], (20, 20)) is first
-        store.release(keys[0])
-        assert store.maps_held == 1
-        store.release(keys[1])
-        # Two maps of this shape are still to come: the storage waits.
-        assert store.maps_held == 1
-        second = store.vignette(keys[2], (20, 20))
-        assert np.shares_memory(first.map, second.map)
-        np.testing.assert_array_equal(second.map,
-                                      vignette_map(lenses[1], 20, 20))
-        for key in keys[2:4]:
-            store.release(key)
-        # The last lens is never used; its uses are given back all the same.
-        for key in keys[4:]:
-            store.release(key)
-        assert store.maps_held == 0
+
+        def work(task, maps):
+            return maps[0], maps[0].map.copy()
+
+        outcomes = band_pass([lens for lens in lenses for _ in "ab"], work,
+                             [(20, 20)])
+        maps = [vignette for vignette, _ in outcomes]
+        assert all(maps[i + 1] is maps[i] for i in (0, 2, 4))
+        # Each next map is built in the storage of the one dropped before.
+        assert all(np.shares_memory(maps[0].map, vignette.map)
+                   for vignette in maps[2::2])
+        for (_, values), lens in zip(outcomes[::2], lenses):
+            np.testing.assert_array_equal(values, vignette_map(lens, 20, 20))
 
     def test_frame_of_another_shape_gets_its_own_map(self):
-        store = VignetteStore()
-        key = store.plan(LENS, (40, 30), make_meta(vignette=LENS))
-        vignette = store.vignette(key, (41, 30))
-        np.testing.assert_array_equal(vignette.map, vignette_map(LENS, 30, 41))
-        assert store.maps_held == 0
-        store.release(key)
+        def work(task, maps):
+            return maps
+
+        (tall, wide, tall_again), = band_pass(
+            [LENS], work, [(41, 30), (40, 31), (41, 30)])
+        assert tall_again is tall
+        np.testing.assert_array_equal(tall.map, vignette_map(LENS, 30, 41))
+        np.testing.assert_array_equal(wide.map, vignette_map(LENS, 31, 40))
 
     def test_bad_map_fails_every_use(self):
         lens = VignetteModel(0.0, 0.0, (-0.5,) + (0.0,) * 5)
-        store = VignetteStore()
-        keys = [store.plan(lens, (5, 5), make_meta(vignette=lens))
-                for _ in range(2)]
-        for key in keys:
-            with pytest.raises(MetadataError, match=r"pixel \(4, 4\)"):
-                store.vignette(key, (5, 5))
-            store.release(key)
-        assert store.maps_held == 0
+
+        def work(task, maps):
+            return maps[0]
+
+        errors = band_pass([lens, lens], work, [(5, 5)])
+        assert all(isinstance(error, MetadataError)
+                   and "pixel (4, 4)" in str(error) for error in errors)
+        # Built once: both uses raise the one error.
+        assert errors[0] is errors[1]
 
 
 @st.composite
@@ -408,19 +423,33 @@ def held_row_cases(draw):
     return make_raw(counts, bits=bits), meta, rows, draw(st.booleans())
 
 
+def planned_rows(metas, other_lens_meta=None):
+    """The ``rows`` that :func:`cli._plan_bands` gives band 1 of one image
+    per ``metas``, all of lens :data:`LENS`, and of one more image of
+    another lens with ``other_lens_meta``."""
+    metas = [*metas] + ([] if other_lens_meta is None else [other_lens_meta])
+    entries = [SimpleNamespace(image_id=f"image_{i}", bands=[SimpleNamespace(
+        band_index=1, path=f"image_{i}_b1.pgm", metadata=meta)])
+        for i, meta in enumerate(metas)]
+    tasks = sorted(cli._plan_bands(Path("out"), entries),
+                   key=lambda task: task.image)
+    return [task.rows for task in tasks]
+
+
 class TestStoreHeldRowFactors:
-    """A store map whose planned uses share one row model holds ``V * R``
-    for it; any other map holds ``V`` alone."""
+    """A band pass map holds ``V * R`` when every band-frame of its lens
+    model has one row model, ``V`` alone otherwise."""
 
     COUNTS = TestVignetteCache.COUNTS
 
     def test_map_of_one_row_model_holds_its_row_factors(self):
         height, width = self.COUNTS.shape
         meta = make_meta(vignette=LENS, a2=0.3, a3=1e-5, exposure_us=250.0)
-        store = VignetteStore()
-        keys = [store.plan(LENS, (height, width), meta) for _ in range(2)]
-        vignette = store.vignette(keys[0], (height, width))
-        assert vignette.rows == RowModel(0.3, 1e-5, 250.0)
+        rows = RowModel(0.3, 1e-5, 250.0)
+        assert planned_rows([meta, replace(meta, a1=2.0, gain=4)]) == \
+            [rows, rows]
+        vignette = _build_vignette(LENS, np.empty((height, width)), rows)
+        assert vignette.rows == rows
         np.testing.assert_array_equal(
             vignette.map, vignette_map(LENS, width, height)
             * row_factors(meta, height)[:, np.newaxis])
@@ -432,9 +461,6 @@ class TestStoreHeldRowFactors:
         with pytest.raises(ValueError, match="holds the row model"):
             convert_band(raw, replace(meta, exposure_us=251.0),
                          vignette=vignette)
-        for key in keys:
-            store.release(key)
-        assert store.maps_held == 0
 
     @pytest.mark.parametrize("other", [
         {"exposure_us": 1000.0}, {"a2": 0.25}, {"a3": 0.0}])
@@ -443,20 +469,19 @@ class TestStoreHeldRowFactors:
         meta = make_meta(vignette=LENS, a2=0.3, a3=1e-5, exposure_us=250.0,
                          dark_level=4096.5, a1=163.84)
         metas = [meta, replace(meta, **other)]
-        store = VignetteStore()
-        keys = [store.plan(LENS, shape, m) for m in metas]
-        assert keys[0] == keys[1]
+        # A frame of another lens model keeps its own row model.
+        elsewhere = replace(meta, vignette=FLAT_VIGNETTE)
+        assert planned_rows(metas, elsewhere) == [None, None,
+                                                  row_model(meta)]
+        vignette = _build_vignette(LENS, np.empty(shape), None)
+        assert vignette.rows is None
+        np.testing.assert_array_equal(vignette.map,
+                                      vignette_map(LENS, width, height))
         raw = make_raw(self.COUNTS)
-        for m, key in zip(metas, keys):
-            vignette = store.vignette(key, shape)
-            assert vignette.rows is None
-            np.testing.assert_array_equal(vignette.map,
-                                          vignette_map(LENS, width, height))
+        for m in metas:
             plane = np.empty(shape)
             convert_band(raw, m, out=plane, vignette=vignette)
             np.testing.assert_array_equal(plane, reference_radiance(raw, m))
-            store.release(key)
-        assert store.maps_held == 0
 
     def test_rejected_row_model_keeps_its_error_and_its_order(self):
         shape = self.COUNTS.shape
@@ -464,9 +489,7 @@ class TestStoreHeldRowFactors:
         bad_rows = make_meta(vignette=LENS, a3=-0.01)
         with pytest.raises(MetadataError, match="row correction") as expected:
             row_factors(bad_rows, shape[0])
-        store = VignetteStore()
-        key = store.plan(LENS, shape, bad_rows)
-        vignette = store.vignette(key, shape)
+        vignette = _build_vignette(LENS, np.empty(shape), row_model(bad_rows))
         assert vignette.rows is None
         for given in (None, vignette):
             with pytest.raises(MetadataError) as raised:
@@ -477,19 +500,16 @@ class TestStoreHeldRowFactors:
                                match="^metadata band 2 does not match"):
                 convert_band(raw, replace(bad_rows, band_index=2),
                              vignette=given)
-        store.release(key)
         # A bad lens still fails at its map, ahead of the row model.
         bad_lens = VignetteModel(0.0, 0.0, (-0.5,) + (0.0,) * 5)
         meta = replace(bad_rows, vignette=bad_lens)
-        key = store.plan(bad_lens, shape, meta)
         for convert in (lambda: convert_band(raw, meta),
-                        lambda: store.vignette(key, shape)):
+                        lambda: _build_vignette(bad_lens, np.empty(shape),
+                                                row_model(meta))):
             with pytest.raises(MetadataError,
                                match="^vignette polynomial k=.* pixel "
                                      r"\(122, 149\)$"):
                 convert()
-        store.release(key)
-        assert store.maps_held == 0
 
     @given(held_row_cases(),
            st.none() | st.tuples(st.floats(1e-3, 1e3), st.floats(-1.0, 1.0)))
@@ -510,9 +530,8 @@ class TestStoreHeldRowFactors:
                 return str(exc)
             return counts, chunks, None if out is None else out.tobytes()
 
-        store = VignetteStore()
-        key = store.plan(meta.vignette, raw.pixels.shape, meta)
-        vignette = store.vignette(key, raw.pixels.shape)
+        vignette = _build_vignette(meta.vignette, np.empty(raw.pixels.shape),
+                                   row_model(meta))
         try:
             row_factors(meta, raw.pixels.shape[0])
         except MetadataError:
@@ -520,7 +539,6 @@ class TestStoreHeldRowFactors:
         else:
             assert vignette.rows == (meta.a2, meta.a3, meta.exposure_us)
         assert outcome(vignette) == outcome(None)
-        store.release(key)
 
 
 @st.composite

@@ -1,8 +1,9 @@
 """Checks on the package source itself.
 
-No linter ships with the test dependencies, so the one lint rule the
-package keeps, no unused imports, is checked here with the standard
-library's ``ast``.
+No linter ships with the test dependencies, so the package's two lint
+rules are checked here with the standard library's ``ast``: no module
+imports a name it does not use, and no private top-level name goes
+unreferenced in the package, as one a deletion leaves behind would.
 """
 
 import ast
@@ -46,3 +47,65 @@ class TestUnusedImports:
     @pytest.mark.parametrize("module", MODULES, ids=lambda path: path.name)
     def test_module_uses_every_name_it_imports(self, module):
         assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def private_names(source: str) -> dict[str, int]:
+    """The private top-level names a module defines (``_name``, not
+    ``__name__``), each with its line."""
+    names = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = [target.id for target in getattr(
+                node, "targets", [getattr(node, "target", None)])
+                if isinstance(target, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                names.setdefault(name, node.lineno)
+    return names
+
+
+def referenced_names(source: str) -> set[str]:
+    """Every name a module reads, as a name, an attribute or an import."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """The private top-level names of ``sources`` (module name to source)
+    that no module of them refers to."""
+    used = set().union(*map(referenced_names, sources.values()))
+    return [f"{module} line {line}: {name}"
+            for module, source in sorted(sources.items())
+            for name, line in private_names(source).items()
+            if name not in used]
+
+
+class TestUnreferencedPrivateNames:
+    def test_finds_an_orphan(self):
+        sources = {"a.py": ("_LIMIT: int = 3\n"
+                            "_unused = 1\n"
+                            "def _helper():\n"
+                            "    return _LIMIT\n"
+                            "class _Orphan:\n"
+                            "    _unused = 2\n"
+                            "__version__ = '1'\n"),
+                   "b.py": "from a import _helper\n"}
+        assert unreferenced_private_names(sources) == [
+            "a.py line 2: _unused", "a.py line 5: _Orphan"]
+
+    def test_package_refers_to_every_private_name(self):
+        sources = {path.name: path.read_text(encoding="utf-8")
+                   for path in PACKAGE.glob("*.py")}
+        assert unreferenced_private_names(sources) == []
