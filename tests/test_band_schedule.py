@@ -85,7 +85,7 @@ def counted(monkeypatch, tmp_path):
     return SimpleNamespace(builds=builds, held=held, clear=clear)
 
 
-def tree(folder) -> dict:
+def files_in(folder) -> dict:
     """Each file in ``folder`` by name, with its bytes."""
     return {path.name: path.read_bytes() for path in folder.iterdir()}
 
@@ -159,7 +159,7 @@ class TestFrameSizes:
             if workers == 1:
                 assert len(builds) == 10
                 assert list(held) == [[1] + [2] * 9]
-            trees.append(tree(out))
+            trees.append(files_in(out))
         assert trees[1] == trees[0]
         assert len(trees[0]["field_2_b1.f32"]) == 4 * height * width
 
@@ -737,7 +737,7 @@ class TestPlannedFiles:
             if broken:
                 (manifest.parent / "field_2_b3.pgm").write_bytes(b"P6\n")
             assert run(then, out) == run(then, fresh) == (2 if broken else 0)
-        assert tree(out) == tree(fresh)
+        assert files_in(out) == files_in(fresh)
 
 
 class TestClampedPixels:

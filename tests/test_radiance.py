@@ -286,8 +286,8 @@ def band_pass(lenses, work, shapes):
     :func:`cli._image_pass` in one part, each task keyed by its lens
     model's id, with ``work(task, maps)``, where ``maps`` holds the
     task's map over each of ``shapes`` or the error taking it raised."""
-    entries = [SimpleNamespace(image_id=str(i), bands=[
-        SimpleNamespace(band_index=1, metadata=SimpleNamespace(vignette=lens))])
+    entries = [SimpleNamespace(image_id=str(i), bands=[SimpleNamespace(
+        band_index=1, metadata=SimpleNamespace(vignette=lens))])
         for i, lens in enumerate(lenses)]
     tasks = [cli._BandTask(i, 0, entry.bands[0], id(lens))
              for i, (entry, lens) in enumerate(zip(entries, lenses))]
