@@ -68,8 +68,7 @@ def _stream_band(task: _BandTask, raw: RawImage, vignette: Vignette,
                  pgm_scale: float | None = None) -> dict:
     """Convert a task's band-frame block by block into its float32 plane
     and, with ``pgm_scale``, into its 16-bit PGM of the scaled plane; the
-    sidecar follows the last block.  Without ``pgm_scale``, a PGM under
-    the task's name, of an earlier run, is removed.
+    sidecar follows the last block.
 
     Returns the band's record: the plane's name and the pixels clamped and
     saturated, and with a ``post_map`` the share out of [0, 1].
@@ -79,10 +78,7 @@ def _stream_band(task: _BandTask, raw: RawImage, vignette: Vignette,
     with ExitStack() as files:
         plane = rows_writer(files.enter_context(path.open("wb")), "<f4")
         sink = plane
-        if pgm_scale is None:
-            for stale in task.files[2:]:
-                stale.unlink(missing_ok=True)
-        else:
+        if pgm_scale is not None:
             handle = files.enter_context(task.files[2].open("wb"))
             handle.write(pgm16_header(width, height))
             pgm = rows_writer(handle, ">u2")
@@ -106,6 +102,19 @@ def _batch_exit(ok: int, failed: int) -> int:
     if failed == 0:
         return EXIT_OK
     return EXIT_TOTAL if ok == 0 else EXIT_PARTIAL
+
+
+def _without_tracebacks(exc: Exception) -> Exception:
+    """``exc`` with no traceback along its ``__context__`` and
+    ``__cause__`` chain, so a kept outcome holds no frame alive."""
+    chain, seen = [exc], set()
+    while chain:
+        link = chain.pop()
+        if link is not None and link not in seen:
+            seen.add(link)
+            link.__traceback__ = None
+            chain += link.__context__, link.__cause__
+    return exc
 
 
 def _workers() -> int:
@@ -255,7 +264,7 @@ def _image_pass(entries, tasks: list[_BandTask], write_band,
                 try:
                     task.outcome = write_band(task, partial(vignette, task))
                 except Exception as exc:
-                    task.outcome = exc
+                    task.outcome = _without_tracebacks(exc)
                     failed[task.image] = task.position
             if last[task.lens] == n:
                 for key in [key for key in maps if key[0] == task.lens]:
@@ -285,15 +294,11 @@ def _image_pass(entries, tasks: list[_BandTask], write_band,
             for path in task.files:
                 path.unlink(missing_ok=True)
     outcomes = {(task.image, task.position): task.outcome for task in tasks}
-    bands: dict[str, dict] = {}
-    failures: dict[str, str] = {}
-    for i, entry in enumerate(entries):
-        if i not in errors:
-            bands[entry.image_id] = {str(band.band_index): outcomes[i, j]
-                                     for j, band in enumerate(entry.bands)}
-        else:
-            failures[entry.image_id] = str(errors[i])
-    return bands, failures
+    return ({entry.image_id: {str(band.band_index): outcomes[i, j]
+                              for j, band in enumerate(entry.bands)}
+             for i, entry in enumerate(entries) if i not in errors},
+            {entry.image_id: str(errors[i])
+             for i, entry in enumerate(entries) if i in errors})
 
 
 def _read_band(task: _BandTask, vignette):
@@ -306,6 +311,38 @@ def _read_band(task: _BandTask, vignette):
     return raw, vignette(raw.pixels.shape)
 
 
+#: The report of each imagery command in its ``--out``.
+REPORTS = {"convert": "conversion_log.json",
+           "reflect": "reflectance_report.json"}
+
+
+def _write_run(out: Path, command: str, header: dict, entries, tasks,
+               write_band, fields=None, pgm=False, errors=None,
+               settle=None) -> int:
+    """Run :func:`_image_pass` into ``out`` and write ``command``'s
+    report: ``header``, each good image's band records and
+    ``fields[image_id]``, and the failures.  Returns the exit code.  First
+    the other command's report goes, as its planes are overwritten, and
+    without ``pgm`` each PGM the tasks name.  On any error the report and
+    every file the tasks name go, whichever run wrote them."""
+    report = out / REPORTS[command]
+    with removed_on_error([*(path for task in tasks for path in task.files),
+                           report]):
+        stale = [out / REPORTS[other] for other in REPORTS.keys() - {command}]
+        if not pgm:
+            stale += [path for task in tasks for path in task.files[2:]]
+        for path in stale:
+            path.unlink(missing_ok=True)
+        bands, failures = _image_pass(entries, tasks, write_band, errors,
+                                      settle)
+        write_json(report, {**header, "failures": failures, "images": {
+            image_id: {**(fields or {}).get(image_id, {}), "bands": records}
+            for image_id, records in bands.items()}})
+    for image_id, message in sorted(failures.items()):
+        print(f"error: image {image_id}: {message}", file=sys.stderr)
+    return _batch_exit(len(bands), len(failures))
+
+
 def cmd_convert(args) -> int:
     manifest = load_manifest(args.manifest)
     out = Path(args.out)
@@ -313,25 +350,13 @@ def cmd_convert(args) -> int:
     if not manifest.images:
         print("warning: manifest lists no images; nothing to convert",
               file=sys.stderr)
-        write_json(out / "conversion_log.json", {"images": {}, "failures": {}})
-        return EXIT_OK
     tasks = _plan_bands(out, manifest.images)
 
     def write_band(task: _BandTask, vignette) -> dict:
         return _stream_band(task, *_read_band(task, vignette), RADIANCE_UNITS)
 
-    report = out / "conversion_log.json"
-    with removed_on_error([*(path for task in tasks for path in task.files),
-                           report]):
-        # reflect's report would name planes this pass overwrites.
-        (out / "reflectance_report.json").unlink(missing_ok=True)
-        bands, failures = _image_pass(manifest.images, tasks, write_band)
-        log = {image_id: {"bands": records}
-               for image_id, records in bands.items()}
-        write_json(report, {"images": log, "failures": failures})
-    for image_id, message in sorted(failures.items()):
-        print(f"error: image {image_id}: {message}", file=sys.stderr)
-    return _batch_exit(len(log), len(failures))
+    return _write_run(out, args.command, {}, manifest.images, tasks,
+                      write_band)
 
 
 def _placements(entry: ImageEntry) -> list:
@@ -380,17 +405,12 @@ def cmd_reflect(args) -> int:
     rsr_set = manifest.rsr_set()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if not manifest.images:
+    images = manifest.images
+    if not images:
         print("warning: manifest lists no images; nothing to process",
               file=sys.stderr)
-        write_json(out / "reflectance_report.json",
-                   {"method": args.method, "selection": args.selection,
-                    "images": {}, "failures": {}})
-        return EXIT_OK
-
-    images = manifest.images
     calibration: tuple[ImageEntry, ...] = ()
-    if args.method in ("elm1", "elm2"):
+    if images and args.method in ("elm1", "elm2"):
         calibration = tuple(entry for entry in manifest.calibration_images
                             if entry.calibration_dark is not None
                             or args.method != "elm2")
@@ -475,7 +495,7 @@ def cmd_reflect(args) -> int:
     records, band_maps, errors = {}, {}, {}
     for i, entry in enumerate(images):
         try:
-            records[i], band_maps[i] = prepare(i, entry)
+            records[entry.image_id], band_maps[i] = prepare(i, entry)
         except SuascalError as exc:
             errors[i] = exc
 
@@ -504,23 +524,9 @@ def cmd_reflect(args) -> int:
                 fit_errors[i] = exc
         return fit_errors
 
-    report = out / "reflectance_report.json"
-    with removed_on_error([*(path for task in tasks for path in task.files),
-                           report]):
-        # convert's log would name planes this pass overwrites.
-        (out / "conversion_log.json").unlink(missing_ok=True)
-        bands, failures = _image_pass(images, tasks, write_band, errors,
-                                      settle if calibration else None)
-        results = {entry.image_id: dict(records[i],
-                                        bands=bands[entry.image_id])
-                   for i, entry in enumerate(images)
-                   if entry.image_id in bands}
-        write_json(report, {"method": args.method,
-                            "selection": args.selection, "images": results,
-                            "failures": failures})
-    for image_id, message in sorted(failures.items()):
-        print(f"error: image {image_id}: {message}", file=sys.stderr)
-    return _batch_exit(len(results), len(failures))
+    header = {"method": args.method, "selection": args.selection}
+    return _write_run(out, args.command, header, images, tasks, write_band,
+                      records, args.write_pgm, errors, settle)
 
 
 def cmd_simulate(args) -> int:

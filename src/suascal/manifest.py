@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import datasets
-from .errors import ManifestError, MetadataError
+from .errors import ManifestError, MetadataError, OrientationError
 from .jsonread import json_field, json_value, read_json
 from .radiance import RadiometricMetadata, VignetteModel
 from .reflectance import N_BANDS, DLSRecord
@@ -56,13 +56,6 @@ class ImageEntry:
     @property
     def is_calibration(self) -> bool:
         return self.calibration_bright is not None
-
-    def band(self, band_index: int) -> BandEntry:
-        for entry in self.bands:
-            if entry.band_index == band_index:
-                return entry
-        raise ManifestError(
-            f"image {self.image_id}: no band {band_index}")
 
 
 @dataclass(frozen=True)
@@ -129,7 +122,7 @@ def _parse_dls(raw: dict, context: str) -> DLSRecord:
                                       1.0),
             diffuse_ratio=json_field(raw, "diffuse_ratio", float, context,
                                      0.166))
-    except MetadataError as exc:
+    except (MetadataError, OrientationError) as exc:
         raise ManifestError(f"{context}: {exc}") from exc
 
 

@@ -13,9 +13,9 @@ from .errors import SuascalError
 
 def part_runs(workers: int, units: int) -> list[range]:
     """``range(units)`` cut into one contiguous run per part, as even as
-    can be with the shorter runs first: one part per worker, or per unit
-    if there are fewer, and one where :func:`os.fork` does not exist."""
-    parts = min(workers, units) if hasattr(os, "fork") else 1
+    can be with the shorter runs first: one part per worker or unit,
+    whichever are fewer but at least one, and one without :func:`os.fork`."""
+    parts = max(min(workers, units), 1) if hasattr(os, "fork") else 1
     return [range(k * units // parts, (k + 1) * units // parts)
             for k in range(parts)]
 

@@ -232,6 +232,18 @@ def build_flight(root, field_images=2, with_decoy=False, weather="sunny",
     return path
 
 
+def build_empty_flight(root):
+    """Write a manifest that lists no image under ``root``; returns its
+    path."""
+    root.mkdir(parents=True, exist_ok=True)
+    path = root / "manifest.json"
+    path.write_text(json.dumps({
+        "flight": {"id": "empty", "date": "2021-01-01", "weather": "sunny",
+                   "altitude_ft": 150},
+        "panels": {}, "images": []}), encoding="utf-8")
+    return path
+
+
 #: Any JSON value: null, bools, integers, floats (NaN and infinities too,
 #: which Python's json reads and writes), strings, lists and objects.
 json_values = st.recursive(

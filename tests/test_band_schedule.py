@@ -10,14 +10,21 @@ storage kept for the next map of that size; per-image results, errors and
 files must not depend on that order or on the part count.
 """
 
+import contextlib
 import errno
+import gc
+import io
 import json
 import os
+import tempfile
 import weakref
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from suascal import cli
@@ -231,7 +238,7 @@ class TestCalibrationFitFirst:
             assert not list(out.glob("cal_b_*")) + list(out.glob("field_2_*"))
 
 
-class TestStoreAfterFailures:
+class TestMapsAfterFailures:
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_failed_and_skipped_bands_give_their_maps_back(
             self, tmp_path, counted, command):
@@ -250,6 +257,30 @@ class TestStoreAfterFailures:
             assert all(len(set(part)) == len(part) for part in
                        counted.builds.by_process().values())
             assert each_part_held_one_storage(counted)
+
+    def test_failed_task_keeps_no_map_alive(self, tmp_path, monkeypatch):
+        """A failed task's error is kept without the frames it was raised
+        through, which hold its part's maps: every map storage is freed
+        when the command returns, with no garbage collection."""
+        manifest = helpers.build_flight(tmp_path / "flight", field_images=2)
+        (manifest.parent / "field_2_b3.pgm").write_bytes(b"P6\n")
+        storages = []
+        build = cli._build_vignette
+
+        def kept(model, k, rows=None):
+            storages.append(weakref.ref(k))
+            return build(model, k, rows)
+
+        monkeypatch.setattr(cli, "_build_vignette", kept)
+        gc.disable()
+        try:
+            with helpers.workers(1):
+                assert main(["convert", "--manifest", str(manifest),
+                             "--out", str(tmp_path / "out")]) == 2
+            alive = [ref() for ref in storages]
+        finally:
+            gc.enable()
+        assert len(alive) == 1 and alive == [None]
 
 
 class TestHeldRowFactors:
@@ -638,6 +669,25 @@ class TestBandPassParts:
                 1, f"error: [Errno {errno.ENOSPC}] "
                    f"{os.strerror(errno.ENOSPC)}\n", {})
 
+    @pytest.mark.parametrize("command, noun", [("convert", "convert"),
+                                               ("elm2", "process")])
+    def test_empty_manifest_report_write_error_leaves_no_file(
+            self, tmp_path, monkeypatch, capsys, command, noun):
+        """A manifest of no image owns its report as any run does: a
+        rerun that cannot write it leaves no report of the run before."""
+        manifest = helpers.build_empty_flight(tmp_path / "flight")
+        argv, out = self.COMMANDS[command], tmp_path / "out"
+        assert self.run(capsys, argv, manifest, out, 1)[0] == 0
+        assert len(list(out.iterdir())) == 1
+
+        def full(path, payload):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cli, "write_json", full)
+        assert self.run(capsys, argv, manifest, out, 1) == (
+            1, f"warning: manifest lists no images; nothing to {noun}\n"
+               f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n",
+            {})
 
 
 class TestPlannedFiles:
@@ -738,6 +788,110 @@ class TestPlannedFiles:
                 (manifest.parent / "field_2_b3.pgm").write_bytes(b"P6\n")
             assert run(then, out) == run(then, fresh) == (2 if broken else 0)
         assert files_in(out) == files_in(fresh)
+
+    @pytest.mark.parametrize("first, then", [(ELM2, ["convert"]),
+                                             (["convert"], ELM2)],
+                             ids=["elm2-convert", "convert-elm2"])
+    def test_empty_manifest_leaves_only_its_report(self, tmp_path, first,
+                                                   then):
+        """A manifest of no image removes the other command's report, as
+        any run does.  The other run's planes are no files of this run,
+        so they stay."""
+        manifest = helpers.build_flight(tmp_path / "flight", field_images=2)
+        empty = helpers.build_empty_flight(tmp_path / "empty")
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+
+        def run(argv, flight, folder):
+            return main([argv[0], "--manifest", str(flight),
+                         "--out", str(folder), *argv[1:]])
+
+        assert run(first, manifest, out) == 0
+        planes = {name: data for name, data in files_in(out).items()
+                  if not name.endswith("_report.json")
+                  and not name.endswith("_log.json")}
+        assert len(planes) == 30
+        assert run(then, empty, out) == run(then, empty, fresh) == 0
+        assert files_in(out) == {**planes, **files_in(fresh)}
+
+
+#: The runs of the property below, by name.
+RUNS = {"convert": ["convert"], "elm2": ["reflect", "--method", "elm2"],
+        "aarr": ["reflect", "--method", "aarr"],
+        "aarr-pgm": ["reflect", "--method", "aarr", "--write-pgm"]}
+
+
+@pytest.fixture(scope="module")
+def flights(tmp_path_factory):
+    """Each flight of the property below by its fault: the two-field-image
+    flight as built (``none``), with ``field_2_b3.pgm`` undecodable, with
+    a row model that :func:`row_factors` rejects on field_1's band 2
+    (``rows``), and a manifest of no image (``empty``)."""
+    root = tmp_path_factory.mktemp("flights")
+    built = {fault: helpers.build_flight(root / fault, field_images=2)
+             for fault in ("none", "undecodable", "rows")}
+    (built["undecodable"].parent / "field_2_b3.pgm").write_bytes(b"P6\n")
+    edit_manifest(built["rows"], lambda raw: image(raw, "field_1")[
+        "bands"][1]["metadata"].update(a3=-0.05))
+    return {**built, "empty": helpers.build_empty_flight(root / "empty")}
+
+
+def named(manifest) -> set:
+    """The name of every file that a run of ``manifest`` writes or
+    removes in its ``--out``: both reports, and the plane, sidecar and
+    PGM of each band of each image."""
+    ids = [entry["image_id"]
+           for entry in json.loads(manifest.read_text())["images"]]
+    return {"conversion_log.json", "reflectance_report.json",
+            *(f"{image_id}_b{band}{suffix}" for image_id in ids
+              for band in range(1, 6)
+              for suffix in (".f32", ".f32.json", ".pgm"))}
+
+
+class TestOneRunPerOut:
+    """Whatever an ``--out`` held, a run into it leaves the files, exit
+    code and stderr of a run into an empty folder, byte for byte; a file
+    that the run does not name stays as it was."""
+
+    #: What ran into ``--out`` before: nothing, or a run on a flight.
+    BEFORE = [None, ("convert", "none"), ("elm2", "none"),
+              ("aarr-pgm", "none"), ("convert", "empty"),
+              ("elm2", "empty")]
+
+    @staticmethod
+    def run(name, manifest, out, workers):
+        """``main``'s exit code and stderr, and the files in ``out``."""
+        argv = RUNS[name]
+        stderr = io.StringIO()
+        with helpers.workers(workers), contextlib.redirect_stderr(stderr):
+            code = main([argv[0], "--manifest", str(manifest),
+                         "--out", str(out), *argv[1:]])
+        return code, stderr.getvalue(), files_in(out)
+
+    # Each example runs up to three commands: a quarter of the profile's
+    # count.
+    @settings(max_examples=settings.default.max_examples // 4)
+    @given(before=st.sampled_from(BEFORE), command=st.sampled_from(
+               sorted(RUNS)),
+           fault=st.sampled_from(["none", "undecodable", "rows", "empty"]),
+           workers=st.integers(1, 4))
+    def test_a_run_leaves_what_a_fresh_run_leaves(self, flights, before,
+                                                  command, fault, workers):
+        manifest = flights[fault]
+        with tempfile.TemporaryDirectory() as root:
+            out, fresh = Path(root, "out"), Path(root, "fresh")
+            out.mkdir()
+            (out / "notes.txt").write_bytes(b"no command names this\n")
+            if before is not None:
+                name, flight = before
+                assert self.run(name, flights[flight], out, 1)[0] == 0
+            kept = {name: data for name, data in files_in(out).items()
+                    if name not in named(manifest)}
+            code, err, files = self.run(command, manifest, out, workers)
+            assert (code, err) == self.run(command, manifest, fresh,
+                                           workers)[:2]
+            assert code == (0 if fault in ("none", "empty") else 2)
+            assert files == {**kept, **files_in(fresh)}
+        helpers.no_child_left()
 
 
 class TestClampedPixels:

@@ -56,7 +56,8 @@ class TestManifest:
         assert len(manifest.images) == 4
         assert [img.image_id for img in manifest.calibration_images] == \
             ["cal_a", "cal_b"]
-        assert manifest.images[0].band(3).metadata.band_index == 3
+        assert [band.metadata.band_index
+                for band in manifest.images[0].bands] == [1, 2, 3, 4, 5]
 
     def test_paths_resolve_relative_to_manifest(self, flight):
         manifest = load_manifest(flight)
@@ -183,6 +184,40 @@ class TestManifest:
         assert repr(keys[-1]) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
         assert not list(tmp_path.glob("**/escaped*"))
+
+    @pytest.mark.parametrize("command", [["convert"],
+                                         ["reflect", "--method", "aarr"]],
+                             ids=["convert", "aarr"])
+    @pytest.mark.parametrize("dls, message", [
+        ({"raw_irradiance": [1.0] * 4},
+         "raw_irradiance must have exactly 5 band values, got shape (4,)"),
+        ({"raw_irradiance": [1.0] * 4 + [float("nan")]},
+         "raw_irradiance contains non-finite values"),
+        ({"raw_irradiance": [1.0] * 4 + [-1.0]},
+         "DLS irradiance cannot be negative"),
+        ({"solar_elevation_deg": 95},
+         "solar elevation 95.0 outside [0, 90] degrees"),
+        ({"sun_sensor_angle_deg": -1},
+         "sun-sensor angle -1.0 outside [0, 180] degrees"),
+        ({"fresnel_factor": 0}, "Fresnel factor must be positive, got 0.0"),
+        ({"diffuse_ratio": -0.5},
+         "diffuse ratio must be non-negative, got -0.5"),
+        ({"sun_sensor_angle_deg": 180},
+         "orientation-invalid DLS record: correction denominator is not "
+         "positive"),
+    ], ids=["band-count", "non-finite", "negative", "elevation",
+            "sun-sensor-angle", "fresnel", "diffuse-ratio", "denominator"])
+    def test_bad_dls_record_names_its_image(self, flight, tmp_path, capsys,
+                                            command, dls, message):
+        """Each check of a DLS record fails the run in one line that
+        names the image, before ``--out`` is created."""
+        self._mutate(flight, lambda raw: raw["images"][2]["dls"].update(dls))
+        out = tmp_path / "out"
+        assert main([command[0], "--manifest", str(flight),
+                     "--out", str(out), *command[1:]]) == 1
+        assert capsys.readouterr().err == (
+            f"error: image 'field_1' dls: {message}\n")
+        assert not out.exists()
 
     @given(data=st.data())
     def test_any_mutated_node_loads_or_is_a_suascal_error(self, pristine,

@@ -306,7 +306,7 @@ def band_pass(lenses, work, shapes):
     return [task.outcome for task in tasks]
 
 
-class TestVignetteCache:
+class TestBandPassMaps:
     """The band pass's maps: in each part, one vignette map per (lens
     model, frame size), built on its first use, shared read-only and
     dropped after the lens model's last task, its storage kept for the
@@ -436,11 +436,11 @@ def planned_rows(metas, other_lens_meta=None):
     return [task.rows for task in tasks]
 
 
-class TestStoreHeldRowFactors:
+class TestMapRowFactors:
     """A band pass map holds ``V * R`` when every band-frame of its lens
     model has one row model, ``V`` alone otherwise."""
 
-    COUNTS = TestVignetteCache.COUNTS
+    COUNTS = TestBandPassMaps.COUNTS
 
     def test_map_of_one_row_model_holds_its_row_factors(self):
         height, width = self.COUNTS.shape
