@@ -238,7 +238,7 @@ class TestCalibrationFitFirst:
             assert not list(out.glob("cal_b_*")) + list(out.glob("field_2_*"))
 
 
-class TestMapsAfterFailures:
+class TestMapsFreedOnFailure:
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_failed_and_skipped_bands_give_their_maps_back(
             self, tmp_path, counted, command):
