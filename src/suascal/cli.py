@@ -31,7 +31,7 @@ from .imageio import (pgm16_header, read_pgm16, read_plane, rows_writer,
                       sidecar_path, write_plane, write_sidecar)
 from .jsonread import json_field, read_json, write_json
 from .manifest import BandEntry, ImageEntry, load_manifest
-from .parts import Parts, part_runs, removed_on_error, send_outcome
+from .parts import part_runs, removed_on_error, run_parts
 from .radiance import (ROW_BLOCK, RawImage, RowModel, Vignette,
                        _build_vignette, convert_band)
 from .reflectance import (SELECTION_MODES, CalibrationImage,
@@ -201,14 +201,15 @@ def _image_pass(entries, tasks: list[_BandTask], write_band,
     map over frames of ``shape``.  ``errors`` holds the images that failed
     before their bands (position to exception).
 
-    The tasks run in the parts of :func:`~suascal.parts.part_runs` for
-    :func:`_workers`, contiguous runs of ``tasks``: part 1 here, each
-    later one in a forked child that sends back its tasks' outcomes.  A
-    part runs its tasks in order, after the calibration tasks (images
-    numbered on from ``len(entries)``) of every band it writes, so no part
-    waits on another.  It skips a task once a band of its image before it
-    has failed there, and the images in ``errors`` run none: only an
-    image's first failure in manifest order is reported.
+    The tasks run through :func:`~suascal.parts.run_parts` in the parts
+    of :func:`~suascal.parts.part_runs` for :func:`_workers`, contiguous
+    runs of ``tasks``: part 1 here, each later one in a forked child that
+    sends back its tasks' outcomes.  A part runs its tasks in order, after
+    the calibration tasks (images numbered on from ``len(entries)``) of
+    every band it writes, so no part waits on another.  It skips a task
+    once a band of its image before it has failed there, and the images in
+    ``errors`` run none: only an image's first failure in manifest order
+    is reported.
 
     A part builds a map on the first use of its (lens model, frame shape)
     and drops it after the lens model's last task in the part, run or not;
@@ -230,9 +231,9 @@ def _image_pass(entries, tasks: list[_BandTask], write_band,
     errors = dict(errors or {})
     runs = part_runs(_workers(), len(tasks))
 
-    def run_part(run: range) -> list:
+    def run_part(run: range) -> dict:
         """Run the part of ``run``; returns the outcome of each of its
-        tasks."""
+        tasks by position."""
         bands = {tasks[i].band.band_index for i in run
                  if tasks[i].image < len(entries)}
         mine = [task for i, task in enumerate(tasks)
@@ -269,17 +270,13 @@ def _image_pass(entries, tasks: list[_BandTask], write_band,
             if last[task.lens] == n:
                 for key in [key for key in maps if key[0] == task.lens]:
                     spare[key[1]] = maps.pop(key)[0]
-        return [tasks[i].outcome for i in run]
+        return {i: tasks[i].outcome for i in run}
 
-    with Parts("band pass part", len(runs)) as children:
-        for run in runs[1:]:
-            children.fork(partial(send_outcome, partial(run_part, run)))
-        run_part(runs[0])
-        for part, run in enumerate(runs[1:], 2):
-            message = children.receive(part, "ended without sending its "
-                                       "result")
-            for i, outcome in zip(run, message):
-                tasks[i].outcome = outcome
+    def take(outcomes: dict) -> None:
+        for i, outcome in outcomes.items():
+            tasks[i].outcome = outcome
+
+    run_parts("band pass part", runs, run_part, take)
     for task in sorted(tasks, key=lambda task: task.position):
         if isinstance(task.outcome, Exception):
             errors.setdefault(task.image, task.outcome)
@@ -323,11 +320,13 @@ def _write_run(out: Path, command: str, header: dict, entries, tasks,
     report: ``header``, each good image's band records and
     ``fields[image_id]``, and the failures.  Returns the exit code.  First
     the other command's report goes, as its planes are overwritten, and
-    without ``pgm`` each PGM the tasks name.  On any error the report and
-    every file the tasks name go, whichever run wrote them."""
+    without ``pgm`` each PGM the tasks name.  ``out`` is created here, after
+    every usage check.  On any error the report and every file the tasks
+    name go, whichever run wrote them, and so does ``out`` if this run
+    created it."""
     report = out / REPORTS[command]
-    with removed_on_error([*(path for task in tasks for path in task.files),
-                           report]):
+    with removed_on_error(out, [*(path for task in tasks
+                                  for path in task.files), report]):
         stale = [out / REPORTS[other] for other in REPORTS.keys() - {command}]
         if not pgm:
             stale += [path for task in tasks for path in task.files[2:]]
@@ -346,7 +345,6 @@ def _write_run(out: Path, command: str, header: dict, entries, tasks,
 def cmd_convert(args) -> int:
     manifest = load_manifest(args.manifest)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if not manifest.images:
         print("warning: manifest lists no images; nothing to convert",
               file=sys.stderr)
@@ -404,7 +402,6 @@ def cmd_reflect(args) -> int:
     manifest = load_manifest(args.manifest)
     rsr_set = manifest.rsr_set()
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     images = manifest.images
     if not images:
         print("warning: manifest lists no images; nothing to process",
@@ -545,8 +542,7 @@ def cmd_evaluate(args) -> int:
                      if part.strip())
     reports = aggregate(samples, group_by, sample_std=args.sample_std)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with removed_on_error([out / "report.csv"]) as files:
+    with removed_on_error(out, [out / "report.csv"]) as files:
         write_reports(files[0], reports)
         if group_by == ("method",):
             # Overall-errors layout: one column per method, one row per
@@ -622,11 +618,10 @@ def cmd_rsr(args) -> int:
         curves[run.band_index] = (response if degenerate
                                   else peak_normalize(response), degenerate)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     names = {band: f"rsr_band_{band}.csv" for band in curves}
     log: dict[str, dict] = {}
-    with removed_on_error([out / "rsr_log.json",
-                           *(out / name for name in names.values())]):
+    with removed_on_error(out, [out / "rsr_log.json",
+                                *(out / name for name in names.values())]):
         # An earlier run's curves of bands this run has no sweep of.
         for path in out.glob("rsr_band_*.csv"):
             if re.fullmatch(r"rsr_band_(0|-?[1-9][0-9]*)\.csv", path.name) \
@@ -654,9 +649,8 @@ def cmd_ndvi(args) -> int:
     result = ndvi(ReflectanceImage(band_index=3, pixels=red_pixels),
                   ReflectanceImage(band_index=5, pixels=nir_pixels))
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     log = Path(str(out) + ".log.json")
-    with removed_on_error([out, sidecar_path(out), log]):
+    with removed_on_error(out.parent, [out, sidecar_path(out), log]):
         write_plane(out, result.values, band_index=0, units="ndvi")
         write_json(log,
                    {"zero_denominator_pixels": result.zero_denominator_count})

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 import pickle
 import signal
 from contextlib import contextmanager
-from typing import BinaryIO, Callable
+from pathlib import Path
+from typing import Callable, Sequence
 
 from .errors import SuascalError
 
@@ -16,93 +18,96 @@ def part_runs(workers: int, units: int) -> list[range]:
     can be with the shorter runs first: one part per worker or unit,
     whichever are fewer but at least one, and one without :func:`os.fork`."""
     parts = max(min(workers, units), 1) if hasattr(os, "fork") else 1
-    return [range(k * units // parts, (k + 1) * units // parts)
-            for k in range(parts)]
+    short, longer = divmod(units, parts)
+    starts = [k * short + max(k - parts + longer, 0)
+              for k in range(parts + 1)]
+    return [range(start, stop) for start, stop in zip(starts, starts[1:])]
 
 
-class Parts:
-    """The children that run parts 2 to ``count`` of a run, each on one
-    thread, while this process runs part 1.  A child only sends: pickled
-    messages down its one pipe to this process.  An error or interrupt in
-    the ``with`` block kills them, and leaving it closes every pipe and
-    reaps every child."""
+def run_parts(name: str, runs: Sequence, work: Callable,
+              take: Callable) -> None:
+    """Call ``take(work(run))`` for each of ``runs``, in order: the first
+    here, each later one in a child forked for it that sends this process
+    one pickled message, what ``work`` returns or raises.
 
-    def __init__(self, name: str, count: int):
-        self.name, self.count = name, count
-        self._children: list[tuple[int, BinaryIO]] = []
-
-    def fork(self, run: Callable[[BinaryIO], None]) -> None:
-        """Fork the next part's child, which calls ``run(out)`` with its end
-        of the pipe to this process, then exits."""
-        read, write = os.pipe()
-        # Fork, not spawn: a spawned child imports numpy and this package
-        # again, which takes longer than the part it would run.  The
-        # package starts no thread; OpenBLAS's pool has fork handlers.
-        pid = os.fork()
-        if pid:
-            os.close(write)
-            self._children.append((pid, os.fdopen(read, "rb")))
-            return
-        status = 1
-        try:
-            os.close(read)
-            for _, reader in self._children:
-                reader.close()
-            with os.fdopen(write, "wb") as out:
-                run(out)
-            status = 0
-        finally:
-            # Nothing of the parent's (atexit hooks, stdio buffers) runs here.
-            os._exit(status)
-
-    def receive(self, part: int, missing: str):
-        """The next message of ``part``'s child.  Raises the exception it
-        sent, or, if it ended first, a :class:`SuascalError` naming the
-        part and what it is ``missing``."""
-        try:
-            message = pickle.load(self._children[part - 2][1])
-        except (EOFError, pickle.UnpicklingError):
-            raise SuascalError(f"{self.name} {part} of {self.count} "
-                               f"{missing}") from None
-        if isinstance(message, BaseException):
-            raise message
-        return message
-
-    def __enter__(self) -> Parts:
-        return self
-
-    def __exit__(self, kind, value, traceback) -> None:
-        try:
-            if kind is not None:
-                for pid, _ in self._children:
-                    os.kill(pid, signal.SIGKILL)
-        finally:
-            # A child blocked on its pipe ends once this end is closed.
-            for _, reader in self._children:
-                reader.close()
-            for pid, _ in self._children:
-                os.waitpid(pid, 0)
-
-
-def send_outcome(work: Callable[[], object], out: BinaryIO) -> None:
-    """Pickle to ``out`` what ``work()`` returns, or what it raises."""
+    The first error in part order is raised, once the parts before it are
+    taken; a child that ends before its message is raised as a
+    :class:`SuascalError` naming ``name`` and the part.  Any error or
+    interrupt kills the children, and every child is reaped on every path.
+    """
+    children = []  # (pid, the read end of its pipe)
     try:
-        message = work()
-    except BaseException as exc:
-        message = exc
-    pickle.dump(message, out)
+        for run in runs[1:]:
+            read, write = os.pipe()
+            # Fork, not spawn: a spawned child imports numpy and this
+            # package again, which takes longer than the part it would
+            # run.  The package starts no thread; OpenBLAS's pool has fork
+            # handlers.
+            pid = os.fork()
+            if not pid:
+                _child(work, run, write,
+                       [read, *(reader.fileno() for _, reader in children)])
+            os.close(write)
+            children.append((pid, os.fdopen(read, "rb")))
+        take(work(runs[0]))
+        for part, (_, reader) in enumerate(children, 2):
+            try:
+                message = pickle.load(reader)
+            except (EOFError, pickle.UnpicklingError):
+                raise SuascalError(f"{name} {part} of {len(runs)} ended "
+                                   "without sending its result") from None
+            if isinstance(message, BaseException):
+                raise message
+            take(message)
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for _, reader in children:
+            reader.close()
+        for pid, _ in children:
+            os.waitpid(pid, 0)
+
+
+def _child(work: Callable, run, write: int, reads: list[int]) -> None:
+    """A forked part: close ``reads``, the parent's pipe ends, pickle what
+    ``work(run)`` returns or raises to the pipe end ``write``, and exit."""
+    status = 1
+    try:
+        for read in reads:
+            os.close(read)
+        with os.fdopen(write, "wb") as out:
+            try:
+                message = work(run)
+            except BaseException as exc:
+                message = exc
+            # Pickled whole before any of it is written: pickling may still
+            # compute, and a message longer than the pipe holds would stop
+            # that until this process reads.
+            out.write(pickle.dumps(message))
+        status = 0
+    finally:
+        # Nothing of the parent's (atexit hooks, stdio buffers) runs here.
+        os._exit(status)
 
 
 @contextmanager
-def removed_on_error(paths=()):
-    """Remove each of ``paths``, and of the paths added to the list this
-    yields, if the block raises anything, an interrupt too.  A path is
-    removed whichever run wrote it, so a failed command leaves none of its
-    files, new or old."""
+def removed_on_error(folder: Path, paths=()):
+    """Create ``folder``; if the block raises anything, an interrupt too,
+    remove each of ``paths`` and of the paths added to the list this
+    yields, then each level of ``folder`` this created.  A path is removed
+    whichever run wrote it, so a failed command leaves none of its files,
+    new or old, and no folder it created."""
+    created = list(itertools.takewhile(lambda level: not level.exists(),
+                                       (folder, *folder.parents)))
+    folder.mkdir(parents=True, exist_ok=True)
     paths = list(paths)
     try:
         yield paths
     except BaseException:
         for path in paths:
             path.unlink(missing_ok=True)
+        for level in created:
+            level.rmdir()
         raise

@@ -28,11 +28,9 @@ import csv
 import io
 import itertools
 import math
-import pickle
 from dataclasses import dataclass, replace
-from functools import partial
 from pathlib import Path
-from typing import BinaryIO, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -40,7 +38,7 @@ from . import datasets
 from .errors import CurveError, ManifestError
 from .evaluate import ERROR_STATISTICS, error_statistics, write_csv
 from .jsonread import json_field, json_value, write_json
-from .parts import Parts, part_runs, removed_on_error, send_outcome
+from .parts import part_runs, removed_on_error, run_parts
 from .rsr import (SpectralCurve, band_weights, read_spectral_curve,
                   union_grid)
 from .solar import solar_zenith_deg
@@ -719,47 +717,46 @@ def _error_lines(table: SimulationTable):
                % tuple(values[start:start + step].ravel().tolist())).encode()
 
 
-#: How a child that ended before its rows is named.
-_CUT_SHORT = "ended before sending all of its output"
+class _Lines:
+    """A table's ``errors.csv`` lines, formatted by :func:`_error_lines`
+    one chunk at a time as they are iterated, and all at once when
+    pickled, as the list of chunks that a child sends."""
+
+    def __init__(self, table: SimulationTable):
+        self.table = table
+
+    def __iter__(self):
+        return _error_lines(self.table)
+
+    def __reduce__(self):
+        return list, (list(self),)
 
 
-def _part(grid: SimulationGrid, out: BinaryIO) -> None:
-    """A later part of :func:`run_study`, in its child: sends the table of
-    ``grid`` as ``(cells, recovered, skipped)`` or the exception raised,
-    then its ``errors.csv`` lines as one list of encoded chunks."""
-    try:
-        table = run_maarr_grid(grid)
-    except BaseException as exc:
-        pickle.dump(exc, out)
-        return
-    pickle.dump((table.cells, table.recovered, table.skipped), out)
-    # The parent waits on the result, not on the formatting.
-    out.flush()
-    send_outcome(lambda: list(_error_lines(table)), out)
+def _part(grid: SimulationGrid) -> tuple:
+    """One part of :func:`run_study`: the table of ``grid`` and its lines
+    of ``errors.csv``."""
+    table = run_maarr_grid(grid)
+    return table, _Lines(table)
 
 
 def run_study(grid: SimulationGrid, workers: int, out: Path
               ) -> SimulationTable:
     """Run ``grid``'s sweep in the parts of :func:`~suascal.parts.part_runs`
-    for ``workers`` and its atmospheres, each a contiguous run of them;
-    write the study's :data:`STUDY_FILES` into ``out``, the one writer of
-    those files.
+    for ``workers`` and its atmospheres, each a contiguous run of them,
+    through :func:`~suascal.parts.run_parts`; write the study's
+    :data:`STUDY_FILES` into ``out``, the one writer of those files.
 
-    This process runs part 1; a child forked for each later part runs it,
-    sends back its table, then formats its lines of ``errors.csv`` and
-    sends them too.  Once every part has run, this process creates
-    ``out`` and summarizes the table joined from the parts' (equal to
-    ``run_maarr_grid(grid)`` up to the order of each band sum) while the
-    children format.  It writes the header and part 1's lines of
-    ``errors.csv``, then each child's lines in part order as they come,
-    then the summaries and the log, and returns the table.  A child opens
-    no file.
+    Each part gives its table and its lines of ``errors.csv``, which this
+    process writes after the header in part order: part 1's as it formats
+    them, a child's as its one message arrives.  The table joined from the
+    parts' (equal to ``run_maarr_grid(grid)`` up to the order of each band
+    sum) then gives the summaries and the log, and is returned.  A child
+    opens no file.
 
     A part's error is raised once every part before it has run, so it is
-    the error one process would raise; a child that ends before its rows
-    is raised as a :class:`~suascal.errors.SuascalError`.  Any error or
-    interrupt kills and reaps the children still running and, once
-    ``out`` is created, removes every study file in ``out``, new or old.
+    the error one process would raise.  Any error or interrupt kills and
+    reaps the children still running and removes every study file in
+    ``out``, new or old, and ``out`` if this run created it.
     """
     # Loaded once here, not once in every child.
     datasets.bundled_rsr_set()
@@ -767,43 +764,35 @@ def run_study(grid: SimulationGrid, workers: int, out: Path
         datasets.bundled_solar_spectrum()
     grids = [replace(grid, atmospheres=grid.atmospheres[run.start:run.stop])
              for run in part_runs(workers, len(grid.atmospheres))]
-    later = range(2, len(grids) + 1)
-    with removed_on_error() as study, \
-            Parts("simulation part", len(grids)) as children:
-        for part in grids[1:]:
-            children.fork(partial(_part, part))
-        first = run_maarr_grid(grids[0])
-        results = [(first.cells, first.recovered, first.skipped)]
-        results += [children.receive(part, "ended without sending its "
-                                     "result") for part in later]
-        offsets = itertools.accumulate(
-            (part.cell_count for part in grids), initial=0)
-        cells, recovered, skipped = zip(*results)
-        table = replace(
-            first, axes=(grid.atmospheres, *first.axes[1:]),
-            cells=np.concatenate([c + o for c, o in zip(cells, offsets)]),
-            recovered=np.concatenate(recovered),
-            skipped=tuple(itertools.chain(*skipped)))
-        out.mkdir(parents=True, exist_ok=True)
-        study += [out / name for name in STUDY_FILES]
-        # Taken while the later parts format their rows.
-        kept = summary_rows(table, grid.summary_exclude_altitudes_km)
-        summaries = {"summary_band.csv": (
-            ["band_index", *ERROR_STATISTICS],
-            [[band] + [repr(stats[name]) for name in ERROR_STATISTICS]
-             for band, stats in band_statistics(kept).items()])}
-        for attribute in (*CELL_FIELDS, "target"):
-            summaries[f"summary_{attribute}.csv"] = (
-                [attribute, "mean_absolute_error"],
-                [[key, repr(value)] for key, value in
-                 grouped_absolute_error(table, attribute).items()])
+    tables = []
+    with removed_on_error(out, [out / name for name in STUDY_FILES]):
         with (out / "errors.csv").open("wb") as fh:
             fh.write(_HEADER)
-            fh.writelines(_error_lines(first))
-            for part in later:
-                fh.writelines(children.receive(part, _CUT_SHORT))
-        for name, (header, rows) in summaries.items():
-            write_csv(out / name, header, rows)
+
+            def take(result: tuple) -> None:
+                table, lines = result
+                fh.writelines(lines)
+                tables.append(table)
+
+            run_parts("simulation part", grids, _part, take)
+        offsets = itertools.accumulate(
+            (part.cell_count for part in grids), initial=0)
+        table = replace(
+            tables[0], axes=(grid.atmospheres, *tables[0].axes[1:]),
+            cells=np.concatenate([t.cells + o
+                                  for t, o in zip(tables, offsets)]),
+            recovered=np.concatenate([t.recovered for t in tables]),
+            skipped=tuple(itertools.chain(*(t.skipped for t in tables))))
+        kept = summary_rows(table, grid.summary_exclude_altitudes_km)
+        write_csv(out / "summary_band.csv",
+                  ["band_index", *ERROR_STATISTICS],
+                  [[band] + [repr(stats[name]) for name in ERROR_STATISTICS]
+                   for band, stats in band_statistics(kept).items()])
+        for attribute in (*CELL_FIELDS, "target"):
+            write_csv(out / f"summary_{attribute}.csv",
+                      [attribute, "mean_absolute_error"],
+                      [[key, repr(value)] for key, value in
+                       grouped_absolute_error(table, attribute).items()])
         write_json(out / "simulate_log.json", {
             "cells": grid.cell_count, "ran": len(table.cells),
             "skipped": [dict(zip(CELL_FIELDS, cell), reason=reason)

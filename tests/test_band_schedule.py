@@ -421,7 +421,7 @@ class TestFusedCalibration:
             assert capsys.readouterr().err == (
                 f"error: {bad}: not a binary PGM (magic b'P6', expected "
                 "b'P5')\n")
-            assert not list(out.iterdir())
+            assert not out.exists()
 
     def test_band_lines_are_the_fits_bit_for_bit(self, tmp_path,
                                                  monkeypatch):
@@ -491,7 +491,7 @@ class TestInterrupted:
             pytest.fail("KeyboardInterrupt escaped main")
         assert code == 130
         assert capsys.readouterr().err == "error: interrupted\n"
-        assert not list(out.iterdir())
+        assert not out.exists()
         helpers.no_child_left()
 
     @pytest.mark.parametrize("workers", [1, 3])
@@ -523,7 +523,7 @@ class TestInterrupted:
             assert main([command[0], "--manifest", str(manifest), "--out",
                          str(out), *command[1:]]) == code
         assert capsys.readouterr().err == line
-        assert not list(out.iterdir())
+        assert not out.exists()
 
     def test_memory_error_is_one_line_and_exit_3(self, tmp_path,
                                                  monkeypatch, capsys):
@@ -563,12 +563,14 @@ class TestBandPassParts:
 
     @staticmethod
     def run(capsys, argv, manifest, out, workers):
-        """``main``'s exit code and stderr, and the files in ``out``."""
+        """``main``'s exit code and stderr, and the files in ``out``, or
+        ``None`` if there is no ``out``."""
         with helpers.workers(workers):
             code = main(argv + ["--manifest", str(manifest),
                                 "--out", str(out)])
-        return code, capsys.readouterr().err, {
+        return code, capsys.readouterr().err, ({
             path.name: path.read_bytes() for path in out.iterdir()}
+            if out.exists() else None)
 
     @staticmethod
     def faulty_flight(root):
@@ -621,7 +623,7 @@ class TestBandPassParts:
         monkeypatch.setattr(cli, "_stream_band", fault(error, where))
         try:
             assert self.run(capsys, self.COMMANDS[command], manifest,
-                            tmp_path / "out", 3) == (code, line, {})
+                            tmp_path / "out", 3) == (code, line, None)
         except KeyboardInterrupt:
             # Raised on, it would end the whole test session.
             pytest.fail("KeyboardInterrupt escaped main")
@@ -642,7 +644,7 @@ class TestBandPassParts:
         assert self.run(capsys, self.COMMANDS["elm2"], manifest,
                         tmp_path / "out", 3) == (
             1, "error: band pass part 2 of 3 ended without sending its "
-               "result\n", {})
+               "result\n", None)
         helpers.no_child_left()
 
     @pytest.mark.parametrize("workers", [1, 3])
@@ -650,7 +652,8 @@ class TestBandPassParts:
     def test_report_write_error_leaves_no_file(self, tmp_path, monkeypatch,
                                                capsys, command, workers):
         """A full disk under the report, in a fresh directory and in a
-        rerun over a finished run: no file of either run is left."""
+        rerun over a finished run: no file of either run is left, and no
+        directory the run created."""
         manifest = helpers.build_flight(tmp_path / "flight", field_images=2)
         argv, out = self.COMMANDS[command], tmp_path / "out"
         assert self.run(capsys, argv, manifest, out, workers)[0] == 0
@@ -667,7 +670,7 @@ class TestBandPassParts:
                 out.rmdir()
             assert self.run(capsys, argv, manifest, out, workers) == (
                 1, f"error: [Errno {errno.ENOSPC}] "
-                   f"{os.strerror(errno.ENOSPC)}\n", {})
+                   f"{os.strerror(errno.ENOSPC)}\n", {} if rerun else None)
 
     @pytest.mark.parametrize("command, noun", [("convert", "convert"),
                                                ("elm2", "process")])

@@ -297,6 +297,32 @@ class TestConvertCommand:
         assert main(["convert", "--manifest", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "out")]) == 1
 
+    @pytest.mark.parametrize("fresh", [True, False],
+                             ids=["new-out", "flight-folder"])
+    def test_plane_over_a_band_frame_is_usage_error(self, flight, tmp_path,
+                                                    capsys, fresh):
+        """field_1's band 1 frame is named at the path of its own plane:
+        one line before any file is opened, and no ``--out`` if there was
+        none before, or the flight folder as it was."""
+        out = tmp_path / "out" if fresh else flight.parent
+        clash = out / "field_1_b1.f32"
+        if not fresh:
+            (flight.parent / "field_1_b1.pgm").rename(clash)
+        raw = json.loads(flight.read_text())
+        field_1 = next(image for image in raw["images"]
+                       if image["image_id"] == "field_1")
+        field_1["bands"][0]["path"] = str(clash)
+        flight.write_text(json.dumps(raw))
+        before = {path: path.read_bytes() for path in flight.parent.iterdir()}
+        assert main(["convert", "--manifest", str(flight),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {clash}: an output of this run would overwrite this "
+            "band-frame\n")
+        assert {path: path.read_bytes()
+                for path in flight.parent.iterdir()} == before
+        assert not fresh or not out.exists()
+
 
 def roi_mean(pixels, roi):
     x, y, w, h = roi
@@ -356,7 +382,7 @@ class TestReflectCommand:
         assert capsys.readouterr().err == (
             f"error: --designated-id {designated!r} is not a calibration "
             f"image method {method} can use; usable: {usable}\n")
-        assert not list(out.iterdir())
+        assert not out.exists()
 
     def test_single_selection_uses_designated(self, flight, tmp_path):
         out = tmp_path / "single"
@@ -426,7 +452,7 @@ class TestReflectCommand:
         assert capsys.readouterr().err == (
             f"error: {spectrum}: panel 'bright': spectrum [500.0, 600.0] nm "
             "does not cover the RSR support [435.0, 515.0] nm\n")
-        assert not list(out.iterdir())
+        assert not out.exists()
 
     def test_aarr_image_without_dls(self, flight, tmp_path, capsys):
         """That image fails with exit 2 and writes nothing; every other
@@ -484,6 +510,22 @@ class TestReflectCommand:
                      "--out", str(tmp_path / "out"),
                      "--method", "elm2"]) == 1
         assert "calibration" in capsys.readouterr().err
+
+    def test_elm2_without_a_dark_panel_is_usage_error(self, flight,
+                                                      tmp_path, capsys):
+        """elm2 fits through a dark panel: with none among the calibration
+        images, one line, and no ``--out``."""
+        raw = json.loads(flight.read_text())
+        for image in raw["images"]:
+            image.get("calibration", {}).pop("dark", None)
+        flight.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["reflect", "--manifest", str(flight), "--out", str(out),
+                     "--method", "elm2"]) == 1
+        assert capsys.readouterr().err == (
+            "error: method elm2 needs at least one calibration image with a "
+            "dark panel\n")
+        assert not out.exists()
 
 
 class TestFailedImageWritesNothing:
@@ -1031,8 +1073,10 @@ class TestSimulateParts:
         helpers.no_child_left()
 
     def test_child_gone_before_its_rows(self, tmp_path, monkeypatch):
-        """A child that dies after its result leaves ``errors.csv`` cut
-        short; it is removed."""
+        """A part sends its table and its rows as one message, so a child
+        that dies before its rows has sent nothing: the one line of a
+        child gone without its result, and no ``--out``, though part 1's
+        rows were written there."""
         lines = simulate_module._error_lines
 
         def gone(table):
@@ -1043,15 +1087,15 @@ class TestSimulateParts:
         monkeypatch.setattr(simulate_module, "_error_lines", gone)
         code, err, files = self._run(tmp_path, self.GRID, 3)
         assert code == 1
-        assert err == ("error: simulation part 2 of 3 ended before sending "
-                       "all of its output\n")
-        assert files == {}
+        assert err == ("error: simulation part 2 of 3 ended without sending "
+                       "its result\n")
+        assert files is None
         helpers.no_child_left()
 
     def test_child_write_error(self, tmp_path):
         """A full disk under a child's rows, as this process writes them,
         in a fresh directory and in a rerun over a finished study: no file
-        of either run is left."""
+        of either run is left, and no directory the run created."""
         real_open = Path.open
 
         class FullDisk(io.BufferedWriter):
@@ -1076,7 +1120,7 @@ class TestSimulateParts:
             assert code == 1
             assert err == (f"error: [Errno {errno.ENOSPC}] "
                            f"{os.strerror(errno.ENOSPC)}\n")
-            assert files == {}
+            assert files == ({} if rerun else None)
             helpers.no_child_left()
 
     def test_children_open_no_file(self, tmp_path, monkeypatch):
@@ -1295,7 +1339,8 @@ def no_space(*names):
 
 class TestFailedWriteLeavesNothing:
     """A command whose write fails exits 1 with one line and leaves none
-    of its files, new or left by an earlier run."""
+    of its files, new or left by an earlier run, and no folder it created:
+    here ``new`` and the folder in it."""
 
     LINE = f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
 
@@ -1308,8 +1353,10 @@ class TestFailedWriteLeavesNothing:
         capsys.readouterr()
         with no_space("rsr_band_3.csv"):
             assert main(argv) == 1
-        assert capsys.readouterr().err == self.LINE
+            assert main([*argv[:-1], str(tmp_path / "new" / "rsr")]) == 1
+        assert capsys.readouterr().err == 2 * self.LINE
         assert not list(out.iterdir())
+        assert not (tmp_path / "new").exists()
 
     def test_ndvi(self, flight, tmp_path, capsys):
         planes = tmp_path / "reflect"
@@ -1321,8 +1368,11 @@ class TestFailedWriteLeavesNothing:
         assert main(argv) == 0
         with no_space("n.f32.log.json"):
             assert main(argv) == 1
-        assert capsys.readouterr().err == self.LINE
+            assert main([*argv[:-1],
+                         str(tmp_path / "new" / "ndvi" / "n.f32")]) == 1
+        assert capsys.readouterr().err == 2 * self.LINE
         assert not list(out.parent.iterdir())
+        assert not (tmp_path / "new").exists()
 
     @pytest.mark.parametrize("group_by, layout", [
         ("method", "overall_by_method.csv"),
@@ -1330,13 +1380,15 @@ class TestFailedWriteLeavesNothing:
     def test_evaluate(self, tmp_path, capsys, group_by, layout):
         samples, out = tmp_path / "samples.csv", tmp_path / "eval"
         TestEvaluateCommand()._write_samples(samples)
-        argv = ["evaluate", "--samples", str(samples), "--out", str(out),
-                "--group-by", group_by]
+        argv = ["evaluate", "--samples", str(samples), "--group-by",
+                group_by, "--out", str(out)]
         assert main(argv) == 0
         with no_space(layout):
             assert main(argv) == 1
-        assert capsys.readouterr().err == self.LINE
+            assert main([*argv[:-1], str(tmp_path / "new" / "eval")]) == 1
+        assert capsys.readouterr().err == 2 * self.LINE
         assert not list(out.iterdir())
+        assert not (tmp_path / "new").exists()
 
 
 class TestParserContract:
