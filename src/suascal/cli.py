@@ -34,9 +34,8 @@ from .manifest import BandEntry, ImageEntry, load_manifest
 from .parts import part_runs, removed_on_error, run_parts
 from .radiance import (ROW_BLOCK, RawImage, RowModel, Vignette,
                        _build_vignette, convert_band)
-from .reflectance import (SELECTION_MODES, CalibrationImage,
-                          PanelObservation, ReflectanceImage, aarr_map,
-                          elm_line, fit_elm_1pt, fit_elm_2pt, line_map,
+from .reflectance import (N_BANDS, SELECTION_MODES, ReflectanceImage,
+                          aarr_map, check_panel, elm_line, line_map,
                           panel_band_reflectance, panel_means, pgm_counts,
                           select_calibration, selection_metric)
 from .rsr import (DEFAULT_SHIFT_SCALE, MonochromatorRun, SpectralCurve,
@@ -195,7 +194,7 @@ def _plan_bands(out: Path, entries, calibration=(),
 
 
 def _image_pass(entries, tasks: list[_BandTask], write_band,
-                errors: dict | None = None, settle=None):
+                errors: dict | None = None):
     """Write every band of ``entries`` with ``write_band(task, vignette)``;
     it returns the band's record, and ``vignette(shape)`` gives the task's
     map over frames of ``shape``.  ``errors`` holds the images that failed
@@ -207,18 +206,15 @@ def _image_pass(entries, tasks: list[_BandTask], write_band,
     sends back its tasks' outcomes.  A part runs its tasks in order, after
     the calibration tasks (images numbered on from ``len(entries)``) of
     every band it writes, so no part waits on another.  It skips a task
-    once a band of its image before it has failed there, and the images in
-    ``errors`` run none: only an image's first failure in manifest order
-    is reported.
+    of ``entries`` once a band of its image before it has failed there,
+    and the images in ``errors`` run none: only an image's first failure
+    in manifest order is reported.  A calibration task runs whatever its
+    image's other bands gave, so each band's outcome is its own.
 
     A part builds a map on the first use of its (lens model, frame shape)
     and drops it after the lens model's last task in the part, run or not;
     its storage is kept, one per shape, for the next map of that shape.  A
     map that fails to build fails each use.
-
-    ``settle()``, if given, runs once every part is done.  It returns more
-    images that fail ahead of their bands, as ``errors`` holds them, or
-    raises.
 
     Returns ``(bands, failures)`` keyed by image id: each good image's band
     records by band index, each failed image's first error in manifest
@@ -266,7 +262,8 @@ def _image_pass(entries, tasks: list[_BandTask], write_band,
                     task.outcome = write_band(task, partial(vignette, task))
                 except Exception as exc:
                     task.outcome = _without_tracebacks(exc)
-                    failed[task.image] = task.position
+                    if task.image < len(entries):
+                        failed[task.image] = task.position
             if last[task.lens] == n:
                 for key in [key for key in maps if key[0] == task.lens]:
                     spare[key[1]] = maps.pop(key)[0]
@@ -280,8 +277,6 @@ def _image_pass(entries, tasks: list[_BandTask], write_band,
     for task in sorted(tasks, key=lambda task: task.position):
         if isinstance(task.outcome, Exception):
             errors.setdefault(task.image, task.outcome)
-    if settle is not None:
-        errors.update(settle())
     fatal = [errors[i] for i in sorted(errors)
              if not isinstance(errors[i], SuascalError)]
     if fatal:
@@ -314,8 +309,7 @@ REPORTS = {"convert": "conversion_log.json",
 
 
 def _write_run(out: Path, command: str, header: dict, entries, tasks,
-               write_band, fields=None, pgm=False, errors=None,
-               settle=None) -> int:
+               write_band, fields=None, pgm=False, errors=None) -> int:
     """Run :func:`_image_pass` into ``out`` and write ``command``'s
     report: ``header``, each good image's band records and
     ``fields[image_id]``, and the failures.  Returns the exit code.  First
@@ -332,8 +326,7 @@ def _write_run(out: Path, command: str, header: dict, entries, tasks,
             stale += [path for task in tasks for path in task.files[2:]]
         for path in stale:
             path.unlink(missing_ok=True)
-        bands, failures = _image_pass(entries, tasks, write_band, errors,
-                                      settle)
+        bands, failures = _image_pass(entries, tasks, write_band, errors)
         write_json(report, {**header, "failures": failures, "images": {
             image_id: {**(fields or {}).get(image_id, {}), "bands": records}
             for image_id, records in bands.items()}})
@@ -362,40 +355,6 @@ def _placements(entry: ImageEntry) -> list:
     return [placement for placement in (entry.calibration_bright,
                                         entry.calibration_dark)
             if placement is not None]
-
-
-def _calibration_images(calibration, means_tasks: dict,
-                        grounds) -> list[CalibrationImage]:
-    """The ``calibration`` images from the panel means of each of their
-    band-frames, the ``outcome`` of ``means_tasks[c, band_index]``, and the
-    ground reflectance of each of their panels, ``grounds[c][k]``; either
-    may be the exception raised in its stead.
-
-    The first error in manifest order is raised: an image's band faults,
-    then its panel spectra, then the next image's.
-    """
-    candidates = []
-    for c, entry in enumerate(calibration):
-        by_band = []  # in band order, as the manifest sorts them
-        for band in entry.bands:
-            means = means_tasks[c, band.band_index].outcome
-            if isinstance(means, Exception):
-                raise means
-            by_band.append(means)
-        observations = []
-        for k, placement in enumerate(_placements(entry)):
-            if isinstance(grounds[c][k], Exception):
-                raise grounds[c][k]
-            observations.append(PanelObservation(
-                panel_id=placement.panel_id,
-                ground_reflectance=grounds[c][k],
-                mean_radiance=np.array([means[k] for means in by_band]),
-                roi=placement.roi))
-        candidates.append(CalibrationImage(
-            image_id=entry.image_id, timestamp=entry.timestamp,
-            bright=observations[0], dls=entry.dls,
-            dark=observations[1] if len(observations) > 1 else None))
-    return candidates
 
 
 def cmd_reflect(args) -> int:
@@ -429,45 +388,48 @@ def cmd_reflect(args) -> int:
     means_tasks = {(task.image - len(images), task.band.band_index): task
                    for task in tasks if task.image >= len(images)}
 
-    def ground_reflectance(placement):
+    def ground_reflectance(placement) -> np.ndarray:
+        """A panel's band reflectance; a fault of the panel library fails
+        the run before any frame is read."""
+        spectrum = manifest.panel_spectrum(placement.panel_id)
         try:
-            spectrum = manifest.panel_spectrum(placement.panel_id)
-            try:
-                return panel_band_reflectance(spectrum, rsr_set)
-            except CurveError as exc:
-                raise CurveError(f"{manifest.panels[placement.panel_id]}: "
-                                 f"panel {placement.panel_id!r}: {exc}"
-                                 ) from None
-        except Exception as exc:
-            # Raised in manifest order once the panel means are in.
-            return exc
+            rho = panel_band_reflectance(spectrum, rsr_set)
+        except CurveError as exc:
+            raise CurveError(f"{manifest.panels[placement.panel_id]}: "
+                             f"panel {placement.panel_id!r}: {exc}") from None
+        check_panel(placement.panel_id, ground_reflectance=rho)
+        return rho
 
     grounds = [[ground_reflectance(placement)
                 for placement in _placements(entry)]
                for entry in calibration]
-    selected: dict[int, int] = {}
     position = {entry.image_id: c for c, entry in enumerate(calibration)}
 
     def band_line(c: int, band_index: int):
         """Band ``band_index`` of calibration image ``c``'s empirical line,
-        as the fit gives it from that band's panel means, which the part
-        has run.  Raises when they show that the fit fails, or when the
-        calibration image fails, which fails the run once every part is
-        done."""
+        from that band's panel means, which the part has run.  Raises,
+        naming the calibration image, when those means failed or a panel's
+        is not positive, and as :func:`elm_line` does; it fails the band
+        it maps."""
+        entry = calibration[c]
         means = means_tasks[c, band_index].outcome
-        rho = grounds[c]
-        if not isinstance(means, list) or any(
-                isinstance(r, Exception) for r in rho):
+        try:
+            if isinstance(means, Exception):
+                raise means
+            for placement, mean in zip(_placements(entry), means):
+                check_panel(placement.panel_id, mean_radiance=mean)
+        except SuascalError as exc:
             raise SuascalError(
-                f"calibration image {calibration[c].image_id} failed")
+                f"calibration image {entry.image_id}: {exc}") from None
         band = slice(band_index - 1, band_index)
-        points = [(r[band], np.array([m])) for r, m in zip(rho, means)]
+        points = [(rho[band], np.array([m]))
+                  for rho, m in zip(grounds[c], means)]
         slope, bias = elm_line(
-            calibration[c].image_id,
+            entry.image_id,
             *itertools.chain(*points[:1 if args.method == "elm1" else 2]))
         return line_map(slope[0], bias[0])
 
-    def prepare(i: int, entry: ImageEntry):
+    def prepare(entry: ImageEntry):
         """An image's report fields and band map factory; its selection
         errors fail it ahead of any band fault.  Selection reads only the
         candidates' ids, timestamps and DLS records, so it needs no panel
@@ -486,13 +448,12 @@ def cmd_reflect(args) -> int:
         if args.selection != "single":
             record["selection_metric"] = selection_metric(
                 args.selection, entry.dls, entry.timestamp)(chosen)
-        selected[i] = position[chosen.image_id]
-        return record, partial(band_line, selected[i])
+        return record, partial(band_line, position[chosen.image_id])
 
     records, band_maps, errors = {}, {}, {}
     for i, entry in enumerate(images):
         try:
-            records[entry.image_id], band_maps[i] = prepare(i, entry)
+            records[entry.image_id], band_maps[i] = prepare(entry)
         except SuascalError as exc:
             errors[i] = exc
 
@@ -508,22 +469,9 @@ def cmd_reflect(args) -> int:
                             band_maps[task.image](band.band_index),
                             args.pgm_scale if args.write_pgm else None)
 
-    def settle() -> dict:
-        """The calibration images, or their first error; then each image's
-        fit, whose error fails the image ahead of any band fault."""
-        candidates = _calibration_images(calibration, means_tasks, grounds)
-        fit = fit_elm_1pt if args.method == "elm1" else fit_elm_2pt
-        fit_errors = {}
-        for i, c in selected.items():
-            try:
-                fit(candidates[c])
-            except SuascalError as exc:
-                fit_errors[i] = exc
-        return fit_errors
-
     header = {"method": args.method, "selection": args.selection}
     return _write_run(out, args.command, header, images, tasks, write_band,
-                      records, args.write_pgm, errors, settle)
+                      records, args.write_pgm, errors)
 
 
 def cmd_simulate(args) -> int:
@@ -604,6 +552,10 @@ def cmd_rsr(args) -> int:
                 gain=json_field(payload, "gain", float, where),
                 exposure_us=json_field(payload, "exposure_us", float, where),
                 band_index=json_field(payload, "band_index", int, where))
+            if not 1 <= run.band_index <= N_BANDS:
+                raise ManifestError(
+                    f"{where}: 'band_index' {run.band_index} is not a band "
+                    f"index 1..{N_BANDS}")
             if run.band_index in sources:
                 raise ManifestError(
                     f"'band_index' {run.band_index} is declared by both "

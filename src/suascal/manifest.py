@@ -135,6 +135,11 @@ def _parse_placement(raw: dict, panels: dict[str, Path],
     roi = json_field(raw, "roi", [int], context)
     if len(roi) != 4:
         raise ManifestError(f"{context}: ROI must be [x, y, width, height]")
+    x, y, width, height = roi
+    if x < 0 or y < 0 or width <= 0 or height <= 0:
+        raise ManifestError(
+            f"{context} {panel_id!r}: 'roi' needs x, y >= 0 and a positive "
+            f"width and height, got {roi}")
     return PanelPlacement(panel_id=panel_id, roi=tuple(roi))
 
 

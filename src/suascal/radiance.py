@@ -60,9 +60,9 @@ class VignetteModel:
         """Evaluate ``k(r)`` for a radius or array of radii, in ``out``
         (of ``radius``'s shape) when given."""
         r = np.asarray(radius, dtype=np.float64)
-        k = np.empty_like(r) if out is None else out
-        k[...] = 0.0
-        for c in self.coefficients[::-1]:
+        c5, *rest = self.coefficients[::-1]
+        k = np.multiply(r, c5, out=np.empty_like(r) if out is None else out)
+        for c in rest:
             k += c
             k *= r
         k += 1.0

@@ -150,14 +150,37 @@ class PanelObservation:
     def __post_init__(self):
         gr = _as_band_vector(self.ground_reflectance, "ground_reflectance")
         mr = _as_band_vector(self.mean_radiance, "mean_radiance")
-        if gr.min() <= 0 or gr.max() >= 1.5:
-            raise MetadataError(
-                f"panel {self.panel_id}: ground reflectance outside (0, 1.5)")
-        if mr.min() <= 0:
-            raise DegeneratePanelsError(
-                f"panel {self.panel_id}: non-positive observed radiance")
+        check_panel(self.panel_id, gr, mr)
         object.__setattr__(self, "ground_reflectance", gr)
         object.__setattr__(self, "mean_radiance", mr)
+
+
+def check_panel(panel_id: str, ground_reflectance=None,
+                mean_radiance=None) -> None:
+    """Raise unless panel ``panel_id`` can anchor an empirical line: its
+    ground reflectance finite and inside (0, 1.5), its observed radiance
+    finite and positive.  Either may be given alone, for any number of
+    bands.
+
+    Raises
+    ------
+    MetadataError
+        If a value is not finite, or a ground reflectance is out of range.
+    DegeneratePanelsError
+        If an observed radiance is not positive.
+    """
+    for name, values in (("ground_reflectance", ground_reflectance),
+                         ("mean_radiance", mean_radiance)):
+        if values is not None and not np.all(np.isfinite(values)):
+            raise MetadataError(f"{name} contains non-finite values")
+    if ground_reflectance is not None and (
+            np.min(ground_reflectance) <= 0
+            or np.max(ground_reflectance) >= 1.5):
+        raise MetadataError(
+            f"panel {panel_id}: ground reflectance outside (0, 1.5)")
+    if mean_radiance is not None and np.min(mean_radiance) <= 0:
+        raise DegeneratePanelsError(
+            f"panel {panel_id}: non-positive observed radiance")
 
 
 @dataclass(frozen=True)

@@ -205,6 +205,12 @@ def dls_downwelling(scene: Scene, atm: AtmosphereState) -> SpectralCurve:
     return SpectralCurve(grid, exo / math.pi * cos_s * tau_prime + sky)
 
 
+def _check_latitude(latitude_deg: float) -> None:
+    if not -90.0 <= latitude_deg <= 90.0:
+        raise ManifestError(
+            f"'latitude_deg' {latitude_deg!r} outside [-90, 90] degrees")
+
+
 def parametric_atmosphere(
         model: str, day_of_year: int, time_utc: float, visibility_km: float,
         sensor_altitude_km: float, ground_altitude_km: float,
@@ -248,6 +254,7 @@ def parametric_atmosphere(
         raise ManifestError("extinction layer thickness must be positive")
     if not path_radiance_factor >= 0:
         raise ManifestError("path radiance factor must be non-negative")
+    _check_latitude(latitude_deg)
     preset_alpha, preset_diffuse = ATMOSPHERE_PRESETS[model]
     alpha = preset_alpha if angstrom_exponent is None else angstrom_exponent
     f_diffuse = preset_diffuse if diffuse_fraction is None else diffuse_fraction
@@ -351,6 +358,7 @@ class SimulationGrid:
         if not (math.isfinite(self.latitude_deg)
                 and math.isfinite(self.longitude_west_deg)):
             raise ManifestError("site latitude and longitude must be finite")
+        _check_latitude(self.latitude_deg)
         if self.diffuse_fraction is not None and \
                 not 0.0 <= self.diffuse_fraction <= 1.0:
             raise ManifestError("diffuse fraction must lie within [0, 1]")

@@ -30,6 +30,9 @@ import helpers
 from suascal import cli
 from suascal import reflectance as reflectance_module
 from suascal.cli import main
+from suascal.imageio import read_pgm16
+from suascal.manifest import load_manifest
+from suascal.radiance import RawImage
 
 COMMANDS = {"convert": (["convert"], "conversion_log.json"),
             "reflect": (["reflect", "--method", "elm2"],
@@ -210,6 +213,8 @@ class TestFirstFaultInManifestOrder:
 
 class TestCalibrationFitFirst:
     def test_fit_error_outranks_band_fault(self, tmp_path):
+        """The fit fails in band 2, ahead of field_2's own fault in band
+        3, so the fit error is the one reported."""
         manifest = helpers.build_flight(tmp_path / "flight", field_images=2,
                                         with_decoy=True)
         # The decoy's dark panel is as bright as its bright panel in
@@ -236,6 +241,102 @@ class TestCalibrationFitFirst:
                                           "field_2": degenerate}
             assert sorted(report["images"]) == ["cal_a", "field_1"]
             assert not list(out.glob("cal_b_*")) + list(out.glob("field_2_*"))
+
+
+def break_calibration_band(flight, fault):
+    """Give band 4 of ``cal_b`` a fault; returns the reason its images
+    report, and whether ``cal_b``'s own frame reports it bare."""
+    path = flight / "cal_b_b4.pgm"
+    if fault == "undecodable":
+        path.write_bytes(b"P6\n")
+        return f"{path}: not a binary PGM (magic b'P6', expected b'P5')", True
+    counts = helpers.panel_raster(4, scale=1.25)
+    if fault == "dark-as-bright":
+        x, y, w, h = helpers.DARK_ROI
+        counts[y:y + h, x:x + w] = counts[helpers.BRIGHT_ROI[1],
+                                          helpers.BRIGHT_ROI[0]]
+        reason = ("bright panel is not brighter than the dark panel in every "
+                  "band")
+    else:
+        counts[:] = 0
+        reason = "panel bright: non-positive observed radiance"
+    helpers.write_pgm16(path, counts)
+    return reason, False
+
+
+class TestCalibrationFaultsAreBandFaults:
+    """A fault of a calibration band-frame fails the band of each image
+    whose line it gives, and no image that selects another calibration
+    image."""
+
+    @pytest.mark.parametrize("fault", ["undecodable", "zero-radiance"])
+    @pytest.mark.parametrize("selection", ["dls", "time", "single"])
+    def test_only_the_images_using_it_fail(self, tmp_path, capsys,
+                                           selection, fault):
+        manifest = helpers.build_flight(tmp_path / "flight", field_images=3,
+                                        with_decoy=True)
+        # field_2 takes cal_b's DLS record and sits next to it in time.
+        edit_manifest(manifest, lambda raw: image(raw, "field_2").update(
+            timestamp=4999.0, dls=image(raw, "cal_b")["dls"]))
+        argv = ["reflect", "--method", "elm2", "--manifest", str(manifest),
+                "--selection", selection]
+        if selection == "single":
+            argv += ["--designated-id", "cal_b"]
+        clean = tmp_path / "clean"
+        assert main(argv + ["--out", str(clean)]) == 0
+        records = json.loads(
+            (clean / "reflectance_report.json").read_text())["images"]
+        users = sorted(image_id for image_id, record in records.items()
+                       if record["calibration_image"] == "cal_b")
+        assert users == (sorted(records) if selection == "single"
+                         else ["cal_b", "field_2"])
+        reason, bare = break_calibration_band(manifest.parent, fault)
+        failures = {image_id: f"calibration image cal_b: {reason}"
+                    for image_id in users}
+        if bare:
+            failures["cal_b"] = reason
+        kept = {p.name for p in clean.iterdir()
+                if p.name.rsplit("_b", 1)[0] not in users}
+        capsys.readouterr()
+        for workers in (1, 2, 3, 4):
+            out = tmp_path / str(workers)
+            with helpers.workers(workers):
+                assert main(argv + ["--out", str(out)]) == (
+                    3 if selection == "single" else 2)
+            assert capsys.readouterr().err == "".join(
+                f"error: image {image_id}: {message}\n"
+                for image_id, message in sorted(failures.items()))
+            report = json.loads((out / "reflectance_report.json").read_text())
+            assert report["failures"] == failures
+            assert report["images"] == {
+                image_id: record for image_id, record in records.items()
+                if image_id not in users}
+            assert {p.name for p in out.iterdir()} == kept
+            assert all((out / name).read_bytes()
+                       == (clean / name).read_bytes()
+                       for name in kept - {"reflectance_report.json"})
+
+    def test_first_failing_band_is_reported(self, tmp_path):
+        """field_2's line fails in band 4 and its band 2 cannot be decoded:
+        band 2's fault is the one reported."""
+        manifest = helpers.build_flight(tmp_path / "flight", field_images=2,
+                                        with_decoy=True)
+        edit_manifest(manifest, lambda raw: image(raw, "field_2").update(
+            timestamp=4999.0))
+        reason, _ = break_calibration_band(manifest.parent, "dark-as-bright")
+        undecodable = manifest.parent / "field_2_b2.pgm"
+        undecodable.write_bytes(b"P5\n2 2\n")
+        for workers in (1, 2, 3, 4):
+            out = tmp_path / str(workers)
+            with helpers.workers(workers):
+                assert main(["reflect", "--method", "elm2", "--manifest",
+                             str(manifest), "--out", str(out),
+                             "--selection", "time"]) == 2
+            report = json.loads((out / "reflectance_report.json").read_text())
+            assert report["failures"] == {
+                "cal_b": f"calibration image cal_b: {reason}",
+                "field_2": f"{undecodable}: incomplete PGM header"}
+            assert sorted(report["images"]) == ["cal_a", "field_1"]
 
 
 class TestMapsFreedOnFailure:
@@ -408,50 +509,85 @@ class TestFusedCalibration:
             trees.append({p.name: p.read_bytes() for p in out.iterdir()})
         assert all(tree == trees[0] for tree in trees[1:])
 
-    def test_calibration_fault_in_the_last_band_leaves_no_file(
+    def test_calibration_fault_in_last_band_fails_its_users(
             self, tmp_path, capsys):
+        """An undecodable band-frame of ``cal_b`` fails the images that
+        select ``cal_b``, at that band, and no other."""
         manifest = lens_per_band_flight(tmp_path / "flight")
         bad = manifest.parent / "cal_b_b5.pgm"
         bad.write_bytes(b"P6\n")
+        undecodable = f"{bad}: not a binary PGM (magic b'P6', expected b'P5')"
         for workers in (1, 2, 3, 4):
+            # DLS selection: cal_b serves itself only, and its own frame
+            # reports the fault as it is.
             out = tmp_path / str(workers)
             with helpers.workers(workers):
                 assert main(["reflect", "--method", "elm2", "--manifest",
-                             str(manifest), "--out", str(out)]) == 1
+                             str(manifest), "--out", str(out)]) == 2
             assert capsys.readouterr().err == (
-                f"error: {bad}: not a binary PGM (magic b'P6', expected "
-                "b'P5')\n")
-            assert not out.exists()
+                f"error: image cal_b: {undecodable}\n")
+            report = json.loads((out / "reflectance_report.json").read_text())
+            assert report["failures"] == {"cal_b": undecodable}
+            assert sorted(report["images"]) == [
+                "cal_a", "field_1", "field_2", "field_3"]
+            assert not list(out.glob("cal_b_*"))
+            # Every image selects cal_b: each fails in band 5.
+            out = tmp_path / f"single{workers}"
+            with helpers.workers(workers):
+                assert main(["reflect", "--method", "elm2", "--manifest",
+                             str(manifest), "--out", str(out), "--selection",
+                             "single", "--designated-id", "cal_b"]) == 3
+            failures = {image_id: f"calibration image cal_b: {undecodable}"
+                        for image_id in ("cal_a", "field_1", "field_2",
+                                         "field_3")}
+            failures["cal_b"] = undecodable
+            assert capsys.readouterr().err == "".join(
+                f"error: image {image_id}: {message}\n"
+                for image_id, message in sorted(failures.items()))
+            report = json.loads((out / "reflectance_report.json").read_text())
+            assert report["failures"] == failures
+            assert [p.name for p in out.iterdir()] == [
+                "reflectance_report.json"]
 
     def test_band_lines_are_the_fits_bit_for_bit(self, tmp_path,
                                                  monkeypatch):
         manifest = lens_per_band_flight(tmp_path / "flight")
         noted = helpers.ForkLog(tmp_path / "lines.log")
-        models = []
 
         def line_map(slope, bias):
             noted.note((slope.hex(), bias.hex()))
             return reflectance_module.line_map(slope, bias)
 
-        def fit_elm_2pt(cal):
-            models.append(reflectance_module.fit_elm_2pt(cal))
-            return models[-1]
-
         monkeypatch.setattr(cli, "line_map", line_map)
-        monkeypatch.setattr(cli, "fit_elm_2pt", fit_elm_2pt)
+        # The five-band fit of each calibration image, from panel means
+        # taken here, one band-frame at a time.
+        flight = load_manifest(manifest)
+        rsr_set = flight.rsr_set()
+        models = []
+        for entry in flight.calibration_images:
+            placements = (entry.calibration_bright, entry.calibration_dark)
+            means = [reflectance_module.panel_means(
+                RawImage(band.band_index, read_pgm16(band.path)),
+                band.metadata, [p.roi for p in placements])
+                for band in entry.bands]
+            bright, dark = (reflectance_module.PanelObservation(
+                p.panel_id, reflectance_module.panel_band_reflectance(
+                    flight.panel_spectrum(p.panel_id), rsr_set),
+                np.array([m[k] for m in means]), p.roi)
+                for k, p in enumerate(placements))
+            models.append(reflectance_module.fit_elm_2pt(
+                reflectance_module.CalibrationImage(
+                    entry.image_id, entry.timestamp, bright, entry.dls,
+                    dark)))
         for workers in (1, 3):
             noted.clear()
-            models.clear()
             with helpers.workers(workers):
                 assert main(["reflect", "--method", "elm2", "--manifest",
                              str(manifest), "--out",
                              str(tmp_path / str(workers))]) == 0
             lines = [line for _, line in noted.notes()]
-            # Every band of five images, in whichever part, and each
-            # image's fit once.
-            assert len(lines) == 25 and len(models) == 5
-            assert {model.source_image
-                    for model in models} == {"cal_a", "cal_b"}
+            # Every band of five images, in whichever part.
+            assert len(lines) == 25
             assert set(lines) == {
                 (model.slope[k].hex(), model.bias[k].hex())
                 for model in models for k in range(5)}

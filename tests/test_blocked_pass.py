@@ -515,9 +515,14 @@ class TestFailures:
             "field_2": "band 3: corrected downwelling radiance is not "
                        "positive; AARR is undefined"}
 
-    def test_calibration_overflow_outside_roi_is_usage_error(
+    def test_calibration_overflow_outside_roi_fails_its_users(
             self, tmp_path, capsys):
+        """The images that select ``cal_a`` fail in band 2, naming it; the
+        images served by ``cal_b`` keep the bytes of an intact run."""
         manifest, _ = build_flight(tmp_path / "flight")
+        clean = tmp_path / "clean"
+        assert main(["reflect", "--manifest", str(manifest), "--out",
+                     str(clean), "--method", "elm2"]) == 0
         self._break_band(manifest, "cal_a", 2)
         # Both panel ROIs stay finite; rows between them overflow.
         raw = RawImage(2, overflowing_counts())
@@ -525,10 +530,26 @@ class TestFailures:
         assert not radiance_is_bounded(raw, meta)
         with pytest.raises(MetadataError, match="non-finite"):
             dc_to_radiance(raw, meta)
+        out = tmp_path / "out"
         assert main(["reflect", "--manifest", str(manifest), "--out",
-                     str(tmp_path / "out"), "--method", "elm2"]) == 1
-        assert capsys.readouterr().err == \
-            "error: radiance contains non-finite pixels\n"
+                     str(out), "--method", "elm2"]) == 2
+        users = [image_id for image_id, cal_id in ELM_SELECTION.items()
+                 if cal_id == "cal_a"]
+        message = "calibration image cal_a: radiance contains non-finite " \
+            "pixels"
+        assert capsys.readouterr().err == "".join(
+            f"error: image {image_id}: {message}\n" for image_id in users)
+        report = json.loads((out / "reflectance_report.json").read_text())
+        assert report["failures"] == dict.fromkeys(users, message)
+        records = json.loads(
+            (clean / "reflectance_report.json").read_text())["images"]
+        assert report["images"] == {image_id: record for image_id, record
+                                    in records.items() if image_id not in users}
+        kept = {p.name for p in clean.iterdir()
+                if p.name.rsplit("_b", 1)[0] not in users}
+        assert {p.name for p in out.iterdir()} == kept
+        assert all((out / name).read_bytes() == (clean / name).read_bytes()
+                   for name in kept - {"reflectance_report.json"})
 
     def test_reflectance_overflow_is_reported_as_reflectance(self):
         raw = RawImage(1, np.full((HEIGHT, 3), 60000, dtype=np.uint16))

@@ -164,13 +164,20 @@ class TestManifest:
         (("images", 0, "image_id"), ".."),
         (("images", 0, "image_id"), "a\\b"),
         (("images", 0, "image_id"), "a\0b"),
+        # A panel ROI must lie in the frame's quadrant and hold a pixel.
+        (("images", 0, "calibration", "bright", "roi"), [0, 0, 0, 4]),
+        (("images", 0, "calibration", "dark", "roi"), [0, 0, 4, -1]),
+        (("images", 0, "calibration", "bright", "roi"), [-1, 0, 4, 4]),
+        (("images", 0, "calibration", "dark", "roi"), [0, -3, 4, 4]),
     ], ids=["timestamp-text", "timestamp-nan", "band_index-text", "a1-list",
             "bands-int", "images-int-list", "images-object", "panels-list",
             "roi-text", "bits_per_pixel-text", "altitude_ft-text",
             "flight-list", "coefficients-int", "rsr-key-text", "dls-list",
             "path-null", "band_index-fraction", "gain-bool",
             "image_id-parent", "image_id-empty", "image_id-dot",
-            "image_id-dotdot", "image_id-backslash", "image_id-nul"])
+            "image_id-dotdot", "image_id-backslash", "image_id-nul",
+            "roi-zero-width", "roi-negative-height", "roi-negative-x",
+            "roi-negative-y"])
     def test_mistyped_value_is_usage_error(self, flight, tmp_path, capsys,
                                            keys, value):
         def edit(raw):
@@ -440,18 +447,45 @@ class TestReflectCommand:
 
     @pytest.mark.parametrize("method", ["elm1", "elm2"])
     def test_panel_spectrum_short_of_an_rsr(self, flight, tmp_path, capsys,
-                                            method):
+                                            monkeypatch, method):
         """A panel spectrum that does not cover a band's RSR fails the run
-        with one line naming the file and the panel, and leaves no file."""
+        with one line naming the file and the panel, before any band-frame
+        is read, and leaves no file."""
         spectrum = flight.parent / "panel_bright.csv"
         write_spectral_curve(spectrum, SpectralCurve(
             np.array([500.0, 600.0]), np.array([0.5, 0.5])))
+        reads = []
+        monkeypatch.setattr(cli, "read_pgm16", reads.append)
         out = tmp_path / "out"
         assert main(["reflect", "--manifest", str(flight), "--out", str(out),
                      "--method", method]) == 1
         assert capsys.readouterr().err == (
             f"error: {spectrum}: panel 'bright': spectrum [500.0, 600.0] nm "
             "does not cover the RSR support [435.0, 515.0] nm\n")
+        assert reads == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fault", ["missing", "above-range", "zero"])
+    def test_panel_library_fault_reads_no_frame(self, flight, tmp_path,
+                                                capsys, monkeypatch, fault):
+        """A dark panel's spectrum that cannot be read, or whose band
+        reflectance is outside (0, 1.5), fails the run with one line,
+        before any band-frame is read or ``--out`` is created."""
+        spectrum = flight.parent / "panel_dark.csv"
+        if fault == "missing":
+            spectrum.unlink()
+            expected = f"{spectrum}: cannot read: No such file or directory"
+        else:
+            write_spectral_curve(spectrum, helpers.flat_spectrum(
+                1.5 if fault == "above-range" else 0.0))
+            expected = "panel dark: ground reflectance outside (0, 1.5)"
+        reads = []
+        monkeypatch.setattr(cli, "read_pgm16", reads.append)
+        out = tmp_path / "out"
+        assert main(["reflect", "--manifest", str(flight), "--out", str(out),
+                     "--method", "elm2"]) == 1
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert reads == []
         assert not out.exists()
 
     def test_aarr_image_without_dls(self, flight, tmp_path, capsys):
@@ -847,6 +881,13 @@ class TestSimulateCommand:
         code, out = self._run(tmp_path, dict(self.GRID, **override(tmp_path)))
         assert code == 1
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_latitude_off_the_globe_is_usage_error(self, tmp_path, capsys):
+        code, out = self._run(tmp_path, dict(self.GRID, latitude_deg=95.0))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: 'latitude_deg' 95.0 outside [-90, 90] degrees\n")
         assert not out.exists()
 
     def test_over_long_spectrum_field_is_usage_error(self, tmp_path, capsys):
@@ -1264,9 +1305,14 @@ class TestRsrCommand:
          "band_1.json: spectral curve contains non-finite samples"),
         (lambda p: p["samples"][3].__setitem__(2, -1e-6),
          "band_1.json: monochromator power must be positive"),
+        (lambda p: p.update(band_index=0),
+         "band_1.json: 'band_index' 0 is not a band index 1..5"),
+        (lambda p: p.update(band_index=6),
+         "band_1.json: 'band_index' 6 is not a band index 1..5"),
     ], ids=["exposure-missing", "sample-pair", "gain-text", "band_index-bool",
             "count-null", "band_index-duplicate", "ratio-overflow",
-            "normalized-overflow", "power-negative"])
+            "normalized-overflow", "power-negative", "band_index-0",
+            "band_index-6"])
     def test_malformed_sweep_is_usage_error(self, tmp_path, capsys, edit,
                                             named):
         run_dir = tmp_path / "run"
@@ -1279,6 +1325,7 @@ class TestRsrCommand:
         assert main(["rsr", "--run-dir", str(run_dir),
                      "--out", str(tmp_path / "rsr")]) == 1
         assert named in capsys.readouterr().err
+        assert not (tmp_path / "rsr").exists()
 
     @pytest.mark.parametrize("scale, named", [
         ("1e308", "band_1.json: shift scale 1e+308 takes the response "

@@ -58,6 +58,31 @@ class TestVignetteFactor:
             assert v[100 + dy, 100 + dx] == pytest.approx(reference,
                                                           rel=1e-15)
 
+    @given(radius=st.lists(st.floats(0.0, 1e6)
+                           | st.sampled_from([0.0, 1e154, 1e308, np.inf]),
+                           min_size=1, max_size=8),
+           coefficients=st.lists(st.floats(-0.05, 0.05)
+                                 | st.sampled_from([0.0, -0.0, 1e300,
+                                                    -1e300]),
+                                 min_size=6, max_size=6))
+    def test_horner_from_the_top_term_is_the_zero_start(self, radius,
+                                                        coefficients):
+        """``k`` starts at ``r * c5``, not at zero plus ``c5``: only the
+        sign of a zero differs on the way, and ``+ 1`` erases it."""
+        model = VignetteModel(0.0, 0.0, coefficients)
+        r = np.array(radius)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = np.zeros_like(r)
+            for c in model.coefficients[::-1]:
+                expected += c
+                expected *= r
+            expected += 1.0
+            fresh = model.polynomial(r)
+            reused = model.polynomial(r, out=np.full_like(r, np.nan))
+        for got in (fresh, reused):
+            assert got.view(np.int64).tolist() == \
+                expected.view(np.int64).tolist()
+
     def test_nonpositive_k_is_a_metadata_error(self):
         model = VignetteModel(0.0, 0.0, (-0.5, 0.0, 0.0, 0.0, 0.0, 0.0))
         with pytest.raises(MetadataError, match=r"pixel \(4, 4\)"):

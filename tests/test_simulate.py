@@ -165,6 +165,11 @@ class TestParametricAtmosphere:
         with pytest.raises(ManifestError):
             self.build(diffuse_fraction=1.5)
 
+    @pytest.mark.parametrize("latitude", [95.0, -90.5, math.nan])
+    def test_latitude_off_the_globe_rejected(self, latitude):
+        with pytest.raises(ManifestError, match="^'latitude_deg' "):
+            self.build(latitude_deg=latitude)
+
     def test_all_presets_build(self):
         for model in ATMOSPHERE_PRESETS:
             atm, zenith = self.build(model=model)
@@ -340,6 +345,8 @@ class TestGridValidation:
         ({"targets": (("dark", flat(-0.1, [330.0, 1200.0])),)}, CurveError,
          "target reflectance must be non-negative"),
         ({"latitude_deg": math.nan}, ManifestError, "latitude"),
+        ({"latitude_deg": 95.0}, ManifestError,
+         r"^'latitude_deg' 95.0 outside \[-90, 90\] degrees$"),
     ])
     def test_bad_parameter_rejected(self, kwargs, error, message):
         with pytest.raises(error, match=message):
