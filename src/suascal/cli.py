@@ -29,11 +29,11 @@ from .evaluate import (ERROR_STATISTICS, METHOD_LEVELS, aggregate, ndvi,
                        read_samples, write_csv, write_reports)
 from .imageio import (pgm16_header, read_pgm16, read_plane, rows_writer,
                       sidecar_path, write_plane, write_sidecar)
-from .jsonread import json_field, read_json, write_json
+from .jsonread import json_field, json_value, read_json, write_json
 from .manifest import BandEntry, ImageEntry, load_manifest
 from .parts import part_runs, removed_on_error, run_parts
 from .radiance import (ROW_BLOCK, RawImage, RowModel, Vignette,
-                       _build_vignette, convert_band)
+                       _build_vignette, _row_model, convert_band)
 from .reflectance import (N_BANDS, SELECTION_MODES, ReflectanceImage,
                           aarr_map, check_panel, elm_line, line_map,
                           panel_band_reflectance, panel_means, pgm_counts,
@@ -69,15 +69,17 @@ def _stream_band(task: _BandTask, raw: RawImage, vignette: Vignette,
     and, with ``pgm_scale``, into its 16-bit PGM of the scaled plane; the
     sidecar follows the last block.
 
-    Returns the band's record: the plane's name and the pixels clamped and
-    saturated, and with a ``post_map`` the share out of [0, 1].
+    Returns the band's record: the names of its plane and PGM, the pixels
+    clamped and saturated, and with a ``post_map`` the share out of [0, 1].
     """
     height, width = raw.pixels.shape
     path = task.files[0]
+    record = {"path": path.name}
     with ExitStack() as files:
         plane = rows_writer(files.enter_context(path.open("wb")), "<f4")
         sink = plane
         if pgm_scale is not None:
+            record["pgm"] = task.files[2].name
             handle = files.enter_context(task.files[2].open("wb"))
             handle.write(pgm16_header(width, height))
             pgm = rows_writer(handle, ">u2")
@@ -90,8 +92,8 @@ def _stream_band(task: _BandTask, raw: RawImage, vignette: Vignette,
         counts = convert_band(raw, task.band.metadata, sink, post_map,
                               vignette=vignette)
     write_sidecar(path, (height, width), raw.band_index, units)
-    record = {"path": path.name, "clamped_pixels": counts.clamped,
-              "saturated_pixels": counts.saturated}
+    record.update(clamped_pixels=counts.clamped,
+                  saturated_pixels=counts.saturated)
     if post_map is not None:
         record["out_of_range_fraction"] = counts.out_of_range_fraction
     return record
@@ -141,9 +143,7 @@ class _BandTask:
     #: The row model of every band-frame of the lens when they share one,
     #: which its maps then hold; otherwise ``None``.
     rows: RowModel | None = None
-    #: The band's plane, its sidecar and its PGM, written or removed; none
-    #: for a calibration frame's panel means.  Removed if its image fails,
-    #: whichever run wrote them.
+    #: Its plane, sidecar and, with ``--write-pgm``, PGM; none for panel means.
     files: tuple[Path, ...] = ()
     #: Its record or the exception it raised; ``None`` if it did not run.
     outcome: object = None
@@ -154,9 +154,8 @@ def _plan_bands(out: Path, entries, calibration=(),
     """One task per band-frame of ``entries`` and of ``calibration``, whose
     images are numbered on from ``len(entries)``.  Each band of
     ``entries`` names its files in ``out``; a :class:`ManifestError` names
-    the first that is a band-frame of either, before any is opened.
-    Without ``pgm``, a PGM name that is a band-frame is left out, as the
-    frame is no output to remove.
+    the first that is a band-frame of either, before any is opened; a PGM
+    is named only with ``pgm``.
 
     The tasks run band-major: for each band the calibration frames first,
     then the others, and within each the frames of one lens model back to
@@ -165,25 +164,23 @@ def _plan_bands(out: Path, entries, calibration=(),
     tasks, first, rows = [], {}, {}
     for i, entry in enumerate((*entries, *calibration)):
         for j, band in enumerate(entry.bands):
-            meta, model = band.metadata, band.metadata.vignette
+            model = band.metadata.vignette
             lens = (model.center_x, model.center_y,
                     model.coefficients.tobytes())
             first.setdefault((band.band_index, lens), len(first))
-            row_model = RowModel(meta.a2, meta.a3, meta.exposure_us)
+            row_model = _row_model(band.metadata)
             rows[lens] = (row_model if rows.get(lens, row_model) == row_model
                           else None)
             files = ()
             if i < len(entries):
                 plane = out / f"{entry.image_id}_b{band.band_index}.f32"
-                files = (plane, sidecar_path(plane), plane.with_suffix(".pgm"))
+                files = (plane, sidecar_path(plane),
+                         plane.with_suffix(".pgm"))[:3 if pgm else 2]
             tasks.append(_BandTask(i, j, band, lens, files=files))
     frames = {os.path.realpath(task.band.path) for task in tasks
               if "\0" not in str(task.band.path)}
     for task in tasks:
         task.rows = rows[task.lens]
-        if not pgm and task.files and \
-                os.path.realpath(task.files[2]) in frames:
-            task.files = task.files[:2]
         for path in task.files:
             if os.path.realpath(path) in frames:
                 raise ManifestError(f"{path}: an output of this run would "
@@ -218,11 +215,9 @@ def _image_pass(entries, tasks: list[_BandTask], write_band,
 
     Returns ``(bands, failures)`` keyed by image id: each good image's band
     records by band index, each failed image's first error in manifest
-    order.  A failed image's ``files`` are removed, whichever run wrote
-    them, so it leaves none, new or old.  An error that is not a
-    :class:`SuascalError` (the first in manifest order) is raised once
-    every part is done; an interrupt or error in a part is raised once the
-    children are killed and reaped.
+    order.  An error that is not a :class:`SuascalError` (the first in
+    manifest order) is raised once every part is done; an interrupt or
+    error in a part is raised once the children are killed and reaped.
     """
     errors = dict(errors or {})
     runs = part_runs(_workers(), len(tasks))
@@ -281,10 +276,6 @@ def _image_pass(entries, tasks: list[_BandTask], write_band,
              if not isinstance(errors[i], SuascalError)]
     if fatal:
         raise fatal[0]
-    for task in tasks:
-        if task.image in errors:
-            for path in task.files:
-                path.unlink(missing_ok=True)
     outcomes = {(task.image, task.position): task.outcome for task in tasks}
     return ({entry.image_id: {str(band.band_index): outcomes[i, j]
                               for j, band in enumerate(entry.bands)}
@@ -308,28 +299,53 @@ REPORTS = {"convert": "conversion_log.json",
            "reflect": "reflectance_report.json"}
 
 
+def _named(report: dict, where: str) -> list[str]:
+    """The plain output names (no separator, no NUL) of each plane
+    (``path``), its sidecar and ``pgm`` in ``report``'s band records."""
+    names = []
+    for entry in json_field(report, "images", dict, where).values():
+        for record in json_field(json_value(entry, dict, where), "bands",
+                                 dict, where).values():
+            plane = json_value(record, dict, where).get("path")
+            names += plane, str(sidecar_path(plane)), record.get("pgm")
+    return [name for name in names if isinstance(name, str) and
+            re.fullmatch(r"[^/\\\0]+_b[1-5]\.(?:f32|f32\.json|pgm)", name)]
+
+
 def _write_run(out: Path, command: str, header: dict, entries, tasks,
-               write_band, fields=None, pgm=False, errors=None) -> int:
+               write_band, fields=None, errors=None) -> int:
     """Run :func:`_image_pass` into ``out`` and write ``command``'s
     report: ``header``, each good image's band records and
-    ``fields[image_id]``, and the failures.  Returns the exit code.  First
-    the other command's report goes, as its planes are overwritten, and
-    without ``pgm`` each PGM the tasks name.  ``out`` is created here, after
-    every usage check.  On any error the report and every file the tasks
-    name go, whichever run wrote them, and so does ``out`` if this run
-    created it."""
+    ``fields[image_id]``, and the failures.  Returns the exit code.  The
+    reports in ``out`` are its ledger: each goes first with the files it
+    names, but not the tasks' files or band-frames; after the pass, so do
+    the tasks' files the new report leaves out.  ``out`` is created here,
+    after every usage check.  On any error the report and the tasks' files
+    go, whichever run wrote them, and ``out`` if this run created it."""
     report = out / REPORTS[command]
-    with removed_on_error(out, [*(path for task in tasks
-                                  for path in task.files), report]):
-        stale = [out / REPORTS[other] for other in REPORTS.keys() - {command}]
-        if not pgm:
-            stale += [path for task in tasks for path in task.files[2:]]
-        for path in stale:
-            path.unlink(missing_ok=True)
+    planned = [path for task in tasks for path in task.files]
+    with removed_on_error(out, [*planned, report]):
+        for ledger in (out / name for name in REPORTS.values()
+                       if os.path.lexists(out / name)):
+            names = [ledger.name]
+            try:
+                names += _named(read_json(ledger), str(ledger))
+            except ManifestError as exc:
+                print(f"warning: {exc}; removing it alone", file=sys.stderr)
+            keep = {os.path.realpath(path) for task in tasks for path in
+                    (*task.files, task.band.path) if "\0" not in str(path)}
+            for path in map(out.joinpath, names):
+                if os.path.realpath(path) not in keep:
+                    path.unlink(missing_ok=True)
         bands, failures = _image_pass(entries, tasks, write_band, errors)
-        write_json(report, {**header, "failures": failures, "images": {
+        payload = {**header, "failures": failures, "images": {
             image_id: {**(fields or {}).get(image_id, {}), "bands": records}
-            for image_id, records in bands.items()}})
+            for image_id, records in bands.items()}}
+        named = _named(payload, str(report))
+        for path in planned:
+            if path.name not in named:
+                path.unlink(missing_ok=True)
+        write_json(report, payload)
     for image_id, message in sorted(failures.items()):
         print(f"error: image {image_id}: {message}", file=sys.stderr)
     return _batch_exit(len(bands), len(failures))
@@ -471,7 +487,7 @@ def cmd_reflect(args) -> int:
 
     header = {"method": args.method, "selection": args.selection}
     return _write_run(out, args.command, header, images, tasks, write_band,
-                      records, args.write_pgm, errors)
+                      records, errors)
 
 
 def cmd_simulate(args) -> int:

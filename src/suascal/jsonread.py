@@ -70,7 +70,7 @@ def read_json(path) -> dict:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ManifestError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # also bad UTF-8 and over-long integers
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, long ints
         raise ManifestError(f"{path}: not valid JSON: {exc}") from exc
     return json_value(raw, dict, str(path))
 

@@ -23,8 +23,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, invariant, rule,
+                                 run_state_machine_as_test)
 
 import helpers
 from suascal import cli
@@ -931,11 +933,11 @@ class TestPlannedFiles:
     @pytest.mark.parametrize("first, then", [(ELM2, ["convert"]),
                                              (["convert"], ELM2)],
                              ids=["elm2-convert", "convert-elm2"])
-    def test_empty_manifest_leaves_only_its_report(self, tmp_path, first,
-                                                   then):
-        """A manifest of no image removes the other command's report, as
-        any run does.  The other run's planes are no files of this run,
-        so they stay."""
+    def test_empty_manifest_removes_what_the_report_names(self, tmp_path,
+                                                          first, then):
+        """A manifest of no image removes the earlier report and every
+        plane, sidecar and PGM it names, as any run does: ``--out`` then
+        holds what a run into an empty folder leaves."""
         manifest = helpers.build_flight(tmp_path / "flight", field_images=2)
         empty = helpers.build_empty_flight(tmp_path / "empty")
         out, fresh = tmp_path / "out", tmp_path / "fresh"
@@ -945,15 +947,12 @@ class TestPlannedFiles:
                          "--out", str(folder), *argv[1:]])
 
         assert run(first, manifest, out) == 0
-        planes = {name: data for name, data in files_in(out).items()
-                  if not name.endswith("_report.json")
-                  and not name.endswith("_log.json")}
-        assert len(planes) == 30
+        assert len(files_in(out)) == 31
         assert run(then, empty, out) == run(then, empty, fresh) == 0
-        assert files_in(out) == {**planes, **files_in(fresh)}
+        assert files_in(out) == files_in(fresh)
 
 
-#: The runs of the property below, by name.
+#: The runs of the state machine below, by name.
 RUNS = {"convert": ["convert"], "elm2": ["reflect", "--method", "elm2"],
         "aarr": ["reflect", "--method", "aarr"],
         "aarr-pgm": ["reflect", "--method", "aarr", "--write-pgm"]}
@@ -961,76 +960,164 @@ RUNS = {"convert": ["convert"], "elm2": ["reflect", "--method", "elm2"],
 
 @pytest.fixture(scope="module")
 def flights(tmp_path_factory):
-    """Each flight of the property below by its fault: the two-field-image
-    flight as built (``none``), with ``field_2_b3.pgm`` undecodable, with
-    a row model that :func:`row_factors` rejects on field_1's band 2
-    (``rows``), and a manifest of no image (``empty``)."""
+    """Each flight of the state machine below by its fault: the
+    two-field-image flight as built (``none``), with ``field_2_b3.pgm``
+    undecodable, with a row model that :func:`row_factors` rejects on
+    field_1's band 2 (``rows``), a manifest of no image (``empty``), and a
+    flight of one field image (``one``), which does not list field_2."""
     root = tmp_path_factory.mktemp("flights")
     built = {fault: helpers.build_flight(root / fault, field_images=2)
              for fault in ("none", "undecodable", "rows")}
     (built["undecodable"].parent / "field_2_b3.pgm").write_bytes(b"P6\n")
     edit_manifest(built["rows"], lambda raw: image(raw, "field_1")[
         "bands"][1]["metadata"].update(a3=-0.05))
-    return {**built, "empty": helpers.build_empty_flight(root / "empty")}
+    return {**built, "empty": helpers.build_empty_flight(root / "empty"),
+            "one": helpers.build_flight(root / "one", field_images=1)}
 
 
-def named(manifest) -> set:
-    """The name of every file that a run of ``manifest`` writes or
-    removes in its ``--out``: both reports, and the plane, sidecar and
-    PGM of each band of each image."""
-    ids = [entry["image_id"]
-           for entry in json.loads(manifest.read_text())["images"]]
-    return {"conversion_log.json", "reflectance_report.json",
-            *(f"{image_id}_b{band}{suffix}" for image_id in ids
-              for band in range(1, 6)
-              for suffix in (".f32", ".f32.json", ".pgm"))}
+#: Each flight's exit code, whatever ran into its ``--out`` before.
+EXIT_CODES = {"none": 0, "undecodable": 2, "rows": 2, "empty": 0, "one": 0}
+
+
+def run_into(name, manifest, out, workers):
+    """``main``'s exit code and stderr, and the files in ``out``."""
+    argv = RUNS[name]
+    stderr = io.StringIO()
+    with helpers.workers(workers), contextlib.redirect_stderr(stderr):
+        code = main([argv[0], "--manifest", str(manifest),
+                     "--out", str(out), *argv[1:]])
+    return code, stderr.getvalue(), files_in(out)
+
+
+def ledger(out) -> set:
+    """The report in ``out`` and each plane, sidecar and PGM its band
+    records name."""
+    names = set()
+    for report in set(os.listdir(out)) & set(cli.REPORTS.values()):
+        names.add(report)
+        for entry in json.loads((out / report).read_text())[
+                "images"].values():
+            for record in entry["bands"].values():
+                names |= {record["path"], record["path"] + ".json"}
+                if "pgm" in record:
+                    names.add(record["pgm"])
+    return names
+
+
+class OneRunPerOut(RuleBasedStateMachine):
+    """Runs into one ``--out``, one after another.  After each, ``--out``
+    holds the files of a run into an empty folder, byte for byte, and the
+    file no report ever named; the exit code and stderr are that run's,
+    and its report names every other file left."""
+
+    def __init__(self, flights, fresh):
+        super().__init__()
+        self.flights, self.fresh = flights, fresh
+        self.root = tempfile.TemporaryDirectory()
+        self.out = Path(self.root.name, "out")
+        self.out.mkdir()
+        (self.out / "notes.txt").write_bytes(b"no command names this\n")
+        self.kept = files_in(self.out)
+
+    @rule(command=st.sampled_from(sorted(RUNS)),
+          fault=st.sampled_from(sorted(EXIT_CODES)),
+          workers=st.integers(1, 4))
+    def run(self, command, fault, workers):
+        code, err, files = run_into(command, self.flights[fault], self.out,
+                                    workers)
+        fresh = self.fresh(command, fault, workers)
+        assert (code, err) == fresh[:2]
+        assert code == EXIT_CODES[fault]
+        assert files == {**self.kept, **fresh[2]}
+
+    @invariant()
+    def the_report_names_every_imagery_file(self):
+        assert set(os.listdir(self.out)) - ledger(self.out) == {"notes.txt"}
+        helpers.no_child_left()
+
+    def teardown(self):
+        self.root.cleanup()
 
 
 class TestOneRunPerOut:
-    """Whatever an ``--out`` held, a run into it leaves the files, exit
-    code and stderr of a run into an empty folder, byte for byte; a file
-    that the run does not name stays as it was."""
+    # Each step runs one command, and each new (command, flight, workers)
+    # one more into an empty folder.
+    def test_a_run_leaves_what_a_fresh_run_leaves(self, flights):
+        runs = {}
 
-    #: What ran into ``--out`` before: nothing, or a run on a flight.
-    BEFORE = [None, ("convert", "none"), ("elm2", "none"),
-              ("aarr-pgm", "none"), ("convert", "empty"),
-              ("elm2", "empty")]
+        def fresh(command, fault, workers):
+            if (command, fault, workers) not in runs:
+                with tempfile.TemporaryDirectory() as root:
+                    runs[command, fault, workers] = run_into(
+                        command, flights[fault], Path(root, "out"), workers)
+            return runs[command, fault, workers]
 
-    @staticmethod
-    def run(name, manifest, out, workers):
-        """``main``'s exit code and stderr, and the files in ``out``."""
-        argv = RUNS[name]
+        run_state_machine_as_test(
+            lambda: OneRunPerOut(flights, fresh),
+            settings=settings(max_examples=settings.default.max_examples // 4,
+                              stateful_step_count=6))
+
+
+def hostile_reports(victim):
+    """A report's text by case, each naming a file no run may remove:
+    ``victim``, a file outside ``--out``, or ``cal_a_b1.pgm``, a frame."""
+    def naming(**record):
+        return json.dumps({"images": {"field_9": {"bands": {"1": record}}}})
+
+    return {"parent": naming(path="../x_b1.f32"),
+            "dot-dot": naming(path="a/../x_b1.f32"),
+            "absolute": naming(path=str(victim), pgm=str(victim)),
+            "nul": naming(path="x\u0000_b1.f32", pgm="x\u0000_b1.pgm"),
+            "frame": naming(path="cal_a_b1.pgm", pgm="cal_a_b1.pgm"),
+            "non-string": naming(path=["x_b1.f32"], pgm={"x": 1}),
+            "images-list": json.dumps({"images": [
+                {"bands": {"1": {"path": "x_b1.f32"}}}]}),
+            "truncated": naming(path="x_b1.f32")[:-9],
+            "nested": "[" * 100_000}
+
+
+class TestHostileLedger:
+    """A report in ``--out`` is read as its ledger, but a name in it is
+    trusted only as a plain output name (``<id>_b<n>.f32``, ``.f32.json``
+    or ``.pgm``) that is no band-frame of the manifest.  A report that
+    does not parse, or holds the wrong JSON kinds, names only itself."""
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("case", sorted(hostile_reports(Path("x"))))
+    def test_a_run_removes_nothing_it_may_not(self, tmp_path, case,
+                                              workers):
+        manifest = helpers.build_flight(tmp_path / "flight", field_images=2)
+        flight = manifest.parent
+        out = flight if case == "frame" else tmp_path / "out"
+        victims = tmp_path / "victims"
+        (victims / "inner").mkdir(parents=True)
+        for victim in (tmp_path / "x_b1.f32", victims / "x_b1.f32"):
+            victim.write_bytes(b"not an output\n")
+        out.mkdir(exist_ok=True)
+        # out/a/../x_b1.f32 is victims/x_b1.f32.
+        (out / "a").symlink_to(victims / "inner")
+        (out / "reflectance_report.json").write_text(
+            hostile_reports(victims / "x_b1.f32")[case])
+        outside = {path: path.read_bytes() for path in tmp_path.rglob("*")
+                   if path.is_file() and out not in path.parents}
+        frames = {path: path.read_bytes() for path in flight.glob("*.pgm")}
+        argv = ["convert", "--manifest", str(manifest)]
         stderr = io.StringIO()
         with helpers.workers(workers), contextlib.redirect_stderr(stderr):
-            code = main([argv[0], "--manifest", str(manifest),
-                         "--out", str(out), *argv[1:]])
-        return code, stderr.getvalue(), files_in(out)
-
-    # Each example runs up to three commands: a quarter of the profile's
-    # count.
-    @settings(max_examples=settings.default.max_examples // 4)
-    @given(before=st.sampled_from(BEFORE), command=st.sampled_from(
-               sorted(RUNS)),
-           fault=st.sampled_from(["none", "undecodable", "rows", "empty"]),
-           workers=st.integers(1, 4))
-    def test_a_run_leaves_what_a_fresh_run_leaves(self, flights, before,
-                                                  command, fault, workers):
-        manifest = flights[fault]
-        with tempfile.TemporaryDirectory() as root:
-            out, fresh = Path(root, "out"), Path(root, "fresh")
-            out.mkdir()
-            (out / "notes.txt").write_bytes(b"no command names this\n")
-            if before is not None:
-                name, flight = before
-                assert self.run(name, flights[flight], out, 1)[0] == 0
-            kept = {name: data for name, data in files_in(out).items()
-                    if name not in named(manifest)}
-            code, err, files = self.run(command, manifest, out, workers)
-            assert (code, err) == self.run(command, manifest, fresh,
-                                           workers)[:2]
-            assert code == (0 if fault in ("none", "empty") else 2)
-            assert files == {**kept, **files_in(fresh)}
-        helpers.no_child_left()
+            code = main([*argv, "--out", str(out)])
+            fresh = main([*argv, "--out", str(tmp_path / "fresh")])
+        assert code == fresh == 0
+        assert {path: path.read_bytes() for path in tmp_path.rglob("*")
+                if path.is_file() and out not in path.parents
+                and tmp_path / "fresh" not in path.parents} == outside
+        assert {path: path.read_bytes()
+                for path in flight.glob("*.pgm")} == frames
+        warnings = [line for line in stderr.getvalue().splitlines()
+                    if line.startswith("warning: ")]
+        assert stderr.getvalue() == "".join(line + "\n" for line in warnings)
+        assert len(warnings) == (case in ("images-list", "truncated",
+                                          "nested"))
+        assert not (out / "reflectance_report.json").exists()
 
 
 class TestClampedPixels:

@@ -243,7 +243,7 @@ class TestManifest:
     def test_not_json_rejected(self, tmp_path):
         path = tmp_path / "manifest.json"
         for payload in (b"{", b"\xff\xfe{}", b"[" + b"1" * 5000 + b"]",
-                        b"[]"):
+                        b"[]", b"[" * 100_000):
             path.write_bytes(payload)
             with pytest.raises(ManifestError, match="JSON"):
                 load_manifest(path)
