@@ -317,26 +317,24 @@ def _write_run(out: Path, command: str, header: dict, entries, tasks,
     """Run :func:`_image_pass` into ``out`` and write ``command``'s
     report: ``header``, each good image's band records and
     ``fields[image_id]``, and the failures.  Returns the exit code.  The
-    reports in ``out`` are its ledger: each goes first with the files it
-    names, but not the tasks' files or band-frames; after the pass, so do
-    the tasks' files the new report leaves out.  ``out`` is created here,
-    after every usage check.  On any error the report and the tasks' files
-    go, whichever run wrote them, and ``out`` if this run created it."""
+    reports in ``out`` are its ledger: they and the files they name, bar
+    band-frames, go with the run's own (:func:`removed_on_error`); after
+    the pass, so do the tasks' files the new report leaves out."""
     report = out / REPORTS[command]
     planned = [path for task in tasks for path in task.files]
-    with removed_on_error(out, [*planned, report]):
-        for ledger in (out / name for name in REPORTS.values()
-                       if os.path.lexists(out / name)):
-            names = [ledger.name]
-            try:
-                names += _named(read_json(ledger), str(ledger))
-            except ManifestError as exc:
-                print(f"warning: {exc}; removing it alone", file=sys.stderr)
-            keep = {os.path.realpath(path) for task in tasks for path in
-                    (*task.files, task.band.path) if "\0" not in str(path)}
-            for path in map(out.joinpath, names):
-                if os.path.realpath(path) not in keep:
-                    path.unlink(missing_ok=True)
+    owned = [*planned, report]
+    frames = {os.path.realpath(task.band.path) for task in tasks
+              if "\0" not in str(task.band.path)}
+    for ledger in (out / name for name in REPORTS.values()
+                   if os.path.lexists(out / name)):
+        names = [ledger.name]
+        try:
+            names += _named(read_json(ledger), str(ledger))
+        except ManifestError as exc:
+            print(f"warning: {exc}; removing it alone", file=sys.stderr)
+        owned += [path for path in map(out.joinpath, names)
+                  if os.path.realpath(path) not in frames]
+    with removed_on_error(out, owned):
         bands, failures = _image_pass(entries, tasks, write_band, errors)
         payload = {**header, "failures": failures, "images": {
             image_id: {**(fields or {}).get(image_id, {}), "bands": records}
@@ -500,21 +498,27 @@ def cmd_simulate(args) -> int:
     return _batch_exit(len(table.cells), len(table.skipped))
 
 
+#: What ``evaluate`` may write: the report and the two by-method layouts.
+EVALUATE_FILES = ("report.csv", "overall_by_method.csv",
+                  "per_band_by_method.csv")
+
+
 def cmd_evaluate(args) -> int:
     samples = read_samples(args.samples)
     group_by = tuple(part.strip() for part in args.group_by.split(",")
                      if part.strip())
     reports = aggregate(samples, group_by, sample_std=args.sample_std)
     out = Path(args.out)
-    with removed_on_error(out, [out / "report.csv"]) as files:
-        write_reports(files[0], reports)
+    files = [out / name for name in EVALUATE_FILES]
+    grand, overall, per_band = files
+    with removed_on_error(out, files):
+        write_reports(grand, reports)
         if group_by == ("method",):
             # Overall-errors layout: one column per method, one row per
             # statistic.
             by_method = {dict(r.group)["method"]: r for r in reports}
             methods = [m for m in METHOD_LEVELS if m in by_method]
-            files.append(out / "overall_by_method.csv")
-            write_csv(files[-1], ["statistic"] + methods,
+            write_csv(overall, ["statistic"] + methods,
                       ([stat] + [repr(getattr(by_method[m], stat))
                                  for m in methods]
                        for stat in ERROR_STATISTICS))
@@ -537,8 +541,7 @@ def cmd_evaluate(args) -> int:
                             [repr(report.mean_signed),
                              repr(report.std_signed)])
                 rows.append(row)
-            files.append(out / "per_band_by_method.csv")
-            write_csv(files[-1], header, rows)
+            write_csv(per_band, header, rows)
     return EXIT_OK
 
 
@@ -586,15 +589,10 @@ def cmd_rsr(args) -> int:
         curves[run.band_index] = (response if degenerate
                                   else peak_normalize(response), degenerate)
     out = Path(args.out)
-    names = {band: f"rsr_band_{band}.csv" for band in curves}
+    names = {band: f"rsr_band_{band}.csv" for band in range(1, N_BANDS + 1)}
     log: dict[str, dict] = {}
     with removed_on_error(out, [out / "rsr_log.json",
                                 *(out / name for name in names.values())]):
-        # An earlier run's curves of bands this run has no sweep of.
-        for path in out.glob("rsr_band_*.csv"):
-            if re.fullmatch(r"rsr_band_(0|-?[1-9][0-9]*)\.csv", path.name) \
-                    and path.name not in names.values():
-                path.unlink()
         for band, (response, degenerate) in curves.items():
             write_spectral_curve(out / names[band], response)
             log[str(band)] = {"degenerate": degenerate, "output": names[band]}

@@ -118,10 +118,10 @@ def _parse_dls(raw: dict, context: str) -> DLSRecord:
             sun_sensor_angle_deg=json_field(raw, "sun_sensor_angle_deg",
                                             float, context),
             timestamp=json_field(raw, "timestamp", float, context),
-            fresnel_factor=json_field(raw, "fresnel_factor", float, context,
-                                      1.0),
-            diffuse_ratio=json_field(raw, "diffuse_ratio", float, context,
-                                     0.166))
+            # Absent or null, each takes DLSRecord's default.
+            **{key: json_field(raw, key, float, context)
+               for key in ("fresnel_factor", "diffuse_ratio")
+               if raw.get(key) is not None})
     except (MetadataError, OrientationError) as exc:
         raise ManifestError(f"{context}: {exc}") from exc
 

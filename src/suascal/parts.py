@@ -1,4 +1,4 @@
-"""A run's forked parts, and the files a failed run removes."""
+"""A run's forked parts, and the files a run clears before it writes."""
 
 from __future__ import annotations
 
@@ -93,18 +93,20 @@ def _child(work: Callable, run, write: int, reads: list[int]) -> None:
 
 
 @contextmanager
-def removed_on_error(folder: Path, paths=()):
-    """Create ``folder``; if the block raises anything, an interrupt too,
-    remove each of ``paths`` and of the paths added to the list this
-    yields, then each level of ``folder`` this created.  A path is removed
-    whichever run wrote it, so a failed command leaves none of its files,
-    new or old, and no folder it created."""
+def removed_on_error(folder: Path, paths):
+    """Create ``folder`` and remove each of ``paths``, every file a command
+    may write there, so each is written as a new file, never through a
+    link, beside no file of an earlier run.  If the block raises anything,
+    an interrupt too, remove them again, then each level of ``folder``
+    this created."""
     created = list(itertools.takewhile(lambda level: not level.exists(),
                                        (folder, *folder.parents)))
     folder.mkdir(parents=True, exist_ok=True)
     paths = list(paths)
     try:
-        yield paths
+        for path in paths:
+            path.unlink(missing_ok=True)
+        yield
     except BaseException:
         for path in paths:
             path.unlink(missing_ok=True)

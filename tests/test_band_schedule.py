@@ -1076,14 +1076,24 @@ def hostile_reports(victim):
             "nested": "[" * 100_000}
 
 
+#: A link to ``x_b1.f32`` outside ``--out`` by case: how it is made, and
+#: the output name it sits at, a planned plane's or the report's.
+LINKS = {f"{kind}-{at}": (make, name)
+         for kind, make in (("symlink", os.symlink), ("hardlink", os.link))
+         for at, name in (("plane", "field_1_b2.f32"),
+                          ("report", "conversion_log.json"))}
+
+
 class TestHostileLedger:
     """A report in ``--out`` is read as its ledger, but a name in it is
     trusted only as a plain output name (``<id>_b<n>.f32``, ``.f32.json``
     or ``.pgm``) that is no band-frame of the manifest.  A report that
-    does not parse, or holds the wrong JSON kinds, names only itself."""
+    does not parse, or holds the wrong JSON kinds, names only itself.  A
+    link at an output name is replaced, never written through."""
 
     @pytest.mark.parametrize("workers", [1, 3])
-    @pytest.mark.parametrize("case", sorted(hostile_reports(Path("x"))))
+    @pytest.mark.parametrize("case",
+                             sorted(hostile_reports(Path("x"))) + [*LINKS])
     def test_a_run_removes_nothing_it_may_not(self, tmp_path, case,
                                               workers):
         manifest = helpers.build_flight(tmp_path / "flight", field_images=2)
@@ -1096,8 +1106,12 @@ class TestHostileLedger:
         out.mkdir(exist_ok=True)
         # out/a/../x_b1.f32 is victims/x_b1.f32.
         (out / "a").symlink_to(victims / "inner")
-        (out / "reflectance_report.json").write_text(
-            hostile_reports(victims / "x_b1.f32")[case])
+        if case in LINKS:
+            make, name = LINKS[case]
+            make(tmp_path / "x_b1.f32", out / name)
+        else:
+            (out / "reflectance_report.json").write_text(
+                hostile_reports(victims / "x_b1.f32")[case])
         outside = {path: path.read_bytes() for path in tmp_path.rglob("*")
                    if path.is_file() and out not in path.parents}
         frames = {path: path.read_bytes() for path in flight.glob("*.pgm")}
@@ -1115,9 +1129,16 @@ class TestHostileLedger:
         warnings = [line for line in stderr.getvalue().splitlines()
                     if line.startswith("warning: ")]
         assert stderr.getvalue() == "".join(line + "\n" for line in warnings)
+        # A link at the report name reads as a report that does not parse.
         assert len(warnings) == (case in ("images-list", "truncated",
-                                          "nested"))
+                                          "nested", "symlink-report",
+                                          "hardlink-report"))
         assert not (out / "reflectance_report.json").exists()
+        if case in LINKS:
+            left = out / LINKS[case][1]
+            assert not left.is_symlink() and left.stat().st_nlink == 1
+            assert left.read_bytes() == (tmp_path / "fresh" /
+                                         left.name).read_bytes()
 
 
 class TestClampedPixels:

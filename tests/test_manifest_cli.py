@@ -29,6 +29,7 @@ from suascal.errors import ManifestError, SuascalError
 from suascal.imageio import (read_plane, read_pgm16, sidecar_path,
                              write_plane)
 from suascal.manifest import FlightManifest, load_manifest
+from suascal.reflectance import DEFAULT_DIFFUSE_RATIO
 from suascal.rsr import SpectralCurve, write_spectral_curve
 from suascal.simulate import SimulationTable, _error_lines
 
@@ -225,6 +226,19 @@ class TestManifest:
         assert capsys.readouterr().err == (
             f"error: image 'field_1' dls: {message}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("keys", [
+        {}, {"fresnel_factor": None, "diffuse_ratio": None}],
+        ids=["absent", "null"])
+    def test_dls_optional_keys_take_the_record_defaults(self, flight, keys):
+        def edit(raw):
+            dls = raw["images"][2]["dls"]
+            dls.pop("fresnel_factor", None)
+            dls.pop("diffuse_ratio", None)
+            dls.update(keys)
+        dls = load_manifest(self._mutate(flight, edit)).images[2].dls
+        assert (dls.fresnel_factor, dls.diffuse_ratio) == (
+            1.0, DEFAULT_DIFFUSE_RATIO)
 
     @given(data=st.data())
     def test_any_mutated_node_loads_or_is_a_suascal_error(self, pristine,
@@ -732,6 +746,21 @@ class TestEvaluateCommand:
         assert lines[0].split(",")[:3] == \
             ["band_index", "elm1_mean_signed", "elm1_std_signed"]
         assert len(lines) == 6
+
+    def test_rerun_leaves_only_its_own_files(self, tmp_path):
+        """Reruns into one folder, each with another layout: after each,
+        the folder holds what a fresh run writes, and no earlier layout."""
+        samples = tmp_path / "samples.csv"
+        self._write_samples(samples)
+        for i, group_by in enumerate(("method", "band_index,method",
+                                      "weather")):
+            trees = []
+            for out in (tmp_path / "eval", tmp_path / f"fresh_{i}"):
+                assert main(["evaluate", "--samples", str(samples),
+                             "--out", str(out), "--group-by", group_by]) == 0
+                trees.append({path.name: path.read_bytes()
+                              for path in out.iterdir()})
+            assert trees[0] == trees[1]
 
     def test_unknown_group_field_is_usage_error(self, tmp_path, capsys):
         """An unknown field, or one named twice: one line, and no file."""
@@ -1436,6 +1465,70 @@ class TestFailedWriteLeavesNothing:
         assert capsys.readouterr().err == 2 * self.LINE
         assert not list(out.iterdir())
         assert not (tmp_path / "new").exists()
+
+
+class TestLinksAtOutputNames:
+    """A command removes every file it may write in its folder before it
+    writes, so a symlink or hard link at an output name is replaced, never
+    written through: the link's target keeps its bytes, and the folder
+    holds a fresh run's files, each a regular file."""
+
+    def _command(self, command, tmp_path, request):
+        """``command``'s arguments up to its ``--out`` value, and the
+        names it may write in its folder."""
+        if command == "simulate":
+            grid = tmp_path / "grid.json"
+            grid.write_text(json.dumps(dict(
+                TestSimulateCommand.GRID, visibilities_km=[23.0],
+                sensor_altitudes_km=[0.214])))
+            return (["simulate", "--grid-config", str(grid), "--out"],
+                    simulate_module.STUDY_FILES)
+        if command == "rsr":
+            for band in (1, 2):
+                TestRsrCommand()._write_run(tmp_path / "run", band)
+            return (["rsr", "--run-dir", str(tmp_path / "run"), "--out"],
+                    ["rsr_log.json",
+                     *(f"rsr_band_{band}.csv" for band in range(1, 6))])
+        if command == "ndvi":
+            planes = tmp_path / "reflect"
+            assert main(["reflect", "--manifest",
+                         str(request.getfixturevalue("flight")),
+                         "--out", str(planes), "--method", "aarr"]) == 0
+            return (["ndvi", "--red", str(planes / "field_1_b3.f32"),
+                     "--nir", str(planes / "field_1_b5.f32"), "--out"],
+                    ["n.f32", "n.f32.json", "n.f32.log.json"])
+        TestEvaluateCommand()._write_samples(tmp_path / "samples.csv")
+        return (["evaluate", "--samples", str(tmp_path / "samples.csv"),
+                 "--group-by", "method", "--out"],
+                ["report.csv", "overall_by_method.csv",
+                 "per_band_by_method.csv"])
+
+    @pytest.mark.parametrize("make", [os.symlink, os.link],
+                             ids=["symlink", "hardlink"])
+    @pytest.mark.parametrize("command",
+                             ["simulate", "rsr", "ndvi", "evaluate"])
+    def test_a_link_is_replaced_not_written_through(self, tmp_path, request,
+                                                    command, make):
+        argv, names = self._command(command, tmp_path, request)
+        victims, out, fresh = (tmp_path / name
+                               for name in ("victims", "out", "fresh"))
+        victims.mkdir()
+        out.mkdir()
+        for name in names:
+            (victims / name).write_text(f"not {name}\n")
+            make(victims / name, out / name)
+
+        def run(folder: Path) -> int:
+            return main([*argv, str(folder / "n.f32" if command == "ndvi"
+                                    else folder)])
+
+        assert run(out) == run(fresh) == 0
+        assert {path.name: path.read_text() for path in victims.iterdir()} \
+            == {name: f"not {name}\n" for name in names}
+        assert all(not path.is_symlink() and path.stat().st_nlink == 1
+                   for path in out.iterdir())
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == \
+            {path.name: path.read_bytes() for path in fresh.iterdir()}
 
 
 class TestParserContract:

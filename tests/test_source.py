@@ -1,9 +1,12 @@
 """Checks on the package source itself.
 
-No linter ships with the test dependencies, so the package's two lint
+No linter ships with the test dependencies, so the package's three lint
 rules are checked here with the standard library's ``ast``: no module
-imports a name it does not use, and no private top-level name goes
-unreferenced in the package, as one a deletion leaves behind would.
+imports a name it does not use; no private top-level name goes
+unreferenced in the package, as one a deletion leaves behind would; and
+only ``parts.removed_on_error`` and ``cli._write_run`` create or remove
+files and folders, so what a command leaves in its folder is decided in
+one place.
 """
 
 import ast
@@ -109,3 +112,56 @@ class TestUnreferencedPrivateNames:
         sources = {path.name: path.read_text(encoding="utf-8")
                    for path in PACKAGE.glob("*.py")}
         assert unreferenced_private_names(sources) == []
+
+
+#: The calls that create or remove a file or folder.
+FILESYSTEM_CALLS = {"mkdir", "makedirs", "rmdir", "removedirs", "rmtree",
+                    "unlink"}
+#: Their owners: the one rule for what a command leaves in its folder,
+#: and the band pass's removal of a failed image's files.
+FILESYSTEM_OWNERS = {("parts.py", "removed_on_error"),
+                     ("cli.py", "_write_run")}
+
+
+def filesystem_calls(sources: dict[str, str]) -> list[str]:
+    """The calls of :data:`FILESYSTEM_CALLS` in ``sources`` (module name
+    to source) that a top-level definition other than one of
+    :data:`FILESYSTEM_OWNERS` makes."""
+    found = []
+    for module, source in sorted(sources.items()):
+        for top in ast.parse(source).body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "attr",
+                               getattr(node.func, "id", None))
+                if name in FILESYSTEM_CALLS and \
+                        (module, owner) not in FILESYSTEM_OWNERS:
+                    found.append(f"{module} line {node.lineno}: {name} "
+                                 f"in {owner}")
+    return found
+
+
+class TestFilesystemCalls:
+    def test_finds_a_call_outside_its_owners(self):
+        sources = {"parts.py": ("def removed_on_error(folder):\n"
+                                "    folder.mkdir()\n"
+                                "def other(path):\n"
+                                "    path.unlink()\n"),
+                   "cli.py": ("from os import rmdir\n"
+                              "class Run:\n"
+                              "    def _write_run(self, path):\n"
+                              "        rmdir(path)\n"
+                              "def _write_run(path):\n"
+                              "    path.parent.mkdir()\n"
+                              "    path.unlink(missing_ok=True)\n"
+                              "shutil.rmtree('x')\n")}
+        assert filesystem_calls(sources) == [
+            "cli.py line 4: rmdir in Run", "cli.py line 8: rmtree in None",
+            "parts.py line 4: unlink in other"]
+
+    def test_only_the_owners_create_or_remove_files(self):
+        sources = {path.name: path.read_text(encoding="utf-8")
+                   for path in PACKAGE.glob("*.py")}
+        assert filesystem_calls(sources) == []
