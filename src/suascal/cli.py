@@ -152,10 +152,8 @@ class _BandTask:
 def _plan_bands(out: Path, entries, calibration=(),
                 pgm: bool = False) -> list[_BandTask]:
     """One task per band-frame of ``entries`` and of ``calibration``, whose
-    images are numbered on from ``len(entries)``.  Each band of
-    ``entries`` names its files in ``out``; a :class:`ManifestError` names
-    the first that is a band-frame of either, before any is opened; a PGM
-    is named only with ``pgm``.
+    images are numbered on from ``len(entries)``.  Each band of ``entries``
+    names its files in ``out``, its PGM only with ``pgm``.
 
     The tasks run band-major: for each band the calibration frames first,
     then the others, and within each the frames of one lens model back to
@@ -177,14 +175,8 @@ def _plan_bands(out: Path, entries, calibration=(),
                 files = (plane, sidecar_path(plane),
                          plane.with_suffix(".pgm"))[:3 if pgm else 2]
             tasks.append(_BandTask(i, j, band, lens, files=files))
-    frames = {os.path.realpath(task.band.path) for task in tasks
-              if "\0" not in str(task.band.path)}
     for task in tasks:
         task.rows = rows[task.lens]
-        for path in task.files:
-            if os.path.realpath(path) in frames:
-                raise ManifestError(f"{path}: an output of this run would "
-                                    "overwrite this band-frame")
     return sorted(tasks, key=lambda task: (
         task.band.band_index, task.image < len(entries),
         first[task.band.band_index, task.lens]))
@@ -317,23 +309,31 @@ def _write_run(out: Path, command: str, header: dict, entries, tasks,
     """Run :func:`_image_pass` into ``out`` and write ``command``'s
     report: ``header``, each good image's band records and
     ``fields[image_id]``, and the failures.  Returns the exit code.  The
-    reports in ``out`` are its ledger: they and the files they name, bar
-    band-frames, go with the run's own (:func:`removed_on_error`); after
-    the pass, so do the tasks' files the new report leaves out."""
+    reports in ``out`` are its ledger: they and the files they name go
+    with the run's own (:func:`removed_on_error`); after the pass, so do
+    the tasks' files the new report leaves out.  A band-frame, judged by
+    its entry ``realpath(out)/name``, is never removed nor the run's own."""
     report = out / REPORTS[command]
     planned = [path for task in tasks for path in task.files]
     owned = [*planned, report]
-    frames = {os.path.realpath(task.band.path) for task in tasks
-              if "\0" not in str(task.band.path)}
+    frames, root = set(), os.path.realpath(out)
+    for path in {task.band.path for task in tasks}:
+        if "\0" not in str(path):
+            frames |= {(os.path.realpath(path.parent), path.name),
+                       os.path.split(os.path.realpath(path))}
+    framed = {name for folder, name in frames if folder == root}
+    for path in owned:
+        if path.name in framed:
+            raise ManifestError(f"{path}: an output of this run would "
+                                "overwrite this band-frame")
     for ledger in (out / name for name in REPORTS.values()
-                   if os.path.lexists(out / name)):
+                   if os.path.lexists(out / name) and name not in framed):
         names = [ledger.name]
         try:
             names += _named(read_json(ledger), str(ledger))
         except ManifestError as exc:
             print(f"warning: {exc}; removing it alone", file=sys.stderr)
-        owned += [path for path in map(out.joinpath, names)
-                  if os.path.realpath(path) not in frames]
+        owned += [out / name for name in names if name not in framed]
     with removed_on_error(out, owned):
         bands, failures = _image_pass(entries, tasks, write_band, errors)
         payload = {**header, "failures": failures, "images": {

@@ -6,7 +6,7 @@ import itertools
 import os
 import pickle
 import signal
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -93,23 +93,23 @@ def _child(work: Callable, run, write: int, reads: list[int]) -> None:
 
 
 @contextmanager
-def removed_on_error(folder: Path, paths):
+def removed_on_error(folder: Path, paths: list[Path]):
     """Create ``folder`` and remove each of ``paths``, every file a command
     may write there, so each is written as a new file, never through a
     link, beside no file of an earlier run.  If the block raises anything,
-    an interrupt too, remove them again, then each level of ``folder``
-    this created."""
+    an interrupt too, remove them again, each one that can be, then each
+    level of ``folder`` this created, and raise it."""
     created = list(itertools.takewhile(lambda level: not level.exists(),
                                        (folder, *folder.parents)))
     folder.mkdir(parents=True, exist_ok=True)
-    paths = list(paths)
     try:
         for path in paths:
             path.unlink(missing_ok=True)
         yield
     except BaseException:
         for path in paths:
-            path.unlink(missing_ok=True)
+            with suppress(OSError):
+                path.unlink(missing_ok=True)
         for level in created:
             level.rmdir()
         raise

@@ -833,7 +833,7 @@ class TestBandPassParts:
 
 class TestPlannedFiles:
     """Each band names its own files when the pass is planned: a failed
-    image's files go, whichever run wrote them, and no file may be a
+    image's files go, whichever run wrote them, and no removal may take a
     band-frame of the manifest."""
 
     @pytest.mark.parametrize("workers", [1, 3])
@@ -860,9 +860,10 @@ class TestPlannedFiles:
                              ids=["same-folder", "symlink"])
     def test_pgm_export_never_overwrites_a_frame(self, tmp_path, capsys,
                                                  workers, linked):
-        """``--out`` is the flight folder, or holds a link to a frame
-        under the name of a planned PGM: the run stops before it opens
-        any file."""
+        """``--out`` is the flight folder, so a planned PGM is a frame:
+        the run stops before it opens any file.  Or ``--out`` holds a link
+        to a frame under the name of a planned PGM: the run removes the
+        link alone and writes the PGM in its place."""
         manifest = helpers.build_flight(tmp_path / "flight", field_images=2)
         flight = manifest.parent
         out, clash = flight, flight / "cal_a_b1.pgm"
@@ -872,16 +873,21 @@ class TestPlannedFiles:
             clash = out / "field_1_b4.pgm"
             clash.symlink_to(flight / "cal_a_b1.pgm")
         before = {path: path.read_bytes() for path in flight.iterdir()}
+        argv = ["reflect", "--method", "aarr", "--write-pgm",
+                "--manifest", str(manifest), "--out"]
         with helpers.workers(workers):
-            assert main(["reflect", "--method", "aarr", "--write-pgm",
-                         "--manifest", str(manifest),
-                         "--out", str(out)]) == 1
-        assert capsys.readouterr().err == (
-            f"error: {clash}: an output of this run would overwrite this "
-            "band-frame\n")
+            assert main([*argv, str(out)]) == (0 if linked else 1)
+            if linked:
+                assert main([*argv, str(tmp_path / "fresh")]) == 0
         assert {path: path.read_bytes()
                 for path in flight.iterdir()} == before
-        assert not linked or list(out.iterdir()) == [clash]
+        assert capsys.readouterr().err == ("" if linked else (
+            f"error: {clash}: an output of this run would overwrite this "
+            "band-frame\n"))
+        if linked:
+            assert not clash.is_symlink()
+            assert clash.read_bytes() == \
+                (tmp_path / "fresh" / clash.name).read_bytes()
 
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("command", [["convert"],

@@ -318,15 +318,19 @@ class TestConvertCommand:
         assert main(["convert", "--manifest", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "out")]) == 1
 
-    @pytest.mark.parametrize("fresh", [True, False],
-                             ids=["new-out", "flight-folder"])
+    @pytest.mark.parametrize("fresh, name", [
+        (True, "field_1_b1.f32"), (False, "field_1_b1.f32"),
+        (True, "conversion_log.json"), (False, "conversion_log.json")],
+        ids=["new-out", "flight-folder", "new-out-report",
+             "flight-folder-report"])
     def test_plane_over_a_band_frame_is_usage_error(self, flight, tmp_path,
-                                                    capsys, fresh):
-        """field_1's band 1 frame is named at the path of its own plane:
-        one line before any file is opened, and no ``--out`` if there was
-        none before, or the flight folder as it was."""
+                                                    capsys, fresh, name):
+        """field_1's band 1 frame is named at the path of its own plane or
+        of the run's report: one line before any file is opened, and no
+        ``--out`` if there was none before, or the flight folder as it
+        was."""
         out = tmp_path / "out" if fresh else flight.parent
-        clash = out / "field_1_b1.f32"
+        clash = out / name
         if not fresh:
             (flight.parent / "field_1_b1.pgm").rename(clash)
         raw = json.loads(flight.read_text())
@@ -343,6 +347,24 @@ class TestConvertCommand:
         assert {path: path.read_bytes()
                 for path in flight.parent.iterdir()} == before
         assert not fresh or not out.exists()
+
+    def test_band_frame_at_the_other_report_name_is_kept(self, flight,
+                                                         capsys):
+        """field_1's band 1 frame is stored at the name of ``reflect``'s
+        report, and ``--out`` is the flight folder: ``convert`` reads the
+        frame as no ledger, so it warns of nothing, and keeps it."""
+        frame = flight.parent / "reflectance_report.json"
+        (flight.parent / "field_1_b1.pgm").rename(frame)
+        raw = json.loads(flight.read_text())
+        field_1 = next(image for image in raw["images"]
+                       if image["image_id"] == "field_1")
+        field_1["bands"][0]["path"] = frame.name
+        flight.write_text(json.dumps(raw))
+        before = frame.read_bytes()
+        assert main(["convert", "--manifest", str(flight),
+                     "--out", str(flight.parent)]) == 0
+        assert capsys.readouterr().err == ""
+        assert frame.read_bytes() == before
 
 
 def roi_mean(pixels, roi):
@@ -1465,6 +1487,23 @@ class TestFailedWriteLeavesNothing:
         assert capsys.readouterr().err == 2 * self.LINE
         assert not list(out.iterdir())
         assert not (tmp_path / "new").exists()
+
+    def test_directory_at_an_output_name(self, tmp_path, capsys):
+        """A directory at ``report.csv``, which no unlink removes: one
+        line, and every other file of the run is still removed, here the
+        earlier run's ``overall_by_method.csv``."""
+        samples, out = tmp_path / "samples.csv", tmp_path / "eval"
+        TestEvaluateCommand()._write_samples(samples)
+        argv = ["evaluate", "--samples", str(samples), "--group-by",
+                "method", "--out", str(out)]
+        assert main(argv) == 0
+        (out / "report.csv").unlink()
+        (out / "report.csv").mkdir()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(out / "report.csv") in err
+        assert [path.name for path in out.iterdir()] == ["report.csv"]
 
 
 class TestLinksAtOutputNames:
