@@ -143,24 +143,22 @@ class _BandTask:
     #: The row model of every band-frame of the lens when they share one,
     #: which its maps then hold; otherwise ``None``.
     rows: RowModel | None = None
-    #: Its plane, sidecar and, with ``--write-pgm``, PGM; none for panel means.
+    #: Its plane, sidecar and, with ``--write-pgm``, PGM.
     files: tuple[Path, ...] = ()
     #: Its record or the exception it raised; ``None`` if it did not run.
     outcome: object = None
 
 
-def _plan_bands(out: Path, entries, calibration=(),
-                pgm: bool = False) -> list[_BandTask]:
-    """One task per band-frame of ``entries`` and of ``calibration``, whose
-    images are numbered on from ``len(entries)``.  Each band of ``entries``
-    names its files in ``out``, its PGM only with ``pgm``.
+def _plan_bands(out: Path, entries, pgm: bool = False) -> list[_BandTask]:
+    """One task per band-frame of ``entries``, naming its files in ``out``,
+    its PGM only with ``pgm``.
 
-    The tasks run band-major: for each band the calibration frames first,
-    then the others, and within each the frames of one lens model back to
-    back, in manifest order, so each map is needed for one stretch only.
+    The tasks run band-major: for each band the frames of one lens model
+    back to back, in manifest order, so each map is needed for one stretch
+    only.
     """
     tasks, first, rows = [], {}, {}
-    for i, entry in enumerate((*entries, *calibration)):
+    for i, entry in enumerate(entries):
         for j, band in enumerate(entry.bands):
             model = band.metadata.vignette
             lens = (model.center_x, model.center_y,
@@ -169,41 +167,36 @@ def _plan_bands(out: Path, entries, calibration=(),
             row_model = _row_model(band.metadata)
             rows[lens] = (row_model if rows.get(lens, row_model) == row_model
                           else None)
-            files = ()
-            if i < len(entries):
-                plane = out / f"{entry.image_id}_b{band.band_index}.f32"
-                files = (plane, sidecar_path(plane),
-                         plane.with_suffix(".pgm"))[:3 if pgm else 2]
+            plane = out / f"{entry.image_id}_b{band.band_index}.f32"
+            files = (plane, sidecar_path(plane),
+                     plane.with_suffix(".pgm"))[:3 if pgm else 2]
             tasks.append(_BandTask(i, j, band, lens, files=files))
     for task in tasks:
         task.rows = rows[task.lens]
     return sorted(tasks, key=lambda task: (
-        task.band.band_index, task.image < len(entries),
-        first[task.band.band_index, task.lens]))
+        task.band.band_index, first[task.band.band_index, task.lens]))
 
 
 def _image_pass(entries, tasks: list[_BandTask], write_band,
                 errors: dict | None = None):
     """Write every band of ``entries`` with ``write_band(task, vignette)``;
-    it returns the band's record, and ``vignette(shape)`` gives the task's
-    map over frames of ``shape``.  ``errors`` holds the images that failed
-    before their bands (position to exception).
+    it returns the band's record, and ``vignette(task, shape)`` gives the
+    map of ``task``'s lens model over frames of ``shape``.  ``errors``
+    holds the images that failed before their bands (position to
+    exception).
 
     The tasks run through :func:`~suascal.parts.run_parts` in the parts
     of :func:`~suascal.parts.part_runs` for :func:`_workers`, contiguous
     runs of ``tasks``: part 1 here, each later one in a forked child that
-    sends back its tasks' outcomes.  A part runs its tasks in order, after
-    the calibration tasks (images numbered on from ``len(entries)``) of
-    every band it writes, so no part waits on another.  It skips a task
-    of ``entries`` once a band of its image before it has failed there,
-    and the images in ``errors`` run none: only an image's first failure
-    in manifest order is reported.  A calibration task runs whatever its
-    image's other bands gave, so each band's outcome is its own.
+    sends back its tasks' outcomes.  A part runs its tasks in order and
+    waits on no other.  It skips a task once a band of its image before it
+    has failed there, and the images in ``errors`` run none: only an
+    image's first failure in manifest order is reported.
 
-    A part builds a map on the first use of its (lens model, frame shape)
-    and drops it after the lens model's last task in the part, run or not;
-    its storage is kept, one per shape, for the next map of that shape.  A
-    map that fails to build fails each use.
+    A part holds one map per frame shape, built in one storage on the
+    first use of that shape; a use of another lens model rebuilds it
+    there, so a map is good only until the part's next ``vignette`` call
+    of its shape.  A map that fails to build fails each use until then.
 
     Returns ``(bands, failures)`` keyed by image id: each good image's band
     records by band index, each failed image's first error in manifest
@@ -217,43 +210,30 @@ def _image_pass(entries, tasks: list[_BandTask], write_band,
     def run_part(run: range) -> dict:
         """Run the part of ``run``; returns the outcome of each of its
         tasks by position."""
-        bands = {tasks[i].band.band_index for i in run
-                 if tasks[i].image < len(entries)}
-        mine = [task for i, task in enumerate(tasks)
-                if i in run or (task.image >= len(entries)
-                                and task.band.band_index in bands)]
-        last = {task.lens: n for n, task in enumerate(mine)}
-        maps = {}  # (lens, shape) -> (storage, map or the error building it)
-        spare = {}  # shape -> the storage of a dropped map
+        held = {}  # shape -> (lens, storage, map or the error building it)
 
         def vignette(task: _BandTask, shape: tuple[int, int]) -> Vignette:
-            key = task.lens, shape
-            if key not in maps:
-                storage = spare.pop(shape) if shape in spare \
-                    else np.empty(shape)
+            lens, storage, built = held.get(shape) or (None, np.empty(shape),
+                                                       None)
+            if lens != task.lens:
                 try:
                     built = _build_vignette(task.band.metadata.vignette,
                                             storage, task.rows)
                 except MetadataError as exc:
                     built = exc
-                maps[key] = storage, built
-            built = maps[key][1]
+                held[shape] = task.lens, storage, built
             if isinstance(built, MetadataError):
                 raise built.with_traceback(None)
             return built
 
         failed = dict.fromkeys(errors, -1)
-        for n, task in enumerate(mine):
+        for task in (tasks[i] for i in run):
             if failed.get(task.image, task.position) >= task.position:
                 try:
-                    task.outcome = write_band(task, partial(vignette, task))
+                    task.outcome = write_band(task, vignette)
                 except Exception as exc:
                     task.outcome = _without_tracebacks(exc)
-                    if task.image < len(entries):
-                        failed[task.image] = task.position
-            if last[task.lens] == n:
-                for key in [key for key in maps if key[0] == task.lens]:
-                    spare[key[1]] = maps.pop(key)[0]
+                    failed[task.image] = task.position
         return {i: tasks[i].outcome for i in run}
 
     def take(outcomes: dict) -> None:
@@ -278,12 +258,12 @@ def _image_pass(entries, tasks: list[_BandTask], write_band,
 
 def _read_band(task: _BandTask, vignette):
     """Decode a task's band-frame, then take its map from
-    ``vignette(shape)``, so a frame's decode errors come ahead of its
+    ``vignette(task, shape)``, so a frame's decode errors come ahead of its
     map's."""
     band = task.band
     raw = RawImage(band_index=band.band_index, pixels=read_pgm16(band.path),
                    bits_per_pixel=band.metadata.bits_per_pixel)
-    return raw, vignette(raw.pixels.shape)
+    return raw, vignette(task, raw.pixels.shape)
 
 
 #: The report of each imagery command in its ``--out``.
@@ -396,63 +376,75 @@ def cmd_reflect(args) -> int:
                   f"calibration image method {args.method} can use; usable: "
                   f"{', '.join(map(repr, usable))}", file=sys.stderr)
             return EXIT_USAGE
-    # One band-major pass: each band's panel means (calibration tasks,
-    # numbered on from the images), then its planes.
-    tasks = _plan_bands(out, images, calibration, args.write_pgm)
-    means_tasks = {(task.image - len(images), task.band.band_index): task
-                   for task in tasks if task.image >= len(images)}
+    tasks = _plan_bands(out, images, args.write_pgm)
+    frames = {(images[task.image].image_id, task.band.band_index): task
+              for task in tasks}
 
-    def ground_reflectance(placement) -> np.ndarray:
+    def ground_reflectance(panel_id: str) -> np.ndarray:
         """A panel's band reflectance; a fault of the panel library fails
         the run before any frame is read."""
-        spectrum = manifest.panel_spectrum(placement.panel_id)
+        spectrum = manifest.panel_spectrum(panel_id)
         try:
             rho = panel_band_reflectance(spectrum, rsr_set)
         except CurveError as exc:
-            raise CurveError(f"{manifest.panels[placement.panel_id]}: "
-                             f"panel {placement.panel_id!r}: {exc}") from None
-        check_panel(placement.panel_id, ground_reflectance=rho)
+            raise CurveError(f"{manifest.panels[panel_id]}: "
+                             f"panel {panel_id!r}: {exc}") from None
+        check_panel(panel_id, ground_reflectance=rho)
         return rho
 
-    grounds = [[ground_reflectance(placement)
-                for placement in _placements(entry)]
-               for entry in calibration]
-    position = {entry.image_id: c for c, entry in enumerate(calibration)}
+    grounds = {panel_id: ground_reflectance(panel_id)
+               for panel_id in dict.fromkeys(
+                   placement.panel_id for entry in calibration
+                   for placement in _placements(entry))}
+    taken = {}  # (image id, band index) -> its panel means or error
 
-    def band_line(c: int, band_index: int):
-        """Band ``band_index`` of calibration image ``c``'s empirical line,
-        from that band's panel means, which the part has run.  Raises,
-        naming the calibration image, when those means failed or a panel's
-        is not positive, and as :func:`elm_line` does; it fails the band
-        it maps."""
-        entry = calibration[c]
-        means = means_tasks[c, band_index].outcome
+    def band_line(entry: ImageEntry, band_index: int, vignette):
+        """Band ``band_index`` of calibration image ``entry``'s empirical
+        line.  A part takes that band's panel means on first use, decoding
+        the frame with its ``vignette``, and keeps them, or the error, in
+        ``taken`` (each forked part has its own).  Raises, naming the
+        calibration image, when that frame failed or a panel's mean is not
+        positive, and as :func:`elm_line` does; it fails the band it
+        maps."""
+        key = entry.image_id, band_index
+        task, placements = frames[key], _placements(entry)
+        if key not in taken:
+            try:
+                raw, frame_map = _read_band(task, vignette)
+                taken[key] = panel_means(raw, task.band.metadata,
+                                         [p.roi for p in placements],
+                                         frame_map)
+            except SuascalError as exc:
+                taken[key] = _without_tracebacks(exc)
+        means = taken[key]
         try:
             if isinstance(means, Exception):
                 raise means
-            for placement, mean in zip(_placements(entry), means):
+            for placement, mean in zip(placements, means):
                 check_panel(placement.panel_id, mean_radiance=mean)
         except SuascalError as exc:
             raise SuascalError(
                 f"calibration image {entry.image_id}: {exc}") from None
         band = slice(band_index - 1, band_index)
-        points = [(rho[band], np.array([m]))
-                  for rho, m in zip(grounds[c], means)]
+        points = [(grounds[p.panel_id][band], np.array([m]))
+                  for p, m in zip(placements, means)]
         slope, bias = elm_line(
             entry.image_id,
             *itertools.chain(*points[:1 if args.method == "elm1" else 2]))
         return line_map(slope[0], bias[0])
 
     def prepare(entry: ImageEntry):
-        """An image's report fields and band map factory; its selection
-        errors fail it ahead of any band fault.  Selection reads only the
+        """An image's report fields and its band map factory, called with
+        the band index and the part's ``vignette``; its selection errors
+        fail it ahead of any band fault.  Selection reads only the
         candidates' ids, timestamps and DLS records, so it needs no panel
         means."""
         record: dict[str, object] = {"method": args.method}
         if args.method == "aarr":
             if entry.dls is None:
                 raise SuascalError("aarr requires a dls record")
-            return record, partial(aarr_map, entry.dls)
+            return record, lambda band_index, _: aarr_map(entry.dls,
+                                                          band_index)
         chosen = select_calibration(
             calibration, args.selection, image_dls=entry.dls,
             image_timestamp=entry.timestamp,
@@ -462,7 +454,7 @@ def cmd_reflect(args) -> int:
         if args.selection != "single":
             record["selection_metric"] = selection_metric(
                 args.selection, entry.dls, entry.timestamp)(chosen)
-        return record, partial(band_line, position[chosen.image_id])
+        return record, partial(band_line, chosen)
 
     records, band_maps, errors = {}, {}, {}
     for i, entry in enumerate(images):
@@ -471,16 +463,19 @@ def cmd_reflect(args) -> int:
         except SuascalError as exc:
             errors[i] = exc
 
-    def write_band(task: _BandTask, vignette) -> dict | list[float]:
-        band = task.band
-        raw, vignette = _read_band(task, vignette)
-        if task.image >= len(images):
-            # Only a calibration frame's per-band ROI means outlive it.
-            rois = [p.roi for p in
-                    _placements(calibration[task.image - len(images)])]
-            return panel_means(raw, band.metadata, rois, vignette)
-        return _stream_band(task, raw, vignette, "reflectance",
-                            band_maps[task.image](band.band_index),
+    def write_band(task: _BandTask, vignette) -> dict:
+        # The band's map comes first: fitting a line may rebuild this
+        # frame's map storage for the calibration frame's lens model.  Its
+        # error waits for the frame's decode and map faults.
+        line, fault = None, None
+        try:
+            line = band_maps[task.image](task.band.band_index, vignette)
+        except SuascalError as exc:
+            fault = _without_tracebacks(exc)
+        raw, frame_map = _read_band(task, vignette)
+        if fault is not None:
+            raise fault
+        return _stream_band(task, raw, frame_map, "reflectance", line,
                             args.pgm_scale if args.write_pgm else None)
 
     header = {"method": args.method, "selection": args.selection}

@@ -6,7 +6,6 @@ produced.  Everything loads lazily and is cached; curves are immutable.
 
 from __future__ import annotations
 
-import csv
 from functools import lru_cache
 from importlib import resources
 
@@ -63,14 +62,3 @@ def bundled_target(name: str) -> SpectralCurve:
             f"unknown bundled target {name!r}; expected one of {TARGET_NAMES}")
     return _read_bundled_curve(f"target_{name}.csv")
 
-
-@lru_cache(maxsize=None)
-def ground_reference_bands() -> dict[str, np.ndarray]:
-    """Ground-reference band reflectance factors, target -> bands 1..5."""
-    ref = resources.files("suascal.data").joinpath("ground_reference_bands.csv")
-    table: dict[str, np.ndarray] = {}
-    with ref.open("r", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            values = table.setdefault(row["target_id"], np.zeros(5))
-            values[int(row["band_index"]) - 1] = float(row["reflectance"])
-    return table

@@ -2,12 +2,12 @@
 
 ``convert`` and ``reflect`` run one task per (image, band), ordered so
 that the frames of one band and lens model run back to back; ``reflect``
-runs each band's calibration panel means ahead of that band's planes.
-The tasks run as contiguous parts, one per worker, each in its own
-process.  In each part a map of a (lens model, frame size) is built once,
-on its first use, and dropped after the lens model's last task there, its
-storage kept for the next map of that size; per-image results, errors and
-files must not depend on that order or on the part count.
+takes a calibration band's panel means in a part the first time one of
+its images needs that band's line.  The tasks run as contiguous parts,
+one per worker, each in its own process.  Each part holds one map per
+frame size, built in one storage on first use and rebuilt there for
+another lens model; per-image results, errors and files must not depend
+on that order or on the part count.
 """
 
 import contextlib
@@ -103,9 +103,8 @@ def files_in(folder) -> dict:
 
 
 def each_part_held_one_storage(counted) -> bool:
-    """Whether each part built every map in one storage: each map was
-    dropped after its lens model's last task, and the next took its
-    storage."""
+    """Whether each part built every map in one storage: the flights of
+    its callers have one frame size, and a part holds one map per size."""
     return all(set(notes) == {1}
                for notes in counted.held.by_process().values())
 
@@ -346,8 +345,8 @@ class TestMapsFreedOnFailure:
     def test_failed_and_skipped_bands_give_their_maps_back(
             self, tmp_path, counted, command):
         """field_3, the last image of each lens model, fails in band 1 and
-        skips its later bands; field_1 fails in band 3.  Each lens
-        model's map is dropped all the same."""
+        skips its later bands; field_1 fails in band 3.  Each part still
+        builds each map once, in its one storage."""
         argv, _ = COMMANDS[command]
         manifest = lens_per_band_flight(tmp_path / "flight")
         for image_id, band in (("field_3", 1), ("field_1", 3)):
@@ -483,9 +482,10 @@ def lens_per_band_flight(root):
 
 
 class TestFusedCalibration:
-    """``reflect --method elm1|elm2`` runs each band's panel means, then
-    that band's planes, in one pass; a part that starts inside a band runs
-    that band's panel means first."""
+    """``reflect --method elm1|elm2`` takes each calibration band's panel
+    means in the band pass itself: a part decodes a calibration band-frame
+    the first time one of its images needs that band's line, and keeps
+    the means for its later images."""
 
     @pytest.mark.parametrize("method", ["elm1", "elm2"])
     def test_maps_live_per_band_and_are_built_once(self, tmp_path, counted,
@@ -505,10 +505,63 @@ class TestFusedCalibration:
             builds = [build for _, build in counted.builds.notes()]
             assert len(set(builds)) == 5
             assert len(builds) <= 5 + len(parts) - 1
-            # A map is held from its band's first task to its last, and
-            # the next map of its shape takes its storage.
+            # Every map of a part takes its one storage.
             assert each_part_held_one_storage(counted)
             trees.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert all(tree == trees[0] for tree in trees[1:])
+
+    @pytest.mark.parametrize("selection, decodes", [("dls", 30),
+                                                    ("single", 25)])
+    def test_means_are_taken_where_a_line_is_used(self, tmp_path,
+                                                  monkeypatch, selection,
+                                                  decodes):
+        """Each image's frames are decoded once for its planes; a
+        calibration image's frames once more for the means of each line
+        an image uses.  Under ``single`` no image uses ``cal_b``."""
+        manifest = helpers.build_flight(tmp_path / "flight",
+                                        with_decoy=True)
+        names = []
+        read = cli.read_pgm16
+
+        def counted_read(path):
+            names.append(Path(path).name)
+            return read(path)
+
+        monkeypatch.setattr(cli, "read_pgm16", counted_read)
+        with helpers.workers(1):
+            assert main(["reflect", "--method", "elm2", "--manifest",
+                         str(manifest), "--out", str(tmp_path / "out"),
+                         "--selection", selection,
+                         "--designated-id", "cal_a"]) == 0
+        assert len(names) == decodes
+        twice = {"cal_a"} | ({"cal_b"} if selection == "dls" else set())
+        assert all(names.count(name)
+                   == (2 if name.rsplit("_b", 1)[0] in twice else 1)
+                   for name in names)
+
+    def test_line_of_another_lens_model_keeps_the_frame_map(self,
+                                                             tmp_path):
+        """field_2's lens model differs from cal_a's, and at four workers
+        a part begins at a field_2 task: that task is the first of its
+        part to need cal_a's line, whose frame map takes the one storage
+        of their shared size.  The part must take the line before
+        field_2's own map, or field_2's plane goes through cal_a's map."""
+        manifest = helpers.build_flight(tmp_path / "flight")
+        edit_manifest(manifest, lambda raw: [
+            band["metadata"].update(vignette={
+                "center_x": 20.0, "center_y": 24.0,
+                "coefficients": [1e-3, 0.0, 1e-6, 0.0, 0.0, 0.0]})
+            for band in image(raw, "field_2")["bands"]])
+        tasks = cli._plan_bands(tmp_path, load_manifest(manifest).images)
+        runs = cli.part_runs(4, len(tasks))
+        assert [tasks[run[0]].image for run in runs] == [0, 0, 1, 2]
+        argv = ["reflect", "--method", "elm2", "--manifest", str(manifest)]
+        trees = []
+        for workers in (1, 2, 3, 4):
+            out = tmp_path / str(workers)
+            with helpers.workers(workers):
+                assert main(argv + ["--out", str(out)]) == 0
+            trees.append(files_in(out))
         assert all(tree == trees[0] for tree in trees[1:])
 
     def test_calibration_fault_in_last_band_fails_its_users(

@@ -134,7 +134,7 @@ class TestVignetteFactor:
 
 def reused_storage_vignette(model, width, height):
     """``model``'s map built in storage that held other values, as a band
-    pass reuses a dropped map's storage."""
+    pass rebuilds the one map of a frame size for another lens model."""
     storage = np.full((height, width), np.nan)
     vignette = _build_vignette(model, storage)
     assert np.shares_memory(vignette.map, storage)
@@ -321,7 +321,7 @@ def band_pass(lenses, work, shapes):
         maps = []
         for shape in shapes:
             try:
-                maps.append(vignette(shape))
+                maps.append(vignette(task, shape))
             except MetadataError as exc:
                 maps.append(exc)
         return work(task, maps)
@@ -332,10 +332,9 @@ def band_pass(lenses, work, shapes):
 
 
 class TestBandPassMaps:
-    """The band pass's maps: in each part, one vignette map per (lens
-    model, frame size), built on its first use, shared read-only and
-    dropped after the lens model's last task, its storage kept for the
-    next map of its size."""
+    """The band pass's maps: each part holds one vignette map per frame
+    size, built in one storage on its first use and shared read-only; a
+    task of another lens model rebuilds it in that storage."""
 
     # Taller than one row block, so the last block is a partial one.
     COUNTS = np.random.default_rng(11).integers(
@@ -389,7 +388,7 @@ class TestBandPassMaps:
                              [(20, 20)])
         maps = [vignette for vignette, _ in outcomes]
         assert all(maps[i + 1] is maps[i] for i in (0, 2, 4))
-        # Each next map is built in the storage of the one dropped before.
+        # Each next lens model's map is rebuilt in its size's one storage.
         assert all(np.shares_memory(maps[0].map, vignette.map)
                    for vignette in maps[2::2])
         for (_, values), lens in zip(outcomes[::2], lenses):

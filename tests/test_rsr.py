@@ -425,13 +425,6 @@ class TestBundledData:
         assert 470.0 < centers[0] < 480.0
         assert 835.0 < centers[4] < 845.0
 
-    def test_ground_reference_grass_bands(self):
-        table = datasets.ground_reference_bands()
-        grass = table["grass"]
-        # Red and NIR drive the NDVI fixture; pin them tightly.
-        assert grass[2] == pytest.approx(0.0264, abs=1e-12)
-        assert grass[4] == pytest.approx(0.4912, abs=1e-12)
-
     @pytest.mark.parametrize("filename", [
         *(f"rsr_{name}.csv" for name in datasets.BAND_NAMES.values()),
         "solar_exoatmospheric.csv",

@@ -7,9 +7,7 @@ Everything bundled is synthetic but physically plausible:
   center/FWHM of a common five-band multispectral camera,
 * a smooth blackbody approximation of the exoatmospheric solar spectrum
   (5772 K, scaled by the Sun-Earth solid-angle factor),
-* smooth reflectance curves for the simulator's standard targets,
-* the ground-reference band-effective reflectance table used by the
-  evaluation fixtures.
+* smooth reflectance curves for the simulator's standard targets.
 
 Run from the repository root:  python3 tools/generate_fixtures.py
 """
@@ -34,17 +32,6 @@ BANDS = [
 ]
 
 GRID_NM = np.arange(330.0, 1200.0 + 0.5, 1.0)
-
-# Ground-reference band-effective reflectance factors (bands 1..5).
-GROUND_REFERENCE = {
-    "grass": [0.0219, 0.0693, 0.0264, 0.1855, 0.4912],
-    "asphalt": [0.1016, 0.1132, 0.1198, 0.1217, 0.1280],
-    "concrete": [0.1794, 0.2318, 0.2602, 0.2724, 0.2957],
-    "blue_felt": [0.3595, 0.0441, 0.0327, 0.0375, 0.4963],
-    "green_felt": [0.0541, 0.0535, 0.0298, 0.0319, 0.1808],
-    "red_felt": [0.2778, 0.0264, 0.6816, 0.7205, 0.7270],
-}
-
 
 def write_curve(path: Path, wavelengths: np.ndarray, values: np.ndarray):
     with path.open("w", encoding="utf-8", newline="") as fh:
@@ -96,24 +83,11 @@ def target_curves():
     write_curve(DATA_DIR / "target_constant_100.csv", wl, constant)
 
 
-def ground_reference_table():
-    path = DATA_DIR / "ground_reference_bands.csv"
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["target_id", "band_index", "band_name",
-                         "center_nm", "reflectance"])
-        for target, values in GROUND_REFERENCE.items():
-            for (band, name, center, _), value in zip(BANDS, values):
-                writer.writerow([target, band, name, repr(center), repr(value)])
-    print(f"wrote {path}")
-
-
 def main():
     DATA_DIR.mkdir(parents=True, exist_ok=True)
     gaussian_rsr()
     solar_spectrum()
     target_curves()
-    ground_reference_table()
 
 
 if __name__ == "__main__":
